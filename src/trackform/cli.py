@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import statistics
 import sys
 from pathlib import Path
 
@@ -20,8 +21,8 @@ from .fixtures import FIXTURE_NAMES, fixture_text
 from .formats import (format_track, parse_curve, parse_track, parse_trace,
                       serialize_curve, serialize_trace)
 from .generate import gen_random_curve
-from .pipelines import (EFFICIENT, SINGLE_SNIPPET, efficient_position,
-                        terminal_summary)
+from .pipelines import (EFFICIENT, SINGLE_SNIPPET, default_budget,
+                        efficient_position, terminal_summary)
 from .render import render_svg
 from .snippet_core import classify
 from .track_model import build_tie_neighbourhood
@@ -224,14 +225,13 @@ def stats(track: str, batch_dir: str) -> int:
     files = sorted(d.glob("*.curve"))
     if not files:
         raise click.UsageError(f"no .curve files in {batch_dir!r}")
-    s = nb.s_N
     rows = []
     for f in files:
         c = parse_curve(f.read_text(), nb)
         n0 = len(c.snippets)
         res = efficient_position(c, nb)
-        budget = 2 * (6 * s * (s + 2) + 8) * (n0 + 2) ** 2
-        rows.append((f.name, n0, res.homs, res.status, budget))
+        rows.append((f.name, n0, res.homs, res.status,
+                     default_budget(nb, n0)))
         click.echo(f"{f.name}\tlen={n0}\tpushes={res.homs}\t{res.status}")
     click.echo(f"curves: {len(rows)}")
     click.echo(f"max pushes: {max(r[2] for r in rows)}")
@@ -239,11 +239,9 @@ def stats(track: str, batch_dir: str) -> int:
     click.echo(f"within budget: {len(rows) - len(over)}/{len(rows)}")
     pts = [(r[1], r[2]) for r in rows if r[1] >= 2 and r[2] >= 1]
     if len(pts) >= 2 and len({p[0] for p in pts}) >= 2:
-        import numpy as np
-
-        xs = np.log([p[0] for p in pts])
-        ys = np.log([p[1] for p in pts])
-        exponent = float(np.polyfit(xs, ys, 1)[0])
+        exponent = statistics.linear_regression(
+            [math.log(p[0]) for p in pts],
+            [math.log(p[1]) for p in pts]).slope
         click.echo(f"fitted exponent: {exponent:.3f}")
     else:
         click.echo("fitted exponent: n/a (need spread in lengths)")

@@ -20,7 +20,6 @@ from .errors import (
 from .snippet_core import (
     BRANCH,
     Snippet,
-    SnippetClass,
     classify,
     corner_length,
     reverse_snippet,
@@ -59,6 +58,12 @@ class LengthReport:
     @property
     def len_red(self) -> int:
         return self.len_corn - 2 * self.len_block
+
+    @property
+    def counters(self) -> list[int]:
+        """The six counters in the order trace events record them."""
+        return [self.len_corn, self.len_block, self.carr, self.dual_R,
+                self.dual_L, self.bad_count]
 
 
 def validate_curve(curve: Curve, nb: TieNeighbourhood) -> None:
@@ -168,48 +173,71 @@ def glue_seam(arc: Curve, original_wind: int, nb: TieNeighbourhood) -> Curve:
     return out
 
 
-def _window_is_blocker(classes: tuple[SnippetClass, ...],
-                       kinds: tuple[str, ...]) -> bool:
-    a, mid, b = classes
-    if not (a.vertical_dual and b.vertical_dual):
-        return False
-    if a.turn is None or a.turn != b.turn:
-        return False
-    return mid.verdict == "DualTie" and kinds[1] == BRANCH
+def _blockers_near(curve: Curve, nb: TieNeighbourhood, starts) -> int:
+    """How many distinct windows [k, k+1, k+2], k in `starts` (modulo the
+    length on closed curves, inside the arc on arcs), are blockers: vertical
+    duals turning the same way around a branch-rectangle tie."""
+    snap = curve.snippets
+    n = len(snap)
+    if n < 3:
+        return 0
+    if curve.kind == CLOSED:
+        ks = {k % n for k in starts}
+    else:
+        ks = {k for k in starts if 0 <= k <= n - 3}
+    total = 0
+    for k in ks:
+        a, mid, b = (snap[(k + d) % n] for d in range(3))
+        ca, cb = classify(a, nb), classify(b, nb)
+        total += (ca.vertical_dual and cb.vertical_dual
+                  and ca.turn is not None and ca.turn == cb.turn
+                  and nb.regions[mid.region].kind == BRANCH
+                  and classify(mid, nb).verdict == "DualTie")
+    return total
 
 
 def is_blocker(curve: Curve, nb: TieNeighbourhood, k: int) -> bool:
-    """Is the window [k, k+1, k+2] a blocker: vertical duals turning the same
-    way around a branch-rectangle tie?"""
-    n = len(curve.snippets)
-    if curve.kind == ARC and not (0 <= k <= n - 3):
-        return False
-    if curve.kind == CLOSED and n < 3:
-        return False
-    idx = [(k + d) % n if curve.kind == CLOSED else k + d for d in range(3)]
-    classes = tuple(classify(curve.snippets[i], nb) for i in idx)
-    kinds = tuple(nb.regions[curve.snippets[i].region].kind for i in idx)
-    return _window_is_blocker(classes, kinds)
+    """Is the window [k, k+1, k+2] a blocker?"""
+    return _blockers_near(curve, nb, (k,)) > 0
+
+
+def _tally(c: list[int], snippets, nb: TieNeighbourhood, sign: int) -> None:
+    """Add (sign 1) or take away (sign -1) the snippets' contributions to
+    every counter but len_block."""
+    for s in snippets:
+        cls = classify(s, nb)
+        c[0] += sign * corner_length(s, nb)
+        if cls.verdict == "Carried":
+            c[2] += sign
+        if cls.vertical_dual or cls.horizontal_dual:
+            if cls.turn == "Right":
+                c[3] += sign
+            elif cls.turn == "Left":
+                c[4] += sign
+        if cls.bad:
+            c[5] += sign
 
 
 def measure(curve: Curve, nb: TieNeighbourhood) -> LengthReport:
-    n = len(curve.snippets)
-    classes = [classify(s, nb) for s in curve.snippets]
-    kinds = [nb.regions[s.region].kind for s in curve.snippets]
-    carr = sum(1 for c in classes if c.verdict == "Carried")
-    dual_r = sum(1 for c in classes
-                 if (c.vertical_dual or c.horizontal_dual) and c.turn == "Right")
-    dual_l = sum(1 for c in classes
-                 if (c.vertical_dual or c.horizontal_dual) and c.turn == "Left")
-    bad = sum(1 for c in classes if c.bad)
-    corn = sum(corner_length(s, nb) for s in curve.snippets)
-    blocks = 0
-    if n >= 3:
-        ks = range(n) if curve.kind == CLOSED else range(n - 2)
-        for k in ks:
-            idx = [(k + d) % n for d in range(3)]
-            if _window_is_blocker(tuple(classes[i] for i in idx),
-                                  tuple(kinds[i] for i in idx)):
-                blocks += 1
-    return LengthReport(len=n, len_corn=corn, len_block=blocks,
-                        carr=carr, dual_R=dual_r, dual_L=dual_l, bad_count=bad)
+    """Count every length counter of the whole curve."""
+    c = [0] * 6
+    _tally(c, curve.snippets, nb, 1)
+    c[1] = _blockers_near(curve, nb, range(len(curve.snippets)))
+    return LengthReport(len(curve.snippets), *c)
+
+
+def update_counters(c: list[int], before: Curve, out: Curve, ws: int,
+                    wl: int, nb: TieNeighbourhood) -> list[int]:
+    """The counters of `out` from the counters `c` of `before`, where
+    out.snippets[ws:ws + wl] replaced before.snippets[ws:ws + 3]: only the
+    rewritten snippets and the blocker windows touching them are recounted,
+    except on whole-curve rewrites and curves of at most four snippets,
+    whose windows wrap onto each other."""
+    if wl == len(out.snippets) or len(before.snippets) <= 4:
+        return measure(out, nb).counters
+    c = list(c)
+    c[1] -= _blockers_near(before, nb, range(ws - 2, ws + 3))
+    _tally(c, before.snippets[ws:ws + 3], nb, -1)
+    _tally(c, out.snippets[ws:ws + wl], nb, 1)
+    c[1] += _blockers_near(out, nb, range(ws - 2, ws + wl))
+    return c

@@ -93,6 +93,12 @@ def parse_track(text: str) -> TrainTrackDesc:
                           switches=tuple(switches), faces=tuple(faces))
 
 
+def _is_int(v: Any) -> bool:
+    """Is a decoded JSON value an integer?  JSON booleans decode to Python
+    bools, which are ints too, and are rejected."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _parse_int(value: str, line: int, what: str) -> int:
     try:
         return int(value)
@@ -184,13 +190,13 @@ def parse_curve(text: str, nb) -> "Curve":
             if v is None:
                 return None
             if (not isinstance(v, list) or len(v) != 2
-                    or not all(isinstance(x, int) for x in v)):
+                    or not all(_is_int(x) for x in v)):
                 raise ParseError(
                     f"snippet {i}: {which} must be [side, segment] or null")
             return (v[0], v[1])
 
         wind = rec.get("wind", 0)
-        if not isinstance(wind, int):
+        if not _is_int(wind):
             raise ParseError(f"snippet {i}: winding must be an integer")
         snippets.append(Snippet(rid, locus(start, "start"),
                                 locus(end, "end"), wind))

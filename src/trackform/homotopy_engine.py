@@ -48,18 +48,6 @@ TRIGON_GRAPH: dict[str, frozenset[str]] = {
     "R(h,v)": frozenset({"B(h,t)", "S(h,t,1)", "S(h,t,3)"}),
 }
 
-# Exact counter changes along each trigon handoff, derived from the window
-# structure: (carried delta, dual delta on the turn side, dual delta on the
-# opposite side).
-TRIGON_EDGE_DELTAS: dict[tuple[str, str], tuple[int, int, int]] = {
-    ("B(h,t)", "S(h,t,1)"): (-1, 0, 0),
-    ("B(h,t)", "S(h,t,3)"): (-1, 0, 0),
-    ("B(h,t)", "S(h,v,2)"): (-1, 0, 0),
-    ("S(h,t,1)", "B(h,t)"): (-1, 0, 0),
-    ("S(h,t,3)", "B(h,t)"): (-1, 0, 1),
-    ("R(h,v)", "B(h,t)"): (0, 0, 0),  # plus j-1 carried from the window
-}
-
 
 @dataclass(frozen=True)
 class RewriteEvent:

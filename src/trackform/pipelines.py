@@ -31,11 +31,11 @@ from .curve_ops import (
     CLOSED,
     Curve,
     LengthReport,
-    _window_is_blocker,
     glue_seam,
     is_blocker,
     measure,
     reverse,
+    update_counters,
     validate_curve,
 )
 from .errors import BadInput, BudgetExceeded
@@ -61,6 +61,7 @@ __all__ = [
     "hor_bigon_comp",
     "hor_bigon_branch",
     "single_bad",
+    "default_budget",
     "efficient_position",
     "terminal_summary",
 ]
@@ -72,19 +73,6 @@ INSIDE_EFFICIENT = "InsideEfficient"
 # Bigon types removed by a single push with no follow-up.
 EASY_BIGONS = frozenset(
     {"B(t,t)", "S(h,h,0)", "S(t,t,0)", "S(v,v,0)", "R(v,v)"})
-
-
-def _snippet_counts(s, nb) -> tuple[int, int, int, int, int]:
-    c = classify(s, nb)
-    corn = corner_length(s, nb)
-    dual = c.vertical_dual or c.horizontal_dual
-    return (
-        corn,
-        1 if c.verdict == "Carried" else 0,
-        1 if dual and c.turn == "Right" else 0,
-        1 if dual and c.turn == "Left" else 0,
-        1 if c.bad else 0,
-    )
 
 
 class Run:
@@ -126,17 +114,12 @@ class Run:
         return list(self._bads)
 
     def report(self) -> LengthReport:
-        c = self._c
-        return LengthReport(len=self.n, len_corn=c[0], len_block=c[1],
-                            carr=c[2], dual_R=c[3], dual_L=c[4],
-                            bad_count=c[5])
+        return LengthReport(self.n, *self._c)
 
     # -- counter maintenance ------------------------------------------------
 
     def _recount(self) -> None:
-        m = measure(self.curve, self.nb)
-        self._c = [m.len_corn, m.len_block, m.carr, m.dual_R, m.dual_L,
-                   m.bad_count]
+        self._c = measure(self.curve, self.nb).counters
         self._bads = [i for i, s in enumerate(self.curve.snippets)
                       if classify(s, self.nb).bad]
 
@@ -145,58 +128,18 @@ class Run:
             raise BudgetExceeded(
                 f"global rewrite budget of {self.max_homs} pushes exhausted")
 
-    def _blockers_near(self, curve: Curve, starts: range) -> int:
-        nb = self.nb
-        snap = curve.snippets
-        n = len(snap)
-        if n < 3:
-            return 0
-        if curve.kind == CLOSED:
-            idxs = {i % n for i in starts}
-        else:
-            idxs = {i for i in starts if 0 <= i <= n - 3}
-        total = 0
-        for i in idxs:
-            w = [snap[(i + d) % n] for d in range(3)]
-            classes = tuple(classify(x, nb) for x in w)
-            kinds = tuple(nb.regions[x.region].kind for x in w)
-            if _window_is_blocker(classes, kinds):
-                total += 1
-        return total
-
     def _apply_window(self, before: Curve, ev: RewriteEvent) -> None:
         """Update counters and bad positions from one rewrite window.
 
         `before` must already carry the rotation the rewrite applied."""
         out = self.curve
-        n0, n1 = ev.len_before, ev.len_after
         ws, wl = ev.window_start, ev.window_len
-        if wl == n1 or n0 <= 4:
-            self._recount()
-            return
-        nb = self.nb
-        c = self._c
-        c[1] -= self._blockers_near(before, range(ws - 2, ws + 3))
-        for p in range(ws, ws + 3):
-            corn, carr, dr, dl, bd = _snippet_counts(before.snippets[p], nb)
-            c[0] -= corn
-            c[2] -= carr
-            c[3] -= dr
-            c[4] -= dl
-            c[5] -= bd
-        for p in range(ws, ws + wl):
-            corn, carr, dr, dl, bd = _snippet_counts(out.snippets[p], nb)
-            c[0] += corn
-            c[2] += carr
-            c[3] += dr
-            c[4] += dl
-            c[5] += bd
-        c[1] += self._blockers_near(out, range(ws - 2, ws + wl))
-        shift = n1 - n0
+        self._c = update_counters(self._c, before, out, ws, wl, self.nb)
+        shift = ev.len_after - ev.len_before
         bads = [p for p in self._bads if p < ws]
         bads += [p + shift for p in self._bads if p > ws + 2]
         bads += [p for p in range(ws, ws + wl)
-                 if classify(out.snippets[p], nb).bad]
+                 if classify(out.snippets[p], self.nb).bad]
         self._bads = sorted(set(bads))
 
     # -- operations (each records one trace event) --------------------------
@@ -559,14 +502,18 @@ class Result:
     budget_log: list = field(repr=False, default_factory=list)
 
 
+def default_budget(nb: TieNeighbourhood, n0: int) -> int:
+    """Twice the proven quadratic push bound for an n0-snippet input."""
+    s = nb.s_N
+    return 2 * (6 * s * (s + 2) + 8) * (n0 + 2) ** 2
+
+
 def efficient_position(curve: Curve, nb: TieNeighbourhood,
                        max_homs: int | None = None) -> Result:
     """Homotope the curve or arc into efficient position, or contract it to
     a single snippet exposing its homotopy class."""
-    s = nb.s_N
-    n0 = len(curve.snippets)
     cap = max_homs if max_homs is not None \
-        else 2 * (6 * s * (s + 2) + 8) * (n0 + 2) ** 2
+        else default_budget(nb, len(curve.snippets))
     run = Run(curve, nb, max_homs=cap)
     if run.kind == ARC:
         reduce_to_two(run)

@@ -7,14 +7,18 @@ Three layers of defence against a wrong pipeline:
   counting corner gaps — without calling the classifier's walk machinery, so
   a bug there cannot hide.
 
-* `audit_trace` replays a recorded run event by event.  Each rewrite is
-  re-executed and every recorded field must match; on top of that the audit
-  asserts the per-rule contracts: window locality, length deltas, inner
-  efficiency, slide winding deltas, and — on chase steps whose neighbours
-  are efficient — membership in the trigon hand-off graph with its exact
-  carried/dual deltas and turn preservation.  Forged rules, shifted windows,
-  doctored counters, or a tampered final curve all raise `AuditFailure`
-  naming the event and clause.
+* `audit_trace` replays a recorded run event by event.  Each record's
+  field types are checked, each rewrite is re-executed and every recorded
+  field must match.  The audit's own length counters follow each replayed
+  `hom` window in O(window) (`update_counters`), are counted in full at the
+  start and after `reverse`, `open` and `seam`, and must equal each
+  event's record and, at the end, a full count of the terminal curve.  The
+  audit also asserts the per-rule contracts: window locality, length
+  deltas, inner efficiency, slide winding deltas, and — on chase steps
+  whose neighbours are efficient — membership in the trigon hand-off graph
+  with its exact carried/dual deltas and turn preservation.  Malformed
+  records, forged rules, shifted windows, doctored counters, or a tampered
+  final curve all raise `AuditFailure` naming the event and clause.
 
 * `exhaustive_oracle` closes a small curve under *all* legal pushes
   (breadth-first, deduplicating closed curves up to rotation) and reports
@@ -26,8 +30,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .curve_ops import ARC, CLOSED, Curve, glue_seam, measure, reverse
+from .curve_ops import (ARC, CLOSED, Curve, glue_seam, measure, reverse,
+                        update_counters)
 from .errors import AuditFailure, NotApplicable, TrackformError
+from .formats import _is_int
 from .homotopy_engine import (EXPECTED_J, TRIGON_GRAPH, hom)
 from .snippet_core import TRIGON_TYPES, Snippet, classify
 from .track_model import ANNULUS, BOUNDARY, TieNeighbourhood
@@ -127,6 +133,27 @@ _CHASE_DELTAS: dict[tuple[str, str], tuple[int, int, int]] = {
 }
 
 
+def _ints(n: int):
+    return lambda v: (isinstance(v, list) and len(v) == n
+                      and all(map(_is_int, v)))
+
+
+def _name(v) -> bool:
+    return v is None or isinstance(v, str)
+
+
+# The fields each op's trace/1 record carries besides "op", "phase" and "c",
+# each with a test of its JSON type.
+_RECORD_FIELDS = {
+    "hom": {"k": _is_int, "rot": _is_int, "j": _is_int, "n": _ints(2),
+            "win": _ints(2), "rule": _name, "turn": _name},
+    "rotate": {"by": _is_int},
+    "reverse": {},
+    "open": {"orig_wind": _is_int},
+    "seam": {"orig_wind": _is_int},
+}
+
+
 class _Audit:
     def __init__(self, trace, before: Curve, after: Curve,
                  nb: TieNeighbourhood) -> None:
@@ -136,6 +163,12 @@ class _Audit:
         self.nb = nb
         self.checks = 0
         self.index = -1
+        self._c: list[int] = []
+
+    @property
+    def counters(self) -> tuple[int, ...]:
+        """The running counters of the replayed curve."""
+        return tuple(self._c)
 
     def fail(self, clause: str, detail: str = "") -> None:
         msg = f"event {self.index}: {clause}"
@@ -150,9 +183,10 @@ class _Audit:
 
     def run(self) -> AuditReport:
         cur = self.before
+        self._c = measure(cur, self.nb).counters
         open_wind: int | None = None
         for self.index, ev in enumerate(self.trace):
-            op = ev.get("op")
+            op = self._check_record(ev)
             if op == "hom":
                 cur = self._replay_hom(cur, ev)
             elif op == "rotate":
@@ -170,62 +204,74 @@ class _Audit:
                            "basepoint snippet's")
                 open_wind = cur.snippets[0].wind
                 cur = Curve(ARC, cur.snippets + (cur.snippets[0],))
-            elif op == "seam":
+            else:  # seam
                 self.check(open_wind is not None, "op", "seam without open")
                 self.check(ev["orig_wind"] == open_wind, "seam-wind",
                            "seam winding differs from the opening event")
                 cur = glue_seam(cur, open_wind, self.nb)
                 open_wind = None
-            else:
-                self.fail("op", f"unknown op {op!r}")
+            if op in ("reverse", "open", "seam"):
+                self._c = measure(cur, self.nb).counters
             self._check_counters(cur, ev)
         self.index = len(self.trace)
         if cur.kind != self.after.kind or \
                 cur.snippets != self.after.snippets:
             self.fail("final", "replayed terminal curve differs")
-        self.checks += 1
+        full = measure(cur, self.nb).counters
+        self.check(full == self._c, "final",
+                   f"running counters {self._c} != recomputed {full}")
         return AuditReport(ok=True, events=len(self.trace),
                            checks=self.checks)
 
+    def _check_record(self, ev) -> str:
+        """Check a record's fields and their types; return its op."""
+        if not isinstance(ev, dict):
+            self.fail("record", f"a {type(ev).__name__}, not an object")
+        op = ev.get("op")
+        fields = _RECORD_FIELDS.get(op) if isinstance(op, str) else None
+        if fields is None:
+            self.fail("op", f"unknown op {op!r}")
+        for key, ok in {"c": _ints(6), **fields}.items():
+            if key not in ev:
+                self.fail("record", f"{op} record has no {key!r}")
+            if not ok(ev[key]):
+                self.fail("record", f"bad {key!r} value {ev[key]!r}")
+        return op
+
     def _check_counters(self, cur: Curve, ev: dict) -> None:
-        rec = ev.get("c")
-        if rec is None:
-            self.fail("counters", "event carries no counters")
-        m = measure(cur, self.nb)
-        full = [m.len_corn, m.len_block, m.carr, m.dual_R, m.dual_L,
-                m.bad_count]
-        self.check(list(rec) == full, "counters",
-                   f"recorded {list(rec)} != recomputed {full}")
+        self.check(ev["c"] == self._c, "counters",
+                   f"recorded {ev['c']} != recomputed {self._c}")
 
     def _replay_hom(self, cur: Curve, ev: dict) -> Curve:
         nb = self.nb
-        n0 = len(cur.snippets)
-        k_orig = (ev["k"] + ev.get("rot", 0)) % n0
+        k_orig = (ev["k"] + ev["rot"]) % len(cur.snippets)
         try:
             out, e2 = hom(cur, k_orig, nb)
         except TrackformError as exc:
             self.fail("not-bad", f"recorded push is illegal here: {exc}")
-        self.check(e2.rotation == ev.get("rot", 0), "rot",
+        self.check(e2.rotation == ev["rot"], "rot",
                    f"replayed rotation {e2.rotation}")
         self.check(e2.k == ev["k"], "k", f"replayed k {e2.k}")
         self.check(e2.rule == ev["rule"], "rule",
                    f"replayed rule {e2.rule}")
-        self.check(e2.turn == ev.get("turn"), "turn",
+        self.check(e2.turn == ev["turn"], "turn",
                    f"replayed turn {e2.turn}")
         self.check(e2.j == ev["j"], "j", f"replayed j {e2.j}")
-        self.check([e2.len_before, e2.len_after] == list(ev["n"]), "length",
+        self.check([e2.len_before, e2.len_after] == ev["n"], "length",
                    f"replayed lengths {[e2.len_before, e2.len_after]}")
-        self.check([e2.window_start, e2.window_len] == list(ev["win"]),
-                   "window",
+        self.check([e2.window_start, e2.window_len] == ev["win"], "window",
                    f"replayed window {[e2.window_start, e2.window_len]}")
         rcur = cur
         if e2.rotation:
             snap = cur.snippets
             rcur = Curve(CLOSED, snap[e2.rotation:] + snap[:e2.rotation])
-        self._check_contracts(rcur, out, e2)
+        c0 = self._c
+        self._c = update_counters(c0, rcur, out, e2.window_start,
+                                  e2.window_len, nb)
+        self._check_contracts(rcur, out, e2, c0)
         return out
 
-    def _check_contracts(self, rcur: Curve, out: Curve, e2) -> None:
+    def _check_contracts(self, rcur: Curve, out: Curve, e2, c0) -> None:
         nb = self.nb
         n0, n1 = e2.len_before, e2.len_after
         ws, wl = e2.window_start, e2.window_len
@@ -287,7 +333,8 @@ class _Audit:
                        if classify(s, nb).bad]
             self.check(len(bad_out) <= 1, "chase-multiplicity",
                        f"{len(bad_out)} bad snippets out of one trigon")
-            dc, dt, do = self._window_deltas(pre, post, e2.turn)
+            dc, dr, dl = (self._c[i] - c0[i] for i in (2, 3, 4))
+            dt, do = (dr, dl) if e2.turn == "Right" else (dl, dr)
             if bad_out:
                 t2 = bad_out[0].type
                 self.check(t2 in TRIGON_GRAPH[rule], "graph-edge",
@@ -306,28 +353,6 @@ class _Audit:
                            and abs(dt) <= 1 and abs(do) <= 1,
                            "chase-delta",
                            f"terminal step changed ({dc},{dt},{do})")
-
-    def _window_deltas(self, pre, post, turn):
-        nb = self.nb
-
-        def tally(snips):
-            carr = dr = dl = 0
-            for s in snips:
-                c = classify(s, nb)
-                if c.verdict == "Carried":
-                    carr += 1
-                if c.vertical_dual or c.horizontal_dual:
-                    if c.turn == "Right":
-                        dr += 1
-                    elif c.turn == "Left":
-                        dl += 1
-            return carr, dr, dl
-
-        c0, r0, l0 = tally(pre)
-        c1, r1, l1 = tally(post)
-        dt = (r1 - r0) if turn == "Right" else (l1 - l0)
-        do = (l1 - l0) if turn == "Right" else (r1 - r0)
-        return c1 - c0, dt, do
 
 
 def audit_trace(trace, before: Curve, after: Curve,

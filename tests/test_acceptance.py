@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from conftest import record
@@ -325,7 +325,8 @@ def test_criterion_5_step_budgets(tracks):
                     over_single += 1
         xs = [math.log(l) for l, p in zip(lens, pushes) if p >= 1 and l >= 3]
         ys = [math.log(p) for l, p in zip(lens, pushes) if p >= 1 and l >= 3]
-        fits[name] = float(np.polyfit(xs, ys, 1)[0]) if len(xs) > 10 else 0.0
+        fits[name] = (statistics.linear_regression(xs, ys).slope
+                      if len(xs) > 10 else 0.0)
     elapsed = time.perf_counter() - t0
     worst = max(fits.values())
     ok = (over_trig_arc == over_trig_curve == over_single == 0

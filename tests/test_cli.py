@@ -110,6 +110,23 @@ def test_verify_accepts_and_rejects(tmp_path, curve_file):
     assert code == 1 and "FAIL" in err
 
 
+def test_verify_rejects_malformed_records(tmp_path, curve_file):
+    trace = tmp_path / "run.trace"
+    after = tmp_path / "after.curve"
+    run_cli("run", "t11", str(curve_file), "--trace", str(trace),
+            "--out", str(after))
+    head, first, *rest = trace.read_text().strip().split("\n")
+    rec = json.loads(first)
+    for bad in ("[1,2]", json.dumps({**rec, "k": None}),
+                json.dumps({k: v for k, v in rec.items() if k != "n"})):
+        forged = tmp_path / "forged.trace"
+        forged.write_text("\n".join([head, bad, *rest]) + "\n")
+        code, _, err = run_cli("verify", "t11", str(curve_file), str(after),
+                               "--trace", str(forged))
+        assert code == 1
+        assert "FAIL: event 0: record" in err and "Traceback" not in err
+
+
 def test_oracle_agreement_exit_zero(tmp_path):
     code, out, _ = run_cli("gen", "t11", "--len", "4", "--seed", "5")
     p = tmp_path / "s.curve"

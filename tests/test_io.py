@@ -112,6 +112,14 @@ def test_parse_curve_rejects_garbage(t11):
                     ' "snippets": [{}]}', t11)
 
 
+def test_parse_curve_rejects_booleans(t11):
+    for key, value in (("start", [False, False]), ("wind", True)):
+        doc = json.loads(serialize_curve(carried_loop(), t11))
+        doc["snippets"][0][key] = value
+        with pytest.raises(ParseError):
+            parse_curve(json.dumps(doc), t11)
+
+
 def test_parse_curve_rejects_unknown_region(t11):
     doc = json.loads(serialize_curve(carried_loop(), t11))
     doc["snippets"][0]["region"] = "br:zz"

@@ -9,14 +9,15 @@ import pytest
 
 from trackform.curve_ops import ARC, CLOSED, Curve, measure
 from trackform.errors import AuditFailure
-from trackform.fixtures import load_fixture
+from trackform.fixtures import FIXTURE_NAMES, load_fixture
 from trackform.generate import (GenerationFailed, boundary_power,
-                                doubled_back, random_arc, random_closed,
-                                trivial_loop)
+                                doubled_back, peripheral_bounce, random_arc,
+                                random_closed, trivial_loop)
 from trackform.pipelines import (EFFICIENT, INSIDE_EFFICIENT, SINGLE_SNIPPET,
                                  efficient_position)
 from trackform.snippet_core import Snippet, classify
-from trackform.verification import (audit_trace, check_efficient,
+from trackform.track_model import ANNULUS
+from trackform.verification import (_Audit, audit_trace, check_efficient,
                                     exhaustive_oracle, oracle_agrees)
 
 
@@ -208,6 +209,103 @@ def test_audit_rejects_forged_seam_wind(t11):
     with pytest.raises(AuditFailure) as err:
         audit_trace(events, c, res.curve, t11)
     assert "wind" in err.value.clause
+
+
+def _first_index(events, pred):
+    return next(i for i, ev in enumerate(events) if pred(ev))
+
+
+# -- running counters -------------------------------------------------------
+
+
+class _CountingAudit(_Audit):
+    """An audit that also compares its running counters with a full count
+    of the replayed curve after every event."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.ops: set[str] = set()
+
+    def _check_counters(self, cur, ev) -> None:
+        assert self.counters == tuple(measure(cur, self.nb).counters), \
+            (self.index, ev)
+        self.ops.add(ev["op"])
+        super()._check_counters(cur, ev)
+
+
+def _counter_corpus(nb, name):
+    for seed in range(16):
+        rng = random.Random(f"{name}/{seed}/counters")
+        yield random_closed(nb, rng, rng.randrange(2, 30))
+        if seed < 6:
+            yield random_arc(nb, rng, rng.randrange(3, 30))
+    yield doubled_back(nb, random.Random(name), 3)
+    for ri, r in enumerate(nb.regions):
+        if r.kind == ANNULUS:
+            yield peripheral_bounce(nb, ri, 2)
+
+
+def test_audit_running_counters_match_full_count():
+    ops = set()
+    for name in FIXTURE_NAMES:
+        nb = load_fixture(name)
+        for c in _counter_corpus(nb, name):
+            res = efficient_position(c, nb)
+            audit = _CountingAudit(res.events, c, res.curve, nb)
+            rep = audit.run()
+            assert rep.events == len(res.events)
+            assert audit.counters == tuple(measure(res.curve, nb).counters)
+            ops |= audit.ops
+    assert ops == {"hom", "rotate", "reverse", "open", "seam"}
+
+
+def _corpus_run(nb, op):
+    """The first t11 corpus run with an `op` event that is not its last."""
+    for c in _counter_corpus(nb, "t11"):
+        res = efficient_position(c, nb)
+        if any(ev["op"] == op for ev in res.events[:-1]):
+            return c, res
+    raise AssertionError(f"no {op} event in the corpus")
+
+
+@pytest.mark.parametrize("op", ["open", "seam", "rotate", "reverse"])
+def test_audit_rejects_forged_counters_after(t11, op):
+    c, res = _corpus_run(t11, op)
+    events = [dict(ev) for ev in res.events]
+    i = _first_index(events[:-1], lambda ev: ev["op"] == op) + 1
+    events[i]["c"] = list(events[i]["c"])
+    events[i]["c"][2] += 1
+    with pytest.raises(AuditFailure) as err:
+        audit_trace(events, c, res.curve, t11)
+    assert err.value.event_index == i
+    assert err.value.clause == "counters"
+
+
+@pytest.mark.parametrize("forge", [
+    "list-record", "missing-n", "null-k", "string-by", "bool-counters"])
+def test_audit_rejects_malformed_record(t11, forge):
+    c, res = _corpus_run(t11, "rotate")
+    events = [dict(ev) for ev in res.events]
+    if forge == "list-record":
+        i = _first_hom_index(events)
+        events[i] = list(events[i].items())
+    elif forge == "missing-n":
+        i = _first_hom_index(events)
+        del events[i]["n"]
+    elif forge == "null-k":
+        i = _first_hom_index(events)
+        events[i]["k"] = None
+    elif forge == "string-by":
+        i = _first_index(events, lambda ev: ev["op"] == "rotate")
+        events[i]["by"] = str(events[i]["by"])
+    else:
+        # true == 1 in Python, so only a type check tells them apart
+        i = _first_index(events, lambda ev: 1 in ev["c"])
+        events[i]["c"] = [True if x == 1 else x for x in events[i]["c"]]
+    with pytest.raises(AuditFailure) as err:
+        audit_trace(events, c, res.curve, t11)
+    assert err.value.event_index == i
+    assert err.value.clause == "record"
 
 
 # -- exhaustive_oracle ------------------------------------------------------
