@@ -5,6 +5,12 @@ Consecutive snippets chain across gluings: the end locus of one snippet and
 the start locus of the next are partner segments (cyclically for closed
 curves).  Slicing uses circular indices on closed curves; all operations
 return new immutable curves.
+
+The length counters are read off each snippet's fact record in the
+neighbourhood's fact table (`snippet_core.SnippetFacts`): its counter row
+and its blocker roles, one dictionary lookup per snippet.  A snippet not
+yet in the table is classified, which files its record.  Validating a curve
+re-checks only snippets the table does not hold yet.
 """
 from __future__ import annotations
 
@@ -18,10 +24,10 @@ from .errors import (
     OutOfRange,
 )
 from .snippet_core import (
-    BRANCH,
     Snippet,
+    SnippetFacts,
     classify,
-    corner_length,
+    fact_table,
     reverse_snippet,
     validate_snippet,
 )
@@ -173,6 +179,13 @@ def glue_seam(arc: Curve, original_wind: int, nb: TieNeighbourhood) -> Curve:
     return out
 
 
+def _classified(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
+    """Classify a snippet missing from the fact table, which files its
+    record, and return the record."""
+    classify(s, nb)
+    return fact_table(nb)[s]
+
+
 def _blockers_near(curve: Curve, nb: TieNeighbourhood, starts) -> int:
     """How many distinct windows [k, k+1, k+2], k in `starts` (modulo the
     length on closed curves, inside the arc on arcs), are blockers: vertical
@@ -185,14 +198,13 @@ def _blockers_near(curve: Curve, nb: TieNeighbourhood, starts) -> int:
         ks = {k % n for k in starts}
     else:
         ks = {k for k in starts if 0 <= k <= n - 3}
+    get = fact_table(nb).get
     total = 0
     for k in ks:
-        a, mid, b = (snap[(k + d) % n] for d in range(3))
-        ca, cb = classify(a, nb), classify(b, nb)
-        total += (ca.vertical_dual and cb.vertical_dual
-                  and ca.turn is not None and ca.turn == cb.turn
-                  and nb.regions[mid.region].kind == BRANCH
-                  and classify(mid, nb).verdict == "DualTie")
+        a, mid, b = snap[k], snap[(k + 1) % n], snap[(k + 2) % n]
+        turn = (get(a) or _classified(a, nb)).outer
+        if turn is not None and turn == (get(b) or _classified(b, nb)).outer:
+            total += (get(mid) or _classified(mid, nb)).mid
     return total
 
 
@@ -204,18 +216,14 @@ def is_blocker(curve: Curve, nb: TieNeighbourhood, k: int) -> bool:
 def _tally(c: list[int], snippets, nb: TieNeighbourhood, sign: int) -> None:
     """Add (sign 1) or take away (sign -1) the snippets' contributions to
     every counter but len_block."""
+    get = fact_table(nb).get
     for s in snippets:
-        cls = classify(s, nb)
-        c[0] += sign * corner_length(s, nb)
-        if cls.verdict == "Carried":
-            c[2] += sign
-        if cls.vertical_dual or cls.horizontal_dual:
-            if cls.turn == "Right":
-                c[3] += sign
-            elif cls.turn == "Left":
-                c[4] += sign
-        if cls.bad:
-            c[5] += sign
+        corn, carried, dual_r, dual_l, bad = (get(s) or _classified(s, nb)).row
+        c[0] += sign * corn
+        c[2] += sign * carried
+        c[3] += sign * dual_r
+        c[4] += sign * dual_l
+        c[5] += sign * bad
 
 
 def measure(curve: Curve, nb: TieNeighbourhood) -> LengthReport:

@@ -133,23 +133,27 @@ def serialize_curve(curve, nb, track: str | None = None) -> str:
     from .curve_ops import validate_curve
 
     validate_curve(curve, nb)
+    # The text json.dumps(doc, sort_keys=True, indent=2) would give, written
+    # directly: indent= makes json fall back to its pure-Python encoder.
+    names = [json.dumps(r.name) for r in nb.regions]
     recs = []
     for s in curve.snippets:
-        rec: dict[str, Any] = {
-            "region": nb.regions[s.region].name,
-            "start": list(s.start) if s.start is not None else None,
-            "end": list(s.end) if s.end is not None else None,
-        }
-        if s.wind:
-            rec["wind"] = s.wind
-        recs.append(rec)
-    doc: dict[str, Any] = {"format": CURVE_FORMAT,
-                           "kind": _KIND_TO_JSON[curve.kind],
-                           "snippets": recs}
+        wind = f',\n      "wind": {s.wind}' if s.wind else ""
+        recs.append(f'    {{\n      "end": {_locus_text(s.end)},\n'
+                    f'      "region": {names[s.region]},\n'
+                    f'      "start": {_locus_text(s.start)}{wind}\n    }}')
+    snippets = "[\n" + ",\n".join(recs) + "\n  ]" if recs else "[]"
     name = track if track is not None else getattr(nb, "name", None)
-    if name is not None:
-        doc["track"] = name
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    track_line = f',\n  "track": {json.dumps(name)}' if name is not None else ""
+    return (f'{{\n  "format": {json.dumps(CURVE_FORMAT)},\n'
+            f'  "kind": {json.dumps(_KIND_TO_JSON[curve.kind])},\n'
+            f'  "snippets": {snippets}{track_line}\n}}\n')
+
+
+def _locus_text(locus) -> str:
+    if locus is None:
+        return "null"
+    return f"[\n        {locus[0]},\n        {locus[1]}\n      ]"
 
 
 def parse_curve(text: str, nb) -> "Curve":

@@ -194,8 +194,8 @@ def hom(curve: Curve, k: int, nb: TieNeighbourhood
         e_loc, _, _ = _slide_target(nb, w_region, w_locus, dir_right)
         wind = _hug_wind(nb, w_region, s_loc, e_loc, w_locus, dir_right)
         inner = Snippet(w_region, s_loc, e_loc, wind)
-        validate_snippet(inner, nb)
-        assert not classify(inner, nb).bad, "in-between snippet came out bad"
+        inner_cls = classify(inner, nb)  # validates it first
+        assert not inner_cls.bad, "in-between snippet came out bad"
         inners.append(inner)
 
     # Each crossed edge must be one tiling edge seen from its two sides.
@@ -236,12 +236,3 @@ def hom(curve: Curve, k: int, nb: TieNeighbourhood
 def bad_positions(curve: Curve, nb: TieNeighbourhood) -> list[int]:
     """All positions holding bad snippets (arc endpoints included)."""
     return [i for i, s in enumerate(curve.snippets) if classify(s, nb).bad]
-
-
-def rewritable_positions(curve: Curve, nb: TieNeighbourhood) -> list[int]:
-    """Bad positions hom() accepts: interior for arcs, all for closed."""
-    pos = bad_positions(curve, nb)
-    if curve.kind == ARC:
-        n = len(curve)
-        pos = [i for i in pos if 0 < i < n - 1]
-    return pos

@@ -24,6 +24,7 @@ bound and raises `BudgetExceeded` rather than run away.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .curve_ops import (
@@ -113,6 +114,14 @@ class Run:
     def bads(self) -> list[int]:
         return list(self._bads)
 
+    def first_bad(self, lo: int = -1, hi: int | None = None) -> int | None:
+        """The first bad position p with lo < p < hi, or None."""
+        b = self._bads
+        i = bisect_right(b, lo)
+        if i < len(b) and (hi is None or b[i] < hi):
+            return b[i]
+        return None
+
     def report(self) -> LengthReport:
         return LengthReport(self.n, *self._c)
 
@@ -136,11 +145,11 @@ class Run:
         ws, wl = ev.window_start, ev.window_len
         self._c = update_counters(self._c, before, out, ws, wl, self.nb)
         shift = ev.len_after - ev.len_before
-        bads = [p for p in self._bads if p < ws]
-        bads += [p + shift for p in self._bads if p > ws + 2]
-        bads += [p for p in range(ws, ws + wl)
-                 if classify(out.snippets[p], self.nb).bad]
-        self._bads = sorted(set(bads))
+        b = self._bads
+        lo, hi = bisect_left(b, ws), bisect_right(b, ws + 2)
+        b[lo:] = [p for p in range(ws, ws + wl)
+                  if classify(out.snippets[p], self.nb).bad] + \
+            [p + shift for p in b[hi:]]
 
     # -- operations (each records one trace event) --------------------------
 
@@ -226,16 +235,15 @@ def trig_arc(run: Run, lo: int = 0, tail: int = 0,
     e0 = len(run.events)
     try:
         while True:
-            hi = run.n - 1 - tail
-            ks = [p for p in run.bads() if lo < p < hi]
-            if not ks:
+            k = run.first_bad(lo, run.n - 1 - tail)
+            if k is None:
                 return
             steps += 1
             if steps > limit:
                 raise BudgetExceeded(
                     f"trigon chase exceeded {limit} pushes on a span of "
                     f"{interior} interior snippets")
-            run.hom_at(ks[0], phase)
+            run.hom_at(k, phase)
     finally:
         run.budget_log.append(("trig_arc", steps, interior, lo, tail,
                                e0, len(run.events)))
@@ -442,14 +450,14 @@ def trig_curve(run: Run, phase: str = "trig_curve") -> None:
     e0 = len(run.events)
     try:
         while run.n > 1:
-            b = run.bads()
-            if not b:
+            k = run.first_bad()
+            if k is None:
                 return
             steps += 1
             if steps > limit:
                 raise BudgetExceeded(
                     f"closed trigon chase exceeded {limit} pushes")
-            run.hom_at(b[0], phase)
+            run.hom_at(k, phase)
     finally:
         run.budget_log.append(("trig_curve", steps, red0, 0, 0,
                                e0, len(run.events)))
@@ -463,14 +471,13 @@ def single_bad(run: Run, phase: str = "single_bad") -> None:
     e0 = len(run.events)
     try:
         while run.n > 1:
-            b = run.bads()
-            if not b:
+            k = run.first_bad()
+            if k is None:
                 return
             iters += 1
             if iters > limit:
                 raise BudgetExceeded(
                     f"single-bad resolution exceeded {limit} rounds")
-            k = b[0]
             t = run.cls_at(k).type
             if t in EASY_BIGONS or t in ("S(t,v,1)", "S(t,t,2)"):
                 all_but(run, k)

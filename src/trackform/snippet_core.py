@@ -9,10 +9,23 @@ corners bounds an index-zero strip (dual), and if both walks pass at least
 two corners every piece has non-positive index (efficient).  Annulus regions
 dispatch on the winding number: 0 or +-1 is bad, +-2 is a dual strip, and
 magnitude >= 2 is efficient (passing through).
+
+Everything this module derives about a snippet depends only on the snippet
+and its tie neighbourhood, which never changes once built.  So each distinct
+snippet is worked out once per neighbourhood: `facts` files one
+`SnippetFacts` record (class, corner length, counter row, blocker roles) in
+the neighbourhood's fact table, and `classify`, `corner_length` and the
+counters in `curve_ops` all read that record.  A record is filed only after
+the snippet passed `validate_snippet` on the same neighbourhood, so
+validating a snippet already in the table returns at once; every other
+snippet gets the full check.  The boundary walks that classification and
+validation take come from `TieNeighbourhood.walk_ccw`, which computes each
+walk once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InconsistentSnippet, NotApplicable
 from .track_model import (
@@ -49,8 +62,7 @@ BIGON_TYPES = frozenset({
 TRIGON_TYPES = frozenset({"B(h,t)", "S(h,t,1)", "S(h,v,2)", "S(h,t,3)", "R(h,v)"})
 
 
-@dataclass(frozen=True)
-class Snippet:
+class Snippet(NamedTuple):
     region: int
     start: Locus | None
     end: Locus | None
@@ -83,12 +95,6 @@ def reverse_snippet(s: Snippet) -> Snippet:
     return Snippet(s.region, s.end, s.start, -s.wind)
 
 
-def winding_number(s: Snippet, nb: TieNeighbourhood) -> int:
-    """The stored winding of an annulus snippet (0 off annuli and for
-    boundary-ended snippets, by definition)."""
-    return s.wind
-
-
 def _locus_ok(nb: TieNeighbourhood, region: int, locus: Locus) -> bool:
     si, gi = locus
     sides = nb.regions[region].sides
@@ -113,6 +119,8 @@ def valid_winds(s: Snippet, nb: TieNeighbourhood) -> tuple[int, int, int] | None
 
 
 def validate_snippet(s: Snippet, nb: TieNeighbourhood) -> None:
+    if s in nb._classify_cache:
+        return  # filed only after passing this check on this neighbourhood
     if not (0 <= s.region < len(nb.regions)):
         raise InconsistentSnippet(f"no region {s.region}")
     r = nb.regions[s.region]
@@ -200,14 +208,44 @@ def _t_walk(s: Snippet, nb: TieNeighbourhood) -> tuple[Walk, str] | None:
     return best, side
 
 
-def classify(s: Snippet, nb: TieNeighbourhood) -> SnippetClass:
-    cache = nb.__dict__.setdefault("_classify_cache", {})
-    hit = cache.get(s)
-    if hit is not None:
-        return hit
+class SnippetFacts(NamedTuple):
+    """What the rest of the program reads off one snippet."""
+    cls: SnippetClass
+    # contribution to the counters other than len_block:
+    # (len_corn, carried, dual_R, dual_L, bad)
+    row: tuple[int, int, int, int, int]
+    # the turn of a vertical dual, which can flank a blocker; else None
+    outer: str | None
+    # a DualTie in a branch rectangle, which can stand inside a blocker
+    mid: bool
+
+
+def fact_table(nb: TieNeighbourhood) -> dict[Snippet, SnippetFacts]:
+    """The neighbourhood's fact table: every snippet classified so far."""
+    return nb._classify_cache
+
+
+def facts(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
+    """The snippet's fact record, worked out and filed on first use."""
+    rec = nb._classify_cache.get(s)
+    if rec is None:
+        rec = nb._classify_cache[s] = _facts_uncached(s, nb)
+    return rec
+
+
+def _facts_uncached(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
     cls = _classify_uncached(s, nb)
-    cache[s] = cls
-    return cls
+    dual = cls.vertical_dual or cls.horizontal_dual
+    row = (_corner_length_uncached(s, nb), int(cls.verdict == CARRIED),
+           int(dual and cls.turn == RIGHT), int(dual and cls.turn == LEFT),
+           int(cls.bad))
+    return SnippetFacts(
+        cls, row, cls.turn if cls.vertical_dual else None,
+        cls.verdict == DUAL_TIE and nb.regions[s.region].kind == BRANCH)
+
+
+def classify(s: Snippet, nb: TieNeighbourhood) -> SnippetClass:
+    return facts(s, nb).cls
 
 
 def _classify_uncached(s: Snippet, nb: TieNeighbourhood) -> SnippetClass:
@@ -279,13 +317,7 @@ def corner_length(s: Snippet, nb: TieNeighbourhood) -> int:
     """len_corn: vertical edges and branch edges count 1, switch edges 3,
     summed over the full edges of the cut-off piece's boundary walk; 2*s_N
     when no piece with non-negative index exists."""
-    cache = nb.__dict__.setdefault("_corn_cache", {})
-    hit = cache.get(s)
-    if hit is not None:
-        return hit
-    val = _corner_length_uncached(s, nb)
-    cache[s] = val
-    return val
+    return facts(s, nb).row[0]
 
 
 def _corner_length_uncached(s: Snippet, nb: TieNeighbourhood) -> int:
@@ -319,14 +351,6 @@ def weight(s: Snippet, nb: TieNeighbourhood) -> int:
         raise NotApplicable("snippet is carried or a tie")
     assert cls.j is not None and 0 <= cls.j <= 3
     return cls.j
-
-
-def weak_class(s: Snippet, nb: TieNeighbourhood) -> tuple:
-    """Class with endpoints free to slide within their whole sides (over
-    marks but not corners)."""
-    if s.closed:
-        return (s.region, None, None, s.wind)
-    return (s.region, s.start[0], s.end[0], s.wind)
 
 
 def is_bigon(cls: SnippetClass) -> bool:

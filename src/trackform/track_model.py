@@ -129,6 +129,20 @@ class TieNeighbourhood:
                 cycles.append(tuple(loci))
             self._cycle_loci.append(tuple(cycles))
             self._locus_pos.append(pos)
+        # the (region, locus) glued to each locus, None on the surface
+        # boundary; every locus in it is one of the cycle tuples above
+        self._partners: list[dict[Locus, tuple[int, Locus] | None]] = [
+            {l: None for l in pos} for pos in self._locus_pos]
+        for ri, r in enumerate(regions):
+            for l in self._locus_pos[ri]:
+                ref = r.sides[l[0]].partners[l[1]]
+                if ref is not None:
+                    c2, p2 = self._locus_pos[ref[0]][ref[1:]]
+                    self._partners[ri][l] = (ref[0],
+                                             self._cycle_loci[ref[0]][c2][p2])
+        self._walks: dict[tuple[int, Locus, Locus], Walk] = {}
+        # snippet -> fact record, filled and read by snippet_core
+        self._classify_cache: dict = {}
         self._build_vertices()
         self.s_N = self._compute_s_N()
         self.boundary_components: tuple[tuple[int, int], ...] = tuple(
@@ -141,11 +155,10 @@ class TieNeighbourhood:
     # -- basic navigation ---------------------------------------------------
 
     def partner(self, region: int, locus: Locus) -> tuple[int, Locus] | None:
-        si, gi = locus
-        ref = self.regions[region].sides[si].partners[gi]
-        if ref is None:
-            return None
-        return ref[0], (ref[1], ref[2])
+        try:
+            return self._partners[region][locus]
+        except KeyError:
+            raise BadInput(f"no locus {locus} in region {self.regions[region].name}") from None
 
     def side_label(self, region: int, locus: Locus) -> str:
         return self.regions[region].sides[locus[0]].label
@@ -203,7 +216,15 @@ class TieNeighbourhood:
         """CCW boundary walk from locus a to locus b (same cycle).
 
         Counts the corner and mark gaps passed and lists the loci strictly
-        between. a == b gives the empty walk."""
+        between. a == b gives the empty walk.  Each walk is computed once;
+        loci that admit no walk raise on every call."""
+        key = (region, a, b)
+        walk = self._walks.get(key)
+        if walk is None:
+            walk = self._walks[key] = self._walk_ccw(region, a, b)
+        return walk
+
+    def _walk_ccw(self, region: int, a: Locus, b: Locus) -> Walk:
         ca, pa = self.locus_cycle(region, a)
         cb, pb = self.locus_cycle(region, b)
         if ca != cb:
@@ -281,21 +302,12 @@ class TieNeighbourhood:
         if bad:
             raise NotLarge(
                 f"tiling vertex with {len(bad[0])} wedges (face words inconsistent): {sorted(bad[0])}")
-        self._vertex_of_gap: dict[tuple[int, int, int], int] = {}
-        self._vertex_gaps: list[tuple[tuple[int, int, int], ...]] = []
-        for vid, root in enumerate(sorted(classes)):
-            members = tuple(sorted(classes[root]))
-            self._vertex_gaps.append(members)
-            for g in members:
-                self._vertex_of_gap[g] = vid
+        self._vertex_gaps: list[tuple[tuple[int, int, int], ...]] = [
+            tuple(sorted(classes[root])) for root in sorted(classes)]
 
     @property
     def n_vertices(self) -> int:
         return len(self._vertex_gaps)
-
-    def vertex_at_gap(self, region: int, ci: int, pos: int) -> int:
-        loci = self._cycle_loci[region][ci]
-        return self._vertex_of_gap[(region, ci, pos % len(loci))]
 
     def vertex_gaps(self, vid: int) -> tuple[tuple[int, int, int], ...]:
         return self._vertex_gaps[vid]
@@ -312,19 +324,6 @@ class TieNeighbourhood:
                 if pr is not None:
                     edges.add(frozenset({(ri, l), pr}))
         return sorted(edges, key=lambda e: sorted(e))
-
-    def third_edge(self, vid: int, region: int, before: Locus, after: Locus
-                   ) -> frozenset[tuple[int, Locus]]:
-        """The tiling edge at the vertex other than the two edges of `region`
-        adjacent to it (the edges holding loci `before` and `after`)."""
-        skip = set()
-        for l in (before, after):
-            pr = self.partner(region, l)
-            skip.add(frozenset({(region, l)} | ({pr} if pr else set())))
-        rest = [e for e in self.edges_at_vertex(vid) if e not in skip]
-        if len(rest) != 1:
-            raise BadInput(f"vertex {vid}: cannot isolate third edge")
-        return rest[0]
 
     # -- derived measures ----------------------------------------------------
 

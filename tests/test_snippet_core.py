@@ -25,9 +25,7 @@ from trackform.snippet_core import (
     corner_length,
     reverse_snippet,
     validate_snippet,
-    weak_class,
     weight,
-    winding_number,
 )
 
 
@@ -275,14 +273,6 @@ def test_reverse_mirrors_classification(t11, t11d):
         assert corner_length(reverse_snippet(s), nb) == corner_length(s, nb)
 
 
-def test_winding_number_accessor(t11):
-    f = t11.region_id["face:0"]
-    assert winding_number(Snippet(f, (1, 0), (3, 0), 2), t11) == 2
-    assert winding_number(Snippet(f, (4, 0), (1, 2), 0), t11) == 0
-    assert winding_number(Snippet(f, None, None, -8), t11) == -8
-    assert winding_number(Snippet(t11.region_id["br:a"], (0, 0), (2, 0)), t11) == 0
-
-
 def test_validation_errors(t11):
     br, f = t11.region_id["br:a"], t11.region_id["face:0"]
     with pytest.raises(InconsistentSnippet):
@@ -295,14 +285,3 @@ def test_validation_errors(t11):
         validate_snippet(Snippet(f, (1, 5), (1, 0), 0), t11)  # no such segment
     with pytest.raises(InconsistentSnippet):
         validate_snippet(Snippet(99, (0, 0), (0, 0)), t11)
-
-
-def test_weak_class_tracks_sides_and_wind(t11):
-    f = t11.region_id["face:0"]
-    assert weak_class(Snippet(f, (1, 0), (1, 2), 0), t11) == \
-        weak_class(Snippet(f, (1, 1), (1, 2), 0), t11)
-    assert weak_class(Snippet(f, (1, 0), (1, 2), 0), t11) != \
-        weak_class(Snippet(f, (1, 0), (0, 0), -1), t11)
-    sw = t11.region_id["sw:v0"]
-    assert weak_class(Snippet(sw, (3, 0), (0, 0)), t11) == \
-        weak_class(Snippet(sw, (3, 2), (0, 0)), t11)
