@@ -7,8 +7,10 @@ The public façade re-exports the objects most workflows need:
   :class:`TieNeighbourhood`, bundled demo tracks via :func:`load_fixture`
 - snippets and curves: :class:`Snippet`, :class:`Curve`, :func:`classify`,
   :func:`measure`, :func:`validate_curve`
-- rewriting: :func:`hom` (one local push), :func:`efficient_position`
-  (the full driver), :func:`terminal_summary` (trichotomy read-off)
+- rewriting: :func:`hom` (one local push, returning the replacement
+  window), :func:`splice` (the whole rewritten curve),
+  :func:`efficient_position` (the full driver), :func:`terminal_summary`
+  (trichotomy read-off)
 - verification: :func:`check_efficient`, :func:`audit_trace`,
   :func:`exhaustive_oracle`, :func:`oracle_agrees`
 - file formats: curve/trace serialization and parsing, SVG rendering
@@ -27,7 +29,7 @@ from .generate import (boundary_power, doubled_back, gen_random_curve,
                        peripheral_bounce, random_arc, random_closed,
                        trivial_loop)
 from .homotopy_engine import (EXPECTED_J, TRIGON_GRAPH, RewriteEvent,
-                              bad_positions, hom)
+                              bad_positions, hom, splice)
 from .pipelines import (EFFICIENT, INSIDE_EFFICIENT, SINGLE_SNIPPET, Result,
                         Run, efficient_position, terminal_summary)
 from .render import render_svg
@@ -52,6 +54,7 @@ __all__ = [
     "boundary_power", "doubled_back", "gen_random_curve",
     "peripheral_bounce", "random_arc", "random_closed", "trivial_loop",
     "EXPECTED_J", "TRIGON_GRAPH", "RewriteEvent", "bad_positions", "hom",
+    "splice",
     "EFFICIENT", "INSIDE_EFFICIENT", "SINGLE_SNIPPET", "Result", "Run",
     "efficient_position", "terminal_summary",
     "render_svg",

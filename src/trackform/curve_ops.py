@@ -4,7 +4,9 @@ measures, and blocker detection.
 Consecutive snippets chain across gluings: the end locus of one snippet and
 the start locus of the next are partner segments (cyclically for closed
 curves).  Slicing uses circular indices on closed curves; all operations
-return new immutable curves.
+return new immutable curves.  A `WorkingCurve` is the one mutable form: a
+run or an audit splices each rewrite window into its snippet list in place,
+and everything here that reads a curve reads it too.
 
 The length counters are read off each snippet's fact record in the
 neighbourhood's fact table (`snippet_core.SnippetFacts`): its counter row
@@ -49,6 +51,41 @@ class Curve:
         if self.kind == CLOSED:
             return self.snippets[i % len(self.snippets)]
         return self.snippets[i]
+
+
+class WorkingCurve:
+    """A curve being rewritten in place: its kind and a snippet list that
+    each rewrite window is spliced into, so a rewrite costs its window and
+    not the curve's length.  `freeze` gives the `Curve` it stands for."""
+    __slots__ = ("kind", "snippets")
+
+    def __init__(self, curve: Curve) -> None:
+        self.kind = curve.kind
+        self.snippets = list(curve.snippets)
+
+    def freeze(self) -> Curve:
+        return Curve(self.kind, tuple(self.snippets))
+
+    def rotate(self, r: int) -> None:
+        """Make position r the first (closed curves)."""
+        rotate_in_place(self.snippets, r)
+
+    def splice(self, ws: int, window) -> None:
+        """Put the window in place of the three snippets from ws on."""
+        self.snippets[ws:ws + 3] = window
+
+
+def rotate_in_place(seq, r: int) -> None:
+    """Rotate a list or bytearray left by r, moving its shorter end: a
+    rotation by one either way moves one item."""
+    n = len(seq)
+    r %= n
+    if 2 * r <= n:
+        seq += seq[:r]
+        del seq[:r]
+    else:
+        seq[:0] = seq[r:]
+        del seq[n:]
 
 
 @dataclass(frozen=True)
@@ -186,22 +223,14 @@ def _classified(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
     return fact_table(nb)[s]
 
 
-def _blockers_near(curve: Curve, nb: TieNeighbourhood, starts) -> int:
-    """How many distinct windows [k, k+1, k+2], k in `starts` (modulo the
-    length on closed curves, inside the arc on arcs), are blockers: vertical
-    duals turning the same way around a branch-rectangle tie."""
-    snap = curve.snippets
-    n = len(snap)
-    if n < 3:
-        return 0
-    if curve.kind == CLOSED:
-        ks = {k % n for k in starts}
-    else:
-        ks = {k for k in starts if 0 <= k <= n - 3}
+def _blockers_in(snippets, nb: TieNeighbourhood) -> int:
+    """How many windows of three consecutive snippets in the sequence (not
+    wrapping) are blockers: vertical duals turning the same way around a
+    branch-rectangle tie."""
     get = fact_table(nb).get
     total = 0
-    for k in ks:
-        a, mid, b = snap[k], snap[(k + 1) % n], snap[(k + 2) % n]
+    for i in range(len(snippets) - 2):
+        a, mid, b = snippets[i], snippets[i + 1], snippets[i + 2]
         turn = (get(a) or _classified(a, nb)).outer
         if turn is not None and turn == (get(b) or _classified(b, nb)).outer:
             total += (get(mid) or _classified(mid, nb)).mid
@@ -209,8 +238,15 @@ def _blockers_near(curve: Curve, nb: TieNeighbourhood, starts) -> int:
 
 
 def is_blocker(curve: Curve, nb: TieNeighbourhood, k: int) -> bool:
-    """Is the window [k, k+1, k+2] a blocker?"""
-    return _blockers_near(curve, nb, (k,)) > 0
+    """Is the window [k, k+1, k+2] (modulo the length on closed curves,
+    inside the arc on arcs) a blocker?"""
+    snap = curve.snippets
+    n = len(snap)
+    if n < 3:
+        return False
+    if curve.kind == CLOSED:
+        return _blockers_in([snap[(k + i) % n] for i in range(3)], nb) > 0
+    return 0 <= k <= n - 3 and _blockers_in(snap[k:k + 3], nb) > 0
 
 
 def _tally(c: list[int], snippets, nb: TieNeighbourhood, sign: int) -> None:
@@ -227,25 +263,39 @@ def _tally(c: list[int], snippets, nb: TieNeighbourhood, sign: int) -> None:
 
 
 def measure(curve: Curve, nb: TieNeighbourhood) -> LengthReport:
-    """Count every length counter of the whole curve."""
+    """Count every length counter of the whole curve (or working curve)."""
+    snap = curve.snippets
     c = [0] * 6
-    _tally(c, curve.snippets, nb, 1)
-    c[1] = _blockers_near(curve, nb, range(len(curve.snippets)))
-    return LengthReport(len(curve.snippets), *c)
+    _tally(c, snap, nb, 1)
+    if curve.kind == CLOSED and len(snap) >= 3:
+        c[1] = _blockers_in(snap + snap[:2], nb)
+    else:
+        c[1] = _blockers_in(snap, nb)
+    return LengthReport(len(snap), *c)
 
 
-def update_counters(c: list[int], before: Curve, out: Curve, ws: int,
-                    wl: int, nb: TieNeighbourhood) -> list[int]:
-    """The counters of `out` from the counters `c` of `before`, where
-    out.snippets[ws:ws + wl] replaced before.snippets[ws:ws + 3]: only the
-    rewritten snippets and the blocker windows touching them are recounted,
-    except on whole-curve rewrites and curves of at most four snippets,
-    whose windows wrap onto each other."""
-    if wl == len(out.snippets) or len(before.snippets) <= 4:
+def update_counters(c: list[int], before: Curve, ws: int, window,
+                    nb: TieNeighbourhood) -> list[int]:
+    """The counters after `window` replaces before.snippets[ws:ws + 3],
+    from the counters `c` of `before` (a curve or working curve, already
+    rotated so the three do not wrap).  Only the rewritten snippets and the
+    blocker windows touching them are recounted, within the two snippets
+    on either side; curves of at most four snippets, whose windows wrap
+    onto each other, are counted in full."""
+    snap = before.snippets
+    n = len(snap)
+    old = snap[ws:ws + 3]
+    if n <= 4:
+        out = Curve(before.kind, (*snap[:ws], *window, *snap[ws + 3:]))
         return measure(out, nb).counters
+    if before.kind == CLOSED:
+        left = (snap[(ws - 2) % n], snap[(ws - 1) % n])
+        right = (snap[(ws + 3) % n], snap[(ws + 4) % n])
+    else:
+        left, right = snap[max(ws - 2, 0):ws], snap[ws + 3:ws + 5]
     c = list(c)
-    c[1] -= _blockers_near(before, nb, range(ws - 2, ws + 3))
-    _tally(c, before.snippets[ws:ws + 3], nb, -1)
-    _tally(c, out.snippets[ws:ws + wl], nb, 1)
-    c[1] += _blockers_near(out, nb, range(ws - 2, ws + wl))
+    c[1] += (_blockers_in((*left, *window, *right), nb)
+             - _blockers_in((*left, *old, *right), nb))
+    _tally(c, old, nb, -1)
+    _tally(c, window, nb, 1)
     return c

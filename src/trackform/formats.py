@@ -170,7 +170,7 @@ def parse_curve(text: str, nb) -> "Curve":
     if not isinstance(doc, dict) or doc.get("format") != CURVE_FORMAT:
         raise ParseError(f"expected a {CURVE_FORMAT} document")
     kind = doc.get("kind")
-    if kind not in _KIND_FROM_JSON:
+    if not isinstance(kind, str) or kind not in _KIND_FROM_JSON:
         raise ParseError(f"curve kind must be 'closed' or 'arc', got {kind!r}")
     want = getattr(nb, "name", None)
     track = doc.get("track")
@@ -185,7 +185,7 @@ def parse_curve(text: str, nb) -> "Curve":
         if not isinstance(rec, dict):
             raise ParseError(f"snippet {i} is not an object")
         rname = rec.get("region")
-        rid = nb.region_id.get(rname)
+        rid = nb.region_id.get(rname) if isinstance(rname, str) else None
         if rid is None:
             raise ParseError(f"snippet {i}: unknown region {rname!r}")
         start, end = rec.get("start"), rec.get("end")

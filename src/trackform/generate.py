@@ -15,6 +15,7 @@ construction).
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 
 from .curve_ops import ARC, CLOSED, Curve, reverse, validate_curve
 from .errors import BadInput, GenerationFailed
@@ -22,7 +23,6 @@ from .snippet_core import Snippet, valid_winds
 from .track_model import ANNULUS, BOUNDARY, Locus, TieNeighbourhood
 
 __all__ = [
-    "crossable_loci",
     "random_arc",
     "random_closed",
     "trivial_loop",
@@ -30,18 +30,6 @@ __all__ = [
     "peripheral_bounce",
     "doubled_back",
 ]
-
-
-def crossable_loci(nb: TieNeighbourhood, region: int) -> list[Locus]:
-    """Loci on glued sides of a region — the places a curve may cross."""
-    out: list[Locus] = []
-    for si, side in enumerate(nb.regions[region].sides):
-        for gi in range(side.n_segments):
-            locus = (si, gi)
-            if nb.side_label(region, locus) == BOUNDARY:
-                continue
-            out.append(locus)
-    return out
 
 
 def _boundary_loci(nb: TieNeighbourhood, region: int) -> list[Locus]:
@@ -73,8 +61,8 @@ def _pick_wind(nb: TieNeighbourhood, region: int, start: Locus, end: Locus,
 
 def _step(nb: TieNeighbourhood, region: int, start: Locus,
           rng: random.Random, spread: int,
-          end_pool: list[Locus] | None = None) -> Snippet:
-    pool = end_pool if end_pool is not None else crossable_loci(nb, region)
+          end_pool: Sequence[Locus] | None = None) -> Snippet:
+    pool = end_pool if end_pool is not None else nb.crossable_loci(region)
     end = rng.choice(pool)
     wind = _pick_wind(nb, region, start, end, rng, spread)
     return Snippet(region, start, end, wind)
@@ -96,7 +84,7 @@ def random_arc(nb: TieNeighbourhood, rng: random.Random, length: int,
         if not starts:
             raise BadInput("track has no surface boundary inside its faces")
     else:
-        starts = [(r, l) for r in regions for l in crossable_loci(nb, r)]
+        starts = [(r, l) for r in regions for l in nb.crossable_loci(r)]
     region, start = rng.choice(starts)
     snippets: list[Snippet] = []
     for i in range(length):
@@ -131,7 +119,7 @@ def random_closed(nb: TieNeighbourhood, rng: random.Random, length: int,
     if length < 2:
         raise BadInput("closed walks need length >= 2")
     starts = [(r, l) for r in range(len(nb.regions))
-              for l in crossable_loci(nb, r)]
+              for l in nb.crossable_loci(r)]
     region0, start0 = rng.choice(starts)
     back = nb.partner(region0, start0)
     assert back is not None
@@ -145,7 +133,7 @@ def random_closed(nb: TieNeighbourhood, rng: random.Random, length: int,
     for _ in range(patience):
         if region == close_region:
             break
-        pool = crossable_loci(nb, region)
+        pool = nb.crossable_loci(region)
         into_target = [l for l in pool
                        if nb.partner(region, l)[0] == close_region]
         s = _step(nb, region, start, rng, spread,

@@ -15,18 +15,31 @@ the bad snippet and threads the curve along the far side of the walk instead:
 
 Winding numbers change only when a slid endpoint crosses a region corner:
 sliding an end counter-clockwise adds one, clockwise subtracts one, and for a
-start endpoint the signs flip.  Every produced snippet is validated, the two
-sides of each crossed edge are checked to be gluing partners, and the new
-in-between snippets are checked to be efficient, so a bookkeeping error
-cannot silently produce a broken curve.
+start endpoint the signs flip.
+
+Most of a push depends on the bad snippet alone: its cut-off walk and j,
+both slide targets with their corner flags, the j - 1 in-between snippets
+and the chain of crossed edges.  That part is a `PushRecipe`, worked out
+once per distinct bad snippet per neighbourhood and filed beside its fact
+record.  The checks on it run once, when it is filed: j against the rule,
+each in-between snippet valid and not bad, and the two sides of each
+crossed edge gluing partners.  Each `hom` call does only what depends on
+the neighbours, and checks them every time: the previous snippet must end
+and the next must start on the partners of the bad snippet's endpoints, a
+slid endpoint's winding moves only where windings count (`_wind_ok`), and
+both slid snippets are validated.  `hom` returns the replacement window,
+not the curve: a run or an audit splices it into its working curve, so a
+push costs its window whatever the curve's length.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .curve_ops import ARC, CLOSED, Curve
+from .curve_ops import ARC, CLOSED, Curve, WorkingCurve
 from .errors import BadInput, ClosedSnippet, NotBad
-from .snippet_core import RIGHT, Snippet, _t_walk, classify, validate_snippet
+from .snippet_core import (RIGHT, Snippet, SnippetClass, _t_walk, classify,
+                           validate_snippet)
 from .track_model import ANNULUS, BOUNDARY, Locus, TieNeighbourhood
 
 # Weight of the cut-off walk for each rectangle bad type; complementary-region
@@ -103,36 +116,36 @@ def _hug_wind(nb: TieNeighbourhood, region: int, start: Locus, end: Locus,
     return sign * hug.corners
 
 
-def hom(curve: Curve, k: int, nb: TieNeighbourhood
-        ) -> tuple[Curve, RewriteEvent]:
-    """Remove the bad snippet at position k by one elementary homotopy.
+class PushRecipe(NamedTuple):
+    """The part of a push fixed by the bad snippet alone."""
+    cls: SnippetClass
+    j: int
+    # the (region, locus) the previous snippet must end on and the next
+    # snippet must start on: the partners of the bad snippet's endpoints
+    before: tuple[int, Locus]
+    after: tuple[int, Locus]
+    # j >= 1: where the previous snippet's end slides to, with the winding
+    # change that slide makes where windings count; likewise the next
+    # snippet's start
+    new_end: Locus | None
+    d_end: int
+    new_start: Locus | None
+    d_start: int
+    inners: tuple[Snippet, ...]  # the j - 1 in-between snippets
 
-    Arcs keep their endpoints: only strictly interior positions may be
-    rewritten.  On closed curves any position works; if the three-snippet
-    window would wrap, the curve is first rotated so it does not, and the
-    rotation is recorded in the event.
-    """
-    n = len(curve)
-    snippets = list(curve.snippets)
-    if curve.kind == ARC:
-        if not 0 < k < n - 1:
-            raise BadInput(
-                f"arc position {k} of {n} is an endpoint or out of range")
-    else:
-        k %= n
-    a = snippets[k]
-    if a.closed:
-        raise ClosedSnippet("cannot rewrite a closed snippet")
+
+def push_recipe(a: Snippet, nb: TieNeighbourhood) -> PushRecipe:
+    """The recipe for pushing the bad snippet `a`, worked out and filed on
+    the first push of `a` in this neighbourhood."""
+    rec = nb._push_recipes.get(a)
+    if rec is None:
+        rec = nb._push_recipes[a] = _push_recipe_uncached(a, nb)
+    return rec
+
+
+def _push_recipe_uncached(a: Snippet, nb: TieNeighbourhood) -> PushRecipe:
     cls = classify(a, nb)
-    if not cls.bad:
-        raise NotBad(f"snippet at {k} is {cls.verdict}, not bad")
-
-    rotation = 0
-    if curve.kind == CLOSED and n >= 3 and (k == 0 or k == n - 1):
-        rotation = (k - 1) % n
-        snippets = snippets[rotation:] + snippets[:rotation]
-        k = 1
-
+    assert cls.bad and not a.closed, "recipes are for open bad snippets"
     tw = _t_walk(a, nb)
     assert tw is not None, "bad snippet without a cut-off walk"
     walk, side = tw
@@ -142,53 +155,24 @@ def hom(curve: Curve, k: int, nb: TieNeighbourhood
         assert j in EXPECTED_J[cls.type], (cls.type, j)
     assert cls.j == j
 
-    between = walk.between if dir_right else tuple(reversed(walk.between))
-    components: tuple[Locus, ...]
+    before = nb.partner(a.region, a.start)
     if j == 0:
-        components = (a.start,)
-    else:
-        components = (a.start, *between, a.end)
+        return PushRecipe(cls, 0, before, before, None, 0, None, 0, ())
 
-    prev = snippets[(k - 1) % len(snippets)]
-    nxt = snippets[(k + 1) % len(snippets)]
-    two_closed = curve.kind == CLOSED and n == 2
-
-    if j == 0:
-        w_region, w_locus = nb.partner(a.region, a.start)
-        assert (w_region, w_locus) == (prev.region, prev.end)
-        assert (w_region, w_locus) == (nxt.region, nxt.start)
-        if two_closed:
-            merged = Snippet(prev.region, None, None, prev.wind)
-            out = Curve(CLOSED, (merged,))
-        else:
-            merged = Snippet(prev.region, prev.start, nxt.end,
-                             prev.wind + nxt.wind)
-            validate_snippet(merged, nb)
-            new = snippets[:k - 1] + [merged] + snippets[k + 2:]
-            out = Curve(curve.kind, tuple(new))
-        ev = RewriteEvent(cls.type, cls.turn, k, 0, rotation, n, len(out),
-                          max(k - 1, 0), 1)
-        return out, ev
-
-    # Slide the endpoint of the neighbour before the window.
-    p_region, p_locus = nb.partner(a.region, components[0])
-    assert (p_region, p_locus) == (prev.region, prev.end)
+    # Slide the endpoint of the neighbour before the window ...
+    p_region, p_locus = before
     new_end, slid_ccw, corner = _slide_target(nb, p_region, p_locus, dir_right)
-    d_end = 0
-    if corner and _wind_ok(nb, p_region, prev):
-        d_end = 1 if slid_ccw else -1
-
+    d_end = (1 if slid_ccw else -1) if corner else 0
     # ... and of the neighbour after it.
-    q_region, q_locus = nb.partner(a.region, components[-1])
-    assert (q_region, q_locus) == (nxt.region, nxt.start)
+    after = nb.partner(a.region, a.end)
+    q_region, q_locus = after
     new_start, slid_ccw2, corner2 = _slide_target(
         nb, q_region, q_locus, not dir_right)
-    d_start = 0
-    if corner2 and _wind_ok(nb, q_region, nxt):
-        d_start = -1 if slid_ccw2 else 1
+    d_start = (-1 if slid_ccw2 else 1) if corner2 else 0
 
+    between = walk.between if dir_right else tuple(reversed(walk.between))
     inners: list[Snippet] = []
-    for ci_locus in components[1:-1]:
+    for ci_locus in between:
         w_region, w_locus = nb.partner(a.region, ci_locus)
         s_loc, _, _ = _slide_target(nb, w_region, w_locus, not dir_right)
         e_loc, _, _ = _slide_target(nb, w_region, w_locus, dir_right)
@@ -207,30 +191,97 @@ def hom(curve: Curve, k: int, nb: TieNeighbourhood
     for i in range(0, len(chain), 2):
         left, right = chain[i], chain[i + 1]
         assert nb.partner(*left) == right, f"crossed edge mismatch at {i // 2}"
+    return PushRecipe(cls, j, before, after, new_end, d_end, new_start,
+                      d_start, tuple(inners))
+
+
+def hom(curve: Curve, k: int, nb: TieNeighbourhood
+        ) -> tuple[tuple[Snippet, ...], RewriteEvent]:
+    """Remove the bad snippet at position k by one elementary homotopy.
+
+    Returns the replacement window and the event.  The window stands in
+    place of the three snippets from `window_start` on (all of a two-snippet
+    closed curve); `splice` builds the whole rewritten curve.  `curve` may
+    be a `WorkingCurve`: nothing but the three snippets around k is read.
+
+    Arcs keep their endpoints: only strictly interior positions may be
+    rewritten.  On closed curves any position works; if the three-snippet
+    window would wrap, the curve is taken as first rotated so it does not,
+    and the rotation is recorded in the event.
+    """
+    snap = curve.snippets
+    n = len(snap)
+    if curve.kind == ARC:
+        if not 0 < k < n - 1:
+            raise BadInput(
+                f"arc position {k} of {n} is an endpoint or out of range")
+    else:
+        k %= n
+    a = snap[k]
+    if a.closed:
+        raise ClosedSnippet("cannot rewrite a closed snippet")
+    cls = classify(a, nb)
+    if not cls.bad:
+        raise NotBad(f"snippet at {k} is {cls.verdict}, not bad")
+    rec = push_recipe(a, nb)
+    prev, nxt = snap[(k - 1) % n], snap[(k + 1) % n]
+    assert (prev.region, prev.end) == rec.before, \
+        "previous snippet is not glued to the bad one"
+    assert (nxt.region, nxt.start) == rec.after, \
+        "next snippet is not glued to the bad one"
+
+    rotation = 0
+    if curve.kind == CLOSED and n >= 3 and (k == 0 or k == n - 1):
+        rotation = (k - 1) % n
+        k = 1
+    two_closed = curve.kind == CLOSED and n == 2
+    j = rec.j
+
+    if j == 0:
+        if two_closed:
+            window = (Snippet(prev.region, None, None, prev.wind),)
+        else:
+            merged = Snippet(prev.region, prev.start, nxt.end,
+                             prev.wind + nxt.wind)
+            validate_snippet(merged, nb)
+            window = (merged,)
+        n1 = 1 if two_closed else n - 2
+        return window, RewriteEvent(cls.type, cls.turn, k, 0, rotation, n,
+                                    n1, max(k - 1, 0), 1)
+
+    # windings move where a slid endpoint crosses a corner of an annulus
+    d_end = rec.d_end if rec.d_end and _wind_ok(nb, prev.region, prev) else 0
+    d_start = (rec.d_start if rec.d_start and _wind_ok(nb, nxt.region, nxt)
+               else 0)
 
     if two_closed:
-        slid = Snippet(p_region, new_start, new_end,
+        slid = Snippet(prev.region, rec.new_start, rec.new_end,
                        prev.wind + d_end + d_start)
         validate_snippet(slid, nb)
         # Keep positional semantics: the in-between snippets stand where the
         # rewritten snippet was (position k), the slid survivor at k - 1.
-        base = [slid, *inners]
+        base = (slid, *rec.inners)
         r0 = (k - 1) % j
-        out = Curve(CLOSED, tuple(base[-r0:] + base[:-r0]) if r0 else tuple(base))
-        ev = RewriteEvent(cls.type, cls.turn, k, j, rotation, n, len(out), 0,
-                          len(out))
-        return out, ev
+        window = base[-r0:] + base[:-r0] if r0 else base
+        return window, RewriteEvent(cls.type, cls.turn, k, j, rotation, n,
+                                    j, 0, j)
 
-    slid_prev = Snippet(prev.region, prev.start, new_end, prev.wind + d_end)
-    slid_next = Snippet(nxt.region, new_start, nxt.end, nxt.wind + d_start)
+    slid_prev = Snippet(prev.region, prev.start, rec.new_end, prev.wind + d_end)
+    slid_next = Snippet(nxt.region, rec.new_start, nxt.end, nxt.wind + d_start)
     validate_snippet(slid_prev, nb)
     validate_snippet(slid_next, nb)
-    window = [slid_prev, *inners, slid_next]
-    new = snippets[:k - 1] + window + snippets[k + 2:]
-    out = Curve(curve.kind, tuple(new))
-    ev = RewriteEvent(cls.type, cls.turn, k, j, rotation, n, len(out), k - 1,
-                      len(window))
-    return out, ev
+    window = (slid_prev, *rec.inners, slid_next)
+    return window, RewriteEvent(cls.type, cls.turn, k, j, rotation, n,
+                                n + j - 2, k - 1, j + 1)
+
+
+def splice(curve: Curve, window, ev: RewriteEvent) -> Curve:
+    """The whole curve `hom` rewrote into `window` and `ev`."""
+    work = WorkingCurve(curve)
+    if ev.rotation:
+        work.rotate(ev.rotation)
+    work.splice(ev.window_start, window)
+    return work.freeze()
 
 
 def bad_positions(curve: Curve, nb: TieNeighbourhood) -> list[int]:

@@ -14,9 +14,13 @@ to a trigon, a plain chase (`trig_curve`) finishes.
 
 Every push goes through `Run`, which owns the working curve, enforces the
 global rewrite budget, maintains the length counters incrementally from the
-rewrite windows, and records one trace event per operation.  The recorded
-events are self-contained: an auditor can replay them from the input curve
-and byte-compare every intermediate state.
+rewrite windows, and records one trace event per operation.  The working
+curve is a `WorkingCurve`: each window `hom` returns is spliced into its
+snippet list in place, and a byte per position marking the bad snippets is
+spliced alongside it, so a push moves no Python object outside its window
+and no bad position needs shifting.  `run.curve` builds the `Curve` on
+demand.  The recorded events are self-contained: an auditor can replay them
+from the input curve and byte-compare every intermediate state.
 
 Termination is certified by step budgets: each loop asserts twice its proven
 bound and raises `BudgetExceeded` rather than run away.
@@ -24,7 +28,6 @@ bound and raises `BudgetExceeded` rather than run away.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .curve_ops import (
@@ -32,10 +35,12 @@ from .curve_ops import (
     CLOSED,
     Curve,
     LengthReport,
+    WorkingCurve,
     glue_seam,
     is_blocker,
     measure,
     reverse,
+    rotate_in_place,
     update_counters,
     validate_curve,
 )
@@ -83,7 +88,7 @@ class Run:
                  max_homs: int | None = None) -> None:
         validate_curve(curve, nb)
         self.nb = nb
-        self.curve = curve
+        self.work = WorkingCurve(curve)
         self.events: list[dict] = []
         # one (loop name, steps used, size parameter, lo, tail, first event
         # index, end event index) row per span-loop invocation, so budget
@@ -98,29 +103,37 @@ class Run:
     # -- state queries ------------------------------------------------------
 
     @property
+    def curve(self) -> Curve:
+        """The working curve as it stands, built on each call."""
+        return self.work.freeze()
+
+    @property
     def n(self) -> int:
-        return len(self.curve.snippets)
+        return len(self.work.snippets)
 
     @property
     def kind(self) -> str:
-        return self.curve.kind
+        return self.work.kind
 
     def cls_at(self, i: int):
-        return classify(self.curve.snippets[i], self.nb)
+        return classify(self.work.snippets[i], self.nb)
 
     def corn_at(self, i: int) -> int:
-        return corner_length(self.curve.snippets[i], self.nb)
+        return corner_length(self.work.snippets[i], self.nb)
 
     def bads(self) -> list[int]:
-        return list(self._bads)
+        out = []
+        p = self._bad.find(1)
+        while p >= 0:
+            out.append(p)
+            p = self._bad.find(1, p + 1)
+        return out
 
     def first_bad(self, lo: int = -1, hi: int | None = None) -> int | None:
         """The first bad position p with lo < p < hi, or None."""
-        b = self._bads
-        i = bisect_right(b, lo)
-        if i < len(b) and (hi is None or b[i] < hi):
-            return b[i]
-        return None
+        b = self._bad
+        p = b.find(1, lo + 1, len(b) if hi is None else max(hi, 0))
+        return None if p < 0 else p
 
     def report(self) -> LengthReport:
         return LengthReport(self.n, *self._c)
@@ -128,43 +141,31 @@ class Run:
     # -- counter maintenance ------------------------------------------------
 
     def _recount(self) -> None:
-        self._c = measure(self.curve, self.nb).counters
-        self._bads = [i for i, s in enumerate(self.curve.snippets)
-                      if classify(s, self.nb).bad]
+        self._c = measure(self.work, self.nb).counters
+        # one byte per position, 1 where the snippet is bad; spliced like
+        # the snippets, so no bad position after a window has to move
+        self._bad = bytearray(classify(s, self.nb).bad
+                              for s in self.work.snippets)
 
     def _check_budget(self) -> None:
         if self.max_homs is not None and self.homs >= self.max_homs:
             raise BudgetExceeded(
                 f"global rewrite budget of {self.max_homs} pushes exhausted")
 
-    def _apply_window(self, before: Curve, ev: RewriteEvent) -> None:
-        """Update counters and bad positions from one rewrite window.
-
-        `before` must already carry the rotation the rewrite applied."""
-        out = self.curve
-        ws, wl = ev.window_start, ev.window_len
-        self._c = update_counters(self._c, before, out, ws, wl, self.nb)
-        shift = ev.len_after - ev.len_before
-        b = self._bads
-        lo, hi = bisect_left(b, ws), bisect_right(b, ws + 2)
-        b[lo:] = [p for p in range(ws, ws + wl)
-                  if classify(out.snippets[p], self.nb).bad] + \
-            [p + shift for p in b[hi:]]
-
     # -- operations (each records one trace event) --------------------------
 
     def hom_at(self, k: int, phase: str) -> RewriteEvent:
         self._check_budget()
-        before = self.curve
-        out, ev = hom(before, k, self.nb)
+        work, nb = self.work, self.nb
+        window, ev = hom(work, k, nb)
         self.homs += 1
         if ev.rotation:
-            snap = before.snippets
-            before = Curve(CLOSED, snap[ev.rotation:] + snap[:ev.rotation])
-            n0 = len(snap)
-            self._bads = sorted((p - ev.rotation) % n0 for p in self._bads)
-        self.curve = out
-        self._apply_window(before, ev)
+            work.rotate(ev.rotation)
+            rotate_in_place(self._bad, ev.rotation)
+        ws = ev.window_start
+        self._c = update_counters(self._c, work, ws, window, nb)
+        work.splice(ws, window)
+        self._bad[ws:ws + 3] = bytes(classify(s, nb).bad for s in window)
         self.events.append({
             "op": "hom", "phase": phase, "k": ev.k, "rot": ev.rotation,
             "rule": ev.rule, "turn": ev.turn, "j": ev.j,
@@ -180,14 +181,13 @@ class Run:
         r %= self.n
         if r == 0:
             return
-        snap = self.curve.snippets
-        self.curve = Curve(CLOSED, snap[r:] + snap[:r])
-        self._bads = sorted((p - r) % len(snap) for p in self._bads)
+        self.work.rotate(r)
+        rotate_in_place(self._bad, r)
         self.events.append({"op": "rotate", "phase": phase, "by": r,
                             "c": list(self._c)})
 
     def reverse_(self, phase: str) -> None:
-        self.curve = reverse(self.curve)
+        self.work = WorkingCurve(reverse(self.curve))
         self._recount()
         self.events.append({"op": "reverse", "phase": phase,
                             "c": list(self._c)})
@@ -197,11 +197,12 @@ class Run:
         snippet at the far end; the seam step undoes the duplication."""
         if self.kind != CLOSED:
             raise BadInput("only closed curves open at a seam")
-        s0 = self.curve.snippets[0]
+        s0 = self.work.snippets[0]
         if s0.closed:
             raise BadInput("cannot open a curve at a closed snippet")
         self._orig_wind = s0.wind
-        self.curve = Curve(ARC, self.curve.snippets + (s0,))
+        self.work.kind = ARC
+        self.work.snippets.append(s0)
         self._recount()
         self.events.append({"op": "open", "phase": phase,
                             "orig_wind": self._orig_wind,
@@ -211,7 +212,7 @@ class Run:
         if self.kind != ARC or self._orig_wind is None:
             raise BadInput("seam closes an arc opened by open_dup")
         w = self._orig_wind
-        self.curve = glue_seam(self.curve, w, self.nb)
+        self.work = WorkingCurve(glue_seam(self.curve, w, self.nb))
         self._orig_wind = None
         self._recount()
         self.events.append({"op": "seam", "phase": phase, "orig_wind": w,
@@ -425,8 +426,8 @@ def hor_bigon_branch(run: Run, k: int,
         run.hom_at(k, phase)
         return
     if cm == 1 and cp == 1:
-        if not (is_blocker(run.curve, nb, (k - 3) % n)
-                and is_blocker(run.curve, nb, kp)):
+        if not (is_blocker(run.work, nb, (k - 3) % n)
+                and is_blocker(run.work, nb, kp)):
             run.hom_at(k, phase)
             return
         e1 = run.hom_at(k, phase)
@@ -530,8 +531,9 @@ def efficient_position(curve: Curve, nb: TieNeighbourhood,
         if run.n > 1:
             reduce_to_one(run)
             single_bad(run)
-    validate_curve(run.curve, nb)
-    return Result(status=_terminal_status(run), curve=run.curve,
+    out = run.curve
+    validate_curve(out, nb)
+    return Result(status=_terminal_status(run), curve=out,
                   events=run.events, homs=run.homs, report=run.report(),
                   budget_log=run.budget_log)
 

@@ -15,12 +15,14 @@ and its tie neighbourhood, which never changes once built.  So each distinct
 snippet is worked out once per neighbourhood: `facts` files one
 `SnippetFacts` record (class, corner length, counter row, blocker roles) in
 the neighbourhood's fact table, and `classify`, `corner_length` and the
-counters in `curve_ops` all read that record.  A record is filed only after
-the snippet passed `validate_snippet` on the same neighbourhood, so
-validating a snippet already in the table returns at once; every other
-snippet gets the full check.  The boundary walks that classification and
-validation take come from `TieNeighbourhood.walk_ccw`, which computes each
-walk once.
+counters in `curve_ops` all read that record.  Filing a record is the
+snippet's one full validity check: `_classify_uncached` runs it first, and
+`validate_snippet` on a snippet missing from the table files its record.
+So each distinct valid snippet is fully checked exactly once per
+neighbourhood, and validating it again is one table lookup; an invalid
+snippet raises `InconsistentSnippet` on every check and is never filed.
+The boundary walks that classification and validation take come from
+`TieNeighbourhood.walk_ccw`, which computes each walk once.
 """
 from __future__ import annotations
 
@@ -119,8 +121,15 @@ def valid_winds(s: Snippet, nb: TieNeighbourhood) -> tuple[int, int, int] | None
 
 
 def validate_snippet(s: Snippet, nb: TieNeighbourhood) -> None:
-    if s in nb._classify_cache:
-        return  # filed only after passing this check on this neighbourhood
+    """Raise InconsistentSnippet unless the snippet is valid; a valid
+    snippet missing from the fact table gets its record filed."""
+    if s not in nb._classify_cache:
+        facts(s, nb)
+
+
+def _check_snippet(s: Snippet, nb: TieNeighbourhood) -> None:
+    """The full validity check: region, loci, and the winding the loci
+    admit."""
     if not (0 <= s.region < len(nb.regions)):
         raise InconsistentSnippet(f"no region {s.region}")
     r = nb.regions[s.region]
@@ -249,7 +258,7 @@ def classify(s: Snippet, nb: TieNeighbourhood) -> SnippetClass:
 
 
 def _classify_uncached(s: Snippet, nb: TieNeighbourhood) -> SnippetClass:
-    validate_snippet(s, nb)
+    _check_snippet(s, nb)
     r = nb.regions[s.region]
 
     if s.closed:

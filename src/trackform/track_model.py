@@ -113,12 +113,19 @@ class TieNeighbourhood:
         self.desc = desc
         self.regions = regions
         self.region_id: dict[str, int] = {r.name: i for i, r in enumerate(regions)}
-        # cycle loci per region, CCW
+        # cycle loci per region, CCW; per cycle, the number of corners
+        # (side changes) among its first i gaps, for i up to two turns, so a
+        # walk's corners are the difference of two entries; the polygon
+        # (non-boundary) cycle and the crossable loci of each region
         self._cycle_loci: list[tuple[tuple[Locus, ...], ...]] = []
         self._locus_pos: list[dict[Locus, tuple[int, int]]] = []
+        self._corners_before: list[tuple[tuple[int, ...], ...]] = []
+        self._polygon_cycle: list[int | None] = []
+        self._crossable: list[tuple[Locus, ...]] = []
         for r in regions:
             cycles = []
             pos: dict[Locus, tuple[int, int]] = {}
+            prefixes = []
             for ci, cyc in enumerate(r.cycles):
                 loci: list[Locus] = []
                 for si in cyc:
@@ -127,8 +134,21 @@ class TieNeighbourhood:
                 for p, l in enumerate(loci):
                     pos[l] = (ci, p)
                 cycles.append(tuple(loci))
+                n = len(loci)
+                counts = [0]
+                for p in range(2 * n):
+                    counts.append(counts[-1]
+                                  + (loci[p % n][0] != loci[(p + 1) % n][0]))
+                prefixes.append(tuple(counts))
             self._cycle_loci.append(tuple(cycles))
             self._locus_pos.append(pos)
+            self._corners_before.append(tuple(prefixes))
+            self._polygon_cycle.append(next(
+                (ci for ci, cyc in enumerate(r.cycles)
+                 if r.sides[cyc[0]].label != BOUNDARY), None))
+            self._crossable.append(tuple(
+                (si, gi) for si, side in enumerate(r.sides)
+                if side.label != BOUNDARY for gi in range(side.n_segments)))
         # the (region, locus) glued to each locus, None on the surface
         # boundary; every locus in it is one of the cycle tuples above
         self._partners: list[dict[Locus, tuple[int, Locus] | None]] = [
@@ -143,6 +163,8 @@ class TieNeighbourhood:
         self._walks: dict[tuple[int, Locus, Locus], Walk] = {}
         # snippet -> fact record, filled and read by snippet_core
         self._classify_cache: dict = {}
+        # bad snippet -> push recipe, filled and read by homotopy_engine
+        self._push_recipes: dict = {}
         self._build_vertices()
         self.s_N = self._compute_s_N()
         self.boundary_components: tuple[tuple[int, int], ...] = tuple(
@@ -183,11 +205,16 @@ class TieNeighbourhood:
 
     def polygon_cycle(self, region: int) -> int:
         """Cycle index of the polygon (non-boundary) cycle of a comp region."""
-        r = self.regions[region]
-        for ci, cyc in enumerate(r.cycles):
-            if r.sides[cyc[0]].label != BOUNDARY:
-                return ci
-        raise BadInput(f"region {r.name} has no polygon cycle")
+        ci = self._polygon_cycle[region]
+        if ci is None:
+            raise BadInput(
+                f"region {self.regions[region].name} has no polygon cycle")
+        return ci
+
+    def crossable_loci(self, region: int) -> tuple[Locus, ...]:
+        """Loci on glued sides of a region, side by side — the places a
+        curve may cross."""
+        return self._crossable[region]
 
     def boundary_side(self, region: int) -> int | None:
         r = self.regions[region]
@@ -197,9 +224,8 @@ class TieNeighbourhood:
         return None
 
     def total_corners(self, region: int, ci: int) -> int:
-        loci = self._cycle_loci[region][ci]
-        n = len(loci)
-        return sum(1 for p in range(n) if loci[p][0] != loci[(p + 1) % n][0])
+        before = self._corners_before[region][ci]  # two turns: 2n + 1 entries
+        return before[len(before) // 2]
 
     def cusp_count(self, region: int) -> int:
         r = self.regions[region]
@@ -230,19 +256,10 @@ class TieNeighbourhood:
         if ca != cb:
             raise BadInput("walk endpoints on different boundary cycles")
         loci = self._cycle_loci[region][ca]
-        n = len(loci)
-        corners = marks = 0
-        between: list[Locus] = []
-        p = pa
-        while p != pb:
-            if self.gap_is_corner(region, ca, p):
-                corners += 1
-            else:
-                marks += 1
-            p = (p + 1) % n
-            if p != pb:
-                between.append(loci[p])
-        return Walk(corners, marks, tuple(between))
+        gaps = (pb - pa) % len(loci)
+        before = self._corners_before[region][ca]
+        corners = before[pa + gaps] - before[pa]
+        return Walk(corners, gaps - corners, (loci + loci)[pa + 1:pa + gaps])
 
     # -- tiling vertices ------------------------------------------------------
 

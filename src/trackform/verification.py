@@ -7,18 +7,24 @@ Three layers of defence against a wrong pipeline:
   counting corner gaps — without calling the classifier's walk machinery, so
   a bug there cannot hide.
 
-* `audit_trace` replays a recorded run event by event.  Each record's
-  field types are checked, each rewrite is re-executed and every recorded
-  field must match.  The audit's own length counters follow each replayed
-  `hom` window in O(window) (`update_counters`), are counted in full at the
+* `audit_trace` replays a recorded run event by event on its own working
+  curve (`WorkingCurve`), splicing each replayed window in place, so an
+  event costs its window and not the curve's length.  Each record's field
+  types are checked, each rewrite is re-executed and every recorded field
+  must match.  The audit's own length counters follow each replayed `hom`
+  window in O(window) (`update_counters`), are counted in full at the
   start and after `reverse`, `open` and `seam`, and must equal each
-  event's record and, at the end, a full count of the terminal curve.  The
-  audit also asserts the per-rule contracts: window locality, length
-  deltas, inner efficiency, slide winding deltas, and — on chase steps
+  event's record and, at the end, a full count of the terminal curve,
+  which must also equal the recorded output snippet for snippet.  The
+  audit also asserts the per-rule contracts: length deltas, window
+  locality, inner efficiency, slide winding deltas, and — on chase steps
   whose neighbours are efficient — membership in the trigon hand-off graph
-  with its exact carried/dual deltas and turn preservation.  Malformed
-  records, forged rules, shifted windows, doctored counters, or a tampered
-  final curve all raise `AuditFailure` naming the event and clause.
+  with its exact carried/dual deltas and turn preservation.  Locality is
+  two O(1) seam checks: the window spliced at the recorded place must be
+  glued, across the partner tables, to the audit's own untouched snippets
+  just before and just after it.  Malformed records, forged rules, shifted
+  windows, doctored counters, or a tampered final curve all raise
+  `AuditFailure` naming the event and clause.
 
 * `exhaustive_oracle` closes a small curve under *all* legal pushes
   (breadth-first, deduplicating closed curves up to rotation) and reports
@@ -30,11 +36,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .curve_ops import (ARC, CLOSED, Curve, glue_seam, measure, reverse,
-                        update_counters)
+from .curve_ops import (ARC, CLOSED, Curve, WorkingCurve, glue_seam, measure,
+                        reverse, update_counters)
 from .errors import AuditFailure, NotApplicable, TrackformError
 from .formats import _is_int
-from .homotopy_engine import (EXPECTED_J, TRIGON_GRAPH, hom)
+from .homotopy_engine import EXPECTED_J, TRIGON_GRAPH, hom, splice
 from .snippet_core import TRIGON_TYPES, Snippet, classify
 from .track_model import ANNULUS, BOUNDARY, TieNeighbourhood
 
@@ -142,16 +148,33 @@ def _name(v) -> bool:
     return v is None or isinstance(v, str)
 
 
-# The fields each op's trace/1 record carries besides "op", "phase" and "c",
-# each with a test of its JSON type.
-_RECORD_FIELDS = {
-    "hom": {"k": _is_int, "rot": _is_int, "j": _is_int, "n": _ints(2),
-            "win": _ints(2), "rule": _name, "turn": _name},
-    "rotate": {"by": _is_int},
-    "reverse": {},
-    "open": {"orig_wind": _is_int},
-    "seam": {"orig_wind": _is_int},
+# The tests each op's trace/1 record must pass, in order: the counters
+# "c", then the fields it carries besides "op" and "phase", each with a test
+# of its JSON type.
+_RECORD_CHECKS = {
+    op: (("c", _ints(6)), *fields.items()) for op, fields in {
+        "hom": {"k": _is_int, "rot": _is_int, "j": _is_int, "n": _ints(2),
+                "win": _ints(2), "rule": _name, "turn": _name},
+        "rotate": {"by": _is_int},
+        "reverse": {},
+        "open": {"orig_wind": _is_int},
+        "seam": {"orig_wind": _is_int},
+    }.items()
 }
+
+
+def _glued(nb: TieNeighbourhood, work: WorkingCurve, i: int) -> bool:
+    """Does the snippet at i end where the one at i + 1 starts (cyclically
+    on closed curves; vacuously true past either end of an arc)?"""
+    snap = work.snippets
+    n = len(snap)
+    if work.kind == CLOSED:
+        a, b = snap[i % n], snap[(i + 1) % n]
+    elif 0 <= i < n - 1:
+        a, b = snap[i], snap[i + 1]
+    else:
+        return True
+    return nb.partner(a.region, a.end) == (b.region, b.start)
 
 
 class _Audit:
@@ -182,42 +205,43 @@ class _Audit:
             self.fail(clause, detail)
 
     def run(self) -> AuditReport:
-        cur = self.before
-        self._c = measure(cur, self.nb).counters
+        nb = self.nb
+        work = WorkingCurve(self.before)
+        self._c = measure(work, nb).counters
         open_wind: int | None = None
         for self.index, ev in enumerate(self.trace):
             op = self._check_record(ev)
+            snap = work.snippets
             if op == "hom":
-                cur = self._replay_hom(cur, ev)
+                self._replay_hom(work, ev)
             elif op == "rotate":
-                self.check(cur.kind == CLOSED, "op", "rotate on an arc")
-                r = ev["by"] % len(cur.snippets)
-                snap = cur.snippets
-                cur = Curve(CLOSED, snap[r:] + snap[:r])
+                self.check(work.kind == CLOSED, "op", "rotate on an arc")
+                work.rotate(ev["by"])
             elif op == "reverse":
-                cur = reverse(cur)
+                work = WorkingCurve(reverse(work.freeze()))
             elif op == "open":
-                self.check(cur.kind == CLOSED and not cur.snippets[0].closed,
+                self.check(work.kind == CLOSED and not snap[0].closed,
                            "op", "open needs a closed curve of open snippets")
-                self.check(ev["orig_wind"] == cur.snippets[0].wind,
+                self.check(ev["orig_wind"] == snap[0].wind,
                            "open-wind", "recorded seam winding is not the "
                            "basepoint snippet's")
-                open_wind = cur.snippets[0].wind
-                cur = Curve(ARC, cur.snippets + (cur.snippets[0],))
+                open_wind = snap[0].wind
+                work.kind = ARC
+                snap.append(snap[0])
             else:  # seam
                 self.check(open_wind is not None, "op", "seam without open")
                 self.check(ev["orig_wind"] == open_wind, "seam-wind",
                            "seam winding differs from the opening event")
-                cur = glue_seam(cur, open_wind, self.nb)
+                work = WorkingCurve(glue_seam(work.freeze(), open_wind, nb))
                 open_wind = None
             if op in ("reverse", "open", "seam"):
-                self._c = measure(cur, self.nb).counters
-            self._check_counters(cur, ev)
+                self._c = measure(work, nb).counters
+            self._check_counters(work, ev)
         self.index = len(self.trace)
-        if cur.kind != self.after.kind or \
-                cur.snippets != self.after.snippets:
+        if work.kind != self.after.kind or \
+                work.snippets != list(self.after.snippets):
             self.fail("final", "replayed terminal curve differs")
-        full = measure(cur, self.nb).counters
+        full = measure(work, nb).counters
         self.check(full == self._c, "final",
                    f"running counters {self._c} != recomputed {full}")
         return AuditReport(ok=True, events=len(self.trace),
@@ -228,25 +252,25 @@ class _Audit:
         if not isinstance(ev, dict):
             self.fail("record", f"a {type(ev).__name__}, not an object")
         op = ev.get("op")
-        fields = _RECORD_FIELDS.get(op) if isinstance(op, str) else None
-        if fields is None:
+        checks = _RECORD_CHECKS.get(op) if isinstance(op, str) else None
+        if checks is None:
             self.fail("op", f"unknown op {op!r}")
-        for key, ok in {"c": _ints(6), **fields}.items():
+        for key, ok in checks:
             if key not in ev:
                 self.fail("record", f"{op} record has no {key!r}")
             if not ok(ev[key]):
                 self.fail("record", f"bad {key!r} value {ev[key]!r}")
         return op
 
-    def _check_counters(self, cur: Curve, ev: dict) -> None:
+    def _check_counters(self, cur: WorkingCurve, ev: dict) -> None:
         self.check(ev["c"] == self._c, "counters",
                    f"recorded {ev['c']} != recomputed {self._c}")
 
-    def _replay_hom(self, cur: Curve, ev: dict) -> Curve:
+    def _replay_hom(self, work: WorkingCurve, ev: dict) -> None:
         nb = self.nb
-        k_orig = (ev["k"] + ev["rot"]) % len(cur.snippets)
+        k_orig = (ev["k"] + ev["rot"]) % len(work.snippets)
         try:
-            out, e2 = hom(cur, k_orig, nb)
+            window, e2 = hom(work, k_orig, nb)
         except TrackformError as exc:
             self.fail("not-bad", f"recorded push is illegal here: {exc}")
         self.check(e2.rotation == ev["rot"], "rot",
@@ -261,24 +285,24 @@ class _Audit:
                    f"replayed lengths {[e2.len_before, e2.len_after]}")
         self.check([e2.window_start, e2.window_len] == ev["win"], "window",
                    f"replayed window {[e2.window_start, e2.window_len]}")
-        rcur = cur
         if e2.rotation:
-            snap = cur.snippets
-            rcur = Curve(CLOSED, snap[e2.rotation:] + snap[:e2.rotation])
+            work.rotate(e2.rotation)
+        ws = ev["win"][0]
+        pre = work.snippets[ws:ws + 3]
         c0 = self._c
-        self._c = update_counters(c0, rcur, out, e2.window_start,
-                                  e2.window_len, nb)
-        self._check_contracts(rcur, out, e2, c0)
-        return out
+        self._c = update_counters(c0, work, ws, window, nb)
+        work.splice(ws, window)
+        self._check_contracts(work, pre, window, e2, c0)
 
-    def _check_contracts(self, rcur: Curve, out: Curve, e2, c0) -> None:
+    def _check_contracts(self, work: WorkingCurve, pre, post, e2,
+                         c0) -> None:
         nb = self.nb
         n0, n1 = e2.len_before, e2.len_after
         ws, wl = e2.window_start, e2.window_len
         j, rule = e2.j, e2.rule
 
         # length delta is determined by the tiling points on the cut piece
-        if n0 == 2 and rcur.kind == CLOSED:
+        if n0 == 2 and work.kind == CLOSED:
             self.check(n1 - n0 == (j - 2 if j >= 1 else -1), "length",
                        "two-snippet closed rewrite length delta")
         else:
@@ -299,14 +323,14 @@ class _Audit:
         if wl == n1:  # whole-curve rewrite of a two-snippet closed curve
             return
 
-        # locality: nothing outside the replacement window moved
-        self.check(rcur.snippets[:ws] == out.snippets[:ws], "locality",
-                   "prefix changed")
-        self.check(rcur.snippets[ws + 3:] == out.snippets[ws + wl:],
-                   "locality", "suffix changed")
+        # locality: the window was spliced at the recorded place, in place
+        # of three snippets, and is glued to the untouched snippets on both
+        # sides of it
+        self.check(len(work.snippets) == n1 and _glued(nb, work, ws - 1),
+                   "locality", "window not glued to the snippet before it")
+        self.check(_glued(nb, work, ws + wl - 1), "locality",
+                   "window not glued to the snippet after it")
 
-        pre = rcur.snippets[ws:ws + 3]
-        post = out.snippets[ws:ws + wl]
         if j >= 1:
             # slid neighbours keep their far endpoint and region; their
             # winding moves by at most one corner crossing
@@ -422,7 +446,8 @@ def exhaustive_oracle(curve: Curve, nb: TieNeighbourhood,
         if cur.kind == ARC:
             bads = [i for i in bads if 0 < i < n - 1]
         for k in bads:
-            child, _ev = hom(cur, k, nb)
+            window, ev = hom(cur, k, nb)
+            child = splice(cur, window, ev)
             if len(child.snippets) > max_len or any(
                     abs(s.wind) > wind_cap for s in child.snippets):
                 pruned = True

@@ -176,6 +176,26 @@ def test_render_writes_svg(tmp_path, curve_file):
     assert svg.read_text() == svg2.read_text()
 
 
+@pytest.mark.parametrize("field,value,named", [
+    ("region", ["br:a"], "snippet 0"),
+    ("region", {"name": "br:a"}, "snippet 0"),
+    ("kind", ["closed"], "curve kind"),
+    ("kind", {"closed": True}, "curve kind"),
+])
+def test_unhashable_curve_values_exit_one(tmp_path, curve_file, field, value,
+                                          named):
+    doc = json.loads(curve_file.read_text())
+    if field == "region":
+        doc["snippets"][0]["region"] = value
+    else:
+        doc["kind"] = value
+    bad = tmp_path / "bad.curve"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli("classify", "t11", str(bad))
+    assert code == 1
+    assert named in err and "Traceback" not in err
+
+
 def test_structural_error_exits_one(tmp_path, curve_file):
     doc = json.loads(curve_file.read_text())
     doc["snippets"][0]["region"] = "br:zz"

@@ -24,7 +24,7 @@ from trackform.snippet_core import (CARRIED, DUAL_TIE, LEFT, RIGHT, Snippet,
                                     _corner_length_uncached, classify,
                                     corner_length, fact_table,
                                     validate_snippet)
-from trackform.track_model import ANNULUS, BRANCH
+from trackform.track_model import ANNULUS, BRANCH, Walk
 from trackform.verification import audit_trace
 
 
@@ -123,6 +123,22 @@ def test_invalid_snippets_still_raise_on_a_warm_table(warm):
                                    Snippet(br, (0, 0), (2, 0), 1))), nb)
 
 
+def _stepped_walk(nb, ri, a, b):
+    """The walk from a to b found by stepping gap by gap."""
+    ci, p = nb.locus_cycle(ri, a)
+    loci = nb.cycle_loci(ri, ci)
+    corners = marks = 0
+    between = []
+    while loci[p] != b:
+        if nb.gap_is_corner(ri, ci, p):
+            corners += 1
+        else:
+            marks += 1
+        p = (p + 1) % len(loci)
+        between.append(loci[p])
+    return Walk(corners, marks, tuple(between[:-1]))
+
+
 def test_walks_equal_the_uncached_walk(warm):
     for name in FIXTURE_NAMES:
         nb = warm[name]
@@ -133,6 +149,7 @@ def test_walks_equal_the_uncached_walk(warm):
             for a, b in pairs:
                 w = nb.walk_ccw(ri, a, b)
                 assert w == nb._walk_ccw(ri, a, b), (name, ri, a, b)
+                assert w == _stepped_walk(nb, ri, a, b), (name, ri, a, b)
                 assert nb.walk_ccw(ri, a, b) is w
             if len(cycles) > 1:
                 # loci on different cycles admit no walk, every time

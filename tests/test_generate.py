@@ -11,7 +11,6 @@ from trackform.curve_ops import ARC, CLOSED, validate_curve
 from trackform.errors import BadInput
 from trackform.generate import (
     boundary_power,
-    crossable_loci,
     doubled_back,
     peripheral_bounce,
     random_arc,
@@ -34,7 +33,7 @@ def s04():
 
 def test_crossable_loci_excludes_boundary(t11):
     for region in range(len(t11.regions)):
-        for locus in crossable_loci(t11, region):
+        for locus in t11.crossable_loci(region):
             assert t11.partner(region, locus) is not None
 
 

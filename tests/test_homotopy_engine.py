@@ -20,7 +20,7 @@ import pytest
 from trackform.curve_ops import ARC, CLOSED, Curve, reverse, validate_curve
 from trackform.errors import BadInput, ClosedSnippet, NotBad
 from trackform.fixtures import load_fixture
-from trackform.homotopy_engine import TRIGON_GRAPH, hom
+from trackform.homotopy_engine import TRIGON_GRAPH, hom, splice
 from trackform.snippet_core import Snippet, classify
 
 
@@ -42,7 +42,8 @@ def test_narrow_merge_branch_bigon(t11):
         Snippet(V0, (1, 0), (2, 0)),   # S(h,t,1)
     ))
     validate_curve(arc, t11)
-    out, ev = hom(arc, 1, t11)
+    window, ev = hom(arc, 1, t11)
+    out = splice(arc, window, ev)
     assert out == Curve(ARC, (Snippet(V0, (0, 0), (2, 0)),))
     assert (ev.rule, ev.j, ev.len_before, ev.len_after) == ("B(t,t)", 0, 3, 1)
 
@@ -55,7 +56,8 @@ def test_branch_trigon_right(t11):
         Snippet(V1, (1, 0), (3, 1)),    # carried
     ))
     validate_curve(arc, t11)
-    out, ev = hom(arc, 1, t11)
+    window, ev = hom(arc, 1, t11)
+    out = splice(arc, window, ev)
     assert out == Curve(ARC, (
         Snippet(F, (3, 2), (1, 1), 2),  # end slid over a mark: wind kept
         Snippet(V1, (2, 0), (3, 1)),    # start slid over a corner
@@ -75,7 +77,8 @@ def test_switch_trigon_weight_three(t11):
         Snippet(B, (3, 0), (1, 0)),     # carried
     ))
     validate_curve(arc, t11)
-    out, ev = hom(arc, 1, t11)
+    window, ev = hom(arc, 1, t11)
+    out = splice(arc, window, ev)
     assert out == Curve(ARC, (
         Snippet(F, (3, 3), (1, 4), 2),   # slid over a mark
         Snippet(D, (2, 0), (0, 0)),      # inner: branch tie
@@ -96,7 +99,8 @@ def test_switch_bigon_weight_two(t11):
         Snippet(D, (3, 0), (1, 0)),     # carried
     ))
     validate_curve(arc, t11)
-    out, ev = hom(arc, 1, t11)
+    window, ev = hom(arc, 1, t11)
+    out = splice(arc, window, ev)
     assert out == Curve(ARC, (
         Snippet(B, (1, 0), (2, 0)),      # slid: carried -> B(h,t)
         Snippet(F, (1, 0), (3, 4), -2),  # inner: vertical dual, turn Left
@@ -117,7 +121,8 @@ def test_wide_horizontal_bigon_in_annulus(t11):
         Snippet(A, (0, 0), (2, 0)),     # tie
     ))
     validate_curve(arc, t11)
-    out, ev = hom(arc, 1, t11)
+    window, ev = hom(arc, 1, t11)
+    out = splice(arc, window, ev)
     assert out == Curve(ARC, (
         Snippet(B, (0, 0), (1, 0)),     # tie -> B(h,t)
         Snippet(V1, (3, 0), (1, 0)),    # inner: carried under the run
@@ -134,7 +139,8 @@ def test_wide_annulus_trigon(t11):
         Snippet(V0, (3, 1), (1, 0)),     # carried
     ))
     validate_curve(arc, t11)
-    out, ev = hom(arc, 1, t11)
+    window, ev = hom(arc, 1, t11)
+    out = splice(arc, window, ev)
     assert out == Curve(ARC, (
         Snippet(A, (2, 0), (1, 0)),      # tie -> B(h,t)
         Snippet(V1, (1, 0), (3, 0)),     # inner: carried
@@ -153,7 +159,8 @@ def test_wind_decrement_on_corner_slide(t11):
         Snippet(V0, (3, 0), (1, 0)),    # carried
     ))
     validate_curve(arc, t11)
-    out, ev = hom(arc, 1, t11)
+    window, ev = hom(arc, 1, t11)
+    out = splice(arc, window, ev)
     assert out == Curve(ARC, (
         Snippet(F, (3, 1), (0, 0), 1),  # end slid over a corner: wind 2 -> 1
         Snippet(V0, (3, 1), (1, 0)),    # start slid over a mark: carried
@@ -169,7 +176,8 @@ def test_len_two_closed_merges_to_single_closed(t11):
         Snippet(V0, (1, 0), (1, 0)),  # S(t,t,0)
     ))
     validate_curve(curve, t11)
-    out, ev = hom(curve, 0, t11)
+    window, ev = hom(curve, 0, t11)
+    out = splice(curve, window, ev)
     assert out == Curve(CLOSED, (Snippet(V0, None, None, 0),))
     assert (ev.j, ev.len_after) == (0, 1)
     assert classify(out.snippets[0], t11).type == "Trivial"
@@ -183,7 +191,8 @@ def test_closed_wraparound_rotates_window_first(t11):
         Snippet(F, (2, 0), (1, 2), -1),  # R(h,v), turn Left
     ))
     validate_curve(curve, t11)
-    out, ev = hom(curve, 0, t11)
+    window, ev = hom(curve, 0, t11)
+    out = splice(curve, window, ev)
     assert ev.rotation == 2
     assert out == Curve(CLOSED, (
         Snippet(F, (2, 0), (1, 1), -1),
@@ -218,8 +227,11 @@ def test_mirror_property(t11, hom_cases):
     """Reversing the curve, rewriting the mirrored position, and reversing
     back gives exactly the original rewrite."""
     for arc in hom_cases:
-        out, ev = hom(arc, 1, t11)
-        rout, rev_ev = hom(reverse(arc), len(arc.snippets) - 2, t11)
+        window, ev = hom(arc, 1, t11)
+        out = splice(arc, window, ev)
+        rarc = reverse(arc)
+        rwindow, rev_ev = hom(rarc, len(arc.snippets) - 2, t11)
+        rout = splice(rarc, rwindow, rev_ev)
         assert reverse(rout) == out
         assert rev_ev.rule == ev.rule
         assert rev_ev.j == ev.j
@@ -229,7 +241,8 @@ def test_mirror_property(t11, hom_cases):
 
 def test_outputs_validate_and_len_delta(t11, hom_cases):
     for arc in hom_cases:
-        out, ev = hom(arc, 1, t11)
+        window, ev = hom(arc, 1, t11)
+        out = splice(arc, window, ev)
         validate_curve(out, t11)
         assert ev.len_after - ev.len_before == ev.j - 2
         assert ev.len_after == len(out.snippets)

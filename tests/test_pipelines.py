@@ -24,7 +24,7 @@ import random
 import pytest
 
 from trackform.curve_ops import ARC, CLOSED, Curve, measure, validate_curve
-from trackform.fixtures import load_fixture
+from trackform.fixtures import FIXTURE_NAMES, load_fixture
 from trackform.generate import (
     boundary_power,
     doubled_back,
@@ -40,12 +40,14 @@ from trackform.pipelines import (
     Run,
     big_arc,
     efficient_position,
+    reduce_to_one,
     reduce_to_two,
     single_bad,
     terminal_summary,
     trig_arc,
 )
 from trackform.snippet_core import Snippet, classify
+from trackform.track_model import ANNULUS
 
 
 @pytest.fixture(scope="module")
@@ -335,3 +337,85 @@ def test_all_fixture_tracks_smoke():
             res = efficient_position(curve, nb)
             assert res.status in (EFFICIENT, SINGLE_SNIPPET)
             validate_curve(res.curve, nb)
+
+
+# --- Run bookkeeping against a full scan --------------------------------------
+
+
+class _CheckedRun(Run):
+    """A Run that compares its bad positions and counters with a scan and a
+    full count of `run.curve` after every operation."""
+
+    def __init__(self, curve, nb, rng):
+        self.rng = rng
+        self.ops: set[str] = set()
+        super().__init__(curve, nb)
+        self._compare("init")
+
+    def _compare(self, op):
+        self.ops.add(op)
+        curve = self.curve
+        n = len(curve.snippets)
+        assert (self.n, self.kind) == (n, curve.kind)
+        scan = [i for i, s in enumerate(curve.snippets)
+                if classify(s, self.nb).bad]
+        assert self.bads() == scan, op
+        assert self.report() == measure(curve, self.nb), op
+        spans = [(-1, None), (0, n - 1), (n, None), (3, 2), (2, -5)]
+        spans += [(self.rng.randrange(-1, n + 1), self.rng.randrange(-2, n + 3))
+                  for _ in range(6)]
+        for lo, hi in spans:
+            want = next((p for p in scan
+                         if p > lo and (hi is None or p < hi)), None)
+            assert self.first_bad(lo, hi) == want, (op, lo, hi)
+
+    def hom_at(self, k, phase):
+        ev = super().hom_at(k, phase)
+        self._compare("hom")
+        return ev
+
+    def rotate(self, r, phase):
+        super().rotate(r, phase)
+        self._compare("rotate")
+
+    def reverse_(self, phase):
+        super().reverse_(phase)
+        self._compare("reverse")
+
+    def open_dup(self, phase):
+        super().open_dup(phase)
+        self._compare("open")
+
+    def seam(self, phase):
+        super().seam(phase)
+        self._compare("seam")
+
+
+def _bookkeeping_corpus(nb, name):
+    for seed in range(8):  # s04's seed 6 takes the mirror (reverse) path
+        rng = random.Random(f"{name}/{seed}/bookkeeping")
+        yield random_closed(nb, rng, rng.randrange(2, 201))
+        if seed < 3:
+            yield random_arc(nb, rng, rng.randrange(3, 60))
+    yield doubled_back(nb, random.Random(name), 5)
+    for ri, r in enumerate(nb.regions):
+        if r.kind == ANNULUS:
+            yield peripheral_bounce(nb, ri, 2)
+
+
+def test_run_bookkeeping_matches_a_scan_after_every_operation():
+    ops = set()
+    for name in FIXTURE_NAMES:
+        nb = load_fixture(name)
+        for c in _bookkeeping_corpus(nb, name):
+            run = _CheckedRun(c, nb, random.Random(len(c.snippets)))
+            if run.kind == ARC:
+                reduce_to_two(run)
+            else:
+                if run.n > 2:
+                    reduce_to_two(run)
+                if run.n > 1:
+                    reduce_to_one(run)
+                    single_bad(run)
+            ops |= run.ops
+    assert ops == {"init", "hom", "rotate", "reverse", "open", "seam"}
