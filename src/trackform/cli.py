@@ -19,7 +19,7 @@ from .curve_ops import measure
 from .errors import AuditFailure, TrackformError
 from .fixtures import FIXTURE_NAMES, fixture_text
 from .formats import (format_track, parse_curve, parse_track, parse_trace,
-                      serialize_curve, serialize_trace)
+                      read_text, serialize_curve, serialize_trace)
 from .generate import gen_random_curve
 from .pipelines import (EFFICIENT, SINGLE_SNIPPET, default_budget,
                         efficient_position, terminal_summary)
@@ -34,7 +34,7 @@ def _load_track(source: str):
     """A track argument is a file path or the name of a bundled fixture."""
     p = Path(source)
     if p.exists():
-        nb = build_tie_neighbourhood(parse_track(p.read_text()))
+        nb = build_tie_neighbourhood(parse_track(read_text(p)))
         nb.name = p.stem
         return nb
     if source in FIXTURE_NAMES:
@@ -49,7 +49,7 @@ def _load_curve(path: str, nb):
     p = Path(path)
     if not p.exists():
         raise click.UsageError(f"no curve file {path!r}")
-    return parse_curve(p.read_text(), nb)
+    return parse_curve(read_text(p), nb)
 
 
 @click.group()
@@ -143,7 +143,7 @@ def verify(track: str, curve_before: str, curve_after: str,
     p = Path(trace_path)
     if not p.exists():
         raise click.UsageError(f"no trace file {trace_path!r}")
-    head, events = parse_trace(p.read_text())
+    head, events = parse_trace(read_text(p))
     try:
         rep = audit_trace(events, before, after, nb)
     except AuditFailure as exc:
@@ -227,7 +227,7 @@ def stats(track: str, batch_dir: str) -> int:
         raise click.UsageError(f"no .curve files in {batch_dir!r}")
     rows = []
     for f in files:
-        c = parse_curve(f.read_text(), nb)
+        c = parse_curve(read_text(f), nb)
         n0 = len(c.snippets)
         res = efficient_position(c, nb)
         rows.append((f.name, n0, res.homs, res.status,

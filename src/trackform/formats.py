@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 from typing import Any, Iterable
 
 from .errors import BadInput, ParseError
@@ -24,16 +25,24 @@ TRACE_FORMAT = "trace/1"
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
+def _shown(text: str, limit: int = 40) -> str:
+    """A file's text quoted in an error message, cut to `limit` characters."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
+
+
 def _check_name(name: str, line: int, what: str) -> str:
     if not _NAME_RE.match(name):
-        raise ParseError(f"bad {what} name {name!r}", line=line)
+        raise ParseError(f"bad {what} name {_shown(name)}", line=line)
     return name
 
 
 def _parse_end(tok: str, line: int) -> tuple[str, int]:
     stem, _, end = tok.rpartition(".")
     if not stem or end not in ("0", "1"):
-        raise ParseError(f"expected BRANCH.0 or BRANCH.1, got {tok!r}", line=line)
+        raise ParseError(f"expected BRANCH.0 or BRANCH.1, got {_shown(tok)}",
+                         line=line)
     return stem, int(end)
 
 
@@ -51,11 +60,12 @@ def parse_track(text: str) -> TrainTrackDesc:
             continue
         key, sep, value = line.partition(":")
         if not sep:
-            raise ParseError(f"expected 'key: value', got {line!r}", line=ln)
+            raise ParseError(f"expected 'key: value', got {_shown(line)}",
+                             line=ln)
         key, value = key.strip(), value.strip()
         if key == "format":
             if value != TRACK_FORMAT:
-                raise ParseError(f"unsupported format {value!r}", line=ln)
+                raise ParseError(f"unsupported format {_shown(value)}", line=ln)
             saw_format = True
         elif key == "genus":
             genus = _parse_int(value, ln, "genus")
@@ -77,13 +87,15 @@ def parse_track(text: str) -> TrainTrackDesc:
         elif key.startswith("face "):
             kind = key[len("face "):].strip()
             if kind not in ("disc", "annulus"):
-                raise ParseError(f"face kind must be disc or annulus, got {kind!r}", line=ln)
+                raise ParseError(
+                    f"face kind must be disc or annulus, got {_shown(kind)}",
+                    line=ln)
             word = tuple(value.split())
             if not word:
                 raise ParseError("empty face word", line=ln)
             faces.append(FaceDesc(kind=kind, word=word))
         else:
-            raise ParseError(f"unknown key {key!r}", line=ln)
+            raise ParseError(f"unknown key {_shown(key)}", line=ln)
 
     if not saw_format:
         raise ParseError("missing 'format: track/1' line", line=1)
@@ -103,7 +115,34 @@ def _parse_int(value: str, line: int, what: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ParseError(f"{what} must be an integer, got {value!r}", line=line) from None
+        raise ParseError(f"{what} must be an integer, got {_shown(value)}",
+                         line=line) from None
+
+
+def read_text(path) -> str:
+    """The text of a track, curve or trace file, which must be UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{Path(path).name} is not UTF-8 text (byte {exc.start})",
+            line=data.count(b"\n", 0, exc.start) + 1) from None
+
+
+def _load_json(text: str, what: str, line: int | None = None) -> Any:
+    """Decode one JSON document; every way it can fail is a ParseError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} is not JSON: {exc.msg}",
+                         line=line or exc.lineno, col=exc.colno) from None
+    except RecursionError:
+        raise ParseError(f"{what} nests arrays or objects too deeply",
+                         line=line) from None
+    except ValueError:  # an integer past the digit limit of int()
+        raise ParseError(f"{what} holds an integer with too many digits",
+                         line=line) from None
 
 
 def format_track(desc: TrainTrackDesc) -> str:
@@ -162,11 +201,7 @@ def parse_curve(text: str, nb) -> "Curve":
     from .curve_ops import Curve, validate_curve
     from .snippet_core import Snippet
 
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"curve file is not JSON: {exc.msg}",
-                         line=exc.lineno, col=exc.colno) from None
+    doc = _load_json(text, "curve file")
     if not isinstance(doc, dict) or doc.get("format") != CURVE_FORMAT:
         raise ParseError(f"expected a {CURVE_FORMAT} document")
     kind = doc.get("kind")
@@ -232,11 +267,7 @@ def parse_trace(text: str) -> tuple[dict, list[dict]]:
     for ln, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
-        try:
-            out.append(json.loads(raw))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"trace line is not JSON: {exc.msg}",
-                             line=ln, col=exc.colno) from None
+        out.append(_load_json(raw, "trace line", line=ln))
     head = out[0] if out else None
     if not isinstance(head, dict) or head.get("format") != TRACE_FORMAT:
         raise ParseError(f"expected a {TRACE_FORMAT} header line", line=1)

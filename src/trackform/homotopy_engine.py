@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .curve_ops import ARC, CLOSED, Curve, WorkingCurve
 from .errors import BadInput, ClosedSnippet, NotBad
-from .snippet_core import (RIGHT, Snippet, SnippetClass, _t_walk, classify,
+from .snippet_core import (RIGHT, Snippet, SnippetClass, classify,
                            validate_snippet)
 from .track_model import ANNULUS, BOUNDARY, Locus, TieNeighbourhood
 
@@ -146,18 +146,21 @@ def push_recipe(a: Snippet, nb: TieNeighbourhood) -> PushRecipe:
 def _push_recipe_uncached(a: Snippet, nb: TieNeighbourhood) -> PushRecipe:
     cls = classify(a, nb)
     assert cls.bad and not a.closed, "recipes are for open bad snippets"
-    tw = _t_walk(a, nb)
-    assert tw is not None, "bad snippet without a cut-off walk"
-    walk, side = tw
-    dir_right = side == RIGHT
-    j = walk.corners + walk.marks
+    j = cls.j
     if cls.type in EXPECTED_J:
         assert j in EXPECTED_J[cls.type], (cls.type, j)
-    assert cls.j == j
 
     before = nb.partner(a.region, a.start)
     if j == 0:
         return PushRecipe(cls, 0, before, before, None, 0, None, 0, ())
+    # the cut-off walk passes j gaps counter-clockwise from the start
+    # (Right) or from the end (Left); its j - 1 inner loci, in the order
+    # the push crosses them
+    dir_right = cls.turn == RIGHT
+    ci, p0 = nb.locus_cycle(a.region, a.start if dir_right else a.end)
+    loci = nb.cycle_loci(a.region, ci)
+    steps = range(1, j) if dir_right else range(j - 1, 0, -1)
+    between = [loci[(p0 + i) % len(loci)] for i in steps]
 
     # Slide the endpoint of the neighbour before the window ...
     p_region, p_locus = before
@@ -170,7 +173,6 @@ def _push_recipe_uncached(a: Snippet, nb: TieNeighbourhood) -> PushRecipe:
         nb, q_region, q_locus, not dir_right)
     d_start = (-1 if slid_ccw2 else 1) if corner2 else 0
 
-    between = walk.between if dir_right else tuple(reversed(walk.between))
     inners: list[Snippet] = []
     for ci_locus in between:
         w_region, w_locus = nb.partner(a.region, ci_locus)

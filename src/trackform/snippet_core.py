@@ -15,14 +15,19 @@ and its tie neighbourhood, which never changes once built.  So each distinct
 snippet is worked out once per neighbourhood: `facts` files one
 `SnippetFacts` record (class, corner length, counter row, blocker roles) in
 the neighbourhood's fact table, and `classify`, `corner_length` and the
-counters in `curve_ops` all read that record.  Filing a record is the
-snippet's one full validity check: `_classify_uncached` runs it first, and
+counters in `curve_ops` all read that record.  Filing a record takes one
+pass of table lookups and arithmetic (`_classify_uncached`): each endpoint
+is looked up once in the neighbourhood's build-time locus tables (cycle,
+position, segment label, boundary flag), the two boundary walks between
+the endpoints are differences of the cycle's corner prefixes, and the
+cut-off walk's corner length a difference of its edge-weight prefixes.
+Equal records are one object per neighbourhood.
+
+Filing a record is the snippet's one full validity check, and
 `validate_snippet` on a snippet missing from the table files its record.
 So each distinct valid snippet is fully checked exactly once per
 neighbourhood, and validating it again is one table lookup; an invalid
 snippet raises `InconsistentSnippet` on every check and is never filed.
-The boundary walks that classification and validation take come from
-`TieNeighbourhood.walk_ccw`, which computes each walk once.
 """
 from __future__ import annotations
 
@@ -41,7 +46,6 @@ from .track_model import (
     V,
     Locus,
     TieNeighbourhood,
-    Walk,
 )
 
 CARRIED = "Carried"
@@ -97,12 +101,6 @@ def reverse_snippet(s: Snippet) -> Snippet:
     return Snippet(s.region, s.end, s.start, -s.wind)
 
 
-def _locus_ok(nb: TieNeighbourhood, region: int, locus: Locus) -> bool:
-    si, gi = locus
-    sides = nb.regions[region].sides
-    return 0 <= si < len(sides) and 0 <= gi < sides[si].n_segments
-
-
 def valid_winds(s: Snippet, nb: TieNeighbourhood) -> tuple[int, int, int] | None:
     """For an annulus snippet off the surface boundary: (m_r, m_l, n2) with
     valid windings {m_r + n2*d} and {-(m_l + n2*d)} for d >= 0; same-locus
@@ -127,96 +125,6 @@ def validate_snippet(s: Snippet, nb: TieNeighbourhood) -> None:
         facts(s, nb)
 
 
-def _check_snippet(s: Snippet, nb: TieNeighbourhood) -> None:
-    """The full validity check: region, loci, and the winding the loci
-    admit."""
-    if not (0 <= s.region < len(nb.regions)):
-        raise InconsistentSnippet(f"no region {s.region}")
-    r = nb.regions[s.region]
-    if (s.start is None) != (s.end is None):
-        raise InconsistentSnippet("one endpoint closed, the other not")
-    if not s.closed:
-        for locus in (s.start, s.end):
-            if not _locus_ok(nb, s.region, locus):
-                raise InconsistentSnippet(f"no locus {locus} in region {r.name}")
-        if r.kind != ANNULUS and any(
-                nb.side_label(s.region, l) == BOUNDARY for l in (s.start, s.end)):
-            raise InconsistentSnippet("boundary endpoint outside an annulus region")
-    fams = valid_winds(s, nb)
-    if fams is None:
-        if s.wind != 0:
-            raise InconsistentSnippet(
-                f"winding {s.wind} must be 0 for {r.name} snippet")
-        return
-    m_r, m_l, n2 = fams
-    if s.closed or s.start == s.end:
-        ok = s.wind % n2 == 0
-    else:
-        ok = (s.wind >= m_r and (s.wind - m_r) % n2 == 0) or \
-             (s.wind <= -m_l and (-s.wind - m_l) % n2 == 0)
-    if not ok:
-        raise InconsistentSnippet(
-            f"winding {s.wind} impossible for loci {s.start}->{s.end}"
-            f" (forward walk passes {m_r} corners, polygon has {n2})")
-
-
-def _wrapped_walk(nb: TieNeighbourhood, region: int, a: Locus, b: Locus,
-                  need_corners: int) -> Walk:
-    """CCW walk from a to b passing exactly need_corners corners, adding full
-    wraps of the polygon cycle when the direct walk passes fewer (possible on
-    annuli whose corner period divides the winding number)."""
-    direct = nb.walk_ccw(region, a, b)
-    ci, pa = nb.locus_cycle(region, a)
-    loci = nb.cycle_loci(region, ci)
-    n = len(loci)
-    total_corners = nb.total_corners(region, ci)
-    extra = need_corners - direct.corners
-    if extra == 0:
-        return direct
-    assert extra > 0 and extra % total_corners == 0, (
-        f"walk cannot pass {need_corners} corners from {a} to {b}")
-    wraps = extra // total_corners
-    gaps = len(direct.between) + 1 + wraps * n if a != b else wraps * n
-    between = tuple(loci[(pa + i) % n] for i in range(1, gaps))
-    return Walk(need_corners, gaps - need_corners, between)
-
-
-def _t_walk(s: Snippet, nb: TieNeighbourhood) -> tuple[Walk, str] | None:
-    """The boundary walk around the cut-off piece with non-negative index,
-    with the side it lies on ('Right' = the CCW start-to-end walk).
-
-    Returns None when no such piece exists (both walks pass >= 3 corners,
-    |wind| >= 3, or a boundary/closed case)."""
-    r = nb.regions[s.region]
-    if s.closed:
-        return None
-    if r.kind == ANNULUS:
-        for l in (s.start, s.end):
-            if nb.side_label(s.region, l) == BOUNDARY:
-                return None
-        if abs(s.wind) > 2:
-            return None
-        if s.wind > 0:
-            return _wrapped_walk(nb, s.region, s.start, s.end, s.wind), RIGHT
-        if s.wind < 0:
-            return _wrapped_walk(nb, s.region, s.end, s.start, -s.wind), LEFT
-        wr = nb.walk_ccw(s.region, s.start, s.end)
-        if wr.corners == 0:
-            return wr, RIGHT
-        wl = nb.walk_ccw(s.region, s.end, s.start)
-        assert wl.corners == 0, "winding 0 requires a corner-free side"
-        return wl, LEFT
-    wr = nb.walk_ccw(s.region, s.start, s.end)
-    wl = nb.walk_ccw(s.region, s.end, s.start)
-    if wr.corners <= wl.corners:
-        best, side = wr, RIGHT
-    else:
-        best, side = wl, LEFT
-    if best.corners > 2:
-        return None
-    return best, side
-
-
 class SnippetFacts(NamedTuple):
     """What the rest of the program reads off one snippet."""
     cls: SnippetClass
@@ -238,88 +146,159 @@ def facts(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
     """The snippet's fact record, worked out and filed on first use."""
     rec = nb._classify_cache.get(s)
     if rec is None:
-        rec = nb._classify_cache[s] = _facts_uncached(s, nb)
+        rec = nb._classify_cache[s] = _classify_uncached(s, nb)
     return rec
-
-
-def _facts_uncached(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
-    cls = _classify_uncached(s, nb)
-    dual = cls.vertical_dual or cls.horizontal_dual
-    row = (_corner_length_uncached(s, nb), int(cls.verdict == CARRIED),
-           int(dual and cls.turn == RIGHT), int(dual and cls.turn == LEFT),
-           int(cls.bad))
-    return SnippetFacts(
-        cls, row, cls.turn if cls.vertical_dual else None,
-        cls.verdict == DUAL_TIE and nb.regions[s.region].kind == BRANCH)
 
 
 def classify(s: Snippet, nb: TieNeighbourhood) -> SnippetClass:
     return facts(s, nb).cls
 
 
-def _classify_uncached(s: Snippet, nb: TieNeighbourhood) -> SnippetClass:
-    _check_snippet(s, nb)
-    r = nb.regions[s.region]
+def _classify_uncached(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
+    """The snippet's fact record, read off the neighbourhood's locus tables:
+    the full validity check, then class, j, turn and corner length.
 
-    if s.closed:
-        if r.kind in (BRANCH, SWITCH):
-            return SnippetClass(BAD, TRIVIAL)
-        if r.kind == ANNULUS and s.wind != 0:
-            return SnippetClass(BAD, PERIPHERAL)
-        return SnippetClass(BAD, R_TRIVIAL)
+    Each endpoint is looked up once, for its (cycle, position), segment
+    label and boundary flag.  The CCW walks between the endpoints are
+    differences of the cycle's corner prefixes; the cut-off walk is the one
+    passing fewer corners (an annulus snippet's winding fixes its side and
+    corner count, full turns added arithmetically), j is its number of gaps,
+    and its corner length a difference of the cycle's weight prefixes."""
+    region, start, end, wind = s
+    if not 0 <= region < len(nb.regions):
+        raise InconsistentSnippet(f"no region {region}")
+    r = nb.regions[region]
+    kind = r.kind
+    if start is None or end is None:
+        if start is not None or end is not None:
+            raise InconsistentSnippet("one endpoint closed, the other not")
+        if kind == ANNULUS:
+            n2 = nb.total_corners(region, nb.polygon_cycle(region))
+            if not _winding_admitted(wind, 0, 0, n2):
+                raise _bad_winding(s, 0, n2)
+        elif wind != 0:
+            raise InconsistentSnippet(
+                f"winding {wind} must be 0 for {r.name} snippet")
+        if kind in (BRANCH, SWITCH):
+            return _record(nb, 0, BAD, TRIVIAL)
+        if wind:
+            return _record(nb, 2 * nb.s_N, BAD, PERIPHERAL)
+        return _record(nb, 0, BAD, R_TRIVIAL)
 
-    if r.kind in (BRANCH, SWITCH):
-        return _classify_rect(s, nb)
+    info = nb._locus_info[region]
+    ia, ib = info.get(start), info.get(end)
+    if ia is None or ib is None:
+        raise InconsistentSnippet(
+            f"no locus {start if ia is None else end} in region {r.name}")
+    ci, pa, la, a_off = ia
+    _, pb, lb, b_off = ib
+    if a_off or b_off:
+        if kind != ANNULUS:
+            raise InconsistentSnippet(
+                "boundary endpoint outside an annulus region")
+        if wind != 0:
+            raise InconsistentSnippet(
+                f"winding {wind} must be 0 for {r.name} snippet")
+        if a_off and b_off:
+            return _record(nb, 0, BAD, R_BOUNDARY)
+        return _record(nb, 2 * nb.s_N, DUAL_COMP)
 
-    labels = (nb.side_label(s.region, s.start), nb.side_label(s.region, s.end))
-    if labels.count(BOUNDARY) == 2:
-        return SnippetClass(BAD, R_BOUNDARY)
-    if labels.count(BOUNDARY) == 1:
-        return SnippetClass(DUAL_COMP)
-
-    if r.kind == ANNULUS and abs(s.wind) >= 3:
-        return SnippetClass(DUAL_COMP)
-
-    tw = _t_walk(s, nb)
-    if tw is None:
-        return SnippetClass(DUAL_COMP)
-    walk, side = tw
-    if walk.corners == 2:
-        # index-zero strip: a dual; flavour from the endpoint labels
-        vert = labels == (H, H)
-        horiz = labels == (V, V)
-        return SnippetClass(DUAL_COMP, turn=side,
-                            vertical_dual=vert, horizontal_dual=horiz)
-    x, y = sorted(labels)
-    typ = f"R({x},{y})"
-    j = walk.corners + walk.marks
-    return SnippetClass(BAD, typ, turn=side if j > 0 else None, j=j)
-
-
-def _classify_rect(s: Snippet, nb: TieNeighbourhood) -> SnippetClass:
-    r = nb.regions[s.region]
-    la, lb = nb.locus_label(s.region, s.start), nb.locus_label(s.region, s.end)
-    sa, sb = s.start[0], s.end[0]
-    if r.kind == BRANCH:
-        if {la, lb} == {T} and sa != sb:
-            return SnippetClass(CARRIED)
-        if {la, lb} == {H} and sa != sb:
-            return SnippetClass(DUAL_TIE)
-        prefix = "B"
+    # both endpoints on the region's one glued cycle: the CCW walks a -> b
+    # (Right) and b -> a (Left) pass g_r, g_l gaps and c_r, c_l corners
+    before = nb._corners_before[region][ci]
+    n = len(before) // 2
+    g_r, g_l = (pb - pa) % n, (pa - pb) % n
+    c_r = before[pa + g_r] - before[pa]
+    c_l = before[pb + g_l] - before[pb]
+    if kind == ANNULUS:
+        n2 = before[n]
+        if not _winding_admitted(wind, c_r, c_l, n2):
+            raise _bad_winding(s, c_r, n2)
+        if abs(wind) >= 3:
+            return _record(nb, 2 * nb.s_N, DUAL_COMP)
+        # the hugged piece passes |wind| corners, after full turns of the
+        # cycle where the direct walk passes fewer
+        if wind > 0 or (wind == 0 and c_r == 0):
+            corners, p0, side = wind, pa, RIGHT
+            gaps = g_r + (wind - c_r) // n2 * n
+        else:
+            corners, p0, side = -wind, pb, LEFT
+            gaps = g_l + (-wind - c_l) // n2 * n
+    elif wind != 0:
+        raise InconsistentSnippet(
+            f"winding {wind} must be 0 for {r.name} snippet")
     else:
-        if {sa, sb} == {1, 3}:
-            return SnippetClass(CARRIED)
-        if {la, lb} == {H} and sa != sb:
-            return SnippetClass(DUAL_TIE)
-        prefix = "S"
-    tw = _t_walk(s, nb)
-    assert tw is not None, "rectangle snippets always cut a piece"
-    walk, side = tw
-    assert walk.corners <= 1, "no efficient rectangle snippet reaches here"
-    j = walk.corners + walk.marks
+        corners, gaps, p0, side = ((c_r, g_r, pa, RIGHT) if c_r <= c_l
+                                   else (c_l, g_l, pb, LEFT))
+        if kind != DISC:
+            return _rect_record(nb, kind, start[0], end[0], la, lb, corners,
+                                gaps, side)
+        if corners > 2:
+            return _record(nb, 2 * nb.s_N, DUAL_COMP)
+
+    if gaps:
+        weights = nb._weights_before[region][ci]
+        turns, rest = divmod(gaps, n)
+        corn = weights[p0 + rest] - weights[p0 + 1] + turns * weights[n]
+    else:
+        corn = 0
+    if corners == 2:
+        # index-zero strip: a dual; flavour from the endpoint labels
+        return _record(nb, corn, DUAL_COMP, turn=side,
+                       vertical=la == lb == H, horizontal=la == lb == V)
     x, y = sorted((la, lb))
-    typ = f"{prefix}({x},{y})" if prefix == "B" else f"S({x},{y},{j})"
-    return SnippetClass(BAD, typ, turn=side if j > 0 else None, j=j)
+    return _record(nb, corn, BAD, f"R({x},{y})", side if gaps else None,
+                   gaps)
+
+
+def _rect_record(nb: TieNeighbourhood, kind: str, sa: int, sb: int, la: str,
+                 lb: str, corners: int, j: int, side: str) -> SnippetFacts:
+    """A rectangle snippet's record, from its endpoint sides and labels and
+    the cut-off walk (corners, gaps j, side) that passes fewer corners."""
+    corn = 1 if kind == BRANCH else 3
+    if kind == BRANCH:
+        if la == lb == T and sa != sb:
+            return _record(nb, corn, CARRIED)
+    elif (sa, sb) in ((1, 3), (3, 1)):
+        return _record(nb, corn, CARRIED)
+    if la == lb == H and sa != sb:
+        return _record(nb, corn, DUAL_TIE, mid=kind == BRANCH)
+    assert corners <= 1, "no efficient rectangle snippet reaches here"
+    x, y = sorted((la, lb))
+    typ = f"B({x},{y})" if kind == BRANCH else f"S({x},{y},{j})"
+    return _record(nb, corn, BAD, typ, side if j else None, j)
+
+
+def _winding_admitted(wind: int, m_r: int, m_l: int, n2: int) -> bool:
+    """Is the winding one of m_r + n2*d or -(m_l + n2*d), d >= 0?  With
+    m_r = m_l = 0 (closed or same-locus snippets) every multiple of n2."""
+    return (wind >= m_r and (wind - m_r) % n2 == 0) or \
+        (wind <= -m_l and (-wind - m_l) % n2 == 0)
+
+
+def _bad_winding(s: Snippet, m_r: int, n2: int) -> InconsistentSnippet:
+    return InconsistentSnippet(
+        f"winding {s.wind} impossible for loci {s.start}->{s.end}"
+        f" (forward walk passes {m_r} corners, polygon has {n2})")
+
+
+def _record(nb: TieNeighbourhood, corn: int, verdict: str,
+            typ: str | None = None, turn: str | None = None,
+            j: int | None = None, vertical: bool = False,
+            horizontal: bool = False, mid: bool = False) -> SnippetFacts:
+    """The fact record with these values, one object per distinct record
+    and class in the neighbourhood."""
+    key = (corn, verdict, typ, turn, j, vertical, horizontal, mid)
+    rec = nb._fact_records.get(key)
+    if rec is None:
+        cls = SnippetClass(verdict, typ, turn, vertical, horizontal, j)
+        cls = nb._snippet_classes.setdefault(cls, cls)
+        dual = vertical or horizontal
+        row = (corn, int(verdict == CARRIED), int(dual and turn == RIGHT),
+               int(dual and turn == LEFT), int(verdict == BAD))
+        rec = nb._fact_records[key] = SnippetFacts(
+            cls, row, turn if vertical else None, mid)
+    return rec
 
 
 def corner_length(s: Snippet, nb: TieNeighbourhood) -> int:
@@ -327,27 +306,6 @@ def corner_length(s: Snippet, nb: TieNeighbourhood) -> int:
     summed over the full edges of the cut-off piece's boundary walk; 2*s_N
     when no piece with non-negative index exists."""
     return facts(s, nb).row[0]
-
-
-def _corner_length_uncached(s: Snippet, nb: TieNeighbourhood) -> int:
-    r = nb.regions[s.region]
-    if r.kind in (BRANCH, SWITCH):
-        if s.closed:
-            return 0
-        return 1 if r.kind == BRANCH else 3
-    two_sn = 2 * nb.s_N
-    if s.closed:
-        return 0 if s.wind == 0 else two_sn
-    labels = [nb.side_label(s.region, l) for l in (s.start, s.end)]
-    if labels.count(BOUNDARY) == 2:
-        return 0
-    if labels.count(BOUNDARY) == 1:
-        return two_sn
-    tw = _t_walk(s, nb)
-    if tw is None:
-        return two_sn
-    walk, _side = tw
-    return sum(nb.edge_weight(s.region, l) for l in walk.between)
 
 
 def weight(s: Snippet, nb: TieNeighbourhood) -> int:

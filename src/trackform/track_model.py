@@ -113,18 +113,21 @@ class TieNeighbourhood:
         self.desc = desc
         self.regions = regions
         self.region_id: dict[str, int] = {r.name: i for i, r in enumerate(regions)}
-        # cycle loci per region, CCW; per cycle, the number of corners
-        # (side changes) among its first i gaps, for i up to two turns, so a
-        # walk's corners are the difference of two entries; the polygon
-        # (non-boundary) cycle and the crossable loci of each region
+        # Per region: the loci of each boundary cycle, CCW, and per locus
+        # (cycle, position, segment label, on the surface boundary?), the
+        # switch cusp labelled V; per cycle, over two turns, the number of
+        # corners (side changes) among its first i gaps and the edge weights
+        # of its first i loci, so a walk's corners and the corner length of
+        # the loci it passes are differences of two entries.  Also the
+        # polygon (non-boundary) cycle and the crossable loci of each region.
         self._cycle_loci: list[tuple[tuple[Locus, ...], ...]] = []
-        self._locus_pos: list[dict[Locus, tuple[int, int]]] = []
+        self._locus_info: list[dict[Locus, tuple[int, int, str, bool]]] = []
         self._corners_before: list[tuple[tuple[int, ...], ...]] = []
         self._polygon_cycle: list[int | None] = []
         self._crossable: list[tuple[Locus, ...]] = []
         for r in regions:
             cycles = []
-            pos: dict[Locus, tuple[int, int]] = {}
+            info: dict[Locus, tuple[int, int, str, bool]] = {}
             prefixes = []
             for ci, cyc in enumerate(r.cycles):
                 loci: list[Locus] = []
@@ -132,7 +135,10 @@ class TieNeighbourhood:
                     for gi in range(r.sides[si].n_segments):
                         loci.append((si, gi))
                 for p, l in enumerate(loci):
-                    pos[l] = (ci, p)
+                    label = r.sides[l[0]].label
+                    if r.kind == SWITCH and l == (3, 1):
+                        label = V
+                    info[l] = (ci, p, label, label == BOUNDARY)
                 cycles.append(tuple(loci))
                 n = len(loci)
                 counts = [0]
@@ -141,7 +147,7 @@ class TieNeighbourhood:
                                   + (loci[p % n][0] != loci[(p + 1) % n][0]))
                 prefixes.append(tuple(counts))
             self._cycle_loci.append(tuple(cycles))
-            self._locus_pos.append(pos)
+            self._locus_info.append(info)
             self._corners_before.append(tuple(prefixes))
             self._polygon_cycle.append(next(
                 (ci for ci, cyc in enumerate(r.cycles)
@@ -152,17 +158,36 @@ class TieNeighbourhood:
         # the (region, locus) glued to each locus, None on the surface
         # boundary; every locus in it is one of the cycle tuples above
         self._partners: list[dict[Locus, tuple[int, Locus] | None]] = [
-            {l: None for l in pos} for pos in self._locus_pos]
+            {l: None for l in info} for info in self._locus_info]
         for ri, r in enumerate(regions):
-            for l in self._locus_pos[ri]:
+            for l in self._locus_info[ri]:
                 ref = r.sides[l[0]].partners[l[1]]
                 if ref is not None:
-                    c2, p2 = self._locus_pos[ref[0]][ref[1:]]
+                    c2, p2 = self.locus_cycle(ref[0], ref[1:])
                     self._partners[ri][l] = (ref[0],
                                              self._cycle_loci[ref[0]][c2][p2])
+        # edge weights count only on the glued sides of complementary
+        # regions (vertical 1, horizontal by the rectangle across); rectangle
+        # and surface-boundary loci weigh 0, as no walk's length reads them
+        self._weights_before: list[tuple[tuple[int, ...], ...]] = []
+        for ri, r in enumerate(regions):
+            prefixes = []
+            for loci in self._cycle_loci[ri]:
+                w = [self.edge_weight(ri, l)
+                     if r.kind in (DISC, ANNULUS)
+                     and r.sides[l[0]].label in (H, V) else 0
+                     for l in loci]
+                sums = [0]
+                for p in range(2 * len(loci)):
+                    sums.append(sums[-1] + w[p % len(loci)])
+                prefixes.append(tuple(sums))
+            self._weights_before.append(tuple(prefixes))
         self._walks: dict[tuple[int, Locus, Locus], Walk] = {}
-        # snippet -> fact record, filled and read by snippet_core
+        # snippet -> fact record, filled and read by snippet_core, with the
+        # distinct records and classes it filed, so equal ones are one object
         self._classify_cache: dict = {}
+        self._fact_records: dict = {}
+        self._snippet_classes: dict = {}
         # bad snippet -> push recipe, filled and read by homotopy_engine
         self._push_recipes: dict = {}
         self._build_vertices()
@@ -188,10 +213,10 @@ class TieNeighbourhood:
     def locus_label(self, region: int, locus: Locus) -> str:
         """Per-segment label: the middle segment of a switch rectangle's west
         side is the cusp and counts as vertical."""
-        r = self.regions[region]
-        if r.kind == SWITCH and locus == (3, 1):
-            return V
-        return r.sides[locus[0]].label
+        try:
+            return self._locus_info[region][locus][2]
+        except KeyError:
+            raise BadInput(f"no locus {locus} in region {self.regions[region].name}") from None
 
     def cycle_loci(self, region: int, ci: int) -> tuple[Locus, ...]:
         return self._cycle_loci[region][ci]
@@ -199,7 +224,8 @@ class TieNeighbourhood:
     def locus_cycle(self, region: int, locus: Locus) -> tuple[int, int]:
         """(cycle index, position) of a locus."""
         try:
-            return self._locus_pos[region][locus]
+            ci, pos, _label, _boundary = self._locus_info[region][locus]
+            return ci, pos
         except KeyError:
             raise BadInput(f"no locus {locus} in region {self.regions[region].name}") from None
 

@@ -400,12 +400,13 @@ class OracleVerdict:
 
 
 def _state_key(curve: Curve):
-    rep = tuple((s.region, s.start or (-1, -1), s.end or (-1, -1), s.wind)
-                for s in curve.snippets)
+    """An arc's snippets; a closed curve's least rotation of them.  Only a
+    one-snippet curve can hold a closed snippet's None loci, so rotations
+    of two or more snippets compare as plain snippet tuples."""
+    snap = curve.snippets
     if curve.kind == ARC:
-        return (ARC, rep)
-    n = len(rep)
-    return (CLOSED, min(rep[i:] + rep[:i] for i in range(n)))
+        return snap
+    return min(snap[i:] + snap[:i] for i in range(len(snap)))
 
 
 def exhaustive_oracle(curve: Curve, nb: TieNeighbourhood,

@@ -204,3 +204,58 @@ def test_structural_error_exits_one(tmp_path, curve_file):
     code, _, err = run_cli("classify", "t11", str(bad))
     assert code == 1
     assert "br:zz" in err
+
+
+_HUGE = "1" + "0" * 5000
+_NESTED = "[" * 100_000
+
+
+def _bad_file(tmp_path, fmt, case, curve_file) -> tuple[Path, int | None]:
+    """A track, curve or trace file that cannot be decoded (bytes that are
+    not UTF-8, an integer of 5001 digits, 100000 nested arrays), and the
+    line the error must name, where it is known."""
+    if fmt == "track":
+        good = "format: track/1\n"
+        bad = {"bytes": b"\xff\n", "int": f"genus: {_HUGE}\n".encode(),
+               "nested": _NESTED.encode()}[case]
+        text, line = good.encode() + bad, 2
+    elif fmt == "curve":
+        doc = curve_file.read_text()
+        if case == "bytes":
+            text, line = doc.replace('"kind"', '"ki\udcffnd"', 1).encode(
+                "utf-8", "surrogateescape"), 3
+        elif case == "int":
+            text, line = doc.replace('"end": [', f'"wind": {_HUGE}, "end": [',
+                                     1).encode(), None
+        else:
+            text, line = _NESTED.encode(), None
+    else:
+        trace = tmp_path / "run.trace"
+        run_cli("run", "t11", str(curve_file), "--trace", str(trace),
+                "--out", str(tmp_path / "after.curve"))
+        head = trace.read_text().split("\n")[0]
+        bad = {"bytes": b"\xff", "int": f'{{"n": {_HUGE}}}'.encode(),
+               "nested": _NESTED.encode()}[case]
+        text, line = head.encode() + b"\n" + bad + b"\n", 2
+    path = tmp_path / f"bad.{fmt}"
+    path.write_bytes(text)
+    return path, line
+
+
+@pytest.mark.parametrize("case", ["bytes", "int", "nested"])
+@pytest.mark.parametrize("fmt", ["track", "curve", "trace"])
+def test_undecodable_files_exit_one(tmp_path, curve_file, fmt, case):
+    path, line = _bad_file(tmp_path, fmt, case, curve_file)
+    if fmt == "track":
+        args = ["validate", str(path)]
+    elif fmt == "curve":
+        args = ["run", "t11", str(path)]
+    else:
+        args = ["verify", "t11", str(curve_file),
+                str(tmp_path / "after.curve"), "--trace", str(path)]
+    code, _, err = run_cli(*args)
+    assert code == 1, err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err) < 300  # the offending text is not echoed in full
+    if line is not None:
+        assert f"(line {line}" in err, err

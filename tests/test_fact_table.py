@@ -1,6 +1,14 @@
 """The per-neighbourhood fact table and the memoised navigation tables, each
 checked against a cold recomputation; the snippet value type; and the
-direct curve/1 writer against `json.dumps`."""
+direct curve/1 writer against `json.dumps`.
+
+The reference for a fact record is the walk-based derivation the
+table-driven `snippet_core._classify_uncached` replaced, kept below
+unchanged: it builds both boundary walks between the endpoints and reads
+validity, class and corner length off them.  Every snippet of each
+fixture's locus space, and random snippets, must get the same record (or
+the same `InconsistentSnippet`) from both, and every push recipe must equal
+one built from the reference walk."""
 from __future__ import annotations
 
 import json
@@ -10,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trackform.snippet_core as snippet_core
 from trackform.curve_ops import ARC, CLOSED, Curve, measure, validate_curve
 from trackform.errors import BadInput, GenerationFailed, InconsistentSnippet
 from trackform.fixtures import FIXTURE_NAMES, load_fixture
@@ -17,15 +26,270 @@ from trackform.formats import parse_curve, serialize_curve
 from trackform.generate import (boundary_power, doubled_back,
                                 peripheral_bounce, random_arc, random_closed,
                                 trivial_loop)
-from trackform.homotopy_engine import hom
+from trackform.homotopy_engine import (EXPECTED_J, PushRecipe, _hug_wind,
+                                       _push_recipe_uncached, _slide_target,
+                                       hom)
 from trackform.pipelines import efficient_position
-from trackform.snippet_core import (CARRIED, DUAL_TIE, LEFT, RIGHT, Snippet,
-                                    _classify_uncached,
-                                    _corner_length_uncached, classify,
-                                    corner_length, fact_table,
-                                    validate_snippet)
-from trackform.track_model import ANNULUS, BRANCH, Walk
+from trackform.snippet_core import (BAD, CARRIED, DUAL_COMP, DUAL_TIE, LEFT,
+                                    PERIPHERAL, R_BOUNDARY, R_TRIVIAL, RIGHT,
+                                    TRIVIAL, Snippet, SnippetClass, classify,
+                                    corner_length, fact_table, is_bigon,
+                                    is_trigon, valid_winds, validate_snippet)
+from trackform.track_model import (ANNULUS, BOUNDARY, BRANCH, SWITCH, H, T, V,
+                                   Locus, TieNeighbourhood, Walk)
 from trackform.verification import audit_trace
+
+# -- the reference derivation -------------------------------------------------
+
+
+def _locus_ok(nb: TieNeighbourhood, region: int, locus: Locus) -> bool:
+    si, gi = locus
+    sides = nb.regions[region].sides
+    return 0 <= si < len(sides) and 0 <= gi < sides[si].n_segments
+
+
+def _check_snippet(s: Snippet, nb: TieNeighbourhood) -> None:
+    """The full validity check: region, loci, and the winding the loci
+    admit."""
+    if not (0 <= s.region < len(nb.regions)):
+        raise InconsistentSnippet(f"no region {s.region}")
+    r = nb.regions[s.region]
+    if (s.start is None) != (s.end is None):
+        raise InconsistentSnippet("one endpoint closed, the other not")
+    if not s.closed:
+        for locus in (s.start, s.end):
+            if not _locus_ok(nb, s.region, locus):
+                raise InconsistentSnippet(f"no locus {locus} in region {r.name}")
+        if r.kind != ANNULUS and any(
+                nb.side_label(s.region, l) == BOUNDARY for l in (s.start, s.end)):
+            raise InconsistentSnippet("boundary endpoint outside an annulus region")
+    fams = valid_winds(s, nb)
+    if fams is None:
+        if s.wind != 0:
+            raise InconsistentSnippet(
+                f"winding {s.wind} must be 0 for {r.name} snippet")
+        return
+    m_r, m_l, n2 = fams
+    if s.closed or s.start == s.end:
+        ok = s.wind % n2 == 0
+    else:
+        ok = (s.wind >= m_r and (s.wind - m_r) % n2 == 0) or \
+             (s.wind <= -m_l and (-s.wind - m_l) % n2 == 0)
+    if not ok:
+        raise InconsistentSnippet(
+            f"winding {s.wind} impossible for loci {s.start}->{s.end}"
+            f" (forward walk passes {m_r} corners, polygon has {n2})")
+
+
+def _wrapped_walk(nb: TieNeighbourhood, region: int, a: Locus, b: Locus,
+                  need_corners: int) -> Walk:
+    """CCW walk from a to b passing exactly need_corners corners, adding full
+    wraps of the polygon cycle when the direct walk passes fewer (possible on
+    annuli whose corner period divides the winding number)."""
+    direct = nb.walk_ccw(region, a, b)
+    ci, pa = nb.locus_cycle(region, a)
+    loci = nb.cycle_loci(region, ci)
+    n = len(loci)
+    total_corners = nb.total_corners(region, ci)
+    extra = need_corners - direct.corners
+    if extra == 0:
+        return direct
+    assert extra > 0 and extra % total_corners == 0, (
+        f"walk cannot pass {need_corners} corners from {a} to {b}")
+    wraps = extra // total_corners
+    gaps = len(direct.between) + 1 + wraps * n if a != b else wraps * n
+    between = tuple(loci[(pa + i) % n] for i in range(1, gaps))
+    return Walk(need_corners, gaps - need_corners, between)
+
+
+def _t_walk(s: Snippet, nb: TieNeighbourhood) -> tuple[Walk, str] | None:
+    """The boundary walk around the cut-off piece with non-negative index,
+    with the side it lies on ('Right' = the CCW start-to-end walk).
+
+    Returns None when no such piece exists (both walks pass >= 3 corners,
+    |wind| >= 3, or a boundary/closed case)."""
+    r = nb.regions[s.region]
+    if s.closed:
+        return None
+    if r.kind == ANNULUS:
+        for l in (s.start, s.end):
+            if nb.side_label(s.region, l) == BOUNDARY:
+                return None
+        if abs(s.wind) > 2:
+            return None
+        if s.wind > 0:
+            return _wrapped_walk(nb, s.region, s.start, s.end, s.wind), RIGHT
+        if s.wind < 0:
+            return _wrapped_walk(nb, s.region, s.end, s.start, -s.wind), LEFT
+        wr = nb.walk_ccw(s.region, s.start, s.end)
+        if wr.corners == 0:
+            return wr, RIGHT
+        wl = nb.walk_ccw(s.region, s.end, s.start)
+        assert wl.corners == 0, "winding 0 requires a corner-free side"
+        return wl, LEFT
+    wr = nb.walk_ccw(s.region, s.start, s.end)
+    wl = nb.walk_ccw(s.region, s.end, s.start)
+    if wr.corners <= wl.corners:
+        best, side = wr, RIGHT
+    else:
+        best, side = wl, LEFT
+    if best.corners > 2:
+        return None
+    return best, side
+
+
+def _classify_uncached(s: Snippet, nb: TieNeighbourhood) -> SnippetClass:
+    _check_snippet(s, nb)
+    r = nb.regions[s.region]
+
+    if s.closed:
+        if r.kind in (BRANCH, SWITCH):
+            return SnippetClass(BAD, TRIVIAL)
+        if r.kind == ANNULUS and s.wind != 0:
+            return SnippetClass(BAD, PERIPHERAL)
+        return SnippetClass(BAD, R_TRIVIAL)
+
+    if r.kind in (BRANCH, SWITCH):
+        return _classify_rect(s, nb)
+
+    labels = (nb.side_label(s.region, s.start), nb.side_label(s.region, s.end))
+    if labels.count(BOUNDARY) == 2:
+        return SnippetClass(BAD, R_BOUNDARY)
+    if labels.count(BOUNDARY) == 1:
+        return SnippetClass(DUAL_COMP)
+
+    if r.kind == ANNULUS and abs(s.wind) >= 3:
+        return SnippetClass(DUAL_COMP)
+
+    tw = _t_walk(s, nb)
+    if tw is None:
+        return SnippetClass(DUAL_COMP)
+    walk, side = tw
+    if walk.corners == 2:
+        # index-zero strip: a dual; flavour from the endpoint labels
+        vert = labels == (H, H)
+        horiz = labels == (V, V)
+        return SnippetClass(DUAL_COMP, turn=side,
+                            vertical_dual=vert, horizontal_dual=horiz)
+    x, y = sorted(labels)
+    typ = f"R({x},{y})"
+    j = walk.corners + walk.marks
+    return SnippetClass(BAD, typ, turn=side if j > 0 else None, j=j)
+
+
+def _classify_rect(s: Snippet, nb: TieNeighbourhood) -> SnippetClass:
+    r = nb.regions[s.region]
+    la, lb = nb.locus_label(s.region, s.start), nb.locus_label(s.region, s.end)
+    sa, sb = s.start[0], s.end[0]
+    if r.kind == BRANCH:
+        if {la, lb} == {T} and sa != sb:
+            return SnippetClass(CARRIED)
+        if {la, lb} == {H} and sa != sb:
+            return SnippetClass(DUAL_TIE)
+        prefix = "B"
+    else:
+        if {sa, sb} == {1, 3}:
+            return SnippetClass(CARRIED)
+        if {la, lb} == {H} and sa != sb:
+            return SnippetClass(DUAL_TIE)
+        prefix = "S"
+    tw = _t_walk(s, nb)
+    assert tw is not None, "rectangle snippets always cut a piece"
+    walk, side = tw
+    assert walk.corners <= 1, "no efficient rectangle snippet reaches here"
+    j = walk.corners + walk.marks
+    x, y = sorted((la, lb))
+    typ = f"{prefix}({x},{y})" if prefix == "B" else f"S({x},{y},{j})"
+    return SnippetClass(BAD, typ, turn=side if j > 0 else None, j=j)
+
+
+def _corner_length_uncached(s: Snippet, nb: TieNeighbourhood) -> int:
+    r = nb.regions[s.region]
+    if r.kind in (BRANCH, SWITCH):
+        if s.closed:
+            return 0
+        return 1 if r.kind == BRANCH else 3
+    two_sn = 2 * nb.s_N
+    if s.closed:
+        return 0 if s.wind == 0 else two_sn
+    labels = [nb.side_label(s.region, l) for l in (s.start, s.end)]
+    if labels.count(BOUNDARY) == 2:
+        return 0
+    if labels.count(BOUNDARY) == 1:
+        return two_sn
+    tw = _t_walk(s, nb)
+    if tw is None:
+        return two_sn
+    walk, _side = tw
+    return sum(nb.edge_weight(s.region, l) for l in walk.between)
+
+
+def _reference_facts(s, nb):
+    """(class, counter row, outer, mid) as the reference derives them."""
+    cls = _classify_uncached(s, nb)
+    dual = cls.vertical_dual or cls.horizontal_dual
+    row = (_corner_length_uncached(s, nb), int(cls.verdict == CARRIED),
+           int(dual and cls.turn == RIGHT), int(dual and cls.turn == LEFT),
+           int(cls.bad))
+    return (cls, row, cls.turn if cls.vertical_dual else None,
+            cls.verdict == DUAL_TIE and nb.regions[s.region].kind == BRANCH)
+
+
+def _reference_recipe(a, nb):
+    """A push recipe built on the reference's cut-off walk."""
+    cls = _classify_uncached(a, nb)
+    assert cls.bad and not a.closed, "recipes are for open bad snippets"
+    tw = _t_walk(a, nb)
+    assert tw is not None, "bad snippet without a cut-off walk"
+    walk, side = tw
+    dir_right = side == RIGHT
+    j = walk.corners + walk.marks
+    if cls.type in EXPECTED_J:
+        assert j in EXPECTED_J[cls.type], (cls.type, j)
+    assert cls.j == j
+
+    before = nb.partner(a.region, a.start)
+    if j == 0:
+        return PushRecipe(cls, 0, before, before, None, 0, None, 0, ())
+
+    p_region, p_locus = before
+    new_end, slid_ccw, corner = _slide_target(nb, p_region, p_locus, dir_right)
+    d_end = (1 if slid_ccw else -1) if corner else 0
+    after = nb.partner(a.region, a.end)
+    q_region, q_locus = after
+    new_start, slid_ccw2, corner2 = _slide_target(
+        nb, q_region, q_locus, not dir_right)
+    d_start = (-1 if slid_ccw2 else 1) if corner2 else 0
+
+    between = walk.between if dir_right else tuple(reversed(walk.between))
+    inners = []
+    for ci_locus in between:
+        w_region, w_locus = nb.partner(a.region, ci_locus)
+        s_loc, _, _ = _slide_target(nb, w_region, w_locus, not dir_right)
+        e_loc, _, _ = _slide_target(nb, w_region, w_locus, dir_right)
+        wind = _hug_wind(nb, w_region, s_loc, e_loc, w_locus, dir_right)
+        inners.append(Snippet(w_region, s_loc, e_loc, wind))
+    return PushRecipe(cls, j, before, after, new_end, d_end, new_start,
+                      d_start, tuple(inners))
+
+
+def _outcome(derive, s, nb):
+    """What `derive` makes of a snippet: its result or its error message."""
+    try:
+        return derive(s, nb)
+    except InconsistentSnippet as exc:
+        return ("InconsistentSnippet", str(exc))
+
+
+def _table_facts(s, nb):
+    return tuple(snippet_core._classify_uncached(s, nb))
+
+
+def _filed(s, nb):
+    return tuple(snippet_core.facts(s, nb))
+
+
+# -- the fact table -----------------------------------------------------------
 
 
 def _annuli(nb):
@@ -79,24 +343,128 @@ def test_fact_records_equal_cold_recomputation(warm):
         table = fact_table(nb)
         assert len(table) > 100
         for s, rec in table.items():
-            cls = _classify_uncached(s, fresh)
-            corn = _corner_length_uncached(s, fresh)
+            cls, row, outer, mid = _reference_facts(s, fresh)
             dual = cls.vertical_dual or cls.horizontal_dual
-            assert rec.cls == cls, s
-            assert rec.row == (corn, cls.verdict == CARRIED,
-                               dual and cls.turn == RIGHT,
-                               dual and cls.turn == LEFT, cls.bad), s
-            assert rec.outer == (cls.turn if cls.vertical_dual else None), s
-            assert rec.mid == (cls.verdict == DUAL_TIE and
-                               nb.regions[s.region].kind == BRANCH), s
+            assert tuple(rec) == (cls, row, outer, mid), s
             assert classify(s, nb) is rec.cls
-            assert corner_length(s, nb) == corn
+            assert corner_length(s, nb) == row[0]
             seen["carried"] += cls.verdict == CARRIED
             seen["outer"] += rec.outer is not None
             seen["mid"] += rec.mid
             seen["bad"] += cls.bad
             seen["dual"] += dual and not cls.vertical_dual
     assert all(seen.values()), seen
+
+
+def _loci(nb, ri):
+    return [(si, gi) for si, side in enumerate(nb.regions[ri].sides)
+            for gi in range(side.n_segments)]
+
+
+def _endpoints(nb, ri):
+    """Every locus of the region, the closed endpoint, and two loci the
+    region lacks."""
+    sides = nb.regions[ri].sides
+    return _loci(nb, ri) + [None, (len(sides), 0), (0, sides[0].n_segments)]
+
+
+def _windings(nb, ri):
+    if nb.regions[ri].kind == ANNULUS:
+        n2 = nb.total_corners(ri, nb.polygon_cycle(ri))
+        return range(-3 * n2 - 2, 3 * n2 + 3)
+    return range(-1, 2)
+
+
+def _kind_of(s, nb, outcome):
+    """Which part of the snippet space a compared snippet belongs to."""
+    if outcome[0] == "InconsistentSnippet":
+        return "invalid"
+    if s.closed:
+        return "closed"
+    labels = [nb.side_label(s.region, l) for l in (s.start, s.end)]
+    if labels.count(BOUNDARY) == 1:
+        return "cross-cycle"
+    if labels.count(BOUNDARY) == 2:
+        return "boundary"
+    return "wound" if abs(s.wind) >= 3 else outcome[0].verdict
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_every_snippet_files_the_reference_record(name):
+    """All (region, start, end) of the fixture with the windings around each
+    region's corner period: the filed record, or the InconsistentSnippet
+    message, equals the reference's, on a cold and then a warm table."""
+    nb, ref = load_fixture(name), load_fixture(name)
+    seen: dict[str, int] = {}
+    invalid = [Snippet(-1, (0, 0), (0, 0)),
+               Snippet(len(nb.regions), None, None)]
+    for ri in range(len(nb.regions)):
+        ends = _endpoints(nb, ri)
+        for wind in _windings(nb, ri):
+            for a in ends:
+                for b in ends:
+                    s = Snippet(ri, a, b, wind)
+                    want = _outcome(_reference_facts, s, ref)
+                    assert _outcome(_filed, s, nb) == want, s
+                    kind = _kind_of(s, nb, want)
+                    seen[kind] = seen.get(kind, 0) + 1
+                    if kind == "invalid":
+                        invalid.append(s)
+    assert {"invalid", "closed", BAD, DUAL_COMP} <= set(seen), seen
+    if any(r.kind == ANNULUS for r in nb.regions):
+        assert {"cross-cycle", "boundary", "wound"} <= set(seen), seen
+    # on the now warm table every invalid snippet still raises, each time
+    for s in invalid:
+        for check in (validate_snippet, classify):
+            with pytest.raises(InconsistentSnippet) as exc:
+                check(s, nb)
+            assert str(exc.value) == _outcome(_reference_facts, s, ref)[1]
+    assert not set(invalid) & set(fact_table(nb))
+
+
+_SHARED = {name: (load_fixture(name), load_fixture(name))
+           for name in FIXTURE_NAMES}
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(FIXTURE_NAMES), data=st.data())
+def test_random_snippets_file_the_reference_record(name, data):
+    """Random snippets, valid or not, on tables shared across examples: the
+    record or error equals the reference's."""
+    nb, ref = _SHARED[name]
+    ri = data.draw(st.integers(-1, len(nb.regions)), label="region")
+    region = nb.regions[ri if 0 <= ri < len(nb.regions) else 0]
+    locus = st.none() | st.tuples(
+        st.integers(-1, len(region.sides)),
+        st.integers(-1, max(side.n_segments for side in region.sides)))
+    s = Snippet(ri, data.draw(locus, label="start"),
+                data.draw(locus, label="end"),
+                data.draw(st.integers(-20, 20), label="wind"))
+    want = _outcome(_reference_facts, s, ref)
+    assert _outcome(_filed, s, nb) == want
+    assert _outcome(_table_facts, s, load_fixture(name)) == want
+
+
+def test_push_recipes_equal_the_reference_recipe():
+    """Every bigon and trigon snippet of each fixture's locus space (the
+    pushable ones) gets the recipe the reference walk gives."""
+    for name in FIXTURE_NAMES:
+        nb, ref = load_fixture(name), load_fixture(name)
+        pushed = 0
+        for ri in range(len(nb.regions)):
+            for wind in _windings(nb, ri):
+                for a in _loci(nb, ri):
+                    for b in _loci(nb, ri):
+                        s = Snippet(ri, a, b, wind)
+                        try:
+                            cls = classify(s, nb)
+                        except InconsistentSnippet:
+                            continue
+                        if is_bigon(cls) or is_trigon(cls):
+                            assert _push_recipe_uncached(s, nb) == \
+                                _reference_recipe(s, ref), s
+                            pushed += 1
+        assert pushed > 100, name
 
 
 def test_invalid_snippets_still_raise_on_a_warm_table(warm):

@@ -134,13 +134,13 @@ def test_one_full_check_per_record_filed(monkeypatch):
     """On a fresh neighbourhood, a run and its audit check each snippet
     in full exactly once: when its fact record is filed."""
     checks = []
-    full_check = snippet_core._check_snippet
+    full_check = snippet_core._classify_uncached
 
     def counted(s, nb):
         checks.append(s)
-        full_check(s, nb)
+        return full_check(s, nb)
 
-    monkeypatch.setattr(snippet_core, "_check_snippet", counted)
+    monkeypatch.setattr(snippet_core, "_classify_uncached", counted)
     for name in FIXTURE_NAMES:
         gen = load_fixture(name)
         for c in _corpus(gen, name):

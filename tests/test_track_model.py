@@ -236,3 +236,17 @@ def test_parse_errors():
     with pytest.raises(ParseError):
         parse_track("format: track/1\ngenus: 1\nboundary: 1\nbranches: a\n"
                      "switch v0: large a.2 smalls a.0 a.1\n")
+
+
+@pytest.mark.parametrize("line", [
+    "x" * 5000 + ": 1",                  # unknown key
+    "branches: " + "a" * 5000 + "-",     # bad branch name
+    "genus: " + "9" * 5000,              # integer past int()'s digit limit
+    "format: " + "t" * 5000,             # unsupported format
+    "face " + "k" * 5000 + ": a.l",      # unknown face kind
+    "[" * 5000,                          # not a key: value line
+])
+def test_parse_errors_quote_at_most_a_prefix(line):
+    with pytest.raises(ParseError) as exc:
+        parse_track("format: track/1\n" + line + "\n")
+    assert len(str(exc.value)) < 200 and "(line 2)" in str(exc.value)

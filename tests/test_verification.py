@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import trackform.verification as verification
 from trackform.curve_ops import ARC, CLOSED, Curve, measure
 from trackform.errors import AuditFailure
 from trackform.fixtures import FIXTURE_NAMES, load_fixture
@@ -380,3 +381,48 @@ def test_oracle_agreement_builders(t11):
         v = exhaustive_oracle(c, t11, cap_states=60000)
         if v.conclusive:
             assert v.single_reachable and oracle_agrees(v, res.status)
+
+
+def _old_state_key(curve: Curve):
+    """The oracle's state key when it rebuilt a 4-tuple per snippet."""
+    rep = tuple((s.region, s.start or (-1, -1), s.end or (-1, -1), s.wind)
+                for s in curve.snippets)
+    if curve.kind == ARC:
+        return (ARC, rep)
+    n = len(rep)
+    return (CLOSED, min(rep[i:] + rep[:i] for i in range(n)))
+
+
+def test_state_key_splits_states_as_the_old_key(monkeypatch):
+    """On criterion 7's corpus, the curves each oracle search keys fall into
+    the same classes under the snippet-tuple key as under the old key."""
+    keyed: list[Curve] = []
+    state_key = verification._state_key
+
+    def recording(curve):
+        keyed.append(curve)
+        return state_key(curve)
+
+    monkeypatch.setattr(verification, "_state_key", recording)
+    searches = states = 0
+    for name in FIXTURE_NAMES:
+        nb = load_fixture(name)
+        for seed in range(45):
+            rng = random.Random(f"{name}/{seed}/c7")
+            if seed % 3 == 0:
+                curve = random_arc(nb, rng, rng.randrange(1, 7))
+            else:
+                curve = random_closed(nb, rng, rng.randrange(2, 9))
+            if len(curve.snippets) > 8:
+                continue
+            keyed.clear()
+            exhaustive_oracle(curve, nb)
+            old_to_new: dict = {}
+            new_to_old: dict = {}
+            for c in keyed:
+                old, new = _old_state_key(c), state_key(c)
+                assert old_to_new.setdefault(old, new) == new, (name, seed)
+                assert new_to_old.setdefault(new, old) == old, (name, seed)
+            searches += 1
+            states += len(new_to_old)
+    assert searches > 100 and states > 1000
