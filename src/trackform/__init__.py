@@ -8,7 +8,8 @@ The public façade re-exports the objects most workflows need:
 - snippets and curves: :class:`Snippet`, :class:`Curve`, :func:`classify`,
   :func:`measure`, :func:`validate_curve`
 - rewriting: :func:`hom` (one local push, returning the replacement
-  window), :func:`splice` (the whole rewritten curve),
+  window and its trace/1 record), :func:`splice` (the whole rewritten
+  curve),
   :func:`efficient_position` (the full driver), :func:`terminal_summary`
   (trichotomy read-off)
 - verification: :func:`check_efficient`, :func:`audit_trace`,
@@ -17,8 +18,8 @@ The public façade re-exports the objects most workflows need:
 """
 from __future__ import annotations
 
-from .curve_ops import (ARC, CLOSED, Curve, LengthReport, concat, is_blocker,
-                        measure, reverse, validate_curve)
+from .curve_ops import (ARC, CLOSED, Curve, LengthReport, is_blocker, measure,
+                        reverse, validate_curve)
 from .errors import (AdjacencyError, AuditFailure, BadInput, BudgetExceeded,
                      GenerationFailed, InconsistentSnippet, NotLarge,
                      ParseError, TrackformError)
@@ -28,8 +29,7 @@ from .formats import (format_track, parse_curve, parse_trace, parse_track,
 from .generate import (boundary_power, doubled_back, gen_random_curve,
                        peripheral_bounce, random_arc, random_closed,
                        trivial_loop)
-from .homotopy_engine import (EXPECTED_J, TRIGON_GRAPH, RewriteEvent,
-                              bad_positions, hom, splice)
+from .homotopy_engine import EXPECTED_J, TRIGON_GRAPH, hom, splice
 from .pipelines import (EFFICIENT, INSIDE_EFFICIENT, SINGLE_SNIPPET, Result,
                         Run, efficient_position, terminal_summary)
 from .render import render_svg
@@ -43,8 +43,8 @@ from .verification import (AuditReport, EfficiencyReport, OracleVerdict,
 __version__ = "1.0.0"
 
 __all__ = [
-    "ARC", "CLOSED", "Curve", "LengthReport", "concat", "is_blocker",
-    "measure", "reverse", "validate_curve",
+    "ARC", "CLOSED", "Curve", "LengthReport", "is_blocker", "measure",
+    "reverse", "validate_curve",
     "AdjacencyError", "AuditFailure", "BadInput", "BudgetExceeded",
     "GenerationFailed", "InconsistentSnippet", "NotLarge", "ParseError",
     "TrackformError",
@@ -53,8 +53,7 @@ __all__ = [
     "serialize_curve", "serialize_trace",
     "boundary_power", "doubled_back", "gen_random_curve",
     "peripheral_bounce", "random_arc", "random_closed", "trivial_loop",
-    "EXPECTED_J", "TRIGON_GRAPH", "RewriteEvent", "bad_positions", "hom",
-    "splice",
+    "EXPECTED_J", "TRIGON_GRAPH", "hom", "splice",
     "EFFICIENT", "INSIDE_EFFICIENT", "SINGLE_SNIPPET", "Result", "Run",
     "efficient_position", "terminal_summary",
     "render_svg",

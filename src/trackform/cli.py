@@ -3,12 +3,12 @@
 Exit codes encode the trichotomy so shell pipelines can branch on it:
 0 = success (for `run`: the curve is essential), 2 = `run` contracted the
 input to a single snippet (inessential or boundary-parallel), 1 = structural
-error or failed verification, 64 = usage error.
+error, failed verification or a file that cannot be read or written,
+64 = usage error.
 """
 from __future__ import annotations
 
 import math
-import os
 import statistics
 import sys
 from pathlib import Path
@@ -17,12 +17,13 @@ import click
 
 from .curve_ops import measure
 from .errors import AuditFailure, TrackformError
-from .fixtures import FIXTURE_NAMES, fixture_text
-from .formats import (format_track, parse_curve, parse_track, parse_trace,
-                      read_text, serialize_curve, serialize_trace)
+from .fixtures import FIXTURE_NAMES, load_fixture
+from .formats import (parse_curve, parse_trace, parse_track, read_text,
+                      serialize_curve, serialize_trace)
 from .generate import gen_random_curve
 from .pipelines import (EFFICIENT, SINGLE_SNIPPET, default_budget,
-                        efficient_position, terminal_summary)
+                        efficient_position, terminal_status,
+                        terminal_summary)
 from .render import render_svg
 from .snippet_core import classify
 from .track_model import build_tie_neighbourhood
@@ -38,9 +39,7 @@ def _load_track(source: str):
         nb.name = p.stem
         return nb
     if source in FIXTURE_NAMES:
-        nb = build_tie_neighbourhood(parse_track(fixture_text(source)))
-        nb.name = source
-        return nb
+        return load_fixture(source)
     raise click.UsageError(
         f"no track file {source!r} (bundled fixtures: {', '.join(FIXTURE_NAMES)})")
 
@@ -144,12 +143,22 @@ def verify(track: str, curve_before: str, curve_after: str,
     if not p.exists():
         raise click.UsageError(f"no trace file {trace_path!r}")
     head, events = parse_trace(read_text(p))
+    named = head.get("track", nb.name)
+    if named != nb.name:
+        click.echo(f"FAIL: trace is for track {named!r}, not {nb.name!r}",
+                   err=True)
+        return 1
     try:
         rep = audit_trace(events, before, after, nb)
     except AuditFailure as exc:
         click.echo(f"FAIL: {exc}", err=True)
         return 1
-    claimed = head.get("status")
+    # the audit has matched the replayed terminal curve to `after`
+    claimed, status = head.get("status"), terminal_status(after, nb)
+    if claimed != status:
+        click.echo(f"FAIL: trace claims status {claimed!r} but the final"
+                   f" curve's is {status!r}", err=True)
+        return 1
     if claimed == EFFICIENT and not check_efficient(after, nb).ok:
         click.echo("FAIL: trace claims Efficient but the final curve has a"
                    " bad snippet", err=True)
@@ -274,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except click.exceptions.Abort:
         return 130
-    except TrackformError as exc:
+    except (TrackformError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     return rv if isinstance(rv, int) else 0

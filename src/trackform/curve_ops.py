@@ -1,12 +1,12 @@
-"""Snippet-decomposed arcs and closed curves: slicing algebra, length
+"""Snippet-decomposed arcs and closed curves: reversal, seam gluing, length
 measures, and blocker detection.
 
 Consecutive snippets chain across gluings: the end locus of one snippet and
 the start locus of the next are partner segments (cyclically for closed
-curves).  Slicing uses circular indices on closed curves; all operations
-return new immutable curves.  A `WorkingCurve` is the one mutable form: a
-run or an audit splices each rewrite window into its snippet list in place,
-and everything here that reads a curve reads it too.
+curves).  A `Curve` is immutable, and every operation here returns a new
+one.  A `WorkingCurve` is the one mutable form: a run or an audit splices
+each rewrite window into its snippet list in place, and everything here
+that reads a curve reads it too.
 
 The length counters are read off each snippet's fact record in the
 neighbourhood's fact table (`snippet_core.SnippetFacts`): its counter row
@@ -18,13 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    AdjacencyError,
-    BadInput,
-    NotAdjacent,
-    NotGluable,
-    OutOfRange,
-)
+from .errors import AdjacencyError, BadInput, NotGluable
 from .snippet_core import (
     Snippet,
     SnippetFacts,
@@ -46,11 +40,6 @@ class Curve:
 
     def __len__(self) -> int:
         return len(self.snippets)
-
-    def at(self, i: int) -> Snippet:
-        if self.kind == CLOSED:
-            return self.snippets[i % len(self.snippets)]
-        return self.snippets[i]
 
 
 class WorkingCurve:
@@ -134,55 +123,8 @@ def validate_curve(curve: Curve, nb: TieNeighbourhood) -> None:
                 f" of {nb.regions[b.region].name}")
 
 
-def slice(curve: Curve, i: int, j: int) -> Curve:
-    """Subarc [i:j); circular on closed curves (j may wrap past the end, up
-    to one full turn), Python-style negative indices on arcs."""
-    n = len(curve.snippets)
-    if curve.kind == CLOSED:
-        if n == 0:
-            raise OutOfRange("cannot slice an empty curve")
-        if j - i > n or j < i:
-            raise OutOfRange(f"slice [{i}:{j}] exceeds one full turn of length {n}")
-        return Curve(ARC, tuple(curve.snippets[k % n] for k in range(i, j)))
-    if i < 0:
-        i += n
-    if j < 0:
-        j += n
-    if not (0 <= i <= j <= n):
-        raise OutOfRange(f"slice [{i}:{j}] out of range for arc of length {n}")
-    return Curve(ARC, curve.snippets[i:j])
-
-
-def concat(a: Curve, b: Curve, nb: TieNeighbourhood) -> Curve:
-    if a.kind != ARC or b.kind != ARC:
-        raise BadInput("concat needs two arcs")
-    if not a.snippets:
-        return b
-    if not b.snippets:
-        return a
-    tail, head = a.snippets[-1], b.snippets[0]
-    if nb.partner(tail.region, tail.end) != (head.region, head.start):
-        raise NotAdjacent(
-            f"end {tail.end} of {nb.regions[tail.region].name} is not glued to"
-            f" start {head.start} of {nb.regions[head.region].name}")
-    return Curve(ARC, a.snippets + b.snippets)
-
-
 def reverse(curve: Curve) -> Curve:
     return Curve(curve.kind, tuple(reverse_snippet(s) for s in reversed(curve.snippets)))
-
-
-def glue(arc: Curve, nb: TieNeighbourhood) -> Curve:
-    """Close an arc whose first and last snippets are the same strong class
-    by dropping the duplicate."""
-    if arc.kind != ARC or len(arc.snippets) < 2:
-        raise NotGluable("glue needs an arc with a duplicated end snippet")
-    if arc.snippets[0] != arc.snippets[-1]:
-        raise NotGluable(
-            f"first and last snippets differ: {arc.snippets[0]} vs {arc.snippets[-1]}")
-    out = Curve(CLOSED, arc.snippets[:-1])
-    validate_curve(out, nb)
-    return out
 
 
 def glue_seam(arc: Curve, original_wind: int, nb: TieNeighbourhood) -> Curve:

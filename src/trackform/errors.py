@@ -37,14 +37,6 @@ class NotApplicable(TrackformError):
     """The requested quantity is undefined for this snippet type."""
 
 
-class OutOfRange(TrackformError):
-    """Slice or index outside the curve."""
-
-
-class NotAdjacent(TrackformError):
-    """Consecutive snippets do not meet along a glued edge."""
-
-
 class NotGluable(TrackformError):
     """Arc ends cannot be closed or seam-glued as requested."""
 

@@ -15,7 +15,7 @@ import re
 from pathlib import Path
 from typing import Any, Iterable
 
-from .errors import BadInput, ParseError
+from .errors import ParseError
 from .track_model import FaceDesc, SwitchDesc, TrainTrackDesc
 
 TRACK_FORMAT = "track/1"

@@ -28,12 +28,12 @@ the neighbours, and checks them every time: the previous snippet must end
 and the next must start on the partners of the bad snippet's endpoints, a
 slid endpoint's winding moves only where windings count (`_wind_ok`), and
 both slid snippets are validated.  `hom` returns the replacement window,
-not the curve: a run or an audit splices it into its working curve, so a
-push costs its window whatever the curve's length.
+not the curve, with the push's trace/1 `hom` record: a run or an audit
+splices the window into its working curve, so a push costs its window
+whatever the curve's length.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .curve_ops import ARC, CLOSED, Curve, WorkingCurve
@@ -60,20 +60,6 @@ TRIGON_GRAPH: dict[str, frozenset[str]] = {
     "S(h,v,2)": frozenset({"R(h,v)"}),
     "R(h,v)": frozenset({"B(h,t)", "S(h,t,1)", "S(h,t,3)"}),
 }
-
-
-@dataclass(frozen=True)
-class RewriteEvent:
-    """What one elementary homotopy did."""
-    rule: str           # type name of the rewritten bad snippet
-    turn: str | None    # which side of the snippet the cut-off piece was on
-    k: int              # rewritten position (after any rotation)
-    j: int              # walk weight: window size is j + 1 new snippets
-    rotation: int       # closed curves only: cyclic shift applied first
-    len_before: int
-    len_after: int
-    window_start: int   # first index of the replaced/merged stretch
-    window_len: int     # number of snippets now standing in its place
 
 
 def _slide_target(nb: TieNeighbourhood, region: int, locus: Locus,
@@ -197,19 +183,32 @@ def _push_recipe_uncached(a: Snippet, nb: TieNeighbourhood) -> PushRecipe:
                       d_start, tuple(inners))
 
 
+def _record(cls: SnippetClass, k: int, j: int, rot: int, n0: int, n1: int,
+            ws: int, wl: int) -> dict:
+    """A push's trace/1 `hom` record, without the `phase` and `c` a run
+    adds."""
+    return {"op": "hom", "k": k, "rot": rot, "rule": cls.type,
+            "turn": cls.turn, "j": j, "n": [n0, n1], "win": [ws, wl]}
+
+
 def hom(curve: Curve, k: int, nb: TieNeighbourhood
-        ) -> tuple[tuple[Snippet, ...], RewriteEvent]:
+        ) -> tuple[tuple[Snippet, ...], dict]:
     """Remove the bad snippet at position k by one elementary homotopy.
 
-    Returns the replacement window and the event.  The window stands in
-    place of the three snippets from `window_start` on (all of a two-snippet
-    closed curve); `splice` builds the whole rewritten curve.  `curve` may
-    be a `WorkingCurve`: nothing but the three snippets around k is read.
+    Returns the replacement window and the push's trace/1 `hom` record, a
+    new dict holding `op`, `k` (the rewritten position, after any
+    rotation), `rot` (the rotation applied first), `rule` and `turn` (the
+    rewritten snippet's type and the side of its cut-off piece), `j` (the
+    walk's weight), `n` (lengths before and after) and `win` (first index
+    and length of the window).  The window stands in place of the three
+    snippets from `win[0]` on (all of a two-snippet closed curve); `splice`
+    builds the whole rewritten curve.  `curve` may be a `WorkingCurve`:
+    nothing but the three snippets around k is read.
 
     Arcs keep their endpoints: only strictly interior positions may be
     rewritten.  On closed curves any position works; if the three-snippet
     window would wrap, the curve is taken as first rotated so it does not,
-    and the rotation is recorded in the event.
+    and the rotation is recorded.
     """
     snap = curve.snippets
     n = len(snap)
@@ -248,8 +247,7 @@ def hom(curve: Curve, k: int, nb: TieNeighbourhood
             validate_snippet(merged, nb)
             window = (merged,)
         n1 = 1 if two_closed else n - 2
-        return window, RewriteEvent(cls.type, cls.turn, k, 0, rotation, n,
-                                    n1, max(k - 1, 0), 1)
+        return window, _record(cls, k, 0, rotation, n, n1, max(k - 1, 0), 1)
 
     # windings move where a slid endpoint crosses a corner of an annulus
     d_end = rec.d_end if rec.d_end and _wind_ok(nb, prev.region, prev) else 0
@@ -265,27 +263,20 @@ def hom(curve: Curve, k: int, nb: TieNeighbourhood
         base = (slid, *rec.inners)
         r0 = (k - 1) % j
         window = base[-r0:] + base[:-r0] if r0 else base
-        return window, RewriteEvent(cls.type, cls.turn, k, j, rotation, n,
-                                    j, 0, j)
+        return window, _record(cls, k, j, rotation, n, j, 0, j)
 
     slid_prev = Snippet(prev.region, prev.start, rec.new_end, prev.wind + d_end)
     slid_next = Snippet(nxt.region, rec.new_start, nxt.end, nxt.wind + d_start)
     validate_snippet(slid_prev, nb)
     validate_snippet(slid_next, nb)
     window = (slid_prev, *rec.inners, slid_next)
-    return window, RewriteEvent(cls.type, cls.turn, k, j, rotation, n,
-                                n + j - 2, k - 1, j + 1)
+    return window, _record(cls, k, j, rotation, n, n + j - 2, k - 1, j + 1)
 
 
-def splice(curve: Curve, window, ev: RewriteEvent) -> Curve:
-    """The whole curve `hom` rewrote into `window` and `ev`."""
+def splice(curve: Curve, window, ev: dict) -> Curve:
+    """The whole curve `hom` rewrote into `window` and its record `ev`."""
     work = WorkingCurve(curve)
-    if ev.rotation:
-        work.rotate(ev.rotation)
-    work.splice(ev.window_start, window)
+    if ev["rot"]:
+        work.rotate(ev["rot"])
+    work.splice(ev["win"][0], window)
     return work.freeze()
-
-
-def bad_positions(curve: Curve, nb: TieNeighbourhood) -> list[int]:
-    """All positions holding bad snippets (arc endpoints included)."""
-    return [i for i, s in enumerate(curve.snippets) if classify(s, nb).bad]

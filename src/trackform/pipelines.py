@@ -14,13 +14,15 @@ to a trigon, a plain chase (`trig_curve`) finishes.
 
 Every push goes through `Run`, which owns the working curve, enforces the
 global rewrite budget, maintains the length counters incrementally from the
-rewrite windows, and records one trace event per operation.  The working
-curve is a `WorkingCurve`: each window `hom` returns is spliced into its
-snippet list in place, and a byte per position marking the bad snippets is
-spliced alongside it, so a push moves no Python object outside its window
-and no bad position needs shifting.  `run.curve` builds the `Curve` on
-demand.  The recorded events are self-contained: an auditor can replay them
-from the input curve and byte-compare every intermediate state.
+rewrite windows, and records one trace event per operation.  `hom` returns
+a push's window and its trace/1 `hom` record; `Run` adds the phase and the
+counters to that record and keeps it as the event.  The working curve is a
+`WorkingCurve`: each window is spliced into its snippet list in place, and
+a byte per position marking the bad snippets is spliced alongside it, so a
+push moves no Python object outside its window and no bad position needs
+shifting.  `run.curve` builds the `Curve` on demand.  The recorded events
+are self-contained: an auditor can replay them from the input curve and
+byte-compare every intermediate state.
 
 Termination is certified by step budgets: each loop asserts twice its proven
 bound and raises `BudgetExceeded` rather than run away.
@@ -45,7 +47,7 @@ from .curve_ops import (
     validate_curve,
 )
 from .errors import BadInput, BudgetExceeded
-from .homotopy_engine import RewriteEvent, hom
+from .homotopy_engine import hom
 from .snippet_core import classify, corner_length, is_bigon, is_trigon
 from .track_model import TieNeighbourhood
 
@@ -69,6 +71,7 @@ __all__ = [
     "single_bad",
     "default_budget",
     "efficient_position",
+    "terminal_status",
     "terminal_summary",
 ]
 
@@ -154,25 +157,24 @@ class Run:
 
     # -- operations (each records one trace event) --------------------------
 
-    def hom_at(self, k: int, phase: str) -> RewriteEvent:
+    def hom_at(self, k: int, phase: str) -> dict:
+        """Push the bad snippet at k; record and return the push's trace/1
+        `hom` record."""
         self._check_budget()
         work, nb = self.work, self.nb
         window, ev = hom(work, k, nb)
         self.homs += 1
-        if ev.rotation:
-            work.rotate(ev.rotation)
-            rotate_in_place(self._bad, ev.rotation)
-        ws = ev.window_start
+        rot = ev["rot"]
+        if rot:
+            work.rotate(rot)
+            rotate_in_place(self._bad, rot)
+        ws = ev["win"][0]
         self._c = update_counters(self._c, work, ws, window, nb)
         work.splice(ws, window)
         self._bad[ws:ws + 3] = bytes(classify(s, nb).bad for s in window)
-        self.events.append({
-            "op": "hom", "phase": phase, "k": ev.k, "rot": ev.rotation,
-            "rule": ev.rule, "turn": ev.turn, "j": ev.j,
-            "n": [ev.len_before, ev.len_after],
-            "win": [ev.window_start, ev.window_len],
-            "c": list(self._c),
-        })
+        ev["phase"] = phase
+        ev["c"] = list(self._c)
+        self.events.append(ev)
         return ev
 
     def rotate(self, r: int, phase: str) -> None:
@@ -298,8 +300,8 @@ def all_but(run: Run, k: int, phase: str = "all_but") -> None:
 def weight_one(run: Run, k: int, phase: str = "weight_one_bigon") -> None:
     """Push an S(t,v,1) bigon; collapse the annulus trigon it may leave."""
     ev = run.hom_at(k, phase)
-    assert ev.len_before > 2, "a weight-one bigon cannot close a 2-curve"
-    ws = ev.window_start
+    assert ev["n"][0] > 2, "a weight-one bigon cannot close a 2-curve"
+    ws = ev["win"][0]
     for p in (ws, ws + 1):
         if run.cls_at(p).type == "R(h,v)":
             run.hom_at(p, phase)
@@ -314,10 +316,10 @@ def weight_two(run: Run, k: int, phase: str = "weight_two_bigon") -> None:
     back as a bigon against the other trigon, one more push removes both."""
     if run.n == 2:
         ev = run.hom_at(k, phase)
-        run.hom_at((ev.k - 1) % run.n, phase)
+        run.hom_at((ev["k"] - 1) % run.n, phase)
         return
     ev = run.hom_at(k, phase)
-    run.rotate(ev.k, phase)
+    run.rotate(ev["k"], phase)
     trig_arc(run, 0, 0, phase)
     if is_bigon(run.cls_at(run.n - 1)):
         run.hom_at(run.n - 1, phase)
@@ -340,8 +342,8 @@ def two_trigons(run: Run, phase: str = "two_trigons") -> None:
             return
         trig_arc(run, 1, 0, phase)
         if run.cls_at(run.n - 1).type == "R(h,v)":
-            ev = run.hom_at(run.n - 1, phase)
-            run.hom_at(ev.window_start + ev.window_len - 1, phase)
+            ws, wl = run.hom_at(run.n - 1, phase)["win"]
+            run.hom_at(ws + wl - 1, phase)
             return
         if not run.cls_at(1).bad:
             return
@@ -360,8 +362,8 @@ def hor_bigon_comp(run: Run, k: int, phase: str = "hor_bigon_comp") -> None:
             all_but(run, b[0])
         return
     ev = run.hom_at(k, phase)
-    ws = ev.window_start
-    if ev.j == 0:
+    ws = ev["win"][0]
+    if ev["j"] == 0:
         # narrow: the merge lands flat against the far side of a rectangle
         t = run.cls_at(ws).type
         assert t in ("B(h,h)", "S(h,h,0)"), t
@@ -371,11 +373,11 @@ def hor_bigon_comp(run: Run, k: int, phase: str = "hor_bigon_comp") -> None:
     _hor_bigon_wide(run, ev)
 
 
-def _hor_bigon_wide(run: Run, ev: RewriteEvent,
+def _hor_bigon_wide(run: Run, ev: dict,
                     phase: str = "hor_bigon_wide") -> None:
     """Continue after pushing a wide R(h,h): the window opened a fan of
     trigons; chase them around the curve and resolve what returns."""
-    run.rotate(ev.k, phase)
+    run.rotate(ev["k"], phase)
     trig_arc(run, 0, 1, phase)
     if not any(p <= run.n - 2 for p in run.bads()):
         return
@@ -430,9 +432,9 @@ def hor_bigon_branch(run: Run, k: int,
                 and is_blocker(run.work, nb, kp)):
             run.hom_at(k, phase)
             return
-        e1 = run.hom_at(k, phase)
-        e2 = run.hom_at(e1.window_start, phase)
-        run.hom_at(e2.window_start, phase)
+        ws = run.hom_at(k, phase)["win"][0]
+        ws = run.hom_at(ws, phase)["win"][0]
+        run.hom_at(ws, phase)
         return
     run.hom_at(k, phase)
     b = run.bads()
@@ -533,20 +535,26 @@ def efficient_position(curve: Curve, nb: TieNeighbourhood,
             single_bad(run)
     out = run.curve
     validate_curve(out, nb)
-    return Result(status=_terminal_status(run), curve=out,
-                  events=run.events, homs=run.homs, report=run.report(),
-                  budget_log=run.budget_log)
+    status = terminal_status(out, nb)
+    assert status is not None, "terminal curve still has interior bad snippets"
+    return Result(status=status, curve=out, events=run.events, homs=run.homs,
+                  report=run.report(), budget_log=run.budget_log)
 
 
-def _terminal_status(run: Run) -> str:
-    b = run.bads()
+def terminal_status(curve: Curve, nb: TieNeighbourhood) -> str | None:
+    """The terminal state the curve is in: `Efficient` (no bad snippet),
+    `SingleSnippet` (one snippet) or `InsideEfficient` (an arc bad only at
+    its endpoints); None if it is in none of them."""
+    snap = curve.snippets
+    n = len(snap)
+    b = [i for i, s in enumerate(snap) if classify(s, nb).bad]
     if not b:
         return EFFICIENT
-    if run.n == 1:
+    if n == 1:
         return SINGLE_SNIPPET
-    assert run.kind == ARC and all(p in (0, run.n - 1) for p in b), \
-        "terminal curve still has interior bad snippets"
-    return INSIDE_EFFICIENT
+    if curve.kind == ARC and all(p in (0, n - 1) for p in b):
+        return INSIDE_EFFICIENT
+    return None
 
 
 def terminal_summary(result: Result, nb: TieNeighbourhood) -> dict:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InconsistentSnippet, NotApplicable
+from .errors import InconsistentSnippet
 from .track_model import (
     ANNULUS,
     BOUNDARY,
@@ -306,18 +306,6 @@ def corner_length(s: Snippet, nb: TieNeighbourhood) -> int:
     summed over the full edges of the cut-off piece's boundary walk; 2*s_N
     when no piece with non-negative index exists."""
     return facts(s, nb).row[0]
-
-
-def weight(s: Snippet, nb: TieNeighbourhood) -> int:
-    """Tiling points enclosed by the cut-off piece of a bad switch-rectangle
-    snippet (0..3)."""
-    if s.closed or nb.regions[s.region].kind != SWITCH:
-        raise NotApplicable("weight needs a switch-rectangle snippet")
-    cls = classify(s, nb)
-    if not cls.bad:
-        raise NotApplicable("snippet is carried or a tie")
-    assert cls.j is not None and 0 <= cls.j <= 3
-    return cls.j
 
 
 def is_bigon(cls: SnippetClass) -> bool:

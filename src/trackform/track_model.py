@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import (
     BadInput,
@@ -86,15 +85,6 @@ class Region:
 def index(chi: int, corners_down: int, corners_up: int) -> Fraction:
     """Index of a surface piece: chi - (outward corners)/4 + (inward corners)/4."""
     return Fraction(chi) - Fraction(corners_down, 4) + Fraction(corners_up, 4)
-
-
-def side_length(boundary_points: int) -> int:
-    """Corner length of a closed-up horizontal boundary component with the
-    given number of tiling points on it: alternating branch (weight 1) and
-    switch (weight 3) edges give (points - 2) * 2 + 1."""
-    if boundary_points < 2:
-        raise BadInput(f"horizontal component needs >= 2 boundary points, got {boundary_points}")
-    return (boundary_points - 2) * 2 + 1
 
 
 @dataclass(frozen=True)
@@ -253,10 +243,6 @@ class TieNeighbourhood:
         before = self._corners_before[region][ci]  # two turns: 2n + 1 entries
         return before[len(before) // 2]
 
-    def cusp_count(self, region: int) -> int:
-        r = self.regions[region]
-        return sum(1 for s in r.sides if s.label == V)
-
     def gap_is_corner(self, region: int, ci: int, pos: int) -> bool:
         """Is the gap after cycle position pos a region corner (side change)
         rather than a mark (same side)?"""
@@ -351,22 +337,6 @@ class TieNeighbourhood:
     @property
     def n_vertices(self) -> int:
         return len(self._vertex_gaps)
-
-    def vertex_gaps(self, vid: int) -> tuple[tuple[int, int, int], ...]:
-        return self._vertex_gaps[vid]
-
-    def edges_at_vertex(self, vid: int) -> list[frozenset[tuple[int, Locus]]]:
-        """The three tiling edges at a vertex, each as the set of its two
-        (region, locus) sides."""
-        edges: set[frozenset[tuple[int, Locus]]] = set()
-        for (ri, ci, p) in self._vertex_gaps[vid]:
-            loci = self._cycle_loci[ri][ci]
-            n = len(loci)
-            for l in (loci[p], loci[(p + 1) % n]):
-                pr = self.partner(ri, l)
-                if pr is not None:
-                    edges.add(frozenset({(ri, l), pr}))
-        return sorted(edges, key=lambda e: sorted(e))
 
     # -- derived measures ----------------------------------------------------
 

@@ -163,6 +163,13 @@ _RECORD_CHECKS = {
 }
 
 
+# The replayed `hom` record's fields, each compared with the recorded one
+# under its clause, in this order.
+_HOM_CLAUSES = (("rot", "rot"), ("k", "k"), ("rule", "rule"),
+                ("turn", "turn"), ("j", "j"), ("n", "length"),
+                ("win", "window"))
+
+
 def _glued(nb: TieNeighbourhood, work: WorkingCurve, i: int) -> bool:
     """Does the snippet at i end where the one at i + 1 starts (cyclically
     on closed curves; vacuously true past either end of an arc)?"""
@@ -273,21 +280,12 @@ class _Audit:
             window, e2 = hom(work, k_orig, nb)
         except TrackformError as exc:
             self.fail("not-bad", f"recorded push is illegal here: {exc}")
-        self.check(e2.rotation == ev["rot"], "rot",
-                   f"replayed rotation {e2.rotation}")
-        self.check(e2.k == ev["k"], "k", f"replayed k {e2.k}")
-        self.check(e2.rule == ev["rule"], "rule",
-                   f"replayed rule {e2.rule}")
-        self.check(e2.turn == ev["turn"], "turn",
-                   f"replayed turn {e2.turn}")
-        self.check(e2.j == ev["j"], "j", f"replayed j {e2.j}")
-        self.check([e2.len_before, e2.len_after] == ev["n"], "length",
-                   f"replayed lengths {[e2.len_before, e2.len_after]}")
-        self.check([e2.window_start, e2.window_len] == ev["win"], "window",
-                   f"replayed window {[e2.window_start, e2.window_len]}")
-        if e2.rotation:
-            work.rotate(e2.rotation)
-        ws = ev["win"][0]
+        for key, clause in _HOM_CLAUSES:
+            self.check(e2[key] == ev[key], clause,
+                       f"replayed {key} {e2[key]}")
+        if e2["rot"]:
+            work.rotate(e2["rot"])
+        ws = e2["win"][0]
         pre = work.snippets[ws:ws + 3]
         c0 = self._c
         self._c = update_counters(c0, work, ws, window, nb)
@@ -297,9 +295,9 @@ class _Audit:
     def _check_contracts(self, work: WorkingCurve, pre, post, e2,
                          c0) -> None:
         nb = self.nb
-        n0, n1 = e2.len_before, e2.len_after
-        ws, wl = e2.window_start, e2.window_len
-        j, rule = e2.j, e2.rule
+        n0, n1 = e2["n"]
+        ws, wl = e2["win"]
+        j, rule, turn = e2["j"], e2["rule"], e2["turn"]
 
         # length delta is determined by the tiling points on the cut piece
         if n0 == 2 and work.kind == CLOSED:
@@ -358,12 +356,12 @@ class _Audit:
             self.check(len(bad_out) <= 1, "chase-multiplicity",
                        f"{len(bad_out)} bad snippets out of one trigon")
             dc, dr, dl = (self._c[i] - c0[i] for i in (2, 3, 4))
-            dt, do = (dr, dl) if e2.turn == "Right" else (dl, dr)
+            dt, do = (dr, dl) if turn == "Right" else (dl, dr)
             if bad_out:
                 t2 = bad_out[0].type
                 self.check(t2 in TRIGON_GRAPH[rule], "graph-edge",
                            f"{rule} -> {t2} is not a hand-off")
-                self.check(bad_out[0].turn == e2.turn, "turn",
+                self.check(bad_out[0].turn == turn, "turn",
                            "hand-off flipped the turn")
                 if rule == "R(h,v)":
                     self.check((dc, dt, do) == (j - 1, 0, 0), "chase-delta",

@@ -21,7 +21,7 @@ from conftest import record
 
 import trackform.pipelines as P
 from trackform.curve_ops import (ARC, CLOSED, Curve, is_blocker, measure,
-                                 slice as cslice, validate_curve)
+                                 validate_curve)
 from trackform.errors import (AuditFailure, InconsistentSnippet,
                               TrackformError)
 from trackform.fixtures import load_fixture
@@ -237,7 +237,7 @@ def _span_red(curve: Curve, lo: int, tail: int, nb: TieNeighbourhood) -> int:
     hi = len(curve.snippets) - 1 - tail
     if hi - 1 < lo + 1:
         return 0
-    return measure(cslice(curve, lo + 1, hi), nb).len_red
+    return measure(Curve(ARC, curve.snippets[lo + 1:hi]), nb).len_red
 
 
 def _drive(run: _RecordingRun) -> None:

@@ -110,6 +110,66 @@ def test_verify_accepts_and_rejects(tmp_path, curve_file):
     assert code == 1 and "FAIL" in err
 
 
+def _recorded_run(tmp_path, curve_file) -> tuple[Path, Path]:
+    trace, after = tmp_path / "run.trace", tmp_path / "after.curve"
+    run_cli("run", "t11", str(curve_file), "--trace", str(trace),
+            "--out", str(after))
+    return trace, after
+
+
+_STATUSES = ("Efficient", "SingleSnippet", "InsideEfficient")
+
+
+@pytest.mark.parametrize("forge", [
+    "genuine", *_STATUSES, "no-status", "foreign-track"])
+@pytest.mark.parametrize("seed", [2, 3])  # SingleSnippet, Efficient
+def test_verify_checks_the_trace_header(tmp_path, seed, forge):
+    curve_file = tmp_path / "c.curve"
+    curve_file.write_text(
+        run_cli("gen", "t11", "--len", "8", "--seed", str(seed))[1])
+    trace, after = _recorded_run(tmp_path, curve_file)
+    head, *records = trace.read_text().split("\n")
+    meta = json.loads(head)
+    genuine = forge == "genuine" or forge == meta["status"]
+    if forge in _STATUSES:
+        meta["status"] = forge
+    elif forge == "no-status":
+        del meta["status"]
+    elif forge == "foreign-track":
+        meta["track"] = "s04"
+    trace.write_text("\n".join(
+        [json.dumps(meta, sort_keys=True, separators=(",", ":")), *records]))
+    code, out, err = run_cli("verify", "t11", str(curve_file), str(after),
+                             "--trace", str(trace))
+    if genuine:
+        assert code == 0 and out.startswith("PASS: "), err
+    else:
+        assert code == 1 and err.startswith("FAIL: "), (out, err)
+        assert "PASS" not in out
+
+
+@pytest.mark.parametrize("case", [
+    "validate-dir", "run-curve-dir", "verify-trace-dir", "run-trace-nodir",
+    "render-svg-nodir", "gen-out-file"])
+def test_bad_paths_exit_one(tmp_path, curve_file, case):
+    trace, after = _recorded_run(tmp_path, curve_file)
+    d, missing = str(tmp_path), str(tmp_path / "nodir" / "x")
+    args = {
+        "validate-dir": ["validate", d],
+        "run-curve-dir": ["run", "t11", d],
+        "verify-trace-dir": ["verify", "t11", str(curve_file), str(after),
+                             "--trace", d],
+        "run-trace-nodir": ["run", "t11", str(curve_file), "--trace",
+                            missing],
+        "render-svg-nodir": ["render", "t11", "--svg", missing],
+        "gen-out-file": ["gen", "t11", "--len", "6", "--count", "2",
+                         "--out", str(curve_file)],
+    }[case]
+    code, _, err = run_cli(*args)
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_verify_rejects_malformed_records(tmp_path, curve_file):
     trace = tmp_path / "run.trace"
     after = tmp_path / "after.curve"

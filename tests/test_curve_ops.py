@@ -1,4 +1,4 @@
-"""Curve algebra oracles on hand-assembled t11 curves.
+"""Curve operation oracles on hand-assembled t11 curves.
 
 The closed test curve follows branch a to switch v1, back along branch b to
 switch v0, and through the large end to branch a again: four carried
@@ -14,22 +14,13 @@ from trackform.curve_ops import (
     ARC,
     CLOSED,
     Curve,
-    concat,
-    glue,
     glue_seam,
     is_blocker,
     measure,
     reverse,
-    slice,
     validate_curve,
 )
-from trackform.errors import (
-    AdjacencyError,
-    BadInput,
-    NotAdjacent,
-    NotGluable,
-    OutOfRange,
-)
+from trackform.errors import AdjacencyError, BadInput, NotGluable
 from trackform.fixtures import load_fixture
 from trackform.snippet_core import Snippet
 
@@ -106,31 +97,10 @@ def test_measure_bad_closed(t11):
     assert (m.carr, m.dual_R, m.dual_L, m.len_block) == (0, 0, 0, 0)
 
 
-def test_slice_conventions(t11, carried_loop, blocker_arc):
-    c = carried_loop
-    s = slice(c, 2, 4)
-    assert s.kind == ARC and s.snippets == c.snippets[2:4]
-    s = slice(c, 3, 5)  # circular wrap: [c[3], c[0]]
-    assert s.snippets == (c.snippets[3], c.snippets[0])
-    assert slice(c, 1, 1).snippets == ()
-    assert slice(c, 0, 4).snippets == c.snippets
-    # negative indices on arcs
-    a = blocker_arc
-    assert slice(a, 1, -1).snippets == a.snippets[1:-1]
-    assert slice(a, 0, 3).snippets == a.snippets
-    with pytest.raises(OutOfRange):
-        slice(a, 1, 5)
-    with pytest.raises(OutOfRange):
-        slice(c, 0, 9)  # more than a full turn
-
-
 def test_concat_reverse_glue(t11, carried_loop):
     c = carried_loop
-    left, right = slice(c, 0, 2), slice(c, 2, 4)
-    whole = concat(left, right, t11)
-    assert whole.snippets == c.snippets
-    with pytest.raises(NotAdjacent):
-        concat(left, slice(c, 3, 4), t11)
+    whole = Curve(ARC, c.snippets)
+    validate_curve(whole, t11)
     # reverse is an involution and reverses order
     r = reverse(whole)
     validate_curve(r, t11)
@@ -139,20 +109,18 @@ def test_concat_reverse_glue(t11, carried_loop):
     rc = reverse(c)
     validate_curve(rc, t11)
     assert reverse(rc) == c
-    # glue drops the duplicated first snippet
-    opened = concat(slice(c, 0, 4), slice(c, 0, 1), t11)
-    closed = glue(opened, t11)
-    assert closed.kind == CLOSED and closed.snippets == c.snippets
-    with pytest.raises(NotGluable):
-        glue(slice(c, 0, 2), t11)
-    # seam gluing joins the two copies into one snippet again
+    # seam gluing joins the two copies of the first snippet into one again
+    opened = Curve(ARC, c.snippets + c.snippets[:1])
     seamed = glue_seam(opened, opened.snippets[0].wind, t11)
     assert seamed == Curve(CLOSED, c.snippets)
+    with pytest.raises(NotGluable):
+        glue_seam(c, 0, t11)  # a closed curve has no seam to glue
 
 
 def test_measure_additivity(t11, carried_loop):
     c = carried_loop
-    left, right = slice(c, 0, 2), slice(c, 2, 4)
-    ml, mr, mw = measure(left, t11), measure(right, t11), measure(concat(left, right, t11), t11)
+    left, right = Curve(ARC, c.snippets[:2]), Curve(ARC, c.snippets[2:])
+    ml, mr, mw = (measure(left, t11), measure(right, t11),
+                  measure(Curve(ARC, c.snippets), t11))
     assert mw.len == ml.len + mr.len
     assert mw.len_corn == ml.len_corn + mr.len_corn

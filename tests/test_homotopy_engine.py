@@ -45,7 +45,7 @@ def test_narrow_merge_branch_bigon(t11):
     window, ev = hom(arc, 1, t11)
     out = splice(arc, window, ev)
     assert out == Curve(ARC, (Snippet(V0, (0, 0), (2, 0)),))
-    assert (ev.rule, ev.j, ev.len_before, ev.len_after) == ("B(t,t)", 0, 3, 1)
+    assert (ev["rule"], ev["j"], ev["n"]) == ("B(t,t)", 0, [3, 1])
 
 
 def test_branch_trigon_right(t11):
@@ -62,8 +62,8 @@ def test_branch_trigon_right(t11):
         Snippet(F, (3, 2), (1, 1), 2),  # end slid over a mark: wind kept
         Snippet(V1, (2, 0), (3, 1)),    # start slid over a corner
     ))
-    assert (ev.rule, ev.turn, ev.j) == ("B(h,t)", "Right", 1)
-    assert (ev.len_before, ev.len_after) == (3, 2)
+    assert (ev["rule"], ev["turn"], ev["j"]) == ("B(h,t)", "Right", 1)
+    assert ev["n"] == [3, 2]
     # the trigon moved into the switch: B(h,t) -> S(h,v,2)
     assert classify(out.snippets[1], t11).type == "S(h,v,2)"
     assert "S(h,v,2)" in TRIGON_GRAPH["B(h,t)"]
@@ -85,7 +85,8 @@ def test_switch_trigon_weight_three(t11):
         Snippet(F, (3, 4), (1, 0), 2),   # inner: vertical dual through cusp
         Snippet(B, (2, 0), (1, 0)),      # slid: the trigon moves on
     ))
-    assert (ev.rule, ev.turn, ev.j, ev.len_after) == ("S(h,t,3)", "Left", 3, 4)
+    assert (ev["rule"], ev["turn"], ev["j"], ev["n"][1]) == \
+        ("S(h,t,3)", "Left", 3, 4)
     assert classify(out.snippets[3], t11).type == "B(h,t)"
     inner_cls = classify(out.snippets[2], t11)
     assert inner_cls.vertical_dual and inner_cls.turn == "Right"
@@ -106,7 +107,8 @@ def test_switch_bigon_weight_two(t11):
         Snippet(F, (1, 0), (3, 4), -2),  # inner: vertical dual, turn Left
         Snippet(D, (0, 0), (1, 0)),      # slid: carried -> B(h,t)
     ))
-    assert (ev.rule, ev.turn, ev.j, ev.len_after) == ("S(t,t,2)", "Right", 2, 3)
+    assert (ev["rule"], ev["turn"], ev["j"], ev["n"][1]) == \
+        ("S(t,t,2)", "Right", 2, 3)
     assert classify(out.snippets[0], t11).type == "B(h,t)"
     assert classify(out.snippets[2], t11).type == "B(h,t)"
     mid = classify(out.snippets[1], t11)
@@ -128,7 +130,8 @@ def test_wide_horizontal_bigon_in_annulus(t11):
         Snippet(V1, (3, 0), (1, 0)),    # inner: carried under the run
         Snippet(A, (1, 0), (2, 0)),     # tie -> B(h,t)
     ))
-    assert (ev.rule, ev.turn, ev.j, ev.len_after) == ("R(h,h)", "Right", 2, 3)
+    assert (ev["rule"], ev["turn"], ev["j"], ev["n"][1]) == \
+        ("R(h,h)", "Right", 2, 3)
 
 
 def test_wide_annulus_trigon(t11):
@@ -147,7 +150,8 @@ def test_wide_annulus_trigon(t11):
         Snippet(B, (1, 0), (3, 0)),      # inner: carried
         Snippet(V0, (3, 0), (1, 0)),     # slid over the cusp mark: carried
     ))
-    assert (ev.rule, ev.turn, ev.j, ev.len_after) == ("R(h,v)", "Left", 3, 4)
+    assert (ev["rule"], ev["turn"], ev["j"], ev["n"][1]) == \
+        ("R(h,v)", "Left", 3, 4)
     assert classify(out.snippets[0], t11).type == "B(h,t)"
 
 
@@ -179,7 +183,7 @@ def test_len_two_closed_merges_to_single_closed(t11):
     window, ev = hom(curve, 0, t11)
     out = splice(curve, window, ev)
     assert out == Curve(CLOSED, (Snippet(V0, None, None, 0),))
-    assert (ev.j, ev.len_after) == (0, 1)
+    assert (ev["j"], ev["n"][1]) == (0, 1)
     assert classify(out.snippets[0], t11).type == "Trivial"
 
 
@@ -193,7 +197,7 @@ def test_closed_wraparound_rotates_window_first(t11):
     validate_curve(curve, t11)
     window, ev = hom(curve, 0, t11)
     out = splice(curve, window, ev)
-    assert ev.rotation == 2
+    assert ev["rot"] == 2
     assert out == Curve(CLOSED, (
         Snippet(F, (2, 0), (1, 1), -1),
         Snippet(V1, (2, 0), (3, 1)),
@@ -233,10 +237,10 @@ def test_mirror_property(t11, hom_cases):
         rwindow, rev_ev = hom(rarc, len(arc.snippets) - 2, t11)
         rout = splice(rarc, rwindow, rev_ev)
         assert reverse(rout) == out
-        assert rev_ev.rule == ev.rule
-        assert rev_ev.j == ev.j
+        assert rev_ev["rule"] == ev["rule"]
+        assert rev_ev["j"] == ev["j"]
         flip = {"Left": "Right", "Right": "Left", None: None}
-        assert rev_ev.turn == flip[ev.turn]
+        assert rev_ev["turn"] == flip[ev["turn"]]
 
 
 def test_outputs_validate_and_len_delta(t11, hom_cases):
@@ -244,8 +248,8 @@ def test_outputs_validate_and_len_delta(t11, hom_cases):
         window, ev = hom(arc, 1, t11)
         out = splice(arc, window, ev)
         validate_curve(out, t11)
-        assert ev.len_after - ev.len_before == ev.j - 2
-        assert ev.len_after == len(out.snippets)
+        assert ev["n"][1] - ev["n"][0] == ev["j"] - 2
+        assert ev["n"][1] == len(out.snippets)
 
 
 def test_preconditions(t11):

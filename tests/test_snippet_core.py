@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from trackform.errors import InconsistentSnippet, NotApplicable
+from trackform.errors import InconsistentSnippet
 from trackform.fixtures import load_fixture
 from trackform.snippet_core import (
     BAD,
@@ -25,7 +25,6 @@ from trackform.snippet_core import (
     corner_length,
     reverse_snippet,
     validate_snippet,
-    weight,
 )
 
 
@@ -129,19 +128,6 @@ def test_rectangle_closed_and_lengths(t11):
         assert corner_length(Snippet(sw, a, b), t11) == 3
     assert corner_length(Snippet(br, None, None), t11) == 0
     assert corner_length(Snippet(sw, None, None), t11) == 0
-
-
-def test_weight_matches_table(t11):
-    sw = t11.region_id["sw:v0"]
-    for (a, b), (verdict, typ, turn, j) in SW.items():
-        s = Snippet(sw, a, b)
-        if verdict == BAD:
-            assert weight(s, t11) == j
-        else:
-            with pytest.raises(NotApplicable):
-                weight(s, t11)
-    with pytest.raises(NotApplicable):
-        weight(Snippet(t11.region_id["br:a"], (0, 0), (1, 0)), t11)
 
 
 # --- t11 annulus face: winding-driven classification -----------------------

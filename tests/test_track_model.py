@@ -12,7 +12,6 @@ from fractions import Fraction
 import pytest
 
 from trackform.errors import (
-    BadInput,
     InvalidValence,
     LowComplexity,
     NonNegativeIndexRegion,
@@ -35,7 +34,6 @@ from trackform.track_model import (
     TrainTrackDesc,
     build_tie_neighbourhood,
     index,
-    side_length,
 )
 
 
@@ -51,14 +49,6 @@ def test_index_formula_examples():
     assert index(0, 4, 0) == -1
     assert index(1, 3, 1) == Fraction(1, 2)
     assert isinstance(index(1, 6, 0), Fraction)
-
-
-def test_side_length_examples():
-    assert side_length(4) == 5
-    assert side_length(6) == 9
-    assert side_length(2) == 1
-    with pytest.raises(BadInput):
-        side_length(1)
 
 
 # Expected structure: (n_branches, n_switches, disc runs, annulus runs, s_N, euler)
@@ -147,12 +137,26 @@ def test_partner_involution_and_labels(tracks, name):
     assert n_glued == 2 * nb.n_edges
 
 
+def _edges_at_vertex(nb, gaps) -> set:
+    """The tiling edges at a vertex given by its wedges (region, cycle, gap
+    position), each as the set of its two (region, locus) sides."""
+    edges = set()
+    for ri, ci, p in gaps:
+        loci = nb.cycle_loci(ri, ci)
+        for l in (loci[p], loci[(p + 1) % len(loci)]):
+            pr = nb.partner(ri, l)
+            if pr is not None:
+                edges.add(frozenset({(ri, l), pr}))
+    return edges
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_every_vertex_has_three_wedges(tracks, name):
     nb = tracks[name]
     for vid in range(nb.n_vertices):
-        assert len(nb.vertex_gaps(vid)) == 3
-        assert len(nb.edges_at_vertex(vid)) == 3
+        gaps = nb._vertex_gaps[vid]
+        assert len(gaps) == 3
+        assert len(_edges_at_vertex(nb, gaps)) == 3
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -167,7 +171,8 @@ def test_walks(tracks, name):
         # equal twice the cusp count
         w = nb.walk_ccw(ri, loci[0], loci[0])
         assert (w.corners, w.marks, w.between) == (0, 0, ())
-        assert nb.total_corners(ri, ci) == 2 * nb.cusp_count(ri)
+        cusps = sum(1 for side in r.sides if side.label == V)
+        assert nb.total_corners(ri, ci) == 2 * cusps
         # walk from first to second locus passes one gap, no loci between
         w = nb.walk_ccw(ri, loci[0], loci[1])
         assert w.corners + w.marks == 1 and w.between == ()

@@ -173,6 +173,51 @@ def test_audit_rejects_forged_j(t11):
     assert err.value.event_index == i
 
 
+# A forged field that leaves the pushed position alone fails the comparison
+# of that field with the replayed record.  A forged `k` or `rot` moves the
+# push: the replayed push is illegal there, or it differs from the record in
+# the first field compared (an adjacent bad snippet of another type fails
+# at `rule`).
+_FORGED_FIELD_CLAUSES = {
+    "rule": {"rule"}, "turn": {"turn"}, "j": {"j"}, "n": {"length"},
+    "win": {"window"},
+    "k": {"not-bad", "rot", "k", "rule"},
+    "rot": {"not-bad", "rot", "k", "rule"},
+}
+
+
+def _forged(ev: dict, key: str):
+    if key == "rule":
+        return "R(h,h)" if ev["rule"] != "R(h,h)" else "B(h,t)"
+    if key == "turn":
+        return "Left" if ev["turn"] != "Left" else "Right"
+    if key in ("n", "win"):
+        return [ev[key][0], ev[key][1] + 1]
+    return ev[key] + 1
+
+
+@pytest.mark.parametrize("key", list(_FORGED_FIELD_CLAUSES))
+def test_audit_names_each_forged_hom_field(t11, key):
+    runs = [_traced_run(t11)]
+    rng = random.Random(13)
+    arc = random_arc(t11, rng, 12)
+    runs.append((arc, efficient_position(arc, t11)))
+    forged = 0
+    for c, res in runs:
+        for i, ev in enumerate(res.events):
+            if ev["op"] != "hom":
+                continue
+            events = [dict(e) for e in res.events]
+            events[i][key] = _forged(ev, key)
+            with pytest.raises(AuditFailure) as err:
+                audit_trace(events, c, res.curve, t11)
+            assert err.value.event_index == i
+            assert err.value.clause in _FORGED_FIELD_CLAUSES[key], \
+                (i, err.value)
+            forged += 1
+    assert forged >= 20
+
+
 def test_audit_rejects_tampered_counters(t11):
     c, res = _traced_run(t11)
     events = [dict(ev) for ev in res.events]
