@@ -170,7 +170,7 @@ def verify(track: str, curve_before: str, curve_after: str,
 @cli.command()
 @click.argument("track")
 @click.argument("curve")
-@click.option("--cap", type=int, default=50_000,
+@click.option("--cap", type=click.IntRange(min=1), default=50_000,
               help="state-space cap for the search")
 def oracle(track: str, curve: str, cap: int) -> int:
     """Exhaustively search all pushes of a small curve and compare with the

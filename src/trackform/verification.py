@@ -30,6 +30,8 @@ Three layers of defence against a wrong pipeline:
   (breadth-first, deduplicating closed curves up to rotation) and reports
   whether a fully efficient state or a one-snippet state is reachable,
   cross-validating the pipeline's terminal status on desk-scale instances.
+  It searches over tuples of interned snippet ids and memoises each push
+  on its (previous, bad, next) ids, so a push it has seen is one lookup.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 from .curve_ops import (ARC, CLOSED, Curve, WorkingCurve, glue_seam, measure,
                         reverse, update_counters)
-from .errors import AuditFailure, NotApplicable, TrackformError
+from .errors import AuditFailure, BadInput, NotApplicable, TrackformError
 from .formats import _is_int
 from .homotopy_engine import EXPECTED_J, TRIGON_GRAPH, hom, splice
 from .snippet_core import TRIGON_TYPES, Snippet, classify
@@ -397,14 +399,61 @@ class OracleVerdict:
     reason: str | None = None
 
 
-def _state_key(curve: Curve):
-    """An arc's snippets; a closed curve's least rotation of them.  Only a
-    one-snippet curve can hold a closed snippet's None loci, so rotations
-    of two or more snippets compare as plain snippet tuples."""
-    snap = curve.snippets
-    if curve.kind == ARC:
-        return snap
-    return min(snap[i:] + snap[:i] for i in range(len(snap)))
+class _IdTable:
+    """The oracle's table for one neighbourhood, filled as searches meet new
+    snippets: snippet -> dense int id, id -> snippet, each id's bad flag and
+    |wind|, and the push memo (prev, bad, next) ids -> (window ids, largest
+    |wind| in the window)."""
+    __slots__ = ("ids", "snippets", "bad", "wind", "pushes")
+
+    def __init__(self) -> None:
+        self.ids: dict[Snippet, int] = {}
+        self.snippets: list[Snippet] = []
+        self.bad = bytearray()
+        self.wind: list[int] = []
+        self.pushes: dict[tuple[int, int, int],
+                          tuple[tuple[int, ...], int]] = {}
+
+    def intern(self, s: Snippet, nb: TieNeighbourhood) -> int:
+        i = self.ids.get(s)
+        if i is None:
+            i = self.ids[s] = len(self.snippets)
+            self.snippets.append(s)
+            self.bad.append(classify(s, nb).bad)
+            self.wind.append(abs(s.wind))
+        return i
+
+    def push(self, arc: tuple[int, int, int], nb: TieNeighbourhood
+             ) -> tuple[tuple[int, ...], int]:
+        """Push the middle snippet of the three-snippet arc `arc` and
+        memoise its window: `hom` reads only the bad snippet and its two
+        neighbours, so the window is the same wherever the three stand in
+        a curve."""
+        snap = self.snippets
+        p, b, q = arc
+        window, _ = hom(Curve(ARC, (snap[p], snap[b], snap[q])), 1, nb)
+        win = tuple([self.intern(s, nb) for s in window])
+        hit = self.pushes[arc] = (win, max([self.wind[i] for i in win]))
+        return hit
+
+    def push_two(self, cur: tuple[int, ...], k: int, nb: TieNeighbourhood
+                 ) -> tuple[tuple[int, ...], int]:
+        """A push on a two-snippet closed curve, which rewrites all of it."""
+        c = Curve(CLOSED, tuple([self.snippets[i] for i in cur]))
+        window, ev = hom(c, k, nb)
+        child = tuple([self.intern(s, nb)
+                       for s in splice(c, window, ev).snippets])
+        return child, max([self.wind[i] for i in child])
+
+
+def _least_rotation(ids: tuple[int, ...]) -> tuple[int, ...]:
+    """A closed curve's state key: its least rotation, which starts at a
+    position holding its least id."""
+    m = min(ids)
+    if ids.count(m) == 1:
+        i = ids.index(m)
+        return ids[i:] + ids[:i]
+    return min(ids[i:] + ids[:i] for i, x in enumerate(ids) if x == m)
 
 
 def exhaustive_oracle(curve: Curve, nb: TieNeighbourhood,
@@ -416,15 +465,35 @@ def exhaustive_oracle(curve: Curve, nb: TieNeighbourhood,
     arcs), up to `max_len` snippets and `cap_states` distinct states; winding
     numbers are allowed to drift by at most 3*s_N from the input.  A search
     cut short is reported inconclusive rather than guessed — except that a
-    reached one-snippet state is already a positive witness."""
+    reached one-snippet state is already a positive witness.
+
+    The search runs over tuples of dense int snippet ids, interned in a
+    table the neighbourhood keeps for the oracle with each id's bad flag and
+    |wind|.  A push is memoised on its (prev, bad, next) ids, since `hom`
+    reads only those three snippets: each distinct triple is pushed once by
+    `hom` on the three-snippet arc, and every later push of it is one
+    lookup.  A child is laid out as `splice` lays it out, so the breadth-
+    first order, and with it `states` under a state cap, is that of a search
+    over whole curves.  Only the window can pass the winding cap.  A closed
+    curve is keyed by its least rotation.  A two-snippet closed curve, whose
+    push rewrites all of it, is pushed by `hom` and `splice` on the curve.
+    Curves of up to 12 snippets take milliseconds to a tenth of a second;
+    an 18-snippet curve of tens of thousands of states takes about a
+    second."""
+    if cap_states < 1:
+        raise BadInput(f"state cap {cap_states} is not positive")
+    tab = nb._oracle_ids
+    if tab is None:
+        tab = nb._oracle_ids = _IdTable()
     s_N = nb.s_N
     if max_len is None:
         max_len = len(curve.snippets) + 3 * s_N
-    w0 = max((abs(s.wind) for s in curve.snippets), default=0)
-    wind_cap = w0 + 3 * s_N
-
-    seen = {_state_key(curve)}
-    queue = deque([curve])
+    closed = curve.kind == CLOSED
+    start = tuple([tab.intern(s, nb) for s in curve.snippets])
+    bad, wind, pushes = tab.bad, tab.wind, tab.pushes
+    wind_cap = max([wind[i] for i in start], default=0) + 3 * s_N
+    seen = {_least_rotation(start) if closed else start}
+    queue = deque([start])
     efficient_found = False
     single_found = False
     pruned = False
@@ -432,9 +501,8 @@ def exhaustive_oracle(curve: Curve, nb: TieNeighbourhood,
     while queue:
         cur = queue.popleft()
         states += 1
-        n = len(cur.snippets)
-        bads = [i for i, s in enumerate(cur.snippets)
-                if classify(s, nb).bad]
+        n = len(cur)
+        bads = [i for i, x in enumerate(cur) if bad[x]]
         if not bads:
             efficient_found = True
         elif n == 1:
@@ -442,16 +510,26 @@ def exhaustive_oracle(curve: Curve, nb: TieNeighbourhood,
             # peripheral) terminal form: a positive witness
             single_found = True
             return OracleVerdict(True, efficient_found, True, states)
-        if cur.kind == ARC:
+        if not closed:
             bads = [i for i in bads if 0 < i < n - 1]
         for k in bads:
-            window, ev = hom(cur, k, nb)
-            child = splice(cur, window, ev)
-            if len(child.snippets) > max_len or any(
-                    abs(s.wind) > wind_cap for s in child.snippets):
+            if n == 2:  # closed: an arc of two has no interior position
+                child, w = tab.push_two(cur, k, nb)
+            else:
+                arc = (cur[k - 1], cur[k], cur[(k + 1) % n])
+                win, w = pushes.get(arc) or tab.push(arc, nb)
+                # as `splice` lays it out: rotated first when the window
+                # would wrap
+                if 0 < k < n - 1:
+                    child = cur[:k - 1] + win + cur[k + 2:]
+                elif k == 0:
+                    child = win + cur[2:n - 1]
+                else:
+                    child = win + cur[1:n - 2]
+            if len(child) > max_len or w > wind_cap:
                 pruned = True
                 continue
-            key = _state_key(child)
+            key = _least_rotation(child) if closed else child
             if key in seen:
                 continue
             if len(seen) >= cap_states:

@@ -196,6 +196,13 @@ def test_oracle_agreement_exit_zero(tmp_path):
     assert "agreement: yes" in out
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_oracle_cap_below_one_is_usage_error(curve_file, cap):
+    code, out, err = run_cli("oracle", "t11", str(curve_file), "--cap", cap)
+    assert code == 64
+    assert "--cap" in err and "oracle:" not in out
+
+
 def test_gen_batch_and_stats(tmp_path):
     batch = tmp_path / "batch"
     code, out, _ = run_cli("gen", "t11", "--len", "10", "--seed", "0",

@@ -15,11 +15,16 @@ face:0=5):
 """
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackform.curve_ops import ARC, CLOSED, Curve, reverse, validate_curve
-from trackform.errors import BadInput, ClosedSnippet, NotBad
-from trackform.fixtures import load_fixture
+from trackform.errors import BadInput, ClosedSnippet, GenerationFailed, NotBad
+from trackform.fixtures import FIXTURE_NAMES, load_fixture
+from trackform.generate import random_arc, random_closed
 from trackform.homotopy_engine import TRIGON_GRAPH, hom, splice
 from trackform.snippet_core import Snippet, classify
 
@@ -265,3 +270,34 @@ def test_preconditions(t11):
                         Snippet(B, (1, 0), (3, 0)))), 1, t11)  # carried snippet
     with pytest.raises(ClosedSnippet):
         hom(Curve(CLOSED, (Snippet(F, None, None, 4),)), 0, t11)
+
+
+@pytest.fixture(scope="module")
+def named():
+    return {name: load_fixture(name) for name in FIXTURE_NAMES}
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(FIXTURE_NAMES), closed=st.booleans(),
+       seed=st.integers(0, 10**6), length=st.integers(3, 16))
+def test_window_reads_only_prev_bad_next(named, name, closed, seed, length):
+    """The window `hom` gives at any pushable position of a closed curve of
+    3 or more snippets or of an arc is the window it gives on the arc of
+    the bad snippet and its two neighbours alone, pushed at 1: the
+    exhaustive oracle memoises pushes on that triple."""
+    nb = named[name]
+    rng = random.Random(seed)
+    try:
+        curve = (random_closed(nb, rng, length) if closed
+                 else random_arc(nb, rng, length))
+    except GenerationFailed:
+        return
+    snap = curve.snippets
+    n = len(snap)
+    assert n >= 3
+    for k in range(n) if closed else range(1, n - 1):
+        if not classify(snap[k], nb).bad:
+            continue
+        window, _ = hom(curve, k, nb)
+        triple = Curve(ARC, (snap[k - 1], snap[k], snap[(k + 1) % n]))
+        assert hom(triple, 1, nb)[0] == window, (k, curve)

@@ -4,22 +4,25 @@ search oracle cross-validated against the pipeline."""
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
 import trackform.verification as verification
 from trackform.curve_ops import ARC, CLOSED, Curve, measure
-from trackform.errors import AuditFailure
+from trackform.errors import AuditFailure, BadInput
 from trackform.fixtures import FIXTURE_NAMES, load_fixture
 from trackform.generate import (GenerationFailed, boundary_power,
                                 doubled_back, peripheral_bounce, random_arc,
                                 random_closed, trivial_loop)
+from trackform.homotopy_engine import hom, splice
 from trackform.pipelines import (EFFICIENT, INSIDE_EFFICIENT, SINGLE_SNIPPET,
                                  efficient_position)
 from trackform.snippet_core import Snippet, classify
 from trackform.track_model import ANNULUS
-from trackform.verification import (_Audit, audit_trace, check_efficient,
-                                    exhaustive_oracle, oracle_agrees)
+from trackform.verification import (OracleVerdict, _Audit, audit_trace,
+                                    check_efficient, exhaustive_oracle,
+                                    oracle_agrees)
 
 
 @pytest.fixture(scope="module")
@@ -134,43 +137,11 @@ def test_audit_accepts_arc_traces(t11):
     assert audit_trace(res.events, c, res.curve, t11).ok
 
 
-def _first_hom_index(events, rule=None):
+def _first_hom_index(events):
     for i, ev in enumerate(events):
-        if ev["op"] == "hom" and (rule is None or ev["rule"] == rule):
+        if ev["op"] == "hom":
             return i
-    raise AssertionError("no such hom event")
-
-
-def test_audit_rejects_forged_rule(t11):
-    c, res = _traced_run(t11)
-    events = [dict(ev) for ev in res.events]
-    i = _first_hom_index(events, "B(h,t)")
-    events[i]["rule"] = "R(h,h)"
-    with pytest.raises(AuditFailure) as err:
-        audit_trace(events, c, res.curve, t11)
-    assert err.value.event_index == i
-    assert "rule" in err.value.clause
-
-
-def test_audit_rejects_forged_window(t11):
-    c, res = _traced_run(t11)
-    events = [dict(ev) for ev in res.events]
-    i = _first_hom_index(events)
-    events[i]["win"] = [events[i]["win"][0] + 1, events[i]["win"][1]]
-    with pytest.raises(AuditFailure) as err:
-        audit_trace(events, c, res.curve, t11)
-    assert err.value.event_index == i
-    assert "window" in err.value.clause
-
-
-def test_audit_rejects_forged_j(t11):
-    c, res = _traced_run(t11)
-    events = [dict(ev) for ev in res.events]
-    i = _first_hom_index(events)
-    events[i]["j"] = events[i]["j"] + 1
-    with pytest.raises(AuditFailure) as err:
-        audit_trace(events, c, res.curve, t11)
-    assert err.value.event_index == i
+    raise AssertionError("no hom event")
 
 
 # A forged field that leaves the pushed position alone fails the comparison
@@ -180,24 +151,28 @@ def test_audit_rejects_forged_j(t11):
 # at `rule`).
 _FORGED_FIELD_CLAUSES = {
     "rule": {"rule"}, "turn": {"turn"}, "j": {"j"}, "n": {"length"},
-    "win": {"window"},
+    "win": {"window"}, "win-start": {"window"},
     "k": {"not-bad", "rot", "k", "rule"},
     "rot": {"not-bad", "rot", "k", "rule"},
 }
 
 
-def _forged(ev: dict, key: str):
-    if key == "rule":
-        return "R(h,h)" if ev["rule"] != "R(h,h)" else "B(h,t)"
-    if key == "turn":
-        return "Left" if ev["turn"] != "Left" else "Right"
-    if key in ("n", "win"):
-        return [ev[key][0], ev[key][1] + 1]
-    return ev[key] + 1
+def _forged(ev: dict, case: str):
+    """The field a forgery case changes, and its forged value: `win`
+    lengthens the window, `win-start` shifts it."""
+    if case == "rule":
+        return "rule", "R(h,h)" if ev["rule"] != "R(h,h)" else "B(h,t)"
+    if case == "turn":
+        return "turn", "Left" if ev["turn"] != "Left" else "Right"
+    if case == "win-start":
+        return "win", [ev["win"][0] + 1, ev["win"][1]]
+    if case in ("n", "win"):
+        return case, [ev[case][0], ev[case][1] + 1]
+    return case, ev[case] + 1
 
 
-@pytest.mark.parametrize("key", list(_FORGED_FIELD_CLAUSES))
-def test_audit_names_each_forged_hom_field(t11, key):
+@pytest.mark.parametrize("case", list(_FORGED_FIELD_CLAUSES))
+def test_audit_names_each_forged_hom_field(t11, case):
     runs = [_traced_run(t11)]
     rng = random.Random(13)
     arc = random_arc(t11, rng, 12)
@@ -208,11 +183,12 @@ def test_audit_names_each_forged_hom_field(t11, key):
             if ev["op"] != "hom":
                 continue
             events = [dict(e) for e in res.events]
-            events[i][key] = _forged(ev, key)
+            key, value = _forged(ev, case)
+            events[i][key] = value
             with pytest.raises(AuditFailure) as err:
                 audit_trace(events, c, res.curve, t11)
             assert err.value.event_index == i
-            assert err.value.clause in _FORGED_FIELD_CLAUSES[key], \
+            assert err.value.clause in _FORGED_FIELD_CLAUSES[case], \
                 (i, err.value)
             forged += 1
     assert forged >= 20
@@ -357,9 +333,13 @@ def test_audit_rejects_malformed_record(t11, forge):
 # -- exhaustive_oracle ------------------------------------------------------
 
 
+def _trivial_pair() -> Curve:
+    return Curve(CLOSED, (Snippet(0, (3, 0), (3, 0), 0),
+                          Snippet(3, (1, 0), (1, 0), 0)))
+
+
 def test_oracle_trivial_pair_reaches_single(t11):
-    c = Curve(CLOSED, (Snippet(0, (3, 0), (3, 0), 0),
-                       Snippet(3, (1, 0), (1, 0), 0)))
+    c = _trivial_pair()
     v = exhaustive_oracle(c, t11)
     assert v.conclusive and v.single_reachable
     res = efficient_position(c, t11)
@@ -379,36 +359,47 @@ def test_oracle_respects_state_cap(t11):
     v = exhaustive_oracle(c, t11, cap_states=2)
     assert not v.conclusive
     assert v.reason is not None
+    for cap in (0, -1):
+        with pytest.raises(BadInput):
+            exhaustive_oracle(c, t11, cap_states=cap)
 
 
-def test_oracle_agreement_random_closed(t11, s04):
-    checked = inconclusive = 0
+def _random_closed_inputs(t11, s04):
     for nb, base in ((t11, 0), (s04, 500)):
         for seed in range(30):
             rng = random.Random(base + seed)
             try:
-                c = random_closed(nb, rng, rng.randrange(2, 7))
+                yield nb, seed, random_closed(nb, rng, rng.randrange(2, 7))
             except GenerationFailed:
                 continue
-            res = efficient_position(c, nb)
-            v = exhaustive_oracle(c, nb, cap_states=30000)
-            if not v.conclusive:
-                inconclusive += 1
-                continue
-            checked += 1
-            assert oracle_agrees(v, res.status), (nb.name, seed, res.status, v)
-            assert v.single_reachable == (res.status == SINGLE_SNIPPET)
-            if res.status == EFFICIENT:
-                assert v.efficient_reachable
+
+
+def test_oracle_agreement_random_closed(t11, s04):
+    checked = inconclusive = 0
+    for nb, seed, c in _random_closed_inputs(t11, s04):
+        res = efficient_position(c, nb)
+        v = exhaustive_oracle(c, nb, cap_states=30000)
+        if not v.conclusive:
+            inconclusive += 1
+            continue
+        checked += 1
+        assert oracle_agrees(v, res.status), (nb.name, seed, res.status, v)
+        assert v.single_reachable == (res.status == SINGLE_SNIPPET)
+        if res.status == EFFICIENT:
+            assert v.efficient_reachable
     assert checked >= 30
     assert inconclusive <= checked
 
 
-def test_oracle_agreement_random_arcs(t11):
-    checked = 0
+def _random_arc_inputs(t11):
     for seed in range(25):
         rng = random.Random(seed * 3 + 1)
-        c = random_arc(t11, rng, rng.randrange(1, 7))
+        yield seed, random_arc(t11, rng, rng.randrange(1, 7))
+
+
+def test_oracle_agreement_random_arcs(t11):
+    checked = 0
+    for seed, c in _random_arc_inputs(t11):
         res = efficient_position(c, t11)
         v = exhaustive_oracle(c, t11, cap_states=30000)
         if not v.conclusive:
@@ -418,14 +409,154 @@ def test_oracle_agreement_random_arcs(t11):
     assert checked >= 15
 
 
+def _builder_inputs(t11):
+    return (trivial_loop(t11, 5), boundary_power(t11, 5, 2),
+            doubled_back(t11, random.Random(9), 3))
+
+
 def test_oracle_agreement_builders(t11):
-    for c in (trivial_loop(t11, 5), boundary_power(t11, 5, 2),
-              doubled_back(t11, random.Random(9), 3)):
+    for c in _builder_inputs(t11):
         res = efficient_position(c, t11)
         assert res.status == SINGLE_SNIPPET
         v = exhaustive_oracle(c, t11, cap_states=60000)
         if v.conclusive:
             assert v.single_reachable and oracle_agrees(v, res.status)
+
+
+def _criterion_7_corpus():
+    """Criterion 7's curves, each with its neighbourhood."""
+    for name in FIXTURE_NAMES:
+        nb = load_fixture(name)
+        for seed in range(45):
+            rng = random.Random(f"{name}/{seed}/c7")
+            if seed % 3 == 0:
+                curve = random_arc(nb, rng, rng.randrange(1, 7))
+            else:
+                curve = random_closed(nb, rng, rng.randrange(2, 9))
+            if len(curve.snippets) <= 8:
+                yield nb, curve
+
+
+def test_oracle_agreement_past_length_8():
+    """Ground truth for arcs and closed curves of 9-12 snippets on every
+    fixture: each search is conclusive and agrees with the pipeline."""
+    lengths = set()
+    for name in FIXTURE_NAMES:
+        nb = load_fixture(name)
+        for seed in range(60):
+            rng = random.Random(f"{name}/{seed}/long")
+            if seed % 3 == 0:
+                c = random_arc(nb, rng, rng.randrange(9, 13))
+            else:
+                c = random_closed(nb, rng, rng.randrange(9, 13))
+            if len(c.snippets) > 12:
+                continue
+            v = exhaustive_oracle(c, nb, cap_states=200_000)
+            res = efficient_position(c, nb)
+            assert v.conclusive, (name, seed, v)
+            assert oracle_agrees(v, res.status), (name, seed, res.status, v)
+            lengths.add(len(c.snippets))
+    assert lengths == {9, 10, 11, 12}
+
+
+# The oracle as it searched before snippet ids: whole curves, a `hom` and a
+# `splice` per push, and states keyed by snippet tuples.  It is the
+# reference the id search must equal, verdict for verdict.
+
+
+def _state_key(curve: Curve):
+    """An arc's snippets; a closed curve's least rotation of them.  Only a
+    one-snippet curve can hold a closed snippet's None loci, so rotations
+    of two or more snippets compare as plain snippet tuples."""
+    snap = curve.snippets
+    if curve.kind == ARC:
+        return snap
+    return min(snap[i:] + snap[:i] for i in range(len(snap)))
+
+
+def reference_oracle(curve: Curve, nb, max_len: int | None = None,
+                     cap_states: int = 50_000) -> OracleVerdict:
+    s_N = nb.s_N
+    if max_len is None:
+        max_len = len(curve.snippets) + 3 * s_N
+    w0 = max((abs(s.wind) for s in curve.snippets), default=0)
+    wind_cap = w0 + 3 * s_N
+
+    seen = {_state_key(curve)}
+    queue = deque([curve])
+    efficient_found = False
+    single_found = False
+    pruned = False
+    states = 0
+    while queue:
+        cur = queue.popleft()
+        states += 1
+        n = len(cur.snippets)
+        bads = [i for i, s in enumerate(cur.snippets)
+                if classify(s, nb).bad]
+        if not bads:
+            efficient_found = True
+        elif n == 1:
+            single_found = True
+            return OracleVerdict(True, efficient_found, True, states)
+        if cur.kind == ARC:
+            bads = [i for i in bads if 0 < i < n - 1]
+        for k in bads:
+            window, ev = hom(cur, k, nb)
+            child = splice(cur, window, ev)
+            if len(child.snippets) > max_len or any(
+                    abs(s.wind) > wind_cap for s in child.snippets):
+                pruned = True
+                continue
+            key = _state_key(child)
+            if key in seen:
+                continue
+            if len(seen) >= cap_states:
+                return OracleVerdict(False, efficient_found, single_found,
+                                     states, reason="state cap")
+            seen.add(key)
+            queue.append(child)
+    if pruned and not single_found:
+        return OracleVerdict(False, efficient_found, single_found, states,
+                             reason="length or winding cap")
+    return OracleVerdict(True, efficient_found, single_found, states)
+
+
+def _oracle_test_searches(t11, s04):
+    """(neighbourhood, curve, state cap) of each search the oracle tests
+    above make."""
+    yield t11, _trivial_pair(), 50_000
+    yield t11, carried_loop(t11), 50_000
+    yield t11, doubled_back(t11, random.Random(3), 4), 2
+    for nb, _, c in _random_closed_inputs(t11, s04):
+        yield nb, c, 30000
+    for _, c in _random_arc_inputs(t11):
+        yield t11, c, 30000
+    for c in _builder_inputs(t11):
+        yield t11, c, 60000
+
+
+@pytest.mark.parametrize("corpus", ["criterion-7", "oracle-tests"])
+def test_oracle_equals_reference(t11, s04, corpus):
+    """Every verdict field, `states` and `reason` included, equals the
+    reference's: at each search's own cap, at caps that stop the search
+    early, where `states` shows any change in breadth-first order, and with
+    no growth in length allowed, which prunes."""
+    if corpus == "criterion-7":
+        searches = ((nb, c, 50_000) for nb, c in _criterion_7_corpus())
+    else:
+        searches = _oracle_test_searches(t11, s04)
+    reasons = {"state cap": 0, "length or winding cap": 0}
+    for nb, c, cap in searches:
+        n = len(c.snippets)
+        for max_len, cap in ((None, cap), (None, 2), (None, 20), (None, 300),
+                             (n, cap)):
+            v = exhaustive_oracle(c, nb, max_len, cap)
+            assert v == reference_oracle(c, nb, max_len, cap), (c, max_len,
+                                                                cap)
+            if v.reason:
+                reasons[v.reason] += 1
+    assert min(reasons.values()) >= 20, reasons
 
 
 def _old_state_key(curve: Curve):
@@ -439,35 +570,33 @@ def _old_state_key(curve: Curve):
 
 
 def test_state_key_splits_states_as_the_old_key(monkeypatch):
-    """On criterion 7's corpus, the curves each oracle search keys fall into
-    the same classes under the snippet-tuple key as under the old key."""
-    keyed: list[Curve] = []
-    state_key = verification._state_key
+    """On criterion 7's corpus, the closed curves each oracle search keys
+    fall into the same classes under the least rotation of their snippet
+    ids as under the old key.  (An arc's key is its id tuple, which stands
+    for its snippets one to one.)"""
+    keyed: list[tuple[int, ...]] = []
+    least_rotation = verification._least_rotation
 
-    def recording(curve):
-        keyed.append(curve)
-        return state_key(curve)
+    def recording(ids):
+        keyed.append(ids)
+        return least_rotation(ids)
 
-    monkeypatch.setattr(verification, "_state_key", recording)
+    monkeypatch.setattr(verification, "_least_rotation", recording)
     searches = states = 0
-    for name in FIXTURE_NAMES:
-        nb = load_fixture(name)
-        for seed in range(45):
-            rng = random.Random(f"{name}/{seed}/c7")
-            if seed % 3 == 0:
-                curve = random_arc(nb, rng, rng.randrange(1, 7))
-            else:
-                curve = random_closed(nb, rng, rng.randrange(2, 9))
-            if len(curve.snippets) > 8:
-                continue
-            keyed.clear()
-            exhaustive_oracle(curve, nb)
-            old_to_new: dict = {}
-            new_to_old: dict = {}
-            for c in keyed:
-                old, new = _old_state_key(c), state_key(c)
-                assert old_to_new.setdefault(old, new) == new, (name, seed)
-                assert new_to_old.setdefault(new, old) == old, (name, seed)
-            searches += 1
-            states += len(new_to_old)
-    assert searches > 100 and states > 1000
+    for nb, curve in _criterion_7_corpus():
+        if curve.kind == ARC:
+            continue
+        keyed.clear()
+        exhaustive_oracle(curve, nb)
+        snippets = nb._oracle_ids.snippets
+        old_to_new: dict = {}
+        new_to_old: dict = {}
+        for ids in keyed:
+            old = _old_state_key(
+                Curve(CLOSED, tuple(snippets[i] for i in ids)))
+            new = least_rotation(ids)
+            assert old_to_new.setdefault(old, new) == new, (nb.name, curve)
+            assert new_to_old.setdefault(new, old) == old, (nb.name, curve)
+        searches += 1
+        states += len(new_to_old)
+    assert searches > 80 and states > 1000
