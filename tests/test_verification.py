@@ -137,11 +137,32 @@ def test_audit_accepts_arc_traces(t11):
     assert audit_trace(res.events, c, res.curve, t11).ok
 
 
-def _first_hom_index(events):
+def _first_hom_index(events, rule=None):
     for i, ev in enumerate(events):
-        if ev["op"] == "hom":
+        if ev["op"] == "hom" and (rule is None or ev["rule"] == rule):
             return i
-    raise AssertionError("no hom event")
+    raise AssertionError("no such hom event")
+
+
+def test_audit_rejects_forged_rule(t11):
+    c, res = _traced_run(t11)
+    events = [dict(ev) for ev in res.events]
+    i = _first_hom_index(events, "B(h,t)")
+    events[i]["rule"] = "R(h,h)"
+    with pytest.raises(AuditFailure) as err:
+        audit_trace(events, c, res.curve, t11)
+    assert err.value.event_index == i
+    assert "rule" in err.value.clause
+
+
+def test_audit_rejects_forged_j(t11):
+    c, res = _traced_run(t11)
+    events = [dict(ev) for ev in res.events]
+    i = _first_hom_index(events)
+    events[i]["j"] = events[i]["j"] + 1
+    with pytest.raises(AuditFailure) as err:
+        audit_trace(events, c, res.curve, t11)
+    assert err.value.event_index == i
 
 
 # A forged field that leaves the pushed position alone fails the comparison
