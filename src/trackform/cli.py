@@ -21,9 +21,8 @@ from .fixtures import FIXTURE_NAMES, load_fixture
 from .formats import (parse_curve, parse_trace, parse_track, read_text,
                       serialize_curve, serialize_trace)
 from .generate import gen_random_curve
-from .pipelines import (EFFICIENT, SINGLE_SNIPPET, default_budget,
-                        efficient_position, terminal_status,
-                        terminal_summary)
+from .pipelines import (EFFICIENT, SINGLE_SNIPPET, efficient_position,
+                        proven_push_bound, terminal_status, terminal_summary)
 from .render import render_svg
 from .snippet_core import classify
 from .track_model import build_tie_neighbourhood
@@ -101,7 +100,7 @@ def classify_cmd(track: str, curve: str) -> int:
               help="write the rewrite trace here")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="write the terminal curve here")
-@click.option("--max-steps", type=int, default=None,
+@click.option("--max-steps", type=click.IntRange(min=0), default=None,
               help="override the global rewrite budget")
 def run(track: str, curve: str, trace_path: str | None,
         out_path: str | None, max_steps: int | None) -> int:
@@ -193,8 +192,8 @@ def oracle(track: str, curve: str, cap: int) -> int:
 
 @cli.command()
 @click.argument("track")
-@click.option("--len", "target_len", type=int, required=True,
-              help="target snippet length")
+@click.option("--len", "target_len", type=click.IntRange(min=1),
+              required=True, help="target snippet length")
 @click.option("--seed", type=int, default=0, help="base random seed")
 @click.option("--count", type=int, default=1, help="how many curves")
 @click.option("--out", "out_dir", type=click.Path(), default=None,
@@ -240,7 +239,7 @@ def stats(track: str, batch_dir: str) -> int:
         n0 = len(c.snippets)
         res = efficient_position(c, nb)
         rows.append((f.name, n0, res.homs, res.status,
-                     default_budget(nb, n0)))
+                     proven_push_bound(nb, n0)))
         click.echo(f"{f.name}\tlen={n0}\tpushes={res.homs}\t{res.status}")
     click.echo(f"curves: {len(rows)}")
     click.echo(f"max pushes: {max(r[2] for r in rows)}")

@@ -4,9 +4,13 @@ measures, and blocker detection.
 Consecutive snippets chain across gluings: the end locus of one snippet and
 the start locus of the next are partner segments (cyclically for closed
 curves).  A `Curve` is immutable, and every operation here returns a new
-one.  A `WorkingCurve` is the one mutable form: a run or an audit splices
-each rewrite window into its snippet list in place, and everything here
-that reads a curve reads it too.
+one.  A `WorkingCurve` is the one mutable form and the replay state of a
+run and of an audit: its snippet list, a byte per position marking the bad
+snippets, and the six length counters.  `WorkingCurve.apply` replays one
+trace/1 event on it and is the only code that changes them: a `hom` window
+is spliced in place and its counters updated from the window alone, so a
+push costs its window and not the curve's length.  Everything here that
+reads a curve reads a working curve too.
 
 The length counters are read off each snippet's fact record in the
 neighbourhood's fact table (`snippet_core.SnippetFacts`): its counter row
@@ -43,25 +47,58 @@ class Curve:
 
 
 class WorkingCurve:
-    """A curve being rewritten in place: its kind and a snippet list that
-    each rewrite window is spliced into, so a rewrite costs its window and
-    not the curve's length.  `freeze` gives the `Curve` it stands for."""
-    __slots__ = ("kind", "snippets")
+    """A curve being rewritten in place: its kind, its snippet list, a byte
+    per position that is 1 where the snippet is bad, its counters `c`
+    (`LengthReport.counters`), and while it is opened at a seam the winding
+    of the duplicated basepoint snippet (else None).  `freeze` gives the
+    `Curve` it stands for."""
+    __slots__ = ("nb", "kind", "snippets", "bad", "c", "orig_wind")
 
-    def __init__(self, curve: Curve) -> None:
+    def __init__(self, curve: Curve, nb: TieNeighbourhood) -> None:
+        self.nb = nb
         self.kind = curve.kind
         self.snippets = list(curve.snippets)
+        self.orig_wind: int | None = None
+        self._count()
 
     def freeze(self) -> Curve:
         return Curve(self.kind, tuple(self.snippets))
 
-    def rotate(self, r: int) -> None:
-        """Make position r the first (closed curves)."""
-        rotate_in_place(self.snippets, r)
+    def _count(self) -> None:
+        self.c = measure(self, self.nb).counters
+        self.bad = bytearray(_bad_flags(self.snippets, self.nb))
 
-    def splice(self, ws: int, window) -> None:
-        """Put the window in place of the three snippets from ws on."""
-        self.snippets[ws:ws + 3] = window
+    def apply(self, ev: dict, window=()) -> None:
+        """Replay the trace/1 event `ev` (a `hom` with the `window` it
+        put in place of three snippets, a `rotate`, `reverse`, `open` or
+        `seam`).  The event is taken as legal here: `Run` records only
+        legal events, and the audit checks each before it replays it."""
+        op = ev["op"]
+        snap, bad = self.snippets, self.bad
+        if op == "hom":
+            if ev["rot"]:
+                rotate_in_place(snap, ev["rot"])
+                rotate_in_place(bad, ev["rot"])
+            ws = ev["win"][0]
+            self.c = update_counters(self.c, self, ws, window, self.nb)
+            snap[ws:ws + 3] = window
+            bad[ws:ws + 3] = _bad_flags(window, self.nb)
+            return
+        if op == "rotate":
+            rotate_in_place(snap, ev["by"])
+            rotate_in_place(bad, ev["by"])
+            return
+        if op == "reverse":
+            self.snippets = list(reverse(self).snippets)
+        elif op == "open":  # duplicate the basepoint snippet at the far end
+            self.kind = ARC
+            self.orig_wind = snap[0].wind
+            snap.append(snap[0])
+        else:  # seam
+            glued = glue_seam(self.freeze(), self.orig_wind, self.nb)
+            self.kind, self.snippets = glued.kind, list(glued.snippets)
+            self.orig_wind = None
+        self._count()
 
 
 def rotate_in_place(seq, r: int) -> None:
@@ -163,6 +200,12 @@ def _classified(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
     record, and return the record."""
     classify(s, nb)
     return fact_table(nb)[s]
+
+
+def _bad_flags(snippets, nb: TieNeighbourhood) -> bytes:
+    """A byte per snippet, 1 where it is bad."""
+    get = fact_table(nb).get
+    return bytes([(get(s) or _classified(s, nb)).row[4] for s in snippets])
 
 
 def _blockers_in(snippets, nb: TieNeighbourhood) -> int:

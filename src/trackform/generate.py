@@ -109,12 +109,15 @@ def random_arc(nb: TieNeighbourhood, rng: random.Random, length: int,
 
 def random_closed(nb: TieNeighbourhood, rng: random.Random, length: int,
                   spread: int = 2, patience: int = 256) -> Curve:
-    """A random closed curve of roughly the requested snippet length.
+    """A random closed curve of at least the requested snippet length.
 
     The walk runs freely for ``length - 1`` steps and then continues until
     it re-enters the region containing the gluing partner of its starting
     locus, where it closes up.  The result is therefore at least ``length``
-    snippets long, usually exactly that.
+    snippets long and seldom exactly that: the closing walk adds a few
+    snippets whatever the target (a median of one or two on the bundled
+    fixtures, up to about twenty on s04), so a short target can come out
+    several times longer.
     """
     if length < 2:
         raise BadInput("closed walks need length >= 2")

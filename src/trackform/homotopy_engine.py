@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .curve_ops import ARC, CLOSED, Curve, WorkingCurve
+from .curve_ops import ARC, CLOSED, Curve
 from .errors import BadInput, ClosedSnippet, NotBad
 from .snippet_core import (RIGHT, Snippet, SnippetClass, classify,
                            validate_snippet)
@@ -275,8 +275,6 @@ def hom(curve: Curve, k: int, nb: TieNeighbourhood
 
 def splice(curve: Curve, window, ev: dict) -> Curve:
     """The whole curve `hom` rewrote into `window` and its record `ev`."""
-    work = WorkingCurve(curve)
-    if ev["rot"]:
-        work.rotate(ev["rot"])
-    work.splice(ev["win"][0], window)
-    return work.freeze()
+    r, ws = ev["rot"], ev["win"][0]
+    snap = curve.snippets[r:] + curve.snippets[:r]
+    return Curve(curve.kind, (*snap[:ws], *window, *snap[ws + 3:]))

@@ -12,16 +12,16 @@ follow-up pushes chosen by the shape of their neighbourhood (narrow or wide
 complement bigons, blocked branch bigons); whenever a push hands the problem
 to a trigon, a plain chase (`trig_curve`) finishes.
 
-Every push goes through `Run`, which owns the working curve, enforces the
-global rewrite budget, maintains the length counters incrementally from the
-rewrite windows, and records one trace event per operation.  `hom` returns
-a push's window and its trace/1 `hom` record; `Run` adds the phase and the
-counters to that record and keeps it as the event.  The working curve is a
-`WorkingCurve`: each window is spliced into its snippet list in place, and
-a byte per position marking the bad snippets is spliced alongside it, so a
-push moves no Python object outside its window and no bad position needs
-shifting.  `run.curve` builds the `Curve` on demand.  The recorded events
-are self-contained: an auditor can replay them from the input curve and
+Every operation goes through `Run`, which owns the working curve, enforces
+the global rewrite budget and records one trace event per operation.  Each
+of its five operations only builds the event's trace/1 record (`hom`
+returns a push's window with its `hom` record) and hands it to
+`Run._record`, which replays it on the working curve with
+`WorkingCurve.apply` (the step the audit replays each recorded event with)
+and stamps it with its phase and the counters it leaves.  A push thus
+changes the curve, its counters and its bad flags within its window only.
+`run.curve` builds the `Curve` on demand.  The recorded events are
+self-contained: an auditor can replay them from the input curve and
 byte-compare every intermediate state.
 
 Termination is certified by step budgets: each loop asserts twice its proven
@@ -38,12 +38,8 @@ from .curve_ops import (
     Curve,
     LengthReport,
     WorkingCurve,
-    glue_seam,
     is_blocker,
-    measure,
-    reverse,
-    rotate_in_place,
-    update_counters,
+    measure,  # unused here; the benchmark's tracer wraps pipelines.measure
     validate_curve,
 )
 from .errors import BadInput, BudgetExceeded
@@ -69,6 +65,7 @@ __all__ = [
     "hor_bigon_comp",
     "hor_bigon_branch",
     "single_bad",
+    "proven_push_bound",
     "default_budget",
     "efficient_position",
     "terminal_status",
@@ -91,7 +88,7 @@ class Run:
                  max_homs: int | None = None) -> None:
         validate_curve(curve, nb)
         self.nb = nb
-        self.work = WorkingCurve(curve)
+        self.work = WorkingCurve(curve, nb)
         self.events: list[dict] = []
         # one (loop name, steps used, size parameter, lo, tail, first event
         # index, end event index) row per span-loop invocation, so budget
@@ -100,8 +97,6 @@ class Run:
         self.budget_log: list[tuple[str, int, int, int, int, int, int]] = []
         self.homs = 0
         self.max_homs = max_homs
-        self._orig_wind: int | None = None
-        self._recount()
 
     # -- state queries ------------------------------------------------------
 
@@ -126,29 +121,20 @@ class Run:
 
     def bads(self) -> list[int]:
         out = []
-        p = self._bad.find(1)
+        p = self.work.bad.find(1)
         while p >= 0:
             out.append(p)
-            p = self._bad.find(1, p + 1)
+            p = self.work.bad.find(1, p + 1)
         return out
 
     def first_bad(self, lo: int = -1, hi: int | None = None) -> int | None:
         """The first bad position p with lo < p < hi, or None."""
-        b = self._bad
+        b = self.work.bad
         p = b.find(1, lo + 1, len(b) if hi is None else max(hi, 0))
         return None if p < 0 else p
 
     def report(self) -> LengthReport:
-        return LengthReport(self.n, *self._c)
-
-    # -- counter maintenance ------------------------------------------------
-
-    def _recount(self) -> None:
-        self._c = measure(self.work, self.nb).counters
-        # one byte per position, 1 where the snippet is bad; spliced like
-        # the snippets, so no bad position after a window has to move
-        self._bad = bytearray(classify(s, self.nb).bad
-                              for s in self.work.snippets)
+        return LengthReport(self.n, *self.work.c)
 
     def _check_budget(self) -> None:
         if self.max_homs is not None and self.homs >= self.max_homs:
@@ -157,42 +143,32 @@ class Run:
 
     # -- operations (each records one trace event) --------------------------
 
+    def _record(self, ev: dict, phase: str, window=()) -> dict:
+        """Replay the event on the working curve, stamp it with its phase
+        and the counters it leaves, and keep it as the next trace event."""
+        self.work.apply(ev, window)
+        ev["phase"] = phase
+        ev["c"] = list(self.work.c)
+        self.events.append(ev)
+        return ev
+
     def hom_at(self, k: int, phase: str) -> dict:
         """Push the bad snippet at k; record and return the push's trace/1
         `hom` record."""
         self._check_budget()
-        work, nb = self.work, self.nb
-        window, ev = hom(work, k, nb)
+        window, ev = hom(self.work, k, self.nb)
         self.homs += 1
-        rot = ev["rot"]
-        if rot:
-            work.rotate(rot)
-            rotate_in_place(self._bad, rot)
-        ws = ev["win"][0]
-        self._c = update_counters(self._c, work, ws, window, nb)
-        work.splice(ws, window)
-        self._bad[ws:ws + 3] = bytes(classify(s, nb).bad for s in window)
-        ev["phase"] = phase
-        ev["c"] = list(self._c)
-        self.events.append(ev)
-        return ev
+        return self._record(ev, phase, window)
 
     def rotate(self, r: int, phase: str) -> None:
         if self.kind != CLOSED:
             raise BadInput("only closed curves rotate")
         r %= self.n
-        if r == 0:
-            return
-        self.work.rotate(r)
-        rotate_in_place(self._bad, r)
-        self.events.append({"op": "rotate", "phase": phase, "by": r,
-                            "c": list(self._c)})
+        if r:
+            self._record({"op": "rotate", "by": r}, phase)
 
     def reverse_(self, phase: str) -> None:
-        self.work = WorkingCurve(reverse(self.curve))
-        self._recount()
-        self.events.append({"op": "reverse", "phase": phase,
-                            "c": list(self._c)})
+        self._record({"op": "reverse"}, phase)
 
     def open_dup(self, phase: str) -> None:
         """Open a closed curve into an arc by duplicating its basepoint
@@ -202,23 +178,12 @@ class Run:
         s0 = self.work.snippets[0]
         if s0.closed:
             raise BadInput("cannot open a curve at a closed snippet")
-        self._orig_wind = s0.wind
-        self.work.kind = ARC
-        self.work.snippets.append(s0)
-        self._recount()
-        self.events.append({"op": "open", "phase": phase,
-                            "orig_wind": self._orig_wind,
-                            "c": list(self._c)})
+        self._record({"op": "open", "orig_wind": s0.wind}, phase)
 
     def seam(self, phase: str) -> None:
-        if self.kind != ARC or self._orig_wind is None:
+        if self.kind != ARC or self.work.orig_wind is None:
             raise BadInput("seam closes an arc opened by open_dup")
-        w = self._orig_wind
-        self.work = WorkingCurve(glue_seam(self.curve, w, self.nb))
-        self._orig_wind = None
-        self._recount()
-        self.events.append({"op": "seam", "phase": phase, "orig_wind": w,
-                            "c": list(self._c)})
+        self._record({"op": "seam", "orig_wind": self.work.orig_wind}, phase)
 
 
 # -- span algorithms --------------------------------------------------------
@@ -261,31 +226,31 @@ def big_arc(run: Run, lo: int = 0, tail: int = 0,
     trig_arc(run, lo, tail, phase)
 
 
-def reduce_to_two(run: Run, phase: str = "reduce_to_two") -> None:
+def reduce_to_two(run: Run) -> None:
     """Sweep the curve so only the outermost two positions stay bad."""
     n0 = run.n
     if n0 <= 2:
         return
     for k in range(3, n0):
-        big_arc(run, 0, n0 - k, phase)
-    big_arc(run, 0, 0, phase)
+        big_arc(run, 0, n0 - k, "reduce_to_two")
+    big_arc(run, 0, 0, "reduce_to_two")
 
 
-def reduce_to_one(run: Run, phase: str = "reduce_to_one") -> None:
+def reduce_to_one(run: Run) -> None:
     """Merge the two adjacent bad positions of a swept closed curve."""
     if run.kind != CLOSED:
         raise BadInput("the seam step applies to closed curves")
     if run.n < 2:
         return
-    run.open_dup(phase)
-    big_arc(run, 0, 0, phase)
-    run.seam(phase)
+    run.open_dup("reduce_to_one")
+    big_arc(run, 0, 0, "reduce_to_one")
+    run.seam("reduce_to_one")
 
 
 # -- the single-bad-snippet case analysis -----------------------------------
 
 
-def all_but(run: Run, k: int, phase: str = "all_but") -> None:
+def all_but(run: Run, k: int) -> None:
     """Remove any bigon except the horizontal types R(h,h) and B(h,h)."""
     t = run.cls_at(k).type
     if t == "S(t,v,1)":
@@ -294,11 +259,12 @@ def all_but(run: Run, k: int, phase: str = "all_but") -> None:
         weight_two(run, k)
     else:
         assert t in EASY_BIGONS, t
-        run.hom_at(k, phase)
+        run.hom_at(k, "all_but")
 
 
-def weight_one(run: Run, k: int, phase: str = "weight_one_bigon") -> None:
+def weight_one(run: Run, k: int) -> None:
     """Push an S(t,v,1) bigon; collapse the annulus trigon it may leave."""
+    phase = "weight_one_bigon"
     ev = run.hom_at(k, phase)
     assert ev["n"][0] > 2, "a weight-one bigon cannot close a 2-curve"
     ws = ev["win"][0]
@@ -308,12 +274,13 @@ def weight_one(run: Run, k: int, phase: str = "weight_one_bigon") -> None:
             return
 
 
-def weight_two(run: Run, k: int, phase: str = "weight_two_bigon") -> None:
+def weight_two(run: Run, k: int) -> None:
     """Push an S(t,t,2) bigon and clean up after it.
 
     The push leaves a vertical dual flanked by two annulus trigons; chasing
     from just past the dual sweeps one trigon around the curve.  If it comes
     back as a bigon against the other trigon, one more push removes both."""
+    phase = "weight_two_bigon"
     if run.n == 2:
         ev = run.hom_at(k, phase)
         run.hom_at((ev["k"] - 1) % run.n, phase)
@@ -325,10 +292,11 @@ def weight_two(run: Run, k: int, phase: str = "weight_two_bigon") -> None:
         run.hom_at(run.n - 1, phase)
 
 
-def two_trigons(run: Run, phase: str = "two_trigons") -> None:
+def two_trigons(run: Run) -> None:
     """Resolve a closed curve whose only bads are an adjacent S(h,t,1) or
     S(h,t,3) at position 0 and a B(h,t) at position 1, turning the same
     way."""
+    phase = "two_trigons"
     t0 = run.cls_at(0).type
     assert t0 in ("S(h,t,1)", "S(h,t,3)"), t0
     assert run.cls_at(1).type == "B(h,t)"
@@ -351,8 +319,9 @@ def two_trigons(run: Run, phase: str = "two_trigons") -> None:
     run.hom_at(0, phase)
 
 
-def hor_bigon_comp(run: Run, k: int, phase: str = "hor_bigon_comp") -> None:
+def hor_bigon_comp(run: Run, k: int) -> None:
     """Remove an R(h,h) bigon in a complementary region."""
+    phase = "hor_bigon_comp"
     assert run.cls_at(k).type == "R(h,h)"
     if run.n == 2:
         run.hom_at(k, phase)
@@ -373,10 +342,10 @@ def hor_bigon_comp(run: Run, k: int, phase: str = "hor_bigon_comp") -> None:
     _hor_bigon_wide(run, ev)
 
 
-def _hor_bigon_wide(run: Run, ev: dict,
-                    phase: str = "hor_bigon_wide") -> None:
+def _hor_bigon_wide(run: Run, ev: dict) -> None:
     """Continue after pushing a wide R(h,h): the window opened a fan of
     trigons; chase them around the curve and resolve what returns."""
+    phase = "hor_bigon_wide"
     run.rotate(ev["k"], phase)
     trig_arc(run, 0, 1, phase)
     if not any(p <= run.n - 2 for p in run.bads()):
@@ -399,14 +368,14 @@ def _hor_bigon_wide(run: Run, ev: dict,
     run.reverse_(phase)
 
 
-def hor_bigon_branch(run: Run, k: int,
-                     phase: str = "hor_bigon_branch") -> None:
+def hor_bigon_branch(run: Run, k: int) -> None:
     """Remove a B(h,h) bigon in a branch rectangle.
 
     One push suffices unless both neighbours are vertical duals of opposite
     turns guarded by blockers on both sides; that double-blocked shape takes
     three pushes.  When exactly one neighbour is a short complement snippet,
     the push turns the bigon into an R(h,h) handled by `hor_bigon_comp`."""
+    phase = "hor_bigon_branch"
     assert run.cls_at(k).type == "B(h,h)"
     nb = run.nb
     n = run.n
@@ -444,7 +413,7 @@ def hor_bigon_branch(run: Run, k: int,
         hor_bigon_comp(run, b[0])
 
 
-def trig_curve(run: Run, phase: str = "trig_curve") -> None:
+def trig_curve(run: Run) -> None:
     """Chase bad snippets around a closed curve until none remain."""
     s = run.nb.s_N
     red0 = max(run.report().len_red, 0)
@@ -460,13 +429,13 @@ def trig_curve(run: Run, phase: str = "trig_curve") -> None:
             if steps > limit:
                 raise BudgetExceeded(
                     f"closed trigon chase exceeded {limit} pushes")
-            run.hom_at(k, phase)
+            run.hom_at(k, "trig_curve")
     finally:
         run.budget_log.append(("trig_curve", steps, red0, 0, 0,
                                e0, len(run.events)))
 
 
-def single_bad(run: Run, phase: str = "single_bad") -> None:
+def single_bad(run: Run) -> None:
     """Remove the last bad snippet of a closed curve."""
     red0 = max(run.report().len_red, 0)
     limit = 2 * (red0 + 1) + 1
@@ -512,10 +481,16 @@ class Result:
     budget_log: list = field(repr=False, default_factory=list)
 
 
-def default_budget(nb: TieNeighbourhood, n0: int) -> int:
-    """Twice the proven quadratic push bound for an n0-snippet input."""
+def proven_push_bound(nb: TieNeighbourhood, n0: int) -> int:
+    """The proven quadratic bound on the pushes of a run on an n0-snippet
+    input."""
     s = nb.s_N
-    return 2 * (6 * s * (s + 2) + 8) * (n0 + 2) ** 2
+    return (6 * s * (s + 2) + 8) * (n0 + 2) ** 2
+
+
+def default_budget(nb: TieNeighbourhood, n0: int) -> int:
+    """The global rewrite budget: twice the proven push bound."""
+    return 2 * proven_push_bound(nb, n0)
 
 
 def efficient_position(curve: Curve, nb: TieNeighbourhood,

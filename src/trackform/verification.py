@@ -8,13 +8,12 @@ Three layers of defence against a wrong pipeline:
   a bug there cannot hide.
 
 * `audit_trace` replays a recorded run event by event on its own working
-  curve (`WorkingCurve`), splicing each replayed window in place, so an
-  event costs its window and not the curve's length.  Each record's field
-  types are checked, each rewrite is re-executed and every recorded field
-  must match.  The audit's own length counters follow each replayed `hom`
-  window in O(window) (`update_counters`), are counted in full at the
-  start and after `reverse`, `open` and `seam`, and must equal each
-  event's record and, at the end, a full count of the terminal curve,
+  curve with `WorkingCurve.apply`, the step `Run` records each event with,
+  so an event costs its window and not the curve's length.  Each record's
+  field types are checked, a rotation must lie strictly between 0 and the
+  curve's length, each rewrite is re-executed and every recorded field must
+  match before the event is replayed.  The replayed counters must equal
+  each event's record and, at the end, a full count of the terminal curve,
   which must also equal the recorded output snippet for snippet.  The
   audit also asserts the per-rule contracts: length deltas, window
   locality, inner efficiency, slide winding deltas, and — on chase steps
@@ -38,8 +37,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .curve_ops import (ARC, CLOSED, Curve, WorkingCurve, glue_seam, measure,
-                        reverse, update_counters)
+from .curve_ops import ARC, CLOSED, Curve, WorkingCurve, measure
 from .errors import AuditFailure, BadInput, NotApplicable, TrackformError
 from .formats import _is_int
 from .homotopy_engine import EXPECTED_J, TRIGON_GRAPH, hom, splice
@@ -195,12 +193,6 @@ class _Audit:
         self.nb = nb
         self.checks = 0
         self.index = -1
-        self._c: list[int] = []
-
-    @property
-    def counters(self) -> tuple[int, ...]:
-        """The running counters of the replayed curve."""
-        return tuple(self._c)
 
     def fail(self, clause: str, detail: str = "") -> None:
         msg = f"event {self.index}: {clause}"
@@ -215,44 +207,38 @@ class _Audit:
 
     def run(self) -> AuditReport:
         nb = self.nb
-        work = WorkingCurve(self.before)
-        self._c = measure(work, nb).counters
-        open_wind: int | None = None
+        work = self.work = WorkingCurve(self.before, nb)
         for self.index, ev in enumerate(self.trace):
             op = self._check_record(ev)
             snap = work.snippets
-            if op == "hom":
-                self._replay_hom(work, ev)
-            elif op == "rotate":
+            if op == "rotate":
                 self.check(work.kind == CLOSED, "op", "rotate on an arc")
-                work.rotate(ev["by"])
-            elif op == "reverse":
-                work = WorkingCurve(reverse(work.freeze()))
+                if not 0 < ev["by"] < len(snap):
+                    self.fail("by", f"rotation by {ev['by']} of a curve of"
+                              f" {len(snap)} snippets")
             elif op == "open":
                 self.check(work.kind == CLOSED and not snap[0].closed,
                            "op", "open needs a closed curve of open snippets")
                 self.check(ev["orig_wind"] == snap[0].wind,
                            "open-wind", "recorded seam winding is not the "
                            "basepoint snippet's")
-                open_wind = snap[0].wind
-                work.kind = ARC
-                snap.append(snap[0])
-            else:  # seam
-                self.check(open_wind is not None, "op", "seam without open")
-                self.check(ev["orig_wind"] == open_wind, "seam-wind",
+            elif op == "seam":
+                self.check(work.orig_wind is not None, "op",
+                           "seam without open")
+                self.check(ev["orig_wind"] == work.orig_wind, "seam-wind",
                            "seam winding differs from the opening event")
-                work = WorkingCurve(glue_seam(work.freeze(), open_wind, nb))
-                open_wind = None
-            if op in ("reverse", "open", "seam"):
-                self._c = measure(work, nb).counters
+            if op == "hom":
+                self._replay_hom(work, ev)
+            else:
+                work.apply(ev)
             self._check_counters(work, ev)
         self.index = len(self.trace)
         if work.kind != self.after.kind or \
                 work.snippets != list(self.after.snippets):
             self.fail("final", "replayed terminal curve differs")
         full = measure(work, nb).counters
-        self.check(full == self._c, "final",
-                   f"running counters {self._c} != recomputed {full}")
+        self.check(full == work.c, "final",
+                   f"running counters {work.c} != recomputed {full}")
         return AuditReport(ok=True, events=len(self.trace),
                            checks=self.checks)
 
@@ -271,13 +257,15 @@ class _Audit:
                 self.fail("record", f"bad {key!r} value {ev[key]!r}")
         return op
 
-    def _check_counters(self, cur: WorkingCurve, ev: dict) -> None:
-        self.check(ev["c"] == self._c, "counters",
-                   f"recorded {ev['c']} != recomputed {self._c}")
+    def _check_counters(self, work: WorkingCurve, ev: dict) -> None:
+        self.check(ev["c"] == work.c, "counters",
+                   f"recorded {ev['c']} != recomputed {work.c}")
 
     def _replay_hom(self, work: WorkingCurve, ev: dict) -> None:
         nb = self.nb
-        k_orig = (ev["k"] + ev["rot"]) % len(work.snippets)
+        snap, bad = work.snippets, work.bad
+        n = len(snap)
+        k_orig = (ev["k"] + ev["rot"]) % n
         try:
             window, e2 = hom(work, k_orig, nb)
         except TrackformError as exc:
@@ -285,16 +273,16 @@ class _Audit:
         for key, clause in _HOM_CLAUSES:
             self.check(e2[key] == ev[key], clause,
                        f"replayed {key} {e2[key]}")
-        if e2["rot"]:
-            work.rotate(e2["rot"])
-        ws = e2["win"][0]
-        pre = work.snippets[ws:ws + 3]
-        c0 = self._c
-        self._c = update_counters(c0, work, ws, window, nb)
-        work.splice(ws, window)
-        self._check_contracts(work, pre, window, e2, c0)
+        # the snippets either side of the pushed one, and their bad flags,
+        # before the push rewrites them
+        p, q = (k_orig - 1) % n, (k_orig + 1) % n
+        pre = (snap[p], snap[q])
+        pre_bad = bad[p] or bad[q]
+        c0 = work.c
+        work.apply(e2, window)
+        self._check_contracts(work, pre, pre_bad, window, e2, c0)
 
-    def _check_contracts(self, work: WorkingCurve, pre, post, e2,
+    def _check_contracts(self, work: WorkingCurve, pre, pre_bad, post, e2,
                          c0) -> None:
         nb = self.nb
         n0, n1 = e2["n"]
@@ -338,12 +326,12 @@ class _Audit:
                        and post[0].start == pre[0].start
                        and abs(post[0].wind - pre[0].wind) <= 1,
                        "slide", "previous snippet slid illegally")
-            self.check(post[-1].region == pre[2].region
-                       and post[-1].end == pre[2].end
-                       and abs(post[-1].wind - pre[2].wind) <= 1,
+            self.check(post[-1].region == pre[1].region
+                       and post[-1].end == pre[1].end
+                       and abs(post[-1].wind - pre[1].wind) <= 1,
                        "slide", "next snippet slid illegally")
-            for s in post[1:-1]:
-                self.check(not classify(s, nb).bad, "inner-bad",
+            for b in work.bad[ws + 1:ws + wl - 1]:
+                self.check(not b, "inner-bad",
                            "replacement interior snippet is bad")
         else:
             self.check(post[0].region == pre[0].region, "slide",
@@ -351,13 +339,12 @@ class _Audit:
 
         # chase step: a lone bad trigon between efficient neighbours obeys
         # the hand-off graph with exact carried/dual deltas
-        if rule in TRIGON_TYPES and not classify(pre[0], nb).bad \
-                and not classify(pre[2], nb).bad:
-            bad_out = [classify(s, nb) for s in post
-                       if classify(s, nb).bad]
+        if rule in TRIGON_TYPES and not pre_bad:
+            bad_out = [classify(s, nb) for s, b
+                       in zip(post, work.bad[ws:ws + wl]) if b]
             self.check(len(bad_out) <= 1, "chase-multiplicity",
                        f"{len(bad_out)} bad snippets out of one trigon")
-            dc, dr, dl = (self._c[i] - c0[i] for i in (2, 3, 4))
+            dc, dr, dl = (work.c[i] - c0[i] for i in (2, 3, 4))
             dt, do = (dr, dl) if turn == "Right" else (dl, dr)
             if bad_out:
                 t2 = bad_out[0].type

@@ -207,30 +207,10 @@ class _RecordingRun(P.Run):
         super().__init__(*a, **kw)
         self.states = [self.curve]
 
-    def _note(self):
-        while len(self.states) < len(self.events) + 1:
-            self.states.append(self.curve)
-
-    def hom_at(self, k, phase):
-        ev = super().hom_at(k, phase)
-        self._note()
+    def _record(self, ev, phase, window=()):
+        ev = super()._record(ev, phase, window)
+        self.states.append(self.curve)
         return ev
-
-    def rotate(self, r, phase):
-        super().rotate(r, phase)
-        self._note()
-
-    def reverse_(self, phase):
-        super().reverse_(phase)
-        self._note()
-
-    def open_dup(self, phase):
-        super().open_dup(phase)
-        self._note()
-
-    def seam(self, phase):
-        super().seam(phase)
-        self._note()
 
 
 def _span_red(curve: Curve, lo: int, tail: int, nb: TieNeighbourhood) -> int:

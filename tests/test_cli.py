@@ -9,7 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from trackform import cli, pipelines
 from trackform.cli import main
+from trackform.fixtures import load_fixture
+from trackform.formats import parse_curve
+from trackform.pipelines import efficient_position
 
 
 def run_cli(*args: str) -> tuple[int, str, str]:
@@ -214,6 +218,37 @@ def test_gen_batch_and_stats(tmp_path):
     assert code == 0
     assert "within budget: 5/5" in out
     assert "fitted exponent" in out
+
+
+def test_stats_counts_a_run_over_the_proven_bound(tmp_path, monkeypatch):
+    # A run that takes between one and two times the proven bound finishes
+    # under the global budget (twice the bound) and must still be counted
+    # as over it.
+    batch = tmp_path / "batch"
+    assert run_cli("gen", "t11", "--len", "12", "--seed", "3",
+                   "--count", "1", "--out", str(batch))[0] == 0
+    [f] = batch.glob("*.curve")
+    nb = load_fixture("t11")
+    pushes = efficient_position(parse_curve(f.read_text(), nb), nb).homs
+    assert pushes >= 2
+    bound = (pushes + 1) // 2  # bound < pushes <= 2 * bound
+    monkeypatch.setattr(pipelines, "proven_push_bound", lambda nb, n0: bound)
+    monkeypatch.setattr(cli, "proven_push_bound", lambda nb, n0: bound)
+    code, out, _ = run_cli("stats", "t11", "--batch", str(batch))
+    assert f"pushes={pushes}" in out
+    assert "within budget: 0/1" in out
+    assert code == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("run", "--max-steps", "-1"), ("gen", "--len", "0"),
+    ("gen", "--len", "-3")])
+def test_out_of_range_counts_are_usage_errors(curve_file, args):
+    cmd, opt, value = args
+    rest = (str(curve_file),) if cmd == "run" else ()
+    code, out, err = run_cli(cmd, "t11", *rest, opt, value)
+    assert code == 64
+    assert opt in err and not out
 
 
 def test_gen_count_needs_out_dir():

@@ -369,26 +369,10 @@ class _CheckedRun(Run):
                          if p > lo and (hi is None or p < hi)), None)
             assert self.first_bad(lo, hi) == want, (op, lo, hi)
 
-    def hom_at(self, k, phase):
-        ev = super().hom_at(k, phase)
-        self._compare("hom")
+    def _record(self, ev, phase, window=()):
+        ev = super()._record(ev, phase, window)
+        self._compare(ev["op"])
         return ev
-
-    def rotate(self, r, phase):
-        super().rotate(r, phase)
-        self._compare("rotate")
-
-    def reverse_(self, phase):
-        super().reverse_(phase)
-        self._compare("reverse")
-
-    def open_dup(self, phase):
-        super().open_dup(phase)
-        self._compare("open")
-
-    def seam(self, phase):
-        super().seam(phase)
-        self._compare("seam")
 
 
 def _bookkeeping_corpus(nb, name):

@@ -7,6 +7,8 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import trackform.verification as verification
 from trackform.curve_ops import ARC, CLOSED, Curve, measure
@@ -18,7 +20,8 @@ from trackform.generate import (GenerationFailed, boundary_power,
 from trackform.homotopy_engine import hom, splice
 from trackform.pipelines import (EFFICIENT, INSIDE_EFFICIENT, SINGLE_SNIPPET,
                                  efficient_position)
-from trackform.snippet_core import Snippet, classify
+from trackform.snippet_core import (BIGON_TYPES, TRIGON_TYPES, Snippet,
+                                    classify)
 from trackform.track_model import ANNULUS
 from trackform.verification import (OracleVerdict, _Audit, audit_trace,
                                     check_efficient, exhaustive_oracle,
@@ -269,11 +272,10 @@ class _CountingAudit(_Audit):
         super().__init__(*args)
         self.ops: set[str] = set()
 
-    def _check_counters(self, cur, ev) -> None:
-        assert self.counters == tuple(measure(cur, self.nb).counters), \
-            (self.index, ev)
+    def _check_counters(self, work, ev) -> None:
+        assert work.c == measure(work, self.nb).counters, (self.index, ev)
         self.ops.add(ev["op"])
-        super()._check_counters(cur, ev)
+        super()._check_counters(work, ev)
 
 
 def _counter_corpus(nb, name):
@@ -297,7 +299,7 @@ def test_audit_running_counters_match_full_count():
             audit = _CountingAudit(res.events, c, res.curve, nb)
             rep = audit.run()
             assert rep.events == len(res.events)
-            assert audit.counters == tuple(measure(res.curve, nb).counters)
+            assert audit.work.c == measure(res.curve, nb).counters
             ops |= audit.ops
     assert ops == {"hom", "rotate", "reverse", "open", "seam"}
 
@@ -322,6 +324,23 @@ def test_audit_rejects_forged_counters_after(t11, op):
         audit_trace(events, c, res.curve, t11)
     assert err.value.event_index == i
     assert err.value.clause == "counters"
+
+
+@pytest.mark.parametrize("shift", ["plus-n", "minus-n", "zero", "n"])
+def test_audit_rejects_out_of_range_rotation(t11, shift):
+    # `Run` records rotations by 0 < by < n; any other `by`, even one equal
+    # to the recorded one modulo n, fails at its event
+    c, res = _corpus_run(t11, "rotate")
+    events = [dict(ev) for ev in res.events]
+    i = _first_index(events, lambda ev: ev["op"] == "rotate")
+    assert events[i - 1]["op"] == "hom"
+    n, by = events[i - 1]["n"][1], events[i]["by"]
+    events[i]["by"] = {"plus-n": by + n, "minus-n": by - n, "zero": 0,
+                       "n": n}[shift]
+    with pytest.raises(AuditFailure) as err:
+        audit_trace(events, c, res.curve, t11)
+    assert err.value.event_index == i
+    assert err.value.clause == "by"
 
 
 @pytest.mark.parametrize("forge", [
@@ -349,6 +368,118 @@ def test_audit_rejects_malformed_record(t11, forge):
         audit_trace(events, c, res.curve, t11)
     assert err.value.event_index == i
     assert err.value.clause == "record"
+
+
+# -- auditor soundness ------------------------------------------------------
+
+
+_OPS = ["hom", "rotate", "reverse", "open", "seam"]
+_NAMES = sorted(BIGON_TYPES | TRIGON_TYPES) + ["Right", "Left"]
+
+
+class _LengthAudit(_Audit):
+    """An audit that notes the replayed curve's length before each event."""
+
+    def __init__(self, trace, before, *args) -> None:
+        super().__init__(trace, before, *args)
+        self.lens = [len(before.snippets)]
+
+    def _check_counters(self, work, ev) -> None:
+        self.lens.append(len(work.snippets))
+        super()._check_counters(work, ev)
+
+
+@pytest.fixture(scope="module")
+def recorded_runs():
+    """(nb, input, events, output, audit report, the curve's length before
+    each event) of the runs on every fixture's counter corpus; their events
+    cover all five ops."""
+    runs, ops = [], set()
+    for name in FIXTURE_NAMES:
+        nb = load_fixture(name)
+        for c in _counter_corpus(nb, name):
+            res = efficient_position(c, nb)
+            if res.events:
+                audit = _LengthAudit(res.events, c, res.curve, nb)
+                runs.append((nb, c, res.events, res.curve, audit.run(),
+                             audit.lens))
+                ops |= {ev["op"] for ev in res.events}
+    assert ops == set(_OPS)
+    return runs
+
+
+def _other_values(v, n: int):
+    """Values to put in place of a record field holding v, on a curve of n
+    snippets: nearby ints, ints equal to v modulo n, distant ints, names,
+    ops, other JSON types, and a list changed in one place or in length."""
+    small = st.integers(-3, 3)
+    other = st.one_of(
+        st.sampled_from(_NAMES + _OPS), st.none(), st.booleans(),
+        st.floats(-4, 4), st.just(""), st.just([]), st.just({}))
+    scalar = st.one_of(
+        small.map(lambda d: v + d) if type(v) is int else small,
+        small.map(lambda m: v + m * n) if type(v) is int else small,
+        st.integers(-10**6, 10**6), other)
+    if not isinstance(v, list):
+        return scalar
+    at = st.integers(0, len(v) - 1)
+    return st.one_of(
+        st.tuples(at, scalar).map(lambda p: v[:p[0]] + [p[1]] + v[p[0] + 1:]),
+        st.just(v[:-1]), st.just(v + [0]), scalar)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_audit_rejects_or_ignores_any_forged_field(recorded_runs, data):
+    # a forged trace audits exactly as the recorded one or raises
+    # AuditFailure; any other exception fails the test
+    nb, before, events, after, report, lens = recorded_runs[
+        data.draw(st.integers(0, len(recorded_runs) - 1))]
+    events = list(events)
+    i = data.draw(st.integers(0, len(events) - 1))
+    key = data.draw(st.sampled_from(sorted(events[i])))
+    events[i] = {**events[i],
+                 key: data.draw(_other_values(events[i][key], lens[i]))}
+    try:
+        got = audit_trace(events, before, after, nb)
+    except AuditFailure:
+        return
+    assert got == report
+
+
+# hom fields and rotate `by`, each of which a forgery must not get past
+_MUST_FAIL = [("hom", "k"), ("hom", "rule"), ("hom", "win"), ("hom", "c"),
+              ("rotate", "by")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_audit_rejects_every_forged_run(recorded_runs, data):
+    forge = data.draw(st.sampled_from(_MUST_FAIL + ["drop", "swap"]))
+    if forge in _MUST_FAIL:  # a run with a record of the forged op
+        op, key = forge
+        r, i = data.draw(st.sampled_from(
+            [(r, i) for r, run in enumerate(recorded_runs)
+             for i, ev in enumerate(run[2]) if ev["op"] == op]))
+    else:
+        r = data.draw(st.integers(0, len(recorded_runs) - 1))
+    nb, before, events, after, _, lens = recorded_runs[r]
+    events = list(events)
+    if forge == "drop":
+        del events[data.draw(st.integers(0, len(events) - 1))]
+    elif forge == "swap":
+        assume(len(events) >= 2)
+        i = data.draw(st.integers(0, len(events) - 2))
+        j = data.draw(st.integers(i + 1, len(events) - 1))
+        assume(events[i] != events[j])
+        events[i], events[j] = events[j], events[i]
+    else:
+        v = events[i][key]
+        events[i] = {**events[i], key: data.draw(
+            _other_values(v, lens[i]).filter(
+                lambda w: type(w) is not type(v) or w != v))}
+    with pytest.raises(AuditFailure):
+        audit_trace(events, before, after, nb)
 
 
 # -- exhaustive_oracle ------------------------------------------------------
