@@ -8,10 +8,8 @@ The public façade re-exports the objects most workflows need:
 - snippets and curves: :class:`Snippet`, :class:`Curve`, :func:`classify`,
   :func:`measure`, :func:`validate_curve`
 - rewriting: :func:`hom` (one local push, returning the replacement
-  window and its trace/1 record), :func:`splice` (the whole rewritten
-  curve),
-  :func:`efficient_position` (the full driver), :func:`terminal_summary`
-  (trichotomy read-off)
+  window and its trace/1 record), :func:`efficient_position` (the full
+  driver), :func:`terminal_summary` (trichotomy read-off)
 - verification: :func:`check_efficient`, :func:`audit_trace`,
   :func:`exhaustive_oracle`, :func:`oracle_agrees`
 - file formats: curve/trace serialization and parsing, SVG rendering
@@ -29,7 +27,7 @@ from .formats import (format_track, parse_curve, parse_trace, parse_track,
 from .generate import (boundary_power, doubled_back, gen_random_curve,
                        peripheral_bounce, random_arc, random_closed,
                        trivial_loop)
-from .homotopy_engine import EXPECTED_J, TRIGON_GRAPH, hom, splice
+from .homotopy_engine import EXPECTED_J, TRIGON_GRAPH, hom
 from .pipelines import (EFFICIENT, INSIDE_EFFICIENT, SINGLE_SNIPPET, Result,
                         Run, efficient_position, terminal_summary)
 from .render import render_svg
@@ -53,7 +51,7 @@ __all__ = [
     "serialize_curve", "serialize_trace",
     "boundary_power", "doubled_back", "gen_random_curve",
     "peripheral_bounce", "random_arc", "random_closed", "trivial_loop",
-    "EXPECTED_J", "TRIGON_GRAPH", "hom", "splice",
+    "EXPECTED_J", "TRIGON_GRAPH", "hom",
     "EFFICIENT", "INSIDE_EFFICIENT", "SINGLE_SNIPPET", "Result", "Run",
     "efficient_position", "terminal_summary",
     "render_svg",

@@ -31,6 +31,11 @@ __all__ = [
     "doubled_back",
 ]
 
+# The most whole turns `_pick_wind` adds to a winding, and the most closing
+# steps `random_closed` takes to return to its starting edge.
+_SPREAD = 2
+_PATIENCE = 256
+
 
 def _boundary_loci(nb: TieNeighbourhood, region: int) -> list[Locus]:
     out: list[Locus] = []
@@ -43,14 +48,14 @@ def _boundary_loci(nb: TieNeighbourhood, region: int) -> list[Locus]:
 
 
 def _pick_wind(nb: TieNeighbourhood, region: int, start: Locus, end: Locus,
-               rng: random.Random, spread: int) -> int:
+               rng: random.Random) -> int:
     """A valid winding for the snippet, biased towards small magnitudes."""
     probe = Snippet(region, start, end, 0)
     fams = valid_winds(probe, nb)
     if fams is None:
         return 0
     m_r, m_l, n2 = fams
-    d = min(rng.randrange(spread + 1), rng.randrange(spread + 1))
+    d = min(rng.randrange(_SPREAD + 1), rng.randrange(_SPREAD + 1))
     if start == end:
         sign = rng.choice((1, -1))
         return sign * d * n2
@@ -60,16 +65,16 @@ def _pick_wind(nb: TieNeighbourhood, region: int, start: Locus, end: Locus,
 
 
 def _step(nb: TieNeighbourhood, region: int, start: Locus,
-          rng: random.Random, spread: int,
+          rng: random.Random,
           end_pool: Sequence[Locus] | None = None) -> Snippet:
     pool = end_pool if end_pool is not None else nb.crossable_loci(region)
     end = rng.choice(pool)
-    wind = _pick_wind(nb, region, start, end, rng, spread)
+    wind = _pick_wind(nb, region, start, end, rng)
     return Snippet(region, start, end, wind)
 
 
 def random_arc(nb: TieNeighbourhood, rng: random.Random, length: int,
-               proper: bool = False, spread: int = 2) -> Curve:
+               proper: bool = False) -> Curve:
     """A random arc of the requested snippet length.
 
     With ``proper=True`` the endpoints are placed on the surface boundary
@@ -94,9 +99,9 @@ def random_arc(nb: TieNeighbourhood, rng: random.Random, length: int,
             if pool is None:
                 last = False  # keep walking on a region with no boundary side
         if last and proper:
-            s = _step(nb, region, start, rng, spread, end_pool=pool)
+            s = _step(nb, region, start, rng, end_pool=pool)
         else:
-            s = _step(nb, region, start, rng, spread)
+            s = _step(nb, region, start, rng)
         snippets.append(s)
         if i < length - 1:
             nxt = nb.partner(s.region, s.end)
@@ -107,8 +112,8 @@ def random_arc(nb: TieNeighbourhood, rng: random.Random, length: int,
     return arc
 
 
-def random_closed(nb: TieNeighbourhood, rng: random.Random, length: int,
-                  spread: int = 2, patience: int = 256) -> Curve:
+def random_closed(nb: TieNeighbourhood, rng: random.Random,
+                  length: int) -> Curve:
     """A random closed curve of at least the requested snippet length.
 
     The walk runs freely for ``length - 1`` steps and then continues until
@@ -130,22 +135,21 @@ def random_closed(nb: TieNeighbourhood, rng: random.Random, length: int,
     region, start = region0, start0
     snippets: list[Snippet] = []
     for _ in range(length - 1):
-        s = _step(nb, region, start, rng, spread)
+        s = _step(nb, region, start, rng)
         snippets.append(s)
         region, start = nb.partner(s.region, s.end)
-    for _ in range(patience):
+    for _ in range(_PATIENCE):
         if region == close_region:
             break
         pool = nb.crossable_loci(region)
         into_target = [l for l in pool
                        if nb.partner(region, l)[0] == close_region]
-        s = _step(nb, region, start, rng, spread,
-                  end_pool=into_target or pool)
+        s = _step(nb, region, start, rng, end_pool=into_target or pool)
         snippets.append(s)
         region, start = nb.partner(s.region, s.end)
     else:
         raise GenerationFailed("walk failed to return to its starting edge")
-    wind = _pick_wind(nb, region, start, close_locus, rng, spread)
+    wind = _pick_wind(nb, region, start, close_locus, rng)
     snippets.append(Snippet(region, start, close_locus, wind))
     curve = Curve(CLOSED, tuple(snippets))
     validate_curve(curve, nb)
@@ -191,10 +195,10 @@ def peripheral_bounce(nb: TieNeighbourhood, region: int, power: int) -> Curve:
 
 
 def doubled_back(nb: TieNeighbourhood, rng: random.Random,
-                 length: int, spread: int = 2) -> Curve:
+                 length: int) -> Curve:
     """A closed curve that walks out and retraces itself — null-homotopic
     by construction.  Snippet length is 2 * length + 2."""
-    out = random_arc(nb, rng, length, spread=spread)
+    out = random_arc(nb, rng, length)
     back = reverse(out)
     far_region, far_locus = nb.partner(out.snippets[-1].region,
                                        out.snippets[-1].end)

@@ -201,9 +201,9 @@ def hom(curve: Curve, k: int, nb: TieNeighbourhood
     rewritten snippet's type and the side of its cut-off piece), `j` (the
     walk's weight), `n` (lengths before and after) and `win` (first index
     and length of the window).  The window stands in place of the three
-    snippets from `win[0]` on (all of a two-snippet closed curve); `splice`
-    builds the whole rewritten curve.  `curve` may be a `WorkingCurve`:
-    nothing but the three snippets around k is read.
+    snippets from `win[0]` on, after the rotation (all of a two-snippet
+    closed curve); `WorkingCurve.apply` splices it in.  `curve` may be a
+    `WorkingCurve`: nothing but the three snippets around k is read.
 
     Arcs keep their endpoints: only strictly interior positions may be
     rewritten.  On closed curves any position works; if the three-snippet
@@ -272,9 +272,3 @@ def hom(curve: Curve, k: int, nb: TieNeighbourhood
     window = (slid_prev, *rec.inners, slid_next)
     return window, _record(cls, k, j, rotation, n, n + j - 2, k - 1, j + 1)
 
-
-def splice(curve: Curve, window, ev: dict) -> Curve:
-    """The whole curve `hom` rewrote into `window` and its record `ev`."""
-    r, ws = ev["rot"], ev["win"][0]
-    snap = curve.snippets[r:] + curve.snippets[:r]
-    return Curve(curve.kind, (*snap[:ws], *window, *snap[ws + 3:]))

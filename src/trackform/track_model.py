@@ -180,9 +180,6 @@ class TieNeighbourhood:
         self._snippet_classes: dict = {}
         # bad snippet -> push recipe, filled and read by homotopy_engine
         self._push_recipes: dict = {}
-        # the exhaustive oracle's interned snippet ids and push memo,
-        # created and read by verification
-        self._oracle_ids = None
         self._build_vertices()
         self.s_N = self._compute_s_N()
         self.boundary_components: tuple[tuple[int, int], ...] = tuple(

@@ -29,8 +29,9 @@ Three layers of defence against a wrong pipeline:
   (breadth-first, deduplicating closed curves up to rotation) and reports
   whether a fully efficient state or a one-snippet state is reachable,
   cross-validating the pipeline's terminal status on desk-scale instances.
-  It searches over tuples of interned snippet ids and memoises each push
-  on its (previous, bad, next) ids, so a push it has seen is one lookup.
+  It searches over tuples of snippet ids interned in a table of its own,
+  which ends with the search, and memoises each push on its (previous,
+  bad, next) ids, so a push it has seen is one lookup.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from .curve_ops import ARC, CLOSED, Curve, WorkingCurve, measure
 from .errors import AuditFailure, BadInput, NotApplicable, TrackformError
 from .formats import _is_int
-from .homotopy_engine import EXPECTED_J, TRIGON_GRAPH, hom, splice
+from .homotopy_engine import EXPECTED_J, TRIGON_GRAPH, hom
 from .snippet_core import TRIGON_TYPES, Snippet, classify
 from .track_model import ANNULUS, BOUNDARY, TieNeighbourhood
 
@@ -148,11 +149,12 @@ def _name(v) -> bool:
     return v is None or isinstance(v, str)
 
 
-# The tests each op's trace/1 record must pass, in order: the counters
-# "c", then the fields it carries besides "op" and "phase", each with a test
-# of its JSON type.
+# The tests each op's trace/1 record must pass, in order: its "phase" and
+# counters "c", then the fields it carries besides "op", each with a test of
+# its JSON type.
 _RECORD_CHECKS = {
-    op: (("c", _ints(6)), *fields.items()) for op, fields in {
+    op: (("phase", lambda v: isinstance(v, str)), ("c", _ints(6)),
+         *fields.items()) for op, fields in {
         "hom": {"k": _is_int, "rot": _is_int, "j": _is_int, "n": _ints(2),
                 "win": _ints(2), "rule": _name, "turn": _name},
         "rotate": {"by": _is_int},
@@ -290,7 +292,8 @@ class _Audit:
         j, rule, turn = e2["j"], e2["rule"], e2["turn"]
 
         # length delta is determined by the tiling points on the cut piece
-        if n0 == 2 and work.kind == CLOSED:
+        two_closed = n0 == 2 and work.kind == CLOSED
+        if two_closed:
             self.check(n1 - n0 == (j - 2 if j >= 1 else -1), "length",
                        "two-snippet closed rewrite length delta")
         else:
@@ -308,7 +311,7 @@ class _Audit:
             self.check(0 <= j <= 2 * nb.s_N, "j",
                        f"{rule} walk of {j} points")
 
-        if wl == n1:  # whole-curve rewrite of a two-snippet closed curve
+        if two_closed:  # the window is the whole rewritten curve
             return
 
         # locality: the window was spliced at the recorded place, in place
@@ -387,13 +390,14 @@ class OracleVerdict:
 
 
 class _IdTable:
-    """The oracle's table for one neighbourhood, filled as searches meet new
-    snippets: snippet -> dense int id, id -> snippet, each id's bad flag and
-    |wind|, and the push memo (prev, bad, next) ids -> (window ids, largest
-    |wind| in the window)."""
-    __slots__ = ("ids", "snippets", "bad", "wind", "pushes")
+    """The table of one oracle search, filled as it meets new snippets:
+    snippet -> dense int id, id -> snippet, each id's bad flag and |wind|,
+    and the push memo (prev, bad, next) ids -> (window ids, largest |wind|
+    in the window)."""
+    __slots__ = ("nb", "ids", "snippets", "bad", "wind", "pushes")
 
-    def __init__(self) -> None:
+    def __init__(self, nb: TieNeighbourhood) -> None:
+        self.nb = nb
         self.ids: dict[Snippet, int] = {}
         self.snippets: list[Snippet] = []
         self.bad = bytearray()
@@ -401,16 +405,16 @@ class _IdTable:
         self.pushes: dict[tuple[int, int, int],
                           tuple[tuple[int, ...], int]] = {}
 
-    def intern(self, s: Snippet, nb: TieNeighbourhood) -> int:
+    def intern(self, s: Snippet) -> int:
         i = self.ids.get(s)
         if i is None:
             i = self.ids[s] = len(self.snippets)
             self.snippets.append(s)
-            self.bad.append(classify(s, nb).bad)
+            self.bad.append(classify(s, self.nb).bad)
             self.wind.append(abs(s.wind))
         return i
 
-    def push(self, arc: tuple[int, int, int], nb: TieNeighbourhood
+    def push(self, arc: tuple[int, int, int]
              ) -> tuple[tuple[int, ...], int]:
         """Push the middle snippet of the three-snippet arc `arc` and
         memoise its window: `hom` reads only the bad snippet and its two
@@ -418,18 +422,17 @@ class _IdTable:
         a curve."""
         snap = self.snippets
         p, b, q = arc
-        window, _ = hom(Curve(ARC, (snap[p], snap[b], snap[q])), 1, nb)
-        win = tuple([self.intern(s, nb) for s in window])
+        window, _ = hom(Curve(ARC, (snap[p], snap[b], snap[q])), 1, self.nb)
+        win = tuple([self.intern(s) for s in window])
         hit = self.pushes[arc] = (win, max([self.wind[i] for i in win]))
         return hit
 
-    def push_two(self, cur: tuple[int, ...], k: int, nb: TieNeighbourhood
+    def push_two(self, cur: tuple[int, ...], k: int
                  ) -> tuple[tuple[int, ...], int]:
-        """A push on a two-snippet closed curve, which rewrites all of it."""
+        """A push on a two-snippet closed curve, whose window is the child."""
         c = Curve(CLOSED, tuple([self.snippets[i] for i in cur]))
-        window, ev = hom(c, k, nb)
-        child = tuple([self.intern(s, nb)
-                       for s in splice(c, window, ev).snippets])
+        window, _ = hom(c, k, self.nb)
+        child = tuple([self.intern(s) for s in window])
         return child, max([self.wind[i] for i in child])
 
 
@@ -455,28 +458,27 @@ def exhaustive_oracle(curve: Curve, nb: TieNeighbourhood,
     reached one-snippet state is already a positive witness.
 
     The search runs over tuples of dense int snippet ids, interned in a
-    table the neighbourhood keeps for the oracle with each id's bad flag and
-    |wind|.  A push is memoised on its (prev, bad, next) ids, since `hom`
-    reads only those three snippets: each distinct triple is pushed once by
-    `hom` on the three-snippet arc, and every later push of it is one
-    lookup.  A child is laid out as `splice` lays it out, so the breadth-
-    first order, and with it `states` under a state cap, is that of a search
-    over whole curves.  Only the window can pass the winding cap.  A closed
-    curve is keyed by its least rotation.  A two-snippet closed curve, whose
-    push rewrites all of it, is pushed by `hom` and `splice` on the curve.
+    table of its own with each id's bad flag and |wind|; the table ends
+    with the search.  A push is memoised on its (prev, bad, next) ids,
+    since `hom` reads only those three snippets: each distinct triple is
+    pushed once by `hom` on the three-snippet arc, and every later push of
+    it is one lookup.  A child is laid out as `WorkingCurve.apply` lays out
+    a push, so the breadth-first order, and with it `states` under a state
+    cap, is that of a search over whole curves.  Only the window can pass
+    the winding cap.  A closed curve is keyed by its least rotation.  A
+    two-snippet closed curve, whose push rewrites all of it, is pushed by
+    `hom` on the curve, and the window is the child.
     Curves of up to 12 snippets take milliseconds to a tenth of a second;
     an 18-snippet curve of tens of thousands of states takes about a
     second."""
     if cap_states < 1:
         raise BadInput(f"state cap {cap_states} is not positive")
-    tab = nb._oracle_ids
-    if tab is None:
-        tab = nb._oracle_ids = _IdTable()
+    tab = _IdTable(nb)
     s_N = nb.s_N
     if max_len is None:
         max_len = len(curve.snippets) + 3 * s_N
     closed = curve.kind == CLOSED
-    start = tuple([tab.intern(s, nb) for s in curve.snippets])
+    start = tuple([tab.intern(s) for s in curve.snippets])
     bad, wind, pushes = tab.bad, tab.wind, tab.pushes
     wind_cap = max([wind[i] for i in start], default=0) + 3 * s_N
     seen = {_least_rotation(start) if closed else start}
@@ -501,12 +503,12 @@ def exhaustive_oracle(curve: Curve, nb: TieNeighbourhood,
             bads = [i for i in bads if 0 < i < n - 1]
         for k in bads:
             if n == 2:  # closed: an arc of two has no interior position
-                child, w = tab.push_two(cur, k, nb)
+                child, w = tab.push_two(cur, k)
             else:
                 arc = (cur[k - 1], cur[k], cur[(k + 1) % n])
-                win, w = pushes.get(arc) or tab.push(arc, nb)
-                # as `splice` lays it out: rotated first when the window
-                # would wrap
+                win, w = pushes.get(arc) or tab.push(arc)
+                # as `WorkingCurve.apply` lays it out: rotated first when
+                # the window would wrap
                 if 0 < k < n - 1:
                     child = cur[:k - 1] + win + cur[k + 2:]
                 elif k == 0:

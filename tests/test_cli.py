@@ -7,6 +7,7 @@ import io
 import json
 from pathlib import Path
 
+import click
 import pytest
 
 from trackform import cli, pipelines
@@ -249,6 +250,37 @@ def test_out_of_range_counts_are_usage_errors(curve_file, args):
     code, out, err = run_cli(cmd, "t11", *rest, opt, value)
     assert code == 64
     assert opt in err and not out
+
+
+def test_run_past_the_push_budget_exits_one(tmp_path):
+    # this curve needs 37 pushes
+    p = tmp_path / "c.curve"
+    p.write_text(run_cli("gen", "t11", "--len", "30", "--seed", "3")[1])
+    code, out, err = run_cli("run", "t11", str(p), "--max-steps", "2")
+    assert code == 1 and not out
+    assert err == "error: global rewrite budget of 2 pushes exhausted\n"
+
+
+def _readme_cli_lines() -> list[list[str]]:
+    """The `trackform` command lines of README's CLI quick start, split
+    into words, without their comments."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Quick start (CLI)", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].split() for line in block.splitlines()
+            if line.startswith("trackform ")]
+
+
+def test_readme_cli_lines_name_real_commands_and_options():
+    lines = _readme_cli_lines()
+    assert len(lines) >= 8
+    for words in lines:
+        command = cli.cli.commands.get(words[1])
+        assert command is not None, words
+        opts = {o for p in command.params if isinstance(p, click.Option)
+                for o in p.opts}
+        for w in words[2:]:
+            assert not w.startswith("-") or w in opts, (words[1], w)
 
 
 def test_gen_count_needs_out_dir():

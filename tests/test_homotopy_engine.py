@@ -21,17 +21,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trackform.curve_ops import ARC, CLOSED, Curve, reverse, validate_curve
+from trackform.curve_ops import (ARC, CLOSED, Curve, WorkingCurve, reverse,
+                                 validate_curve)
 from trackform.errors import BadInput, ClosedSnippet, GenerationFailed, NotBad
 from trackform.fixtures import FIXTURE_NAMES, load_fixture
 from trackform.generate import random_arc, random_closed
-from trackform.homotopy_engine import TRIGON_GRAPH, hom, splice
+from trackform.homotopy_engine import TRIGON_GRAPH, hom
 from trackform.snippet_core import Snippet, classify
 
 
 @pytest.fixture(scope="module")
 def t11():
     return load_fixture("t11")
+
+
+def _pushed(curve, window, ev, nb):
+    """The whole curve after a push, spliced by `WorkingCurve.apply`, the
+    step runs and audits replay a push with."""
+    w = WorkingCurve(curve, nb)
+    w.apply(ev, window)
+    return w.freeze()
 
 
 def _ids(t11):
@@ -48,7 +57,7 @@ def test_narrow_merge_branch_bigon(t11):
     ))
     validate_curve(arc, t11)
     window, ev = hom(arc, 1, t11)
-    out = splice(arc, window, ev)
+    out = _pushed(arc, window, ev, t11)
     assert out == Curve(ARC, (Snippet(V0, (0, 0), (2, 0)),))
     assert (ev["rule"], ev["j"], ev["n"]) == ("B(t,t)", 0, [3, 1])
 
@@ -62,7 +71,7 @@ def test_branch_trigon_right(t11):
     ))
     validate_curve(arc, t11)
     window, ev = hom(arc, 1, t11)
-    out = splice(arc, window, ev)
+    out = _pushed(arc, window, ev, t11)
     assert out == Curve(ARC, (
         Snippet(F, (3, 2), (1, 1), 2),  # end slid over a mark: wind kept
         Snippet(V1, (2, 0), (3, 1)),    # start slid over a corner
@@ -83,7 +92,7 @@ def test_switch_trigon_weight_three(t11):
     ))
     validate_curve(arc, t11)
     window, ev = hom(arc, 1, t11)
-    out = splice(arc, window, ev)
+    out = _pushed(arc, window, ev, t11)
     assert out == Curve(ARC, (
         Snippet(F, (3, 3), (1, 4), 2),   # slid over a mark
         Snippet(D, (2, 0), (0, 0)),      # inner: branch tie
@@ -106,7 +115,7 @@ def test_switch_bigon_weight_two(t11):
     ))
     validate_curve(arc, t11)
     window, ev = hom(arc, 1, t11)
-    out = splice(arc, window, ev)
+    out = _pushed(arc, window, ev, t11)
     assert out == Curve(ARC, (
         Snippet(B, (1, 0), (2, 0)),      # slid: carried -> B(h,t)
         Snippet(F, (1, 0), (3, 4), -2),  # inner: vertical dual, turn Left
@@ -129,7 +138,7 @@ def test_wide_horizontal_bigon_in_annulus(t11):
     ))
     validate_curve(arc, t11)
     window, ev = hom(arc, 1, t11)
-    out = splice(arc, window, ev)
+    out = _pushed(arc, window, ev, t11)
     assert out == Curve(ARC, (
         Snippet(B, (0, 0), (1, 0)),     # tie -> B(h,t)
         Snippet(V1, (3, 0), (1, 0)),    # inner: carried under the run
@@ -148,7 +157,7 @@ def test_wide_annulus_trigon(t11):
     ))
     validate_curve(arc, t11)
     window, ev = hom(arc, 1, t11)
-    out = splice(arc, window, ev)
+    out = _pushed(arc, window, ev, t11)
     assert out == Curve(ARC, (
         Snippet(A, (2, 0), (1, 0)),      # tie -> B(h,t)
         Snippet(V1, (1, 0), (3, 0)),     # inner: carried
@@ -169,7 +178,7 @@ def test_wind_decrement_on_corner_slide(t11):
     ))
     validate_curve(arc, t11)
     window, ev = hom(arc, 1, t11)
-    out = splice(arc, window, ev)
+    out = _pushed(arc, window, ev, t11)
     assert out == Curve(ARC, (
         Snippet(F, (3, 1), (0, 0), 1),  # end slid over a corner: wind 2 -> 1
         Snippet(V0, (3, 1), (1, 0)),    # start slid over a mark: carried
@@ -186,7 +195,7 @@ def test_len_two_closed_merges_to_single_closed(t11):
     ))
     validate_curve(curve, t11)
     window, ev = hom(curve, 0, t11)
-    out = splice(curve, window, ev)
+    out = _pushed(curve, window, ev, t11)
     assert out == Curve(CLOSED, (Snippet(V0, None, None, 0),))
     assert (ev["j"], ev["n"][1]) == (0, 1)
     assert classify(out.snippets[0], t11).type == "Trivial"
@@ -201,7 +210,7 @@ def test_closed_wraparound_rotates_window_first(t11):
     ))
     validate_curve(curve, t11)
     window, ev = hom(curve, 0, t11)
-    out = splice(curve, window, ev)
+    out = _pushed(curve, window, ev, t11)
     assert ev["rot"] == 2
     assert out == Curve(CLOSED, (
         Snippet(F, (2, 0), (1, 1), -1),
@@ -237,10 +246,10 @@ def test_mirror_property(t11, hom_cases):
     back gives exactly the original rewrite."""
     for arc in hom_cases:
         window, ev = hom(arc, 1, t11)
-        out = splice(arc, window, ev)
+        out = _pushed(arc, window, ev, t11)
         rarc = reverse(arc)
         rwindow, rev_ev = hom(rarc, len(arc.snippets) - 2, t11)
-        rout = splice(rarc, rwindow, rev_ev)
+        rout = _pushed(rarc, rwindow, rev_ev, t11)
         assert reverse(rout) == out
         assert rev_ev["rule"] == ev["rule"]
         assert rev_ev["j"] == ev["j"]
@@ -251,7 +260,7 @@ def test_mirror_property(t11, hom_cases):
 def test_outputs_validate_and_len_delta(t11, hom_cases):
     for arc in hom_cases:
         window, ev = hom(arc, 1, t11)
-        out = splice(arc, window, ev)
+        out = _pushed(arc, window, ev, t11)
         validate_curve(out, t11)
         assert ev["n"][1] - ev["n"][0] == ev["j"] - 2
         assert ev["n"][1] == len(out.snippets)

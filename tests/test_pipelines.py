@@ -24,6 +24,7 @@ import random
 import pytest
 
 from trackform.curve_ops import ARC, CLOSED, Curve, measure, validate_curve
+from trackform.errors import BudgetExceeded
 from trackform.fixtures import FIXTURE_NAMES, load_fixture
 from trackform.generate import (
     boundary_power,
@@ -319,6 +320,25 @@ def test_random_arc_sweep(t11):
         bad = [i for i, s in enumerate(res.curve.snippets)
                if classify(s, t11).bad]
         assert all(i in (0, len(res.curve.snippets) - 1) for i in bad)
+
+
+def test_zero_push_budget_stops_before_the_first_push():
+    """`max_homs=0` raises `BudgetExceeded` on every curve whose run pushes
+    and leaves every other run as it was."""
+    pushed = 0
+    for name in FIXTURE_NAMES:
+        nb = load_fixture(name)
+        for seed in range(8):
+            rng = random.Random(seed)
+            for c in (random_closed(nb, rng, 6), random_arc(nb, rng, 4)):
+                res = efficient_position(c, nb)
+                if res.homs:
+                    with pytest.raises(BudgetExceeded):
+                        efficient_position(c, nb, max_homs=0)
+                    pushed += 1
+                else:
+                    assert efficient_position(c, nb, max_homs=0) == res
+    assert pushed >= 30
 
 
 def test_random_sweep_other_tracks(s04):

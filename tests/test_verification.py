@@ -17,7 +17,7 @@ from trackform.fixtures import FIXTURE_NAMES, load_fixture
 from trackform.generate import (GenerationFailed, boundary_power,
                                 doubled_back, peripheral_bounce, random_arc,
                                 random_closed, trivial_loop)
-from trackform.homotopy_engine import hom, splice
+from trackform.homotopy_engine import hom
 from trackform.pipelines import (EFFICIENT, INSIDE_EFFICIENT, SINGLE_SNIPPET,
                                  efficient_position)
 from trackform.snippet_core import (BIGON_TYPES, TRIGON_TYPES, Snippet,
@@ -261,6 +261,27 @@ def _first_index(events, pred):
     return next(i for i, ev in enumerate(events) if pred(ev))
 
 
+def test_audit_checks_contracts_on_three_snippet_arcs(t11, monkeypatch):
+    """A push on a three-snippet arc leaves no snippet outside its window,
+    yet its contracts are checked: a `hom` that slides the previous
+    snippet a whole turn too far fails at `slide`."""
+    arc = Curve(ARC, chase_arc(t11).snippets[:3])
+    res = efficient_position(arc, t11)
+    assert res.events[0]["n"] == [3, 2]
+    real_hom = verification.hom
+
+    def mis_slid(curve, k, nb):
+        window, ev = real_hom(curve, k, nb)
+        s = window[0]
+        turn = nb.total_corners(s.region, nb.polygon_cycle(s.region))
+        return (s._replace(wind=s.wind + turn), *window[1:]), ev
+
+    monkeypatch.setattr(verification, "hom", mis_slid)
+    with pytest.raises(AuditFailure) as err:
+        audit_trace(res.events, arc, res.curve, t11)
+    assert (err.value.event_index, err.value.clause) == (0, "slide")
+
+
 # -- running counters -------------------------------------------------------
 
 
@@ -344,7 +365,8 @@ def test_audit_rejects_out_of_range_rotation(t11, shift):
 
 
 @pytest.mark.parametrize("forge", [
-    "list-record", "missing-n", "null-k", "string-by", "bool-counters"])
+    "list-record", "missing-n", "null-k", "string-by", "bool-counters",
+    "missing-phase", "null-phase"])
 def test_audit_rejects_malformed_record(t11, forge):
     c, res = _corpus_run(t11, "rotate")
     events = [dict(ev) for ev in res.events]
@@ -360,6 +382,12 @@ def test_audit_rejects_malformed_record(t11, forge):
     elif forge == "string-by":
         i = _first_index(events, lambda ev: ev["op"] == "rotate")
         events[i]["by"] = str(events[i]["by"])
+    elif forge == "missing-phase":
+        i = _first_index(events, lambda ev: ev["op"] == "rotate")
+        del events[i]["phase"]
+    elif forge == "null-phase":
+        i = _first_hom_index(events)
+        events[i]["phase"] = None
     else:
         # true == 1 in Python, so only a type check tells them apart
         i = _first_index(events, lambda ev: 1 in ev["c"])
@@ -612,8 +640,16 @@ def test_oracle_agreement_past_length_8():
 
 
 # The oracle as it searched before snippet ids: whole curves, a `hom` and a
-# `splice` per push, and states keyed by snippet tuples.  It is the
-# reference the id search must equal, verdict for verdict.
+# splice per push, and states keyed by snippet tuples.  It is the reference
+# the id search must equal, verdict for verdict, so it splices with its own
+# code rather than the code it checks.
+
+
+def _splice(curve: Curve, window, ev) -> Curve:
+    """The whole curve `hom` rewrote into `window` and its record `ev`."""
+    r, ws = ev["rot"], ev["win"][0]
+    snap = curve.snippets[r:] + curve.snippets[:r]
+    return Curve(curve.kind, (*snap[:ws], *window, *snap[ws + 3:]))
 
 
 def _state_key(curve: Curve):
@@ -655,7 +691,7 @@ def reference_oracle(curve: Curve, nb, max_len: int | None = None,
             bads = [i for i in bads if 0 < i < n - 1]
         for k in bads:
             window, ev = hom(cur, k, nb)
-            child = splice(cur, window, ev)
+            child = _splice(cur, window, ev)
             if len(child.snippets) > max_len or any(
                     abs(s.wind) > wind_cap for s in child.snippets):
                 pruned = True
@@ -727,20 +763,28 @@ def test_state_key_splits_states_as_the_old_key(monkeypatch):
     ids as under the old key.  (An arc's key is its id tuple, which stands
     for its snippets one to one.)"""
     keyed: list[tuple[int, ...]] = []
+    tables: list = []
     least_rotation = verification._least_rotation
+    id_table = verification._IdTable
 
     def recording(ids):
         keyed.append(ids)
         return least_rotation(ids)
 
+    def new_table(nb):
+        tables.append(id_table(nb))
+        return tables[-1]
+
     monkeypatch.setattr(verification, "_least_rotation", recording)
+    monkeypatch.setattr(verification, "_IdTable", new_table)
     searches = states = 0
     for nb, curve in _criterion_7_corpus():
         if curve.kind == ARC:
             continue
         keyed.clear()
+        tables.clear()
         exhaustive_oracle(curve, nb)
-        snippets = nb._oracle_ids.snippets
+        snippets, = (t.snippets for t in tables)
         old_to_new: dict = {}
         new_to_old: dict = {}
         for ids in keyed:
