@@ -5,18 +5,21 @@ Consecutive snippets chain across gluings: the end locus of one snippet and
 the start locus of the next are partner segments (cyclically for closed
 curves).  A `Curve` is immutable, and every operation here returns a new
 one.  A `WorkingCurve` is the one mutable form and the replay state of a
-run and of an audit: its snippet list, a byte per position marking the bad
-snippets, and the six length counters.  `WorkingCurve.apply` replays one
-trace/1 event on it and is the only code that changes them: a `hom` window
-is spliced in place and its counters updated from the window alone, so a
-push costs its window and not the curve's length.  Everything here that
+run and of an audit: its snippet list, each position's fact record, a
+byte per position marking the bad snippets, and the six length counters.
+`WorkingCurve.apply` replays one typed trace/1 record on it and is the only
+code that changes them: the three lists are rotated and spliced together,
+and a `hom` window's counters are updated from the fact records alone, so
+a push costs its window and not the curve's length.  Everything here that
 reads a curve reads a working curve too.
 
 The length counters are read off each snippet's fact record in the
 neighbourhood's fact table (`snippet_core.SnippetFacts`): its counter row
-and its blocker roles, one dictionary lookup per snippet.  A snippet not
-yet in the table is classified, which files its record.  Validating a curve
-re-checks only snippets the table does not hold yet.
+and its blocker roles.  A working curve looks each snippet up once, when it
+enters the curve, and carries the record at its position from then on; a
+push looks up only its window's snippets.  A snippet not yet in the table
+is classified, which files its record.  Validating a curve re-checks only
+snippets the table does not hold yet.
 """
 from __future__ import annotations
 
@@ -47,12 +50,13 @@ class Curve:
 
 
 class WorkingCurve:
-    """A curve being rewritten in place: its kind, its snippet list, a byte
-    per position that is 1 where the snippet is bad, its counters `c`
+    """A curve being rewritten in place: its kind, its snippet list, each
+    position's fact record (`snippet_core.SnippetFacts`), a byte per
+    position that is 1 where the snippet is bad, its counters `c`
     (`LengthReport.counters`), and while it is opened at a seam the winding
     of the duplicated basepoint snippet (else None).  `freeze` gives the
     `Curve` it stands for."""
-    __slots__ = ("nb", "kind", "snippets", "bad", "c", "orig_wind")
+    __slots__ = ("nb", "kind", "snippets", "facts", "bad", "c", "orig_wind")
 
     def __init__(self, curve: Curve, nb: TieNeighbourhood) -> None:
         self.nb = nb
@@ -65,28 +69,34 @@ class WorkingCurve:
         return Curve(self.kind, tuple(self.snippets))
 
     def _count(self) -> None:
-        self.c = measure(self, self.nb).counters
-        self.bad = bytearray(_bad_flags(self.snippets, self.nb))
+        self.facts = _facts_of(self.snippets, self.nb)
+        self.c = _counters(self.kind, self.facts)
+        self.bad = bytearray([f.row[4] for f in self.facts])
 
-    def apply(self, ev: dict, window=()) -> None:
+    def apply(self, ev, window=()) -> None:
         """Replay the trace/1 event `ev` (a `hom` with the `window` it
         put in place of three snippets, a `rotate`, `reverse`, `open` or
-        `seam`).  The event is taken as legal here: `Run` records only
-        legal events, and the audit checks each before it replays it."""
-        op = ev["op"]
-        snap, bad = self.snippets, self.bad
+        `seam`), reading its op and fields as attributes.  The event is
+        taken as legal here: `Run` records only legal events, and the
+        audit checks each before it replays it."""
+        op = ev.op
+        snap, facts, bad = self.snippets, self.facts, self.bad
         if op == "hom":
-            if ev["rot"]:
-                rotate_in_place(snap, ev["rot"])
-                rotate_in_place(bad, ev["rot"])
-            ws = ev["win"][0]
-            self.c = update_counters(self.c, self, ws, window, self.nb)
+            if ev.rot:
+                rotate_in_place(snap, ev.rot)
+                rotate_in_place(facts, ev.rot)
+                rotate_in_place(bad, ev.rot)
+            ws = ev.win[0]
+            wf = _facts_of(window, self.nb)
+            self.c = update_counters(self.c, self, ws, wf)
             snap[ws:ws + 3] = window
-            bad[ws:ws + 3] = _bad_flags(window, self.nb)
+            facts[ws:ws + 3] = wf
+            bad[ws:ws + 3] = [f.row[4] for f in wf]
             return
         if op == "rotate":
-            rotate_in_place(snap, ev["by"])
-            rotate_in_place(bad, ev["by"])
+            rotate_in_place(snap, ev.by)
+            rotate_in_place(facts, ev.by)
+            rotate_in_place(bad, ev.by)
             return
         if op == "reverse":
             self.snippets = list(reverse(self).snippets)
@@ -202,23 +212,21 @@ def _classified(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
     return fact_table(nb)[s]
 
 
-def _bad_flags(snippets, nb: TieNeighbourhood) -> bytes:
-    """A byte per snippet, 1 where it is bad."""
+def _facts_of(snippets, nb: TieNeighbourhood) -> list[SnippetFacts]:
+    """The snippets' fact records, one table lookup each."""
     get = fact_table(nb).get
-    return bytes([(get(s) or _classified(s, nb)).row[4] for s in snippets])
+    return [get(s) or _classified(s, nb) for s in snippets]
 
 
-def _blockers_in(snippets, nb: TieNeighbourhood) -> int:
-    """How many windows of three consecutive snippets in the sequence (not
-    wrapping) are blockers: vertical duals turning the same way around a
-    branch-rectangle tie."""
-    get = fact_table(nb).get
+def _blockers_in(facts) -> int:
+    """How many windows of three consecutive fact records in the sequence
+    (not wrapping) are blockers: vertical duals turning the same way
+    around a branch-rectangle tie."""
     total = 0
-    for i in range(len(snippets) - 2):
-        a, mid, b = snippets[i], snippets[i + 1], snippets[i + 2]
-        turn = (get(a) or _classified(a, nb)).outer
-        if turn is not None and turn == (get(b) or _classified(b, nb)).outer:
-            total += (get(mid) or _classified(mid, nb)).mid
+    for i in range(len(facts) - 2):
+        turn = facts[i].outer
+        if turn is not None and turn == facts[i + 2].outer:
+            total += facts[i + 1].mid
     return total
 
 
@@ -230,16 +238,19 @@ def is_blocker(curve: Curve, nb: TieNeighbourhood, k: int) -> bool:
     if n < 3:
         return False
     if curve.kind == CLOSED:
-        return _blockers_in([snap[(k + i) % n] for i in range(3)], nb) > 0
-    return 0 <= k <= n - 3 and _blockers_in(snap[k:k + 3], nb) > 0
+        window = [snap[(k + i) % n] for i in range(3)]
+    elif 0 <= k <= n - 3:
+        window = snap[k:k + 3]
+    else:
+        return False
+    return _blockers_in(_facts_of(window, nb)) > 0
 
 
-def _tally(c: list[int], snippets, nb: TieNeighbourhood, sign: int) -> None:
-    """Add (sign 1) or take away (sign -1) the snippets' contributions to
-    every counter but len_block."""
-    get = fact_table(nb).get
-    for s in snippets:
-        corn, carried, dual_r, dual_l, bad = (get(s) or _classified(s, nb)).row
+def _tally(c: list[int], facts, sign: int) -> None:
+    """Add (sign 1) or take away (sign -1) the contributions of the fact
+    records to every counter but len_block."""
+    for f in facts:
+        corn, carried, dual_r, dual_l, bad = f.row
         c[0] += sign * corn
         c[2] += sign * carried
         c[3] += sign * dual_r
@@ -247,40 +258,46 @@ def _tally(c: list[int], snippets, nb: TieNeighbourhood, sign: int) -> None:
         c[5] += sign * bad
 
 
+def _counters(kind: str, facts: list[SnippetFacts]) -> list[int]:
+    """The six counters of a whole curve of this kind, from its positions'
+    fact records."""
+    c = [0] * 6
+    _tally(c, facts, 1)
+    if kind == CLOSED and len(facts) >= 3:
+        c[1] = _blockers_in(facts + facts[:2])
+    else:
+        c[1] = _blockers_in(facts)
+    return c
+
+
 def measure(curve: Curve, nb: TieNeighbourhood) -> LengthReport:
     """Count every length counter of the whole curve (or working curve)."""
-    snap = curve.snippets
-    c = [0] * 6
-    _tally(c, snap, nb, 1)
-    if curve.kind == CLOSED and len(snap) >= 3:
-        c[1] = _blockers_in(snap + snap[:2], nb)
-    else:
-        c[1] = _blockers_in(snap, nb)
-    return LengthReport(len(snap), *c)
+    facts = _facts_of(curve.snippets, nb)
+    return LengthReport(len(facts), *_counters(curve.kind, facts))
 
 
-def update_counters(c: list[int], before: Curve, ws: int, window,
-                    nb: TieNeighbourhood) -> list[int]:
-    """The counters after `window` replaces before.snippets[ws:ws + 3],
-    from the counters `c` of `before` (a curve or working curve, already
-    rotated so the three do not wrap).  Only the rewritten snippets and the
-    blocker windows touching them are recounted, within the two snippets
-    on either side; curves of at most four snippets, whose windows wrap
-    onto each other, are counted in full."""
-    snap = before.snippets
-    n = len(snap)
-    old = snap[ws:ws + 3]
+def update_counters(c: list[int], before: WorkingCurve, ws: int,
+                    wf: list[SnippetFacts]) -> list[int]:
+    """The counters after a window whose fact records are `wf` replaces
+    the three snippets from `ws` on, from the counters `c` of the working
+    curve `before` (already rotated so the three do not wrap).  Only the
+    rewritten positions and the blocker windows touching them are
+    recounted, within the two positions on either side, from the fact
+    records `before` carries; curves of at most four snippets, whose
+    windows wrap onto each other, are counted in full."""
+    facts = before.facts
+    n = len(facts)
+    old = facts[ws:ws + 3]
     if n <= 4:
-        out = Curve(before.kind, (*snap[:ws], *window, *snap[ws + 3:]))
-        return measure(out, nb).counters
+        return _counters(before.kind, [*facts[:ws], *wf, *facts[ws + 3:]])
     if before.kind == CLOSED:
-        left = (snap[(ws - 2) % n], snap[(ws - 1) % n])
-        right = (snap[(ws + 3) % n], snap[(ws + 4) % n])
+        left = (facts[(ws - 2) % n], facts[(ws - 1) % n])
+        right = (facts[(ws + 3) % n], facts[(ws + 4) % n])
     else:
-        left, right = snap[max(ws - 2, 0):ws], snap[ws + 3:ws + 5]
+        left, right = facts[max(ws - 2, 0):ws], facts[ws + 3:ws + 5]
     c = list(c)
-    c[1] += (_blockers_in((*left, *window, *right), nb)
-             - _blockers_in((*left, *old, *right), nb))
-    _tally(c, old, nb, -1)
-    _tally(c, window, nb, 1)
+    c[1] += (_blockers_in((*left, *wf, *right))
+             - _blockers_in((*left, *old, *right)))
+    _tally(c, old, -1)
+    _tally(c, wf, 1)
     return c

@@ -70,6 +70,15 @@ class AuditFailure(TrackformError):
         self.event_index = event_index
         self.clause = clause
 
+    @classmethod
+    def at(cls, index: int, clause: str, detail: str = "") -> AuditFailure:
+        """The failure of event `index` at `clause`, with the message
+        `event INDEX: CLAUSE (DETAIL)`."""
+        msg = f"event {index}: {clause}"
+        if detail:
+            msg += f" ({detail})"
+        return cls(msg, event_index=index, clause=clause)
+
 
 class ParseError(TrackformError):
     """Track or curve file syntax error, with 1-based line/column."""

@@ -7,15 +7,27 @@ line per switch (top small listed first), and one
 `face disc:`/`face annulus:` line per complementary region whose value is the
 boundary word (face on the left): tokens `BR.l`/`BR.r` for branch horizontal
 edges, `SW.t`/`SW.b` for switch horizontal edges, `SW.c` for cusps.
+
+Trace files hold one typed record per event.  Each of the five trace/1
+ops has one immutable record type (`Hom`, `Rotate`, `Reverse`, `Open`,
+`Seam`): a run builds its records in memory, `to_line` writes a record's
+canonical line directly (sorted keys, compact separators, each repeated
+string quoted once), and `from_json` reads a decoded JSON object back,
+checking each field and its JSON type once.  `parse_trace` leaves events as
+decoded objects; the audit reads each through `trace_record` at its own
+event index, so a malformed record fails there, after `trackform verify`
+has checked the header.
 """
 from __future__ import annotations
 
 import json
 import re
+from collections import namedtuple
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterable
 
-from .errors import ParseError
+from .errors import AuditFailure, ParseError
 from .track_model import FaceDesc, SwitchDesc, TrainTrackDesc
 
 TRACK_FORMAT = "track/1"
@@ -195,6 +207,16 @@ def _locus_text(locus) -> str:
     return f"[\n        {locus[0]},\n        {locus[1]}\n      ]"
 
 
+def _locus(v: Any, i: int, which: str) -> tuple[int, int] | None:
+    """A snippet's start or end locus as a curve file gives it."""
+    if v is None:
+        return None
+    if not isinstance(v, list) or len(v) != 2 or not all(map(_is_int, v)):
+        raise ParseError(
+            f"snippet {i}: {which} must be [side, segment] or null")
+    return (v[0], v[1])
+
+
 def parse_curve(text: str, nb) -> "Curve":
     """Parse curve/1 JSON against a tie neighbourhood, validating loci,
     windings, and the gluing chain (AdjacencyError names the snippet)."""
@@ -223,22 +245,19 @@ def parse_curve(text: str, nb) -> "Curve":
         rid = nb.region_id.get(rname) if isinstance(rname, str) else None
         if rid is None:
             raise ParseError(f"snippet {i}: unknown region {rname!r}")
-        start, end = rec.get("start"), rec.get("end")
-
-        def locus(v, which):
-            if v is None:
-                return None
-            if (not isinstance(v, list) or len(v) != 2
-                    or not all(_is_int(x) for x in v)):
-                raise ParseError(
-                    f"snippet {i}: {which} must be [side, segment] or null")
-            return (v[0], v[1])
-
-        wind = rec.get("wind", 0)
+        start, end, wind = rec.get("start"), rec.get("end"), rec.get("wind", 0)
+        # one type check for the usual open snippet; null loci and
+        # malformed values take the field-by-field path below
+        if (type(start) is type(end) is list and len(start) == len(end) == 2
+                and type(start[0]) is type(start[1]) is type(end[0])
+                is type(end[1]) is type(wind) is int):
+            snippets.append(Snippet(rid, (start[0], start[1]),
+                                    (end[0], end[1]), wind))
+            continue
         if not _is_int(wind):
             raise ParseError(f"snippet {i}: winding must be an integer")
-        snippets.append(Snippet(rid, locus(start, "start"),
-                                locus(end, "end"), wind))
+        snippets.append(Snippet(rid, _locus(start, i, "start"),
+                                _locus(end, i, "end"), wind))
     curve = Curve(_KIND_FROM_JSON[kind], tuple(snippets))
     validate_curve(curve, nb)
     return curve
@@ -246,28 +265,248 @@ def parse_curve(text: str, nb) -> "Curve":
 
 # -- trace files ------------------------------------------------------------
 
+# The JSON types of trace/1 fields.
+_STR, _NAME, _INT, _INT2, _INT6 = (
+    "string", "string or null", "integer", "2 integers", "6 integers")
+_STAMP = (("phase", _STR), ("c", _INT6))
+_OWN = slice(None, -2)
 
-def serialize_trace(events: Iterable[dict], **meta: Any) -> str:
-    """trace/1: one header line, then one JSON record per event.  Compact
-    separators and sorted keys make the bytes deterministic."""
+
+def _json_type_ok(v: Any, kind: str) -> bool:
+    if kind == _INT:
+        return _is_int(v)
+    if kind == _STR:
+        return isinstance(v, str)
+    if kind == _NAME:
+        return v is None or isinstance(v, str)
+    return (isinstance(v, list) and len(v) == (2 if kind == _INT2 else 6)
+            and all(map(_is_int, v)))
+
+
+def _stamp_typed(phase: Any, c: Any) -> bool:
+    """Is `phase` a string and `c` six integers?  Exact types, so a
+    boolean is no integer."""
+    return (type(phase) is str and type(c) is list and len(c) == 6
+            and type(c[0]) is type(c[1]) is type(c[2]) is type(c[3])
+            is type(c[4]) is type(c[5]) is int)
+
+
+@lru_cache(maxsize=256)
+def _json_text(v: str | None) -> str:
+    """A string or null as JSON text.  Rules, turns and phases repeat, so
+    each is quoted once."""
+    return json.dumps(v)
+
+
+def _ints_text(v) -> str:
+    return ",".join(map(str, v))
+
+
+class _TraceRecord:
+    """What the five trace/1 record types share.  Each is a named tuple of
+    its op's own fields, then `phase` and `c`; the class holds its `op` and
+    its `JSON` schema, (field, JSON type) pairs in the order they are
+    checked.  A record reads like the JSON object it is written as:
+    `rec["op"]` and `rec["n"]` give its JSON values, and `dict(rec)` its
+    JSON form.  `phase` and `c` default to None, for a record whose run
+    has not stamped it yet."""
+    __slots__ = ()
+    op = ""
+    JSON: tuple[tuple[str, str], ...] = ()
+
+    def keys(self) -> tuple[str, ...]:
+        return ("op", *self._fields)
+
+    def __getitem__(self, key, _get=tuple.__getitem__):
+        if type(key) is str:
+            if key != "op" and key not in self._fields:
+                raise KeyError(key)
+            return getattr(self, key)
+        return _get(self, key)
+
+    # records of two ops are never equal, even with equal fields; tuple's
+    # own __ne__ would not follow __eq__
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def stamped(self, phase: str, c: list[int]):
+        """The record with its phase and the counters it leaves."""
+        return self._make((*tuple.__getitem__(self, _OWN), phase, c))
+
+    @classmethod
+    def from_json(cls, obj: dict, index: int):
+        """The record a decoded trace/1 object of this op stands for.  Its
+        fields and their JSON types are checked in `JSON` order, and the
+        first one missing or of the wrong type raises `AuditFailure` with
+        the `record` clause at event `index`; keys outside `JSON` are
+        ignored."""
+        try:
+            rec = cls._make(map(obj.__getitem__, cls._fields))
+        except KeyError:
+            rec = None
+        # `_typed` checks exact types in one expression; a record it does
+        # not pass is walked field by field, to name the first failure
+        if rec is None or not rec._typed():
+            for key, kind in cls.JSON:
+                if key not in obj:
+                    raise AuditFailure.at(index, "record",
+                                          f"{cls.op} record has no {key!r}")
+                if not _json_type_ok(obj[key], kind):
+                    raise AuditFailure.at(index, "record",
+                                          f"bad {key!r} value {obj[key]!r}")
+        return rec
+
+
+class Hom(_TraceRecord, namedtuple(
+        "Hom", "k rot rule turn j n win phase c", defaults=(None, None))):
+    """One elementary homotopy: the position `k` pushed after the rotation
+    `rot`, the pushed snippet's type `rule` and `turn`, the walk's weight
+    `j`, the lengths `n` before and after, and the replacement window
+    `win` (first index, length).  `hom` returns the push's own fields,
+    unstamped."""
+    __slots__ = ()
+    op = "hom"
+    JSON = (*_STAMP, ("k", _INT), ("rot", _INT), ("j", _INT), ("n", _INT2),
+            ("win", _INT2), ("rule", _NAME), ("turn", _NAME))
+
+    def _typed(self) -> bool:
+        k, rot, rule, turn, j, n, win, phase, c = self
+        return (type(k) is type(rot) is type(j) is int
+                and type(n) is type(win) is list and len(n) == len(win) == 2
+                and type(n[0]) is type(n[1]) is type(win[0]) is type(win[1])
+                is int
+                and (rule is None or type(rule) is str)
+                and (turn is None or type(turn) is str)
+                and _stamp_typed(phase, c))
+
+    def to_line(self) -> str:
+        k, rot, rule, turn, j, n, win, phase, c = self
+        return (f'{{"c":[{_ints_text(c)}],"j":{j},"k":{k},'
+                f'"n":[{n[0]},{n[1]}],"op":"hom","phase":{_json_text(phase)},'
+                f'"rot":{rot},"rule":{_json_text(rule)},'
+                f'"turn":{_json_text(turn)},"win":[{win[0]},{win[1]}]}}')
+
+
+class Rotate(_TraceRecord, namedtuple(
+        "Rotate", "by phase c", defaults=(None, None))):
+    """A closed curve rotated left by `by` positions."""
+    __slots__ = ()
+    op = "rotate"
+    JSON = (*_STAMP, ("by", _INT))
+
+    def _typed(self) -> bool:
+        return type(self.by) is int and _stamp_typed(self.phase, self.c)
+
+    def to_line(self) -> str:
+        return (f'{{"by":{self.by},"c":[{_ints_text(self.c)}],"op":"rotate",'
+                f'"phase":{_json_text(self.phase)}}}')
+
+
+class Reverse(_TraceRecord, namedtuple(
+        "Reverse", "phase c", defaults=(None, None))):
+    """The curve's orientation reversed."""
+    __slots__ = ()
+    op = "reverse"
+    JSON = _STAMP
+
+    def _typed(self) -> bool:
+        return _stamp_typed(self.phase, self.c)
+
+    def to_line(self) -> str:
+        return (f'{{"c":[{_ints_text(self.c)}],"op":"reverse",'
+                f'"phase":{_json_text(self.phase)}}}')
+
+
+class _SeamRecord(_TraceRecord, namedtuple(
+        "SeamRecord", "orig_wind phase c", defaults=(None, None))):
+    """An `open` or a `seam`, with the winding `orig_wind` of the
+    duplicated basepoint snippet."""
+    __slots__ = ()
+    JSON = (*_STAMP, ("orig_wind", _INT))
+
+    def _typed(self) -> bool:
+        return type(self.orig_wind) is int and _stamp_typed(self.phase, self.c)
+
+    def to_line(self) -> str:
+        return (f'{{"c":[{_ints_text(self.c)}],"op":"{self.op}",'
+                f'"orig_wind":{self.orig_wind},'
+                f'"phase":{_json_text(self.phase)}}}')
+
+
+class Open(_SeamRecord):
+    """A closed curve opened into an arc by duplicating its basepoint
+    snippet at the far end."""
+    __slots__ = ()
+    op = "open"
+
+
+class Seam(_SeamRecord):
+    """The opened arc glued shut again at the duplicated snippet."""
+    __slots__ = ()
+    op = "seam"
+
+
+RECORD_TYPES = {cls.op: cls for cls in (Hom, Rotate, Reverse, Open, Seam)}
+_RECORD_CLASSES = frozenset(RECORD_TYPES.values())
+
+
+def trace_record(obj: Any, index: int):
+    """The trace/1 record `obj` is: a typed record as it is, or a decoded
+    JSON object through its op's `from_json`.  An object that is not a
+    JSON object, or names no known op, raises `AuditFailure` with the
+    `record` or `op` clause at event `index`."""
+    if type(obj) in _RECORD_CLASSES:
+        return obj
+    if not isinstance(obj, dict):
+        raise AuditFailure.at(index, "record",
+                              f"a {type(obj).__name__}, not an object")
+    op = obj.get("op")
+    cls = RECORD_TYPES.get(op) if isinstance(op, str) else None
+    if cls is None:
+        raise AuditFailure.at(index, "op", f"unknown op {op!r}")
+    return cls.from_json(obj, index)
+
+
+def serialize_trace(events: Iterable, **meta: Any) -> str:
+    """trace/1: one header line, then one line per event, each written by
+    its record's `to_line`: compact separators and sorted keys make the
+    bytes deterministic.  A decoded JSON object among `events` is read
+    through `trace_record` first, so a malformed one raises
+    `AuditFailure`."""
     head: dict[str, Any] = {"format": TRACE_FORMAT}
     head.update(meta)
     lines = [json.dumps(head, sort_keys=True, separators=(",", ":"))]
-    for ev in events:
-        lines.append(json.dumps(ev, sort_keys=True, separators=(",", ":")))
+    lines += [trace_record(ev, i).to_line() for i, ev in enumerate(events)]
     return "\n".join(lines) + "\n"
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def parse_trace(text: str) -> tuple[dict, list[dict]]:
-    """Parse trace/1 text into (header metadata, event list)."""
-    lines = text.splitlines()
-    if not lines:
+    """Parse trace/1 text into (header metadata, list of event objects).
+
+    Lines end at "\\n" alone, as `serialize_trace` writes them (a "\\r"
+    before it is whitespace), so a string may hold any other line break.
+    The events stay decoded JSON objects: the audit reads each through
+    `trace_record` at its own event index, after `trackform verify` has
+    checked the header."""
+    if not text:
         raise ParseError("empty trace file", line=1)
     out = []
-    for ln, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        out.append(_load_json(raw, "trace line", line=ln))
+    for ln, raw in enumerate(text.split("\n"), start=1):
+        try:
+            obj, end = _raw_decode(raw)
+        except (ValueError, RecursionError):
+            end = -1
+        if end != len(raw):  # blank, padded or malformed: the slow path
+            if not raw.strip():
+                continue
+            obj = _load_json(raw, "trace line", line=ln)
+        out.append(obj)
     head = out[0] if out else None
     if not isinstance(head, dict) or head.get("format") != TRACE_FORMAT:
         raise ParseError(f"expected a {TRACE_FORMAT} header line", line=1)

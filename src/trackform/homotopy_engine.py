@@ -28,7 +28,7 @@ the neighbours, and checks them every time: the previous snippet must end
 and the next must start on the partners of the bad snippet's endpoints, a
 slid endpoint's winding moves only where windings count (`_wind_ok`), and
 both slid snippets are validated.  `hom` returns the replacement window,
-not the curve, with the push's trace/1 `hom` record: a run or an audit
+not the curve, with the push's own trace/1 fields: a run or an audit
 splices the window into its working curve, so a push costs its window
 whatever the curve's length.
 """
@@ -38,6 +38,7 @@ from typing import NamedTuple
 
 from .curve_ops import ARC, CLOSED, Curve
 from .errors import BadInput, ClosedSnippet, NotBad
+from .formats import Hom
 from .snippet_core import (RIGHT, Snippet, SnippetClass, classify,
                            validate_snippet)
 from .track_model import ANNULUS, BOUNDARY, Locus, TieNeighbourhood
@@ -183,24 +184,23 @@ def _push_recipe_uncached(a: Snippet, nb: TieNeighbourhood) -> PushRecipe:
                       d_start, tuple(inners))
 
 
-def _record(cls: SnippetClass, k: int, j: int, rot: int, n0: int, n1: int,
-            ws: int, wl: int) -> dict:
-    """A push's trace/1 `hom` record, without the `phase` and `c` a run
-    adds."""
-    return {"op": "hom", "k": k, "rot": rot, "rule": cls.type,
-            "turn": cls.turn, "j": j, "n": [n0, n1], "win": [ws, wl]}
+def _push(cls: SnippetClass, k: int, j: int, rot: int, n0: int, n1: int,
+           ws: int, wl: int) -> Hom:
+    """A push's own trace/1 fields, as a `Hom` record its run stamps."""
+    return Hom(k, rot, cls.type, cls.turn, j, [n0, n1], [ws, wl])
 
 
 def hom(curve: Curve, k: int, nb: TieNeighbourhood
-        ) -> tuple[tuple[Snippet, ...], dict]:
+        ) -> tuple[tuple[Snippet, ...], Hom]:
     """Remove the bad snippet at position k by one elementary homotopy.
 
-    Returns the replacement window and the push's trace/1 `hom` record, a
-    new dict holding `op`, `k` (the rewritten position, after any
-    rotation), `rot` (the rotation applied first), `rule` and `turn` (the
-    rewritten snippet's type and the side of its cut-off piece), `j` (the
-    walk's weight), `n` (lengths before and after) and `win` (first index
-    and length of the window).  The window stands in place of the three
+    Returns the replacement window and the push's own trace/1 fields, a
+    `Hom` record whose `phase` and `c` are left None for a run to stamp:
+    `k` (the rewritten position, after any rotation), `rot` (the rotation
+    applied first), `rule` and `turn` (the rewritten snippet's type and
+    the side of its cut-off piece), `j` (the walk's weight), `n` (lengths
+    before and after) and `win` (first index and length of the window).
+    The window stands in place of the three
     snippets from `win[0]` on, after the rotation (all of a two-snippet
     closed curve); `WorkingCurve.apply` splices it in.  `curve` may be a
     `WorkingCurve`: nothing but the three snippets around k is read.
@@ -247,7 +247,7 @@ def hom(curve: Curve, k: int, nb: TieNeighbourhood
             validate_snippet(merged, nb)
             window = (merged,)
         n1 = 1 if two_closed else n - 2
-        return window, _record(cls, k, 0, rotation, n, n1, max(k - 1, 0), 1)
+        return window, _push(cls, k, 0, rotation, n, n1, max(k - 1, 0), 1)
 
     # windings move where a slid endpoint crosses a corner of an annulus
     d_end = rec.d_end if rec.d_end and _wind_ok(nb, prev.region, prev) else 0
@@ -263,12 +263,12 @@ def hom(curve: Curve, k: int, nb: TieNeighbourhood
         base = (slid, *rec.inners)
         r0 = (k - 1) % j
         window = base[-r0:] + base[:-r0] if r0 else base
-        return window, _record(cls, k, j, rotation, n, j, 0, j)
+        return window, _push(cls, k, j, rotation, n, j, 0, j)
 
     slid_prev = Snippet(prev.region, prev.start, rec.new_end, prev.wind + d_end)
     slid_next = Snippet(nxt.region, rec.new_start, nxt.end, nxt.wind + d_start)
     validate_snippet(slid_prev, nb)
     validate_snippet(slid_next, nb)
     window = (slid_prev, *rec.inners, slid_next)
-    return window, _record(cls, k, j, rotation, n, n + j - 2, k - 1, j + 1)
+    return window, _push(cls, k, j, rotation, n, n + j - 2, k - 1, j + 1)
 

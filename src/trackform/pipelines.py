@@ -14,11 +14,12 @@ to a trigon, a plain chase (`trig_curve`) finishes.
 
 Every operation goes through `Run`, which owns the working curve, enforces
 the global rewrite budget and records one trace event per operation.  Each
-of its five operations only builds the event's trace/1 record (`hom`
-returns a push's window with its `hom` record) and hands it to
-`Run._record`, which replays it on the working curve with
-`WorkingCurve.apply` (the step the audit replays each recorded event with)
-and stamps it with its phase and the counters it leaves.  A push thus
+of its five operations only builds the event's typed trace/1 record
+without its phase and counters (`hom` returns a push's window with the
+push's own fields as such a record) and hands it to `Run._record`, which
+replays it on the working curve with `WorkingCurve.apply` (the step the
+audit replays each recorded event with) and then builds the full record
+once, stamped with its phase and the counters it leaves.  A push thus
 changes the curve, its counters and its bad flags within its window only.
 `run.curve` builds the `Curve` on demand.  The recorded events are
 self-contained: an auditor can replay them from the input curve and
@@ -43,8 +44,9 @@ from .curve_ops import (
     validate_curve,
 )
 from .errors import BadInput, BudgetExceeded
+from .formats import Hom, Open, Reverse, Rotate, Seam
 from .homotopy_engine import hom
-from .snippet_core import classify, corner_length, is_bigon, is_trigon
+from .snippet_core import classify, is_bigon, is_trigon
 from .track_model import TieNeighbourhood
 
 __all__ = [
@@ -89,7 +91,7 @@ class Run:
         validate_curve(curve, nb)
         self.nb = nb
         self.work = WorkingCurve(curve, nb)
-        self.events: list[dict] = []
+        self.events: list = []
         # one (loop name, steps used, size parameter, lo, tail, first event
         # index, end event index) row per span-loop invocation, so budget
         # audits can check the proven 1x bounds and replay each loop's own
@@ -114,10 +116,10 @@ class Run:
         return self.work.kind
 
     def cls_at(self, i: int):
-        return classify(self.work.snippets[i], self.nb)
+        return self.work.facts[i].cls
 
     def corn_at(self, i: int) -> int:
-        return corner_length(self.work.snippets[i], self.nb)
+        return self.work.facts[i].row[0]
 
     def bads(self) -> list[int]:
         out = []
@@ -143,32 +145,33 @@ class Run:
 
     # -- operations (each records one trace event) --------------------------
 
-    def _record(self, ev: dict, phase: str, window=()) -> dict:
-        """Replay the event on the working curve, stamp it with its phase
-        and the counters it leaves, and keep it as the next trace event."""
+    def _record(self, ev, phase: str, window=()):
+        """Replay the op `ev` (an unstamped trace/1 record: for a push,
+        `hom`'s own fields) on the working curve, then stamp it with its
+        phase and the counters it leaves and keep it as the next trace
+        event."""
         self.work.apply(ev, window)
-        ev["phase"] = phase
-        ev["c"] = list(self.work.c)
-        self.events.append(ev)
-        return ev
+        rec = ev.stamped(phase, list(self.work.c))
+        self.events.append(rec)
+        return rec
 
-    def hom_at(self, k: int, phase: str) -> dict:
+    def hom_at(self, k: int, phase: str) -> Hom:
         """Push the bad snippet at k; record and return the push's trace/1
         `hom` record."""
         self._check_budget()
-        window, ev = hom(self.work, k, self.nb)
+        window, push = hom(self.work, k, self.nb)
         self.homs += 1
-        return self._record(ev, phase, window)
+        return self._record(push, phase, window)
 
     def rotate(self, r: int, phase: str) -> None:
         if self.kind != CLOSED:
             raise BadInput("only closed curves rotate")
         r %= self.n
         if r:
-            self._record({"op": "rotate", "by": r}, phase)
+            self._record(Rotate(r), phase)
 
     def reverse_(self, phase: str) -> None:
-        self._record({"op": "reverse"}, phase)
+        self._record(Reverse(), phase)
 
     def open_dup(self, phase: str) -> None:
         """Open a closed curve into an arc by duplicating its basepoint
@@ -178,12 +181,12 @@ class Run:
         s0 = self.work.snippets[0]
         if s0.closed:
             raise BadInput("cannot open a curve at a closed snippet")
-        self._record({"op": "open", "orig_wind": s0.wind}, phase)
+        self._record(Open(s0.wind), phase)
 
     def seam(self, phase: str) -> None:
         if self.kind != ARC or self.work.orig_wind is None:
             raise BadInput("seam closes an arc opened by open_dup")
-        self._record({"op": "seam", "orig_wind": self.work.orig_wind}, phase)
+        self._record(Seam(self.work.orig_wind), phase)
 
 
 # -- span algorithms --------------------------------------------------------
@@ -266,8 +269,8 @@ def weight_one(run: Run, k: int) -> None:
     """Push an S(t,v,1) bigon; collapse the annulus trigon it may leave."""
     phase = "weight_one_bigon"
     ev = run.hom_at(k, phase)
-    assert ev["n"][0] > 2, "a weight-one bigon cannot close a 2-curve"
-    ws = ev["win"][0]
+    assert ev.n[0] > 2, "a weight-one bigon cannot close a 2-curve"
+    ws = ev.win[0]
     for p in (ws, ws + 1):
         if run.cls_at(p).type == "R(h,v)":
             run.hom_at(p, phase)
@@ -283,10 +286,10 @@ def weight_two(run: Run, k: int) -> None:
     phase = "weight_two_bigon"
     if run.n == 2:
         ev = run.hom_at(k, phase)
-        run.hom_at((ev["k"] - 1) % run.n, phase)
+        run.hom_at((ev.k - 1) % run.n, phase)
         return
     ev = run.hom_at(k, phase)
-    run.rotate(ev["k"], phase)
+    run.rotate(ev.k, phase)
     trig_arc(run, 0, 0, phase)
     if is_bigon(run.cls_at(run.n - 1)):
         run.hom_at(run.n - 1, phase)
@@ -310,7 +313,7 @@ def two_trigons(run: Run) -> None:
             return
         trig_arc(run, 1, 0, phase)
         if run.cls_at(run.n - 1).type == "R(h,v)":
-            ws, wl = run.hom_at(run.n - 1, phase)["win"]
+            ws, wl = run.hom_at(run.n - 1, phase).win
             run.hom_at(ws + wl - 1, phase)
             return
         if not run.cls_at(1).bad:
@@ -331,8 +334,8 @@ def hor_bigon_comp(run: Run, k: int) -> None:
             all_but(run, b[0])
         return
     ev = run.hom_at(k, phase)
-    ws = ev["win"][0]
-    if ev["j"] == 0:
+    ws = ev.win[0]
+    if ev.j == 0:
         # narrow: the merge lands flat against the far side of a rectangle
         t = run.cls_at(ws).type
         assert t in ("B(h,h)", "S(h,h,0)"), t
@@ -342,11 +345,11 @@ def hor_bigon_comp(run: Run, k: int) -> None:
     _hor_bigon_wide(run, ev)
 
 
-def _hor_bigon_wide(run: Run, ev: dict) -> None:
+def _hor_bigon_wide(run: Run, ev: Hom) -> None:
     """Continue after pushing a wide R(h,h): the window opened a fan of
     trigons; chase them around the curve and resolve what returns."""
     phase = "hor_bigon_wide"
-    run.rotate(ev["k"], phase)
+    run.rotate(ev.k, phase)
     trig_arc(run, 0, 1, phase)
     if not any(p <= run.n - 2 for p in run.bads()):
         return
@@ -401,8 +404,8 @@ def hor_bigon_branch(run: Run, k: int) -> None:
                 and is_blocker(run.work, nb, kp)):
             run.hom_at(k, phase)
             return
-        ws = run.hom_at(k, phase)["win"][0]
-        ws = run.hom_at(ws, phase)["win"][0]
+        ws = run.hom_at(k, phase).win[0]
+        ws = run.hom_at(ws, phase).win[0]
         run.hom_at(ws, phase)
         return
     run.hom_at(k, phase)

@@ -9,10 +9,15 @@ Three layers of defence against a wrong pipeline:
 
 * `audit_trace` replays a recorded run event by event on its own working
   curve with `WorkingCurve.apply`, the step `Run` records each event with,
-  so an event costs its window and not the curve's length.  Each record's
-  field types are checked, a rotation must lie strictly between 0 and the
-  curve's length, each rewrite is re-executed and every recorded field must
-  match before the event is replayed.  The replayed counters must equal
+  so an event costs its window and not the curve's length.  It takes the
+  typed trace/1 records a run makes as they are, and reads a decoded JSON
+  object (a parsed trace file) into its record type at its own event
+  index, which checks its fields and their JSON types once
+  (`formats.trace_record`).  A rotation must lie strictly between 0 and
+  the curve's length.  Each rewrite is re-executed, and the replayed push
+  must equal the recorded one, in one comparison that is walked field by
+  field only to name the first that differs, before the event is
+  replayed.  The replayed counters must equal
   each event's record and, at the end, a full count of the terminal curve,
   which must also equal the recorded output snippet for snippet.  The
   audit also asserts the per-rule contracts: length deltas, window
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 
 from .curve_ops import ARC, CLOSED, Curve, WorkingCurve, measure
 from .errors import AuditFailure, BadInput, NotApplicable, TrackformError
-from .formats import _is_int
+from .formats import Hom, trace_record
 from .homotopy_engine import EXPECTED_J, TRIGON_GRAPH, hom
 from .snippet_core import TRIGON_TYPES, Snippet, classify
 from .track_model import ANNULUS, BOUNDARY, TieNeighbourhood
@@ -140,33 +145,8 @@ _CHASE_DELTAS: dict[tuple[str, str], tuple[int, int, int]] = {
 }
 
 
-def _ints(n: int):
-    return lambda v: (isinstance(v, list) and len(v) == n
-                      and all(map(_is_int, v)))
-
-
-def _name(v) -> bool:
-    return v is None or isinstance(v, str)
-
-
-# The tests each op's trace/1 record must pass, in order: its "phase" and
-# counters "c", then the fields it carries besides "op", each with a test of
-# its JSON type.
-_RECORD_CHECKS = {
-    op: (("phase", lambda v: isinstance(v, str)), ("c", _ints(6)),
-         *fields.items()) for op, fields in {
-        "hom": {"k": _is_int, "rot": _is_int, "j": _is_int, "n": _ints(2),
-                "win": _ints(2), "rule": _name, "turn": _name},
-        "rotate": {"by": _is_int},
-        "reverse": {},
-        "open": {"orig_wind": _is_int},
-        "seam": {"orig_wind": _is_int},
-    }.items()
-}
-
-
-# The replayed `hom` record's fields, each compared with the recorded one
-# under its clause, in this order.
+# The fields of a replayed push, each compared with the recorded one under
+# its clause, in this order, when the two differ.
 _HOM_CLAUSES = (("rot", "rot"), ("k", "k"), ("rule", "rule"),
                 ("turn", "turn"), ("j", "j"), ("n", "length"),
                 ("win", "window"))
@@ -197,37 +177,39 @@ class _Audit:
         self.index = -1
 
     def fail(self, clause: str, detail: str = "") -> None:
-        msg = f"event {self.index}: {clause}"
-        if detail:
-            msg += f" ({detail})"
-        raise AuditFailure(msg, event_index=self.index, clause=clause)
+        raise AuditFailure.at(self.index, clause, detail)
 
-    def check(self, cond: bool, clause: str, detail: str = "") -> None:
+    def check(self, cond: bool, clause: str, detail: str = "",
+              *args) -> None:
+        """Count one check, and fail it unless `cond`.  The detail is
+        formatted with `args` only on a failure, so a passing check costs
+        no string."""
         self.checks += 1
         if not cond:
-            self.fail(clause, detail)
+            self.fail(clause, detail.format(*args) if args else detail)
 
     def run(self) -> AuditReport:
         nb = self.nb
         work = self.work = WorkingCurve(self.before, nb)
         for self.index, ev in enumerate(self.trace):
-            op = self._check_record(ev)
+            ev = trace_record(ev, self.index)
+            op = ev.op
             snap = work.snippets
             if op == "rotate":
                 self.check(work.kind == CLOSED, "op", "rotate on an arc")
-                if not 0 < ev["by"] < len(snap):
-                    self.fail("by", f"rotation by {ev['by']} of a curve of"
+                if not 0 < ev.by < len(snap):
+                    self.fail("by", f"rotation by {ev.by} of a curve of"
                               f" {len(snap)} snippets")
             elif op == "open":
                 self.check(work.kind == CLOSED and not snap[0].closed,
                            "op", "open needs a closed curve of open snippets")
-                self.check(ev["orig_wind"] == snap[0].wind,
+                self.check(ev.orig_wind == snap[0].wind,
                            "open-wind", "recorded seam winding is not the "
                            "basepoint snippet's")
             elif op == "seam":
                 self.check(work.orig_wind is not None, "op",
                            "seam without open")
-                self.check(ev["orig_wind"] == work.orig_wind, "seam-wind",
+                self.check(ev.orig_wind == work.orig_wind, "seam-wind",
                            "seam winding differs from the opening event")
             if op == "hom":
                 self._replay_hom(work, ev)
@@ -240,56 +222,47 @@ class _Audit:
             self.fail("final", "replayed terminal curve differs")
         full = measure(work, nb).counters
         self.check(full == work.c, "final",
-                   f"running counters {work.c} != recomputed {full}")
+                   "running counters {} != recomputed {}", work.c, full)
         return AuditReport(ok=True, events=len(self.trace),
                            checks=self.checks)
 
-    def _check_record(self, ev) -> str:
-        """Check a record's fields and their types; return its op."""
-        if not isinstance(ev, dict):
-            self.fail("record", f"a {type(ev).__name__}, not an object")
-        op = ev.get("op")
-        checks = _RECORD_CHECKS.get(op) if isinstance(op, str) else None
-        if checks is None:
-            self.fail("op", f"unknown op {op!r}")
-        for key, ok in checks:
-            if key not in ev:
-                self.fail("record", f"{op} record has no {key!r}")
-            if not ok(ev[key]):
-                self.fail("record", f"bad {key!r} value {ev[key]!r}")
-        return op
+    def _check_counters(self, work: WorkingCurve, ev) -> None:
+        self.check(ev.c == work.c, "counters",
+                   "recorded {} != recomputed {}", ev.c, work.c)
 
-    def _check_counters(self, work: WorkingCurve, ev: dict) -> None:
-        self.check(ev["c"] == work.c, "counters",
-                   f"recorded {ev['c']} != recomputed {work.c}")
-
-    def _replay_hom(self, work: WorkingCurve, ev: dict) -> None:
+    def _replay_hom(self, work: WorkingCurve, ev: Hom) -> None:
         nb = self.nb
         snap, bad = work.snippets, work.bad
         n = len(snap)
-        k_orig = (ev["k"] + ev["rot"]) % n
+        k_orig = (ev.k + ev.rot) % n
         try:
-            window, e2 = hom(work, k_orig, nb)
+            window, push = hom(work, k_orig, nb)
         except TrackformError as exc:
             self.fail("not-bad", f"recorded push is illegal here: {exc}")
-        for key, clause in _HOM_CLAUSES:
-            self.check(e2[key] == ev[key], clause,
-                       f"replayed {key} {e2[key]}")
+        # one comparison of the push, stamped as recorded, with the record;
+        # only a mismatch is walked clause by clause, to name the first
+        if push.stamped(ev.phase, ev.c) == ev:
+            self.checks += len(_HOM_CLAUSES)
+        else:
+            for key, clause in _HOM_CLAUSES:
+                mine = getattr(push, key)
+                self.check(mine == getattr(ev, key), clause,
+                           "replayed {} {}", key, mine)
         # the snippets either side of the pushed one, and their bad flags,
         # before the push rewrites them
         p, q = (k_orig - 1) % n, (k_orig + 1) % n
         pre = (snap[p], snap[q])
         pre_bad = bad[p] or bad[q]
         c0 = work.c
-        work.apply(e2, window)
-        self._check_contracts(work, pre, pre_bad, window, e2, c0)
+        work.apply(push, window)
+        self._check_contracts(work, pre, pre_bad, window, push, c0)
 
-    def _check_contracts(self, work: WorkingCurve, pre, pre_bad, post, e2,
-                         c0) -> None:
+    def _check_contracts(self, work: WorkingCurve, pre, pre_bad, post,
+                         push: Hom, c0) -> None:
         nb = self.nb
-        n0, n1 = e2["n"]
-        ws, wl = e2["win"]
-        j, rule, turn = e2["j"], e2["rule"], e2["turn"]
+        n0, n1 = push.n
+        ws, wl = push.win
+        j, rule, turn = push.j, push.rule, push.turn
 
         # length delta is determined by the tiling points on the cut piece
         two_closed = n0 == 2 and work.kind == CLOSED
@@ -298,18 +271,18 @@ class _Audit:
                        "two-snippet closed rewrite length delta")
         else:
             self.check(n1 - n0 == j - 2, "length",
-                       f"delta {n1 - n0} with j={j}")
+                       "delta {} with j={}", n1 - n0, j)
 
         # j is pinned per rule; the comp-region bigon/trigon walks are
         # bounded by the tiling size
         if rule in EXPECTED_J:
             self.check(j in EXPECTED_J[rule], "j",
-                       f"rule {rule} cannot have j={j}")
+                       "rule {} cannot have j={}", rule, j)
         elif rule == "R(h,v)":
-            self.check(0 <= j <= nb.s_N, "j", f"R(h,v) walk of {j} points")
+            self.check(0 <= j <= nb.s_N, "j", "R(h,v) walk of {} points", j)
         else:
             self.check(0 <= j <= 2 * nb.s_N, "j",
-                       f"{rule} walk of {j} points")
+                       "{} walk of {} points", rule, j)
 
         if two_closed:  # the window is the whole rewritten curve
             return
@@ -343,30 +316,29 @@ class _Audit:
         # chase step: a lone bad trigon between efficient neighbours obeys
         # the hand-off graph with exact carried/dual deltas
         if rule in TRIGON_TYPES and not pre_bad:
-            bad_out = [classify(s, nb) for s, b
-                       in zip(post, work.bad[ws:ws + wl]) if b]
+            bad_out = [f.cls for f in work.facts[ws:ws + wl] if f.row[4]]
             self.check(len(bad_out) <= 1, "chase-multiplicity",
-                       f"{len(bad_out)} bad snippets out of one trigon")
+                       "{} bad snippets out of one trigon", len(bad_out))
             dc, dr, dl = (work.c[i] - c0[i] for i in (2, 3, 4))
             dt, do = (dr, dl) if turn == "Right" else (dl, dr)
             if bad_out:
                 t2 = bad_out[0].type
                 self.check(t2 in TRIGON_GRAPH[rule], "graph-edge",
-                           f"{rule} -> {t2} is not a hand-off")
+                           "{} -> {} is not a hand-off", rule, t2)
                 self.check(bad_out[0].turn == turn, "turn",
                            "hand-off flipped the turn")
                 if rule == "R(h,v)":
                     self.check((dc, dt, do) == (j - 1, 0, 0), "chase-delta",
-                               f"R(h,v) step changed ({dc},{dt},{do})")
+                               "R(h,v) step changed ({},{},{})", dc, dt, do)
                 else:
                     self.check((dc, dt, do) == _CHASE_DELTAS[(rule, t2)],
-                               "chase-delta",
-                               f"{rule} -> {t2} changed ({dc},{dt},{do})")
+                               "chase-delta", "{} -> {} changed ({},{},{})",
+                               rule, t2, dc, dt, do)
             else:
                 self.check(dc == (j - 1 if rule == "R(h,v)" else 0)
                            and abs(dt) <= 1 and abs(do) <= 1,
                            "chase-delta",
-                           f"terminal step changed ({dc},{dt},{do})")
+                           "terminal step changed ({},{},{})", dc, dt, do)
 
 
 def audit_trace(trace, before: Curve, after: Curve,

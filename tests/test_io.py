@@ -2,16 +2,22 @@
 formats, plus the seeded generator entry point."""
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trackform.curve_ops import ARC, CLOSED, Curve
 from trackform.errors import AdjacencyError, BadInput, ParseError
 from trackform.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
-from trackform.formats import (format_track, parse_curve, parse_track,
-                               parse_trace, serialize_curve, serialize_trace)
-from trackform.generate import gen_random_curve
+from trackform.formats import (RECORD_TYPES, Hom, Open, Reverse, Rotate,
+                               Seam, format_track, parse_curve, parse_track,
+                               parse_trace, serialize_curve, serialize_trace,
+                               trace_record)
+from trackform.generate import gen_random_curve, random_arc
 from trackform.pipelines import efficient_position
 from trackform.snippet_core import Snippet
 
@@ -145,8 +151,36 @@ def test_trace_round_trip(t11):
     head, events = parse_trace(text)
     assert head["format"] == "trace/1"
     assert head["track"] == "t11" and head["status"] == res.status
-    assert events == res.events
+    assert events == [dict(ev) for ev in res.events]
     assert serialize_trace(events, track="t11", status=res.status) == text
+
+
+# SHA-256 of the trace/1 text of two seeded runs per fixture: a closed
+# curve (`gen_random_curve(nb, 12, 10)`) and an arc (`random_arc` on
+# `Random("NAME/frozen")`, 12 snippets).  Together the runs use all five ops;
+# t11's closed run rotates and reverses.
+_FROZEN_TRACES = {
+    "t11": "e684e8fb3b7a0b1986a9b1a611e24e92075c521b6f4741de5e2f009f6f830767",
+    "t11d": "6859956d4782d2f1eae06502543a18df4df34c4d1b30de3c25e3be1747c7657b",
+    "s04": "dfe48efd6334ffdcf5df81e9f3835ad4be925c4cbe8c306d006f2cf3e8c3355e",
+    "s12": "f89c457779ee9147f3be4513e58103d2c89dd7be68b6c99a5ade28e2a23dbf3a",
+}
+
+
+def test_trace_bytes_are_frozen():
+    ops = set()
+    for name in FIXTURE_NAMES:
+        nb = load_fixture(name)
+        texts = []
+        for c in (gen_random_curve(nb, 12, 10),
+                  random_arc(nb, random.Random(f"{name}/frozen"), 12)):
+            res = efficient_position(c, nb)
+            ops |= {ev["op"] for ev in res.events}
+            texts.append(serialize_trace(res.events, track=name,
+                                         status=res.status))
+        digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+        assert digest == _FROZEN_TRACES[name], name
+    assert ops == {"hom", "rotate", "reverse", "open", "seam"}
 
 
 def test_trace_lines_are_single_records(t11):
@@ -156,6 +190,92 @@ def test_trace_lines_are_single_records(t11):
     assert len(lines) == len(res.events) + 1
     for line in lines:
         json.loads(line)
+
+
+_INTS = st.integers()
+_PAIR = st.lists(_INTS, min_size=2, max_size=2)
+_TEXT = st.text()
+_NAME = st.none() | _TEXT
+_C = st.lists(_INTS, min_size=6, max_size=6)
+_RECORD = {
+    "hom": st.builds(Hom, _INTS, _INTS, _NAME, _NAME, _INTS, _PAIR, _PAIR,
+                     _TEXT, _C),
+    "rotate": st.builds(Rotate, _INTS, _TEXT, _C),
+    "reverse": st.builds(Reverse, _TEXT, _C),
+    "open": st.builds(Open, _INTS, _TEXT, _C),
+    "seam": st.builds(Seam, _INTS, _TEXT, _C),
+}
+
+
+@pytest.mark.parametrize("op", list(RECORD_TYPES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_record_line_is_the_canonical_json_of_the_record(op, data):
+    # any field values, strings with quotes, escapes and line breaks included
+    rec = data.draw(_RECORD[op])
+    assert sorted(key for key, _ in rec.JSON) == sorted(rec._fields)
+    line = rec.to_line()
+    assert line == json.dumps(dict(rec), sort_keys=True,
+                              separators=(",", ":"))
+    back = RECORD_TYPES[op].from_json(json.loads(line), 0)
+    assert type(back) is type(rec) and back == rec
+
+
+_LOADED = {}
+
+
+def _fixture(name):
+    if name not in _LOADED:
+        _LOADED[name] = load_fixture(name)
+    return _LOADED[name]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(FIXTURE_NAMES), arc=st.booleans(),
+       n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+@example(name="t11", arc=False, n=12, seed=10)  # rotates and reverses
+def test_recorded_trace_round_trips_byte_identically(name, arc, n, seed):
+    nb = _fixture(name)
+    c = (random_arc(nb, random.Random(seed), n) if arc
+         else gen_random_curve(nb, n, seed))
+    res = efficient_position(c, nb)
+    text = serialize_trace(res.events, track=name, status=res.status)
+    head, events = parse_trace(text)
+    assert [trace_record(ev, i) for i, ev in enumerate(events)] == res.events
+    meta = {k: v for k, v in head.items() if k != "format"}
+    assert serialize_trace(events, **meta) == text
+
+
+def test_records_read_as_their_json_objects(t11):
+    res = efficient_position(gen_random_curve(t11, 12, 10), t11)
+    for ev in res.events:
+        assert ev["op"] == ev.op and dict(ev) == json.loads(ev.to_line())
+    with pytest.raises(KeyError):
+        res.events[0]["to_line"]
+    # equal fields under two ops are two records
+    assert Open(0, "p", [0] * 6) != Seam(0, "p", [0] * 6)
+
+
+@pytest.mark.parametrize("brk", ["\u2028", "\u2029", "\u0085"])
+def test_parse_trace_keeps_line_breaks_inside_strings(brk):
+    # serialize_trace escapes them, but a hand-edited file may hold them raw
+    text = (f'{{"format":"trace/1","track":"t{brk}x"}}\n'
+            '{"by":1,"c":[0,0,0,0,0,0],"op":"rotate","phase":"p"}\n')
+    head, events = parse_trace(text)
+    assert head["track"] == f"t{brk}x"
+    assert events == [{"by": 1, "c": [0] * 6, "op": "rotate", "phase": "p"}]
+
+
+def test_parse_trace_reads_crlf_lines_with_the_same_numbers(t11):
+    res = efficient_position(gen_random_curve(t11, 9, 3), t11)
+    text = serialize_trace(res.events, track="t11", status=res.status)
+    assert parse_trace(text.replace("\n", "\r\n")) == parse_trace(text)
+    lines = text.split("\n")
+    lines[2] = "not json"
+    for eol in ("\n", "\r\n"):
+        with pytest.raises(ParseError) as err:
+            parse_trace(eol.join(lines))
+        assert (err.value.line, err.value.col) == (3, 1)
 
 
 def test_parse_trace_rejects_bad_header():

@@ -30,3 +30,43 @@ def test_readme_library_quick_start_runs():
     lines = out.getvalue().splitlines()
     assert lines[0] == "Efficient 5 pushes"
     assert "'class': 'essential'" in lines[1]
+
+
+def test_traced_functions_stay_module_attributes(monkeypatch):
+    """The benchmark's tracer (perfbench/tracing.py) wraps these module
+    attributes.  Callers must resolve them at call time: a name bound
+    once, at import or in a local alias, would bypass the wrapper and
+    silently leave the per-layer metrics blind."""
+    from trackform import (curve_ops, formats, homotopy_engine, pipelines,
+                           verification)
+
+    assert pipelines.hom is verification.hom is homotopy_engine.hom
+    # nothing calls pipelines.measure; the tracer wraps it all the same
+    assert pipelines.measure is verification.measure is curve_ops.measure
+    calls = {}
+
+    def count(mod, attr):
+        real = getattr(mod, attr)
+
+        def wrapper(*args, **kwargs):
+            key = f"{mod.__name__}.{attr}"
+            calls[key] = calls.get(key, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(mod, attr, wrapper)
+
+    for mod, attr in ((pipelines, "hom"), (verification, "hom"),
+                      (verification, "measure"), (formats, "parse_trace"),
+                      (formats, "serialize_trace")):
+        count(mod, attr)
+    nb = trackform.load_fixture("t11")
+    curve = trackform.gen_random_curve(nb, 12, 10)
+    res = pipelines.efficient_position(curve, nb)
+    head, events = formats.parse_trace(formats.serialize_trace(res.events))
+    verification.audit_trace(events, curve, res.curve, nb)
+    homs = sum(ev["op"] == "hom" for ev in events)
+    assert homs == res.homs > 0
+    assert calls == {
+        "trackform.pipelines.hom": homs, "trackform.verification.hom": homs,
+        "trackform.verification.measure": 1,
+        "trackform.formats.parse_trace": 1,
+        "trackform.formats.serialize_trace": 1}

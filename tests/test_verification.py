@@ -465,7 +465,7 @@ def test_audit_rejects_or_ignores_any_forged_field(recorded_runs, data):
         data.draw(st.integers(0, len(recorded_runs) - 1))]
     events = list(events)
     i = data.draw(st.integers(0, len(events) - 1))
-    key = data.draw(st.sampled_from(sorted(events[i])))
+    key = data.draw(st.sampled_from(sorted(events[i].keys())))
     events[i] = {**events[i],
                  key: data.draw(_other_values(events[i][key], lens[i]))}
     try:
