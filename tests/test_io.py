@@ -20,6 +20,7 @@ from trackform.formats import (RECORD_TYPES, Hom, Open, Reverse, Rotate,
 from trackform.generate import gen_random_curve, random_arc
 from trackform.pipelines import efficient_position
 from trackform.snippet_core import Snippet
+from trackform.verification import audit_trace
 
 
 @pytest.fixture(scope="module")
@@ -167,20 +168,44 @@ _FROZEN_TRACES = {
 }
 
 
+def _frozen_runs(name):
+    """The fixture and its two frozen runs, (input, result) each."""
+    nb = load_fixture(name)
+    for c in (gen_random_curve(nb, 12, 10),
+              random_arc(nb, random.Random(f"{name}/frozen"), 12)):
+        yield nb, c, efficient_position(c, nb)
+
+
 def test_trace_bytes_are_frozen():
     ops = set()
     for name in FIXTURE_NAMES:
-        nb = load_fixture(name)
         texts = []
-        for c in (gen_random_curve(nb, 12, 10),
-                  random_arc(nb, random.Random(f"{name}/frozen"), 12)):
-            res = efficient_position(c, nb)
+        for nb, c, res in _frozen_runs(name):
             ops |= {ev["op"] for ev in res.events}
             texts.append(serialize_trace(res.events, track=name,
                                          status=res.status))
         digest = hashlib.sha256("".join(texts).encode()).hexdigest()
         assert digest == _FROZEN_TRACES[name], name
     assert ops == {"hom", "rotate", "reverse", "open", "seam"}
+
+
+# (events, checks) of the audit of each frozen run: the closed curve's,
+# then the arc's.
+_FROZEN_AUDITS = {
+    "t11": [(25, 310), (5, 73)],
+    "t11d": [(16, 219), (5, 67)],
+    "s04": [(18, 264), (6, 99)],
+    "s12": [(11, 139), (6, 90)],
+}
+
+
+def test_audit_counts_are_frozen():
+    for name in FIXTURE_NAMES:
+        counts = []
+        for nb, c, res in _frozen_runs(name):
+            rep = audit_trace(res.events, c, res.curve, nb)
+            counts.append((rep.events, rep.checks))
+        assert counts == _FROZEN_AUDITS[name], name
 
 
 def test_trace_lines_are_single_records(t11):

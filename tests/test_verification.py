@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import trackform.pipelines as pipelines
 import trackform.verification as verification
 from trackform.curve_ops import ARC, CLOSED, Curve, measure
 from trackform.errors import AuditFailure, BadInput
@@ -17,7 +18,7 @@ from trackform.fixtures import FIXTURE_NAMES, load_fixture
 from trackform.generate import (GenerationFailed, boundary_power,
                                 doubled_back, peripheral_bounce, random_arc,
                                 random_closed, trivial_loop)
-from trackform.homotopy_engine import hom
+from trackform.homotopy_engine import EXPECTED_J, hom
 from trackform.pipelines import (EFFICIENT, INSIDE_EFFICIENT, SINGLE_SNIPPET,
                                  efficient_position)
 from trackform.snippet_core import (BIGON_TYPES, TRIGON_TYPES, Snippet,
@@ -280,6 +281,81 @@ def test_audit_checks_contracts_on_three_snippet_arcs(t11, monkeypatch):
     with pytest.raises(AuditFailure) as err:
         audit_trace(res.events, arc, res.curve, t11)
     assert (err.value.event_index, err.value.clause) == (0, "slide")
+
+
+def _n(ev, d0, d1):
+    return ev._replace(n=[ev.n[0] + d0, ev.n[1] + d1])
+
+
+# Doctored pushes, each failing one contract clause: (how the push is
+# chosen, whether the run's `hom` is doctored too so that the record
+# matches the replayed push, the doctor, which maps the pushed snippet, the
+# window and the push to a doctored window and push, and the clause with
+# its message for the push `ev` as recorded undoctored).
+_DOCTORED_CLAUSES = {
+    "length": (
+        lambda ev: ev.n[0] > 2, True,
+        lambda a, window, ev: (window, _n(ev, 0, 1)),
+        lambda ev: ("length", f"delta {ev.j - 1} with j={ev.j}")),
+    "j": (
+        lambda ev: ev.n[0] > 2 and ev.rule in EXPECTED_J, True,
+        lambda a, window, ev: (window, _n(ev, 0, 1)._replace(j=ev.j + 1)),
+        lambda ev: ("j", f"rule {ev.rule} cannot have j={ev.j + 1}")),
+    "locality-before": (
+        lambda ev: ev.n[0] > 2, True,
+        lambda a, window, ev: (window, _n(ev, 1, 1)),
+        lambda ev: ("locality", "window not glued to the snippet before it")),
+    "locality-after": (
+        lambda ev: ev.n[0] > 2 and ev.j >= 1, False,
+        lambda a, window, ev: (
+            (*window[:-1],
+             window[-1]._replace(end=window[-1].start, wind=0)), ev),
+        lambda ev: ("locality", "window not glued to the snippet after it")),
+    "inner-bad": (
+        lambda ev: ev.n[0] > 2 and ev.j >= 2, False,
+        lambda a, window, ev: ((window[0], a, *window[2:]), ev),
+        lambda ev: ("inner-bad", "replacement interior snippet is bad")),
+    "turn": (
+        lambda ev: ev.n[0] > 2 and ev.rule == "B(h,t)", True,
+        lambda a, window, ev: (
+            window, ev._replace(turn="Left" if ev.turn == "Right"
+                                else "Right")),
+        lambda ev: ("turn", "hand-off flipped the turn")),
+}
+
+
+def _doctored(real_hom, m, doctor):
+    """`hom`, with its call number m (from 0) doctored."""
+    calls = [0]
+
+    def doctored(curve, k, nb):
+        window, ev = real_hom(curve, k, nb)
+        calls[0] += 1
+        if calls[0] == m + 1:
+            window, ev = doctor(curve.snippets[k % len(curve.snippets)],
+                                window, ev)
+        return window, ev
+    return doctored
+
+
+@pytest.mark.parametrize("case", list(_DOCTORED_CLAUSES))
+def test_audit_names_each_contract_clause(t11, monkeypatch, case):
+    """A push whose record matches the replayed push but breaks a rewrite
+    contract fails at that contract's clause, with its message."""
+    pick, record_too, doctor, expect = _DOCTORED_CLAUSES[case]
+    c, res = _traced_run(t11)
+    i = _first_index(res.events, lambda ev: ev.op == "hom" and pick(ev))
+    m = sum(ev.op == "hom" for ev in res.events[:i])
+    clause, detail = expect(res.events[i])
+    real_hom = verification.hom
+    if record_too:
+        monkeypatch.setattr(pipelines, "hom", _doctored(real_hom, m, doctor))
+        res = efficient_position(c, t11)
+    monkeypatch.setattr(verification, "hom", _doctored(real_hom, m, doctor))
+    with pytest.raises(AuditFailure) as err:
+        audit_trace(res.events, c, res.curve, t11)
+    assert (err.value.event_index, err.value.clause, str(err.value)) == \
+        (i, clause, f"event {i}: {clause} ({detail})")
 
 
 # -- running counters -------------------------------------------------------
