@@ -10,16 +10,18 @@ byte per position marking the bad snippets, and the six length counters.
 `WorkingCurve.apply` replays one typed trace/1 record on it and is the only
 code that changes them: the three lists are rotated and spliced together,
 and a `hom` window's counters are updated from the fact records alone, so
-a push costs its window and not the curve's length.  Everything here that
-reads a curve reads a working curve too.
+a push costs its window and not the curve's length.  The counter list is
+replaced on every change, never mutated, so a trace record may keep it.
+Everything here that reads a curve reads a working curve too.
 
 The length counters are read off each snippet's fact record in the
 neighbourhood's fact table (`snippet_core.SnippetFacts`): its counter row
 and its blocker roles.  A working curve looks each snippet up once, when it
 enters the curve, and carries the record at its position from then on; a
-push looks up only its window's snippets.  A snippet not yet in the table
-is classified, which files its record.  Validating a curve re-checks only
-snippets the table does not hold yet.
+push hands over its window's records with the window (`homotopy_engine.hom`
+looks them up).  A snippet not yet in the table is classified, which files
+its record.  Validating a curve re-checks only snippets the table does not
+hold yet.
 """
 from __future__ import annotations
 
@@ -54,8 +56,9 @@ class WorkingCurve:
     position's fact record (`snippet_core.SnippetFacts`), a byte per
     position that is 1 where the snippet is bad, its counters `c`
     (`LengthReport.counters`), and while it is opened at a seam the winding
-    of the duplicated basepoint snippet (else None).  `freeze` gives the
-    `Curve` it stands for."""
+    of the duplicated basepoint snippet (else None).  `c` is replaced by a
+    new list whenever the counters change and is never mutated, so a
+    caller may keep it.  `freeze` gives the `Curve` it stands for."""
     __slots__ = ("nb", "kind", "snippets", "facts", "bad", "c", "orig_wind")
 
     def __init__(self, curve: Curve, nb: TieNeighbourhood) -> None:
@@ -73,12 +76,13 @@ class WorkingCurve:
         self.c = _counters(self.kind, self.facts)
         self.bad = bytearray([f.row[4] for f in self.facts])
 
-    def apply(self, ev, window=()) -> None:
+    def apply(self, ev, window=(), wf=()) -> None:
         """Replay the trace/1 event `ev` (a `hom` with the `window` it
-        put in place of three snippets, a `rotate`, `reverse`, `open` or
-        `seam`), reading its op and fields as attributes.  The event is
-        taken as legal here: `Run` records only legal events, and the
-        audit checks each before it replays it."""
+        put in place of three snippets and the window's fact records `wf`,
+        as `homotopy_engine.hom` returns them; a `rotate`, `reverse`,
+        `open` or `seam`), reading its op and fields as attributes.  The
+        event is taken as legal here: `Run` records only legal events, and
+        the audit checks each before it replays it."""
         op = ev.op
         snap, facts, bad = self.snippets, self.facts, self.bad
         if op == "hom":
@@ -87,7 +91,6 @@ class WorkingCurve:
                 rotate_in_place(facts, ev.rot)
                 rotate_in_place(bad, ev.rot)
             ws = ev.win[0]
-            wf = _facts_of(window, self.nb)
             self.c = update_counters(self.c, self, ws, wf)
             snap[ws:ws + 3] = window
             facts[ws:ws + 3] = wf
@@ -246,23 +249,17 @@ def is_blocker(curve: Curve, nb: TieNeighbourhood, k: int) -> bool:
     return _blockers_in(_facts_of(window, nb)) > 0
 
 
-def _tally(c: list[int], facts, sign: int) -> None:
-    """Add (sign 1) or take away (sign -1) the contributions of the fact
-    records to every counter but len_block."""
-    for f in facts:
-        corn, carried, dual_r, dual_l, bad = f.row
-        c[0] += sign * corn
-        c[2] += sign * carried
-        c[3] += sign * dual_r
-        c[4] += sign * dual_l
-        c[5] += sign * bad
-
-
 def _counters(kind: str, facts: list[SnippetFacts]) -> list[int]:
     """The six counters of a whole curve of this kind, from its positions'
     fact records."""
     c = [0] * 6
-    _tally(c, facts, 1)
+    for f in facts:
+        corn, carried, dual_r, dual_l, bad = f.row
+        c[0] += corn
+        c[2] += carried
+        c[3] += dual_r
+        c[4] += dual_l
+        c[5] += bad
     if kind == CLOSED and len(facts) >= 3:
         c[1] = _blockers_in(facts + facts[:2])
     else:
@@ -277,13 +274,13 @@ def measure(curve: Curve, nb: TieNeighbourhood) -> LengthReport:
 
 
 def update_counters(c: list[int], before: WorkingCurve, ws: int,
-                    wf: list[SnippetFacts]) -> list[int]:
-    """The counters after a window whose fact records are `wf` replaces
-    the three snippets from `ws` on, from the counters `c` of the working
-    curve `before` (already rotated so the three do not wrap).  Only the
-    rewritten positions and the blocker windows touching them are
-    recounted, within the two positions on either side, from the fact
-    records `before` carries; curves of at most four snippets, whose
+                    wf: tuple[SnippetFacts, ...]) -> list[int]:
+    """The counters, as a new list, after a window whose fact records are
+    `wf` replaces the three snippets from `ws` on, from the counters `c`
+    of the working curve `before` (already rotated so the three do not
+    wrap).  Only the rewritten positions and the blocker windows touching
+    them are recounted, within the two positions on either side, from the
+    fact records `before` carries; curves of at most four snippets, whose
     windows wrap onto each other, are counted in full."""
     facts = before.facts
     n = len(facts)
@@ -295,9 +292,21 @@ def update_counters(c: list[int], before: WorkingCurve, ws: int,
         right = (facts[(ws + 3) % n], facts[(ws + 4) % n])
     else:
         left, right = facts[max(ws - 2, 0):ws], facts[ws + 3:ws + 5]
-    c = list(c)
-    c[1] += (_blockers_in((*left, *wf, *right))
-             - _blockers_in((*left, *old, *right)))
-    _tally(c, old, -1)
-    _tally(c, wf, 1)
-    return c
+    corn, block, carried, dual_r, dual_l, bad = c
+    block += (_blockers_in((*left, *wf, *right))
+              - _blockers_in((*left, *old, *right)))
+    for f in old:
+        f_corn, f_carried, f_dual_r, f_dual_l, f_bad = f.row
+        corn -= f_corn
+        carried -= f_carried
+        dual_r -= f_dual_r
+        dual_l -= f_dual_l
+        bad -= f_bad
+    for f in wf:
+        f_corn, f_carried, f_dual_r, f_dual_l, f_bad = f.row
+        corn += f_corn
+        carried += f_carried
+        dual_r += f_dual_r
+        dual_l += f_dual_l
+        bad += f_bad
+    return [corn, block, carried, dual_r, dual_l, bad]

@@ -19,18 +19,21 @@ start endpoint the signs flip.
 
 Most of a push depends on the bad snippet alone: its cut-off walk and j,
 both slide targets with their corner flags, the j - 1 in-between snippets
-and the chain of crossed edges.  That part is a `PushRecipe`, worked out
-once per distinct bad snippet per neighbourhood and filed beside its fact
-record.  The checks on it run once, when it is filed: j against the rule,
-each in-between snippet valid and not bad, and the two sides of each
-crossed edge gluing partners.  Each `hom` call does only what depends on
-the neighbours, and checks them every time: the previous snippet must end
-and the next must start on the partners of the bad snippet's endpoints, a
-slid endpoint's winding moves only where windings count (`_wind_ok`), and
-both slid snippets are validated.  `hom` returns the replacement window,
-not the curve, with the push's own trace/1 fields: a run or an audit
-splices the window into its working curve, so a push costs its window
-whatever the curve's length.
+with their fact records, and the chain of crossed edges.  That part is a
+`PushRecipe`, worked out once per distinct bad snippet per neighbourhood
+and filed beside its fact record.  The checks on it run once, when it is
+filed: j against the rule, each in-between snippet valid and not bad, and
+the two sides of each crossed edge gluing partners.  A recipe is filed only
+for an open bad snippet, so a push whose snippet has one is one lookup;
+only a snippet without one is checked for being open and bad.  Each `hom`
+call does only what depends on the neighbours, and checks them every time:
+the previous snippet must end and the next must start on the partners of
+the bad snippet's endpoints, a slid endpoint's winding moves only where
+windings count (`_wind_ok`), and both slid snippets are validated, which
+looks up (or files) their fact records.  `hom` returns the replacement
+window, not the curve, with the window's fact records and the push's own
+trace/1 fields: a run or an audit splices the window and its records into
+its working curve, so a push costs its window whatever the curve's length.
 """
 from __future__ import annotations
 
@@ -39,8 +42,8 @@ from typing import NamedTuple
 from .curve_ops import ARC, CLOSED, Curve
 from .errors import BadInput, ClosedSnippet, NotBad
 from .formats import Hom
-from .snippet_core import (RIGHT, Snippet, SnippetClass, classify,
-                           validate_snippet)
+from .snippet_core import (RIGHT, Snippet, SnippetClass, SnippetFacts,
+                           classify, facts)
 from .track_model import ANNULUS, BOUNDARY, Locus, TieNeighbourhood
 
 # Weight of the cut-off walk for each rectangle bad type; complementary-region
@@ -119,6 +122,7 @@ class PushRecipe(NamedTuple):
     new_start: Locus | None
     d_start: int
     inners: tuple[Snippet, ...]  # the j - 1 in-between snippets
+    inner_facts: tuple[SnippetFacts, ...]  # and their fact records
 
 
 def push_recipe(a: Snippet, nb: TieNeighbourhood) -> PushRecipe:
@@ -139,7 +143,7 @@ def _push_recipe_uncached(a: Snippet, nb: TieNeighbourhood) -> PushRecipe:
 
     before = nb.partner(a.region, a.start)
     if j == 0:
-        return PushRecipe(cls, 0, before, before, None, 0, None, 0, ())
+        return PushRecipe(cls, 0, before, before, None, 0, None, 0, (), ())
     # the cut-off walk passes j gaps counter-clockwise from the start
     # (Right) or from the end (Left); its j - 1 inner loci, in the order
     # the push crosses them
@@ -161,15 +165,17 @@ def _push_recipe_uncached(a: Snippet, nb: TieNeighbourhood) -> PushRecipe:
     d_start = (-1 if slid_ccw2 else 1) if corner2 else 0
 
     inners: list[Snippet] = []
+    inner_facts: list[SnippetFacts] = []
     for ci_locus in between:
         w_region, w_locus = nb.partner(a.region, ci_locus)
         s_loc, _, _ = _slide_target(nb, w_region, w_locus, not dir_right)
         e_loc, _, _ = _slide_target(nb, w_region, w_locus, dir_right)
         wind = _hug_wind(nb, w_region, s_loc, e_loc, w_locus, dir_right)
         inner = Snippet(w_region, s_loc, e_loc, wind)
-        inner_cls = classify(inner, nb)  # validates it first
-        assert not inner_cls.bad, "in-between snippet came out bad"
+        rec = facts(inner, nb)  # validates it first
+        assert not rec.cls.bad, "in-between snippet came out bad"
         inners.append(inner)
+        inner_facts.append(rec)
 
     # Each crossed edge must be one tiling edge seen from its two sides.
     chain = [(p_region, new_end)]
@@ -181,7 +187,7 @@ def _push_recipe_uncached(a: Snippet, nb: TieNeighbourhood) -> PushRecipe:
         left, right = chain[i], chain[i + 1]
         assert nb.partner(*left) == right, f"crossed edge mismatch at {i // 2}"
     return PushRecipe(cls, j, before, after, new_end, d_end, new_start,
-                      d_start, tuple(inners))
+                      d_start, tuple(inners), tuple(inner_facts))
 
 
 def _push(cls: SnippetClass, k: int, j: int, rot: int, n0: int, n1: int,
@@ -191,18 +197,19 @@ def _push(cls: SnippetClass, k: int, j: int, rot: int, n0: int, n1: int,
 
 
 def hom(curve: Curve, k: int, nb: TieNeighbourhood
-        ) -> tuple[tuple[Snippet, ...], Hom]:
+        ) -> tuple[tuple[Snippet, ...], tuple[SnippetFacts, ...], Hom]:
     """Remove the bad snippet at position k by one elementary homotopy.
 
-    Returns the replacement window and the push's own trace/1 fields, a
-    `Hom` record whose `phase` and `c` are left None for a run to stamp:
+    Returns the replacement window, its snippets' fact records, and the
+    push's own trace/1 fields, a `Hom` record whose `phase` and `c` are
+    left None for a run to stamp:
     `k` (the rewritten position, after any rotation), `rot` (the rotation
     applied first), `rule` and `turn` (the rewritten snippet's type and
     the side of its cut-off piece), `j` (the walk's weight), `n` (lengths
     before and after) and `win` (first index and length of the window).
-    The window stands in place of the three
-    snippets from `win[0]` on, after the rotation (all of a two-snippet
-    closed curve); `WorkingCurve.apply` splices it in.  `curve` may be a
+    The window stands in place of the three snippets from `win[0]` on,
+    after the rotation (all of a two-snippet closed curve);
+    `WorkingCurve.apply` splices it and its records in.  `curve` may be a
     `WorkingCurve`: nothing but the three snippets around k is read.
 
     Arcs keep their endpoints: only strictly interior positions may be
@@ -219,12 +226,14 @@ def hom(curve: Curve, k: int, nb: TieNeighbourhood
     else:
         k %= n
     a = snap[k]
-    if a.closed:
-        raise ClosedSnippet("cannot rewrite a closed snippet")
-    cls = classify(a, nb)
-    if not cls.bad:
-        raise NotBad(f"snippet at {k} is {cls.verdict}, not bad")
-    rec = push_recipe(a, nb)
+    rec = nb._push_recipes.get(a)
+    if rec is None:  # recipes are filed for open bad snippets only
+        if a.closed:
+            raise ClosedSnippet("cannot rewrite a closed snippet")
+        cls = classify(a, nb)
+        if not cls.bad:
+            raise NotBad(f"snippet at {k} is {cls.verdict}, not bad")
+        rec = push_recipe(a, nb)
     prev, nxt = snap[(k - 1) % n], snap[(k + 1) % n]
     assert (prev.region, prev.end) == rec.before, \
         "previous snippet is not glued to the bad one"
@@ -236,18 +245,17 @@ def hom(curve: Curve, k: int, nb: TieNeighbourhood
         rotation = (k - 1) % n
         k = 1
     two_closed = curve.kind == CLOSED and n == 2
-    j = rec.j
+    cls, j = rec.cls, rec.j
 
     if j == 0:
         if two_closed:
-            window = (Snippet(prev.region, None, None, prev.wind),)
+            merged = Snippet(prev.region, None, None, prev.wind)
         else:
             merged = Snippet(prev.region, prev.start, nxt.end,
                              prev.wind + nxt.wind)
-            validate_snippet(merged, nb)
-            window = (merged,)
         n1 = 1 if two_closed else n - 2
-        return window, _push(cls, k, 0, rotation, n, n1, max(k - 1, 0), 1)
+        return ((merged,), (facts(merged, nb),),
+                _push(cls, k, 0, rotation, n, n1, max(k - 1, 0), 1))
 
     # windings move where a slid endpoint crosses a corner of an annulus
     d_end = rec.d_end if rec.d_end and _wind_ok(nb, prev.region, prev) else 0
@@ -257,18 +265,19 @@ def hom(curve: Curve, k: int, nb: TieNeighbourhood
     if two_closed:
         slid = Snippet(prev.region, rec.new_start, rec.new_end,
                        prev.wind + d_end + d_start)
-        validate_snippet(slid, nb)
         # Keep positional semantics: the in-between snippets stand where the
         # rewritten snippet was (position k), the slid survivor at k - 1.
-        base = (slid, *rec.inners)
+        window = (slid, *rec.inners)
+        wf = (facts(slid, nb), *rec.inner_facts)
         r0 = (k - 1) % j
-        window = base[-r0:] + base[:-r0] if r0 else base
-        return window, _push(cls, k, j, rotation, n, j, 0, j)
+        if r0:
+            window = window[-r0:] + window[:-r0]
+            wf = wf[-r0:] + wf[:-r0]
+        return window, wf, _push(cls, k, j, rotation, n, j, 0, j)
 
     slid_prev = Snippet(prev.region, prev.start, rec.new_end, prev.wind + d_end)
     slid_next = Snippet(nxt.region, rec.new_start, nxt.end, nxt.wind + d_start)
-    validate_snippet(slid_prev, nb)
-    validate_snippet(slid_next, nb)
-    window = (slid_prev, *rec.inners, slid_next)
-    return window, _push(cls, k, j, rotation, n, n + j - 2, k - 1, j + 1)
+    return ((slid_prev, *rec.inners, slid_next),
+            (facts(slid_prev, nb), *rec.inner_facts, facts(slid_next, nb)),
+            _push(cls, k, j, rotation, n, n + j - 2, k - 1, j + 1))
 

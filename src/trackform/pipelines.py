@@ -15,12 +15,14 @@ to a trigon, a plain chase (`trig_curve`) finishes.
 Every operation goes through `Run`, which owns the working curve, enforces
 the global rewrite budget and records one trace event per operation.  Each
 of its five operations only builds the event's typed trace/1 record
-without its phase and counters (`hom` returns a push's window with the
-push's own fields as such a record) and hands it to `Run._record`, which
-replays it on the working curve with `WorkingCurve.apply` (the step the
-audit replays each recorded event with) and then builds the full record
-once, stamped with its phase and the counters it leaves.  A push thus
-changes the curve, its counters and its bad flags within its window only.
+without its phase and counters (`hom` returns a push's window and the
+window's fact records with the push's own fields as such a record) and
+hands it to `Run._record`, which replays it on the working curve with
+`WorkingCurve.apply` (the step the audit replays each recorded event with)
+and then builds the full record once, stamped with its phase and the
+counters it leaves: the working curve's own counter list, which is
+replaced on each change and never mutated.  A push thus changes the curve,
+its counters and its bad flags within its window only.
 `run.curve` builds the `Curve` on demand.  The recorded events are
 self-contained: an auditor can replay them from the input curve and
 byte-compare every intermediate state.
@@ -145,13 +147,13 @@ class Run:
 
     # -- operations (each records one trace event) --------------------------
 
-    def _record(self, ev, phase: str, window=()):
+    def _record(self, ev, phase: str, window=(), wf=()):
         """Replay the op `ev` (an unstamped trace/1 record: for a push,
-        `hom`'s own fields) on the working curve, then stamp it with its
-        phase and the counters it leaves and keep it as the next trace
-        event."""
-        self.work.apply(ev, window)
-        rec = ev.stamped(phase, list(self.work.c))
+        `hom`'s own fields, with its window and their fact records) on the
+        working curve, then stamp it with its phase and the counters it
+        leaves and keep it as the next trace event."""
+        self.work.apply(ev, window, wf)
+        rec = ev.stamped(phase, self.work.c)
         self.events.append(rec)
         return rec
 
@@ -159,9 +161,9 @@ class Run:
         """Push the bad snippet at k; record and return the push's trace/1
         `hom` record."""
         self._check_budget()
-        window, push = hom(self.work, k, self.nb)
+        window, wf, push = hom(self.work, k, self.nb)
         self.homs += 1
-        return self._record(push, phase, window)
+        return self._record(push, phase, window, wf)
 
     def rotate(self, r: int, phase: str) -> None:
         if self.kind != CLOSED:

@@ -207,8 +207,8 @@ class _RecordingRun(P.Run):
         super().__init__(*a, **kw)
         self.states = [self.curve]
 
-    def _record(self, ev, phase, window=()):
-        ev = super()._record(ev, phase, window)
+    def _record(self, ev, phase, *window):
+        ev = super()._record(ev, phase, *window)
         self.states.append(self.curve)
         return ev
 

@@ -250,7 +250,7 @@ def _reference_recipe(a, nb):
 
     before = nb.partner(a.region, a.start)
     if j == 0:
-        return PushRecipe(cls, 0, before, before, None, 0, None, 0, ())
+        return PushRecipe(cls, 0, before, before, None, 0, None, 0, (), ())
 
     p_region, p_locus = before
     new_end, slid_ccw, corner = _slide_target(nb, p_region, p_locus, dir_right)
@@ -270,7 +270,8 @@ def _reference_recipe(a, nb):
         wind = _hug_wind(nb, w_region, s_loc, e_loc, w_locus, dir_right)
         inners.append(Snippet(w_region, s_loc, e_loc, wind))
     return PushRecipe(cls, j, before, after, new_end, d_end, new_start,
-                      d_start, tuple(inners))
+                      d_start, tuple(inners),
+                      tuple(_reference_facts(s, nb) for s in inners))
 
 
 def _outcome(derive, s, nb):

@@ -27,7 +27,7 @@ from trackform.errors import BadInput, ClosedSnippet, GenerationFailed, NotBad
 from trackform.fixtures import FIXTURE_NAMES, load_fixture
 from trackform.generate import random_arc, random_closed
 from trackform.homotopy_engine import TRIGON_GRAPH, hom
-from trackform.snippet_core import Snippet, classify
+from trackform.snippet_core import Snippet, classify, fact_table
 
 
 @pytest.fixture(scope="module")
@@ -35,11 +35,11 @@ def t11():
     return load_fixture("t11")
 
 
-def _pushed(curve, window, ev, nb):
+def _pushed(curve, window, wf, ev, nb):
     """The whole curve after a push, spliced by `WorkingCurve.apply`, the
     step runs and audits replay a push with."""
     w = WorkingCurve(curve, nb)
-    w.apply(ev, window)
+    w.apply(ev, window, wf)
     return w.freeze()
 
 
@@ -56,8 +56,8 @@ def test_narrow_merge_branch_bigon(t11):
         Snippet(V0, (1, 0), (2, 0)),   # S(h,t,1)
     ))
     validate_curve(arc, t11)
-    window, ev = hom(arc, 1, t11)
-    out = _pushed(arc, window, ev, t11)
+    window, wf, ev = hom(arc, 1, t11)
+    out = _pushed(arc, window, wf, ev, t11)
     assert out == Curve(ARC, (Snippet(V0, (0, 0), (2, 0)),))
     assert (ev["rule"], ev["j"], ev["n"]) == ("B(t,t)", 0, [3, 1])
 
@@ -70,8 +70,8 @@ def test_branch_trigon_right(t11):
         Snippet(V1, (1, 0), (3, 1)),    # carried
     ))
     validate_curve(arc, t11)
-    window, ev = hom(arc, 1, t11)
-    out = _pushed(arc, window, ev, t11)
+    window, wf, ev = hom(arc, 1, t11)
+    out = _pushed(arc, window, wf, ev, t11)
     assert out == Curve(ARC, (
         Snippet(F, (3, 2), (1, 1), 2),  # end slid over a mark: wind kept
         Snippet(V1, (2, 0), (3, 1)),    # start slid over a corner
@@ -91,8 +91,8 @@ def test_switch_trigon_weight_three(t11):
         Snippet(B, (3, 0), (1, 0)),     # carried
     ))
     validate_curve(arc, t11)
-    window, ev = hom(arc, 1, t11)
-    out = _pushed(arc, window, ev, t11)
+    window, wf, ev = hom(arc, 1, t11)
+    out = _pushed(arc, window, wf, ev, t11)
     assert out == Curve(ARC, (
         Snippet(F, (3, 3), (1, 4), 2),   # slid over a mark
         Snippet(D, (2, 0), (0, 0)),      # inner: branch tie
@@ -114,8 +114,8 @@ def test_switch_bigon_weight_two(t11):
         Snippet(D, (3, 0), (1, 0)),     # carried
     ))
     validate_curve(arc, t11)
-    window, ev = hom(arc, 1, t11)
-    out = _pushed(arc, window, ev, t11)
+    window, wf, ev = hom(arc, 1, t11)
+    out = _pushed(arc, window, wf, ev, t11)
     assert out == Curve(ARC, (
         Snippet(B, (1, 0), (2, 0)),      # slid: carried -> B(h,t)
         Snippet(F, (1, 0), (3, 4), -2),  # inner: vertical dual, turn Left
@@ -137,8 +137,8 @@ def test_wide_horizontal_bigon_in_annulus(t11):
         Snippet(A, (0, 0), (2, 0)),     # tie
     ))
     validate_curve(arc, t11)
-    window, ev = hom(arc, 1, t11)
-    out = _pushed(arc, window, ev, t11)
+    window, wf, ev = hom(arc, 1, t11)
+    out = _pushed(arc, window, wf, ev, t11)
     assert out == Curve(ARC, (
         Snippet(B, (0, 0), (1, 0)),     # tie -> B(h,t)
         Snippet(V1, (3, 0), (1, 0)),    # inner: carried under the run
@@ -156,8 +156,8 @@ def test_wide_annulus_trigon(t11):
         Snippet(V0, (3, 1), (1, 0)),     # carried
     ))
     validate_curve(arc, t11)
-    window, ev = hom(arc, 1, t11)
-    out = _pushed(arc, window, ev, t11)
+    window, wf, ev = hom(arc, 1, t11)
+    out = _pushed(arc, window, wf, ev, t11)
     assert out == Curve(ARC, (
         Snippet(A, (2, 0), (1, 0)),      # tie -> B(h,t)
         Snippet(V1, (1, 0), (3, 0)),     # inner: carried
@@ -177,8 +177,8 @@ def test_wind_decrement_on_corner_slide(t11):
         Snippet(V0, (3, 0), (1, 0)),    # carried
     ))
     validate_curve(arc, t11)
-    window, ev = hom(arc, 1, t11)
-    out = _pushed(arc, window, ev, t11)
+    window, wf, ev = hom(arc, 1, t11)
+    out = _pushed(arc, window, wf, ev, t11)
     assert out == Curve(ARC, (
         Snippet(F, (3, 1), (0, 0), 1),  # end slid over a corner: wind 2 -> 1
         Snippet(V0, (3, 1), (1, 0)),    # start slid over a mark: carried
@@ -194,11 +194,29 @@ def test_len_two_closed_merges_to_single_closed(t11):
         Snippet(V0, (1, 0), (1, 0)),  # S(t,t,0)
     ))
     validate_curve(curve, t11)
-    window, ev = hom(curve, 0, t11)
-    out = _pushed(curve, window, ev, t11)
+    window, wf, ev = hom(curve, 0, t11)
+    out = _pushed(curve, window, wf, ev, t11)
     assert out == Curve(CLOSED, (Snippet(V0, None, None, 0),))
     assert (ev["j"], ev["n"][1]) == (0, 1)
     assert classify(out.snippets[0], t11).type == "Trivial"
+
+
+def test_len_two_closed_push_rotates_window_and_records(t11):
+    """Pushing the S(h,v,2) at 0 of a two-snippet closed curve puts the
+    in-between snippet at 0 and the slid survivor after it; the fact
+    records `hom` hands back are rotated with the window."""
+    A, B, D, V0, V1, F = _ids(t11)
+    curve = Curve(CLOSED, (
+        Snippet(V1, (0, 0), (3, 1)),     # S(h,v,2), turn Left
+        Snippet(F, (2, 0), (3, 3), 5),
+    ))
+    validate_curve(curve, t11)
+    window, wf, ev = hom(curve, 0, t11)
+    assert window == (Snippet(D, (0, 0), (2, 0)), Snippet(F, (1, 4), (3, 4), 6))
+    assert (ev["rule"], ev["j"], ev["n"], ev["win"]) == \
+        ("S(h,v,2)", 2, [2, 2], [0, 2])
+    assert list(wf) == [fact_table(t11)[s] for s in window]
+    assert [f.cls.verdict for f in wf] == ["DualTie", "DualComp"]
 
 
 def test_closed_wraparound_rotates_window_first(t11):
@@ -209,8 +227,8 @@ def test_closed_wraparound_rotates_window_first(t11):
         Snippet(F, (2, 0), (1, 2), -1),  # R(h,v), turn Left
     ))
     validate_curve(curve, t11)
-    window, ev = hom(curve, 0, t11)
-    out = _pushed(curve, window, ev, t11)
+    window, wf, ev = hom(curve, 0, t11)
+    out = _pushed(curve, window, wf, ev, t11)
     assert ev["rot"] == 2
     assert out == Curve(CLOSED, (
         Snippet(F, (2, 0), (1, 1), -1),
@@ -245,11 +263,11 @@ def test_mirror_property(t11, hom_cases):
     """Reversing the curve, rewriting the mirrored position, and reversing
     back gives exactly the original rewrite."""
     for arc in hom_cases:
-        window, ev = hom(arc, 1, t11)
-        out = _pushed(arc, window, ev, t11)
+        window, wf, ev = hom(arc, 1, t11)
+        out = _pushed(arc, window, wf, ev, t11)
         rarc = reverse(arc)
-        rwindow, rev_ev = hom(rarc, len(arc.snippets) - 2, t11)
-        rout = _pushed(rarc, rwindow, rev_ev, t11)
+        rwindow, rwf, rev_ev = hom(rarc, len(arc.snippets) - 2, t11)
+        rout = _pushed(rarc, rwindow, rwf, rev_ev, t11)
         assert reverse(rout) == out
         assert rev_ev["rule"] == ev["rule"]
         assert rev_ev["j"] == ev["j"]
@@ -259,8 +277,8 @@ def test_mirror_property(t11, hom_cases):
 
 def test_outputs_validate_and_len_delta(t11, hom_cases):
     for arc in hom_cases:
-        window, ev = hom(arc, 1, t11)
-        out = _pushed(arc, window, ev, t11)
+        window, wf, ev = hom(arc, 1, t11)
+        out = _pushed(arc, window, wf, ev, t11)
         validate_curve(out, t11)
         assert ev["n"][1] - ev["n"][0] == ev["j"] - 2
         assert ev["n"][1] == len(out.snippets)
@@ -307,6 +325,6 @@ def test_window_reads_only_prev_bad_next(named, name, closed, seed, length):
     for k in range(n) if closed else range(1, n - 1):
         if not classify(snap[k], nb).bad:
             continue
-        window, _ = hom(curve, k, nb)
+        window = hom(curve, k, nb)[0]
         triple = Curve(ARC, (snap[k - 1], snap[k], snap[(k + 1) % n]))
         assert hom(triple, 1, nb)[0] == window, (k, curve)

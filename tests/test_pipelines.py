@@ -47,7 +47,7 @@ from trackform.pipelines import (
     terminal_summary,
     trig_arc,
 )
-from trackform.snippet_core import Snippet, classify
+from trackform.snippet_core import Snippet, classify, fact_table
 from trackform.track_model import ANNULUS
 
 
@@ -363,8 +363,10 @@ def test_all_fixture_tracks_smoke():
 
 
 class _CheckedRun(Run):
-    """A Run that compares its bad positions and counters with a scan and a
-    full count of `run.curve` after every operation."""
+    """A Run that compares its bad positions, counters and fact records
+    with a scan, a full count and fresh table lookups of `run.curve` after
+    every operation, and the fact records `hom` hands over with a window
+    with fresh lookups of the window."""
 
     def __init__(self, curve, nb, rng):
         self.rng = rng
@@ -380,6 +382,10 @@ class _CheckedRun(Run):
         scan = [i for i, s in enumerate(curve.snippets)
                 if classify(s, self.nb).bad]
         assert self.bads() == scan, op
+        assert self.work.bad == bytearray(
+            i in scan for i in range(n)), op
+        table = fact_table(self.nb)
+        assert self.work.facts == [table[s] for s in curve.snippets], op
         assert self.report() == measure(curve, self.nb), op
         spans = [(-1, None), (0, n - 1), (n, None), (3, 2), (2, -5)]
         spans += [(self.rng.randrange(-1, n + 1), self.rng.randrange(-2, n + 3))
@@ -389,8 +395,12 @@ class _CheckedRun(Run):
                          if p > lo and (hi is None or p < hi)), None)
             assert self.first_bad(lo, hi) == want, (op, lo, hi)
 
-    def _record(self, ev, phase, window=()):
-        ev = super()._record(ev, phase, window)
+    def _record(self, ev, phase, *window):
+        if window:
+            snippets, wf = window
+            table = fact_table(self.nb)
+            assert list(wf) == [table[s] for s in snippets], ev
+        ev = super()._record(ev, phase, *window)
         self._compare(ev["op"])
         return ev
 

@@ -119,7 +119,7 @@ def test_hom_checks_the_neighbours_against_the_recipe(warm):
             rec = push_recipe(a, nb)
             prev = _ending(nb, *rec.before)
             nxt = reverse_snippet(_ending(nb, *rec.after))
-            window, ev = hom(Curve(ARC, (prev, a, nxt)), 1, nb)
+            window, _, ev = hom(Curve(ARC, (prev, a, nxt)), 1, nb)
             assert (ev["rule"], ev["j"], ev["win"][1]) == \
                 (rec.cls.type, rec.j, len(window))
             bad_prev = _ending(nb, *rec.before, other=True)

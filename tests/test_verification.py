@@ -22,7 +22,7 @@ from trackform.homotopy_engine import EXPECTED_J, hom
 from trackform.pipelines import (EFFICIENT, INSIDE_EFFICIENT, SINGLE_SNIPPET,
                                  efficient_position)
 from trackform.snippet_core import (BIGON_TYPES, TRIGON_TYPES, Snippet,
-                                    classify)
+                                    classify, fact_table, facts)
 from trackform.track_model import ANNULUS
 from trackform.verification import (OracleVerdict, _Audit, audit_trace,
                                     check_efficient, exhaustive_oracle,
@@ -272,10 +272,11 @@ def test_audit_checks_contracts_on_three_snippet_arcs(t11, monkeypatch):
     real_hom = verification.hom
 
     def mis_slid(curve, k, nb):
-        window, ev = real_hom(curve, k, nb)
+        window, wf, ev = real_hom(curve, k, nb)
         s = window[0]
         turn = nb.total_corners(s.region, nb.polygon_cycle(s.region))
-        return (s._replace(wind=s.wind + turn), *window[1:]), ev
+        s = s._replace(wind=s.wind + turn)
+        return (s, *window[1:]), (facts(s, nb), *wf[1:]), ev
 
     monkeypatch.setattr(verification, "hom", mis_slid)
     with pytest.raises(AuditFailure) as err:
@@ -329,12 +330,13 @@ def _doctored(real_hom, m, doctor):
     calls = [0]
 
     def doctored(curve, k, nb):
-        window, ev = real_hom(curve, k, nb)
+        window, wf, ev = real_hom(curve, k, nb)
         calls[0] += 1
         if calls[0] == m + 1:
             window, ev = doctor(curve.snippets[k % len(curve.snippets)],
                                 window, ev)
-        return window, ev
+            wf = tuple(facts(s, nb) for s in window)
+        return window, wf, ev
     return doctored
 
 
@@ -363,7 +365,8 @@ def test_audit_names_each_contract_clause(t11, monkeypatch, case):
 
 class _CountingAudit(_Audit):
     """An audit that also compares its running counters with a full count
-    of the replayed curve after every event."""
+    of the replayed curve, and its fact records and bad flags with fresh
+    table lookups, after every event."""
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
@@ -371,6 +374,11 @@ class _CountingAudit(_Audit):
 
     def _check_counters(self, work, ev) -> None:
         assert work.c == measure(work, self.nb).counters, (self.index, ev)
+        table = fact_table(self.nb)
+        fresh = [table[s] for s in work.snippets]
+        assert work.facts == fresh, (self.index, ev)
+        assert work.bad == bytearray(f.cls.bad for f in fresh), \
+            (self.index, ev)
         self.ops.add(ev["op"])
         super()._check_counters(work, ev)
 
@@ -766,7 +774,7 @@ def reference_oracle(curve: Curve, nb, max_len: int | None = None,
         if cur.kind == ARC:
             bads = [i for i in bads if 0 < i < n - 1]
         for k in bads:
-            window, ev = hom(cur, k, nb)
+            window, _, ev = hom(cur, k, nb)
             child = _splice(cur, window, ev)
             if len(child.snippets) > max_len or any(
                     abs(s.wind) > wind_cap for s in child.snippets):
