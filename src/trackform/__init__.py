@@ -8,8 +8,8 @@ The public façade re-exports the objects most workflows need:
 - snippets and curves: :class:`Snippet`, :class:`Curve`, :func:`classify`,
   :func:`measure`, :func:`validate_curve`
 - rewriting: :func:`hom` (one local push, returning the replacement
-  window and the push's own trace/1 fields as an unstamped `hom`
-  record), :func:`efficient_position` (the full
+  window, its fact records and the push's own trace/1 fields as an
+  unstamped `hom` record), :func:`efficient_position` (the full
   driver), :func:`terminal_summary` (trichotomy read-off)
 - verification: :func:`check_efficient`, :func:`audit_trace`,
   :func:`exhaustive_oracle`, :func:`oracle_agrees`

@@ -363,10 +363,10 @@ def test_all_fixture_tracks_smoke():
 
 
 class _CheckedRun(Run):
-    """A Run that compares its bad positions, counters and fact records
-    with a scan, a full count and fresh table lookups of `run.curve` after
-    every operation, and the fact records `hom` hands over with a window
-    with fresh lookups of the window."""
+    """A Run that, after every operation, compares its bad positions,
+    counters, fact records and bad flags with a scan, a full count and
+    fresh table lookups of `run.curve`, and that compares the fact records
+    `hom` hands over with fresh lookups of the window."""
 
     def __init__(self, curve, nb, rng):
         self.rng = rng
@@ -382,10 +382,10 @@ class _CheckedRun(Run):
         scan = [i for i, s in enumerate(curve.snippets)
                 if classify(s, self.nb).bad]
         assert self.bads() == scan, op
-        assert self.work.bad == bytearray(
-            i in scan for i in range(n)), op
         table = fact_table(self.nb)
-        assert self.work.facts == [table[s] for s in curve.snippets], op
+        fresh = [table[s] for s in curve.snippets]
+        assert self.work.facts == fresh, op
+        assert self.work.bad == bytearray(f.cls.bad for f in fresh), op
         assert self.report() == measure(curve, self.nb), op
         spans = [(-1, None), (0, n - 1), (n, None), (3, 2), (2, -5)]
         spans += [(self.rng.randrange(-1, n + 1), self.rng.randrange(-2, n + 3))

@@ -288,11 +288,10 @@ def _n(ev, d0, d1):
     return ev._replace(n=[ev.n[0] + d0, ev.n[1] + d1])
 
 
-# Doctored pushes, each failing one contract clause: (how the push is
-# chosen, whether the run's `hom` is doctored too so that the record
-# matches the replayed push, the doctor, which maps the pushed snippet, the
-# window and the push to a doctored window and push, and the clause with
-# its message for the push `ev` as recorded undoctored).
+# Doctored pushes that each break one contract: (which push is doctored,
+# whether the run's `hom` is doctored too so that its record matches the
+# replayed push, the doctor (pushed snippet, window, push) -> (window,
+# push), and the clause and message expected for the undoctored record).
 _DOCTORED_CLAUSES = {
     "length": (
         lambda ev: ev.n[0] > 2, True,
