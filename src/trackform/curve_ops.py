@@ -16,12 +16,12 @@ Everything here that reads a curve reads a working curve too.
 
 The length counters are read off each snippet's fact record in the
 neighbourhood's fact table (`snippet_core.SnippetFacts`): its counter row
-and its blocker roles.  A working curve looks each snippet up once, when it
-enters the curve, and carries the record at its position from then on; a
-push hands over its window's records with the window (`homotopy_engine.hom`
-looks them up).  A snippet not yet in the table is classified, which files
-its record.  Validating a curve re-checks only snippets the table does not
-hold yet.
+and its blocker roles.  `validate_curve`, the one whole-curve check,
+returns the positions' records: a snippet not yet in the table is
+classified, which checks it and files its record.  A working curve is built
+from those records, so it is a checked curve by construction, and carries
+the record at each position from then on; a push hands over its window's
+records with the window (`homotopy_engine.hom` looks them up).
 """
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ from .snippet_core import (
     classify,
     fact_table,
     reverse_snippet,
-    validate_snippet,
 )
 from .track_model import TieNeighbourhood
 
@@ -58,7 +57,8 @@ class WorkingCurve:
     (`LengthReport.counters`), and while it is opened at a seam the winding
     of the duplicated basepoint snippet (else None).  `c` is replaced by a
     new list whenever the counters change and is never mutated, so a
-    caller may keep it.  `freeze` gives the `Curve` it stands for."""
+    caller may keep it.  Building one checks the curve (`validate_curve`,
+    whose errors it raises).  `freeze` gives the `Curve` it stands for."""
     __slots__ = ("nb", "kind", "snippets", "facts", "bad", "c", "orig_wind")
 
     def __init__(self, curve: Curve, nb: TieNeighbourhood) -> None:
@@ -66,15 +66,15 @@ class WorkingCurve:
         self.kind = curve.kind
         self.snippets = list(curve.snippets)
         self.orig_wind: int | None = None
-        self._count()
+        self._count(validate_curve(curve, nb))
 
     def freeze(self) -> Curve:
         return Curve(self.kind, tuple(self.snippets))
 
-    def _count(self) -> None:
-        self.facts = _facts_of(self.snippets, self.nb)
-        self.c = _counters(self.kind, self.facts)
-        self.bad = bytearray([f.row[4] for f in self.facts])
+    def _count(self, facts: list[SnippetFacts]) -> None:
+        self.facts = facts
+        self.c = _counters(self.kind, facts)
+        self.bad = bytearray([f.row[4] for f in facts])
 
     def apply(self, ev, window=(), wf=()) -> None:
         """Replay the trace/1 event `ev` (a `hom` with the `window` it
@@ -111,7 +111,7 @@ class WorkingCurve:
             glued = glue_seam(self.freeze(), self.orig_wind, self.nb)
             self.kind, self.snippets = glued.kind, list(glued.snippets)
             self.orig_wind = None
-        self._count()
+        self._count(_facts_of(self.snippets, self.nb))
 
 
 def rotate_in_place(seq, r: int) -> None:
@@ -148,21 +148,21 @@ class LengthReport:
                 self.dual_L, self.bad_count]
 
 
-def validate_curve(curve: Curve, nb: TieNeighbourhood) -> None:
+def validate_curve(curve: Curve, nb: TieNeighbourhood) -> list[SnippetFacts]:
+    """Check the curve (or working curve), raising `BadInput`,
+    `InconsistentSnippet` or `AdjacencyError`; return its fact records."""
     if curve.kind not in (ARC, CLOSED):
         raise BadInput(f"unknown curve kind {curve.kind!r}")
     n = len(curve.snippets)
     if n == 0:
-        return
-    for s in curve.snippets:
-        validate_snippet(s, nb)
-    closed_snippets = [s for s in curve.snippets if s.closed]
-    if closed_snippets:
+        raise BadInput("a curve needs at least one snippet")
+    facts = _facts_of(curve.snippets, nb)
+    if any(s.closed for s in curve.snippets):
         if n > 1:
             raise BadInput("closed-type snippet inside a longer curve")
         if curve.kind != CLOSED:
             raise BadInput("a closed snippet forms a closed curve, not an arc")
-        return
+        return facts
     pairs = range(n) if curve.kind == CLOSED else range(n - 1)
     for i in pairs:
         a, b = curve.snippets[i], curve.snippets[(i + 1) % n]
@@ -171,6 +171,7 @@ def validate_curve(curve: Curve, nb: TieNeighbourhood) -> None:
                 f"snippets {i} and {(i + 1) % n} do not chain: end {a.end} of"
                 f" {nb.regions[a.region].name} is not glued to start {b.start}"
                 f" of {nb.regions[b.region].name}")
+    return facts
 
 
 def reverse(curve: Curve) -> Curve:
@@ -193,7 +194,6 @@ def glue_seam(arc: Curve, original_wind: int, nb: TieNeighbourhood) -> Curve:
     if len(arc.snippets) == 1:
         s = arc.snippets[0]
         closed = Snippet(s.region, None, None, s.wind - original_wind)
-        validate_snippet(closed, nb)
         out = Curve(CLOSED, (closed,))
         validate_curve(out, nb)
         return out
@@ -202,7 +202,6 @@ def glue_seam(arc: Curve, original_wind: int, nb: TieNeighbourhood) -> Curve:
         raise NotGluable("seam halves lie in different regions")
     seam = Snippet(first.region, last.start, first.end,
                    last.wind + first.wind - original_wind)
-    validate_snippet(seam, nb)
     out = Curve(CLOSED, (seam,) + arc.snippets[1:-1])
     validate_curve(out, nb)
     return out

@@ -193,7 +193,7 @@ def serialize_curve(curve, nb, track: str | None = None) -> str:
         recs.append(f'    {{\n      "end": {_locus_text(s.end)},\n'
                     f'      "region": {names[s.region]},\n'
                     f'      "start": {_locus_text(s.start)}{wind}\n    }}')
-    snippets = "[\n" + ",\n".join(recs) + "\n  ]" if recs else "[]"
+    snippets = "[\n" + ",\n".join(recs) + "\n  ]"
     name = track if track is not None else getattr(nb, "name", None)
     track_line = f',\n  "track": {json.dumps(name)}' if name is not None else ""
     return (f'{{\n  "format": {json.dumps(CURVE_FORMAT)},\n'

@@ -90,7 +90,6 @@ class Run:
 
     def __init__(self, curve: Curve, nb: TieNeighbourhood,
                  max_homs: int | None = None) -> None:
-        validate_curve(curve, nb)
         self.nb = nb
         self.work = WorkingCurve(curve, nb)
         self.events: list = []

@@ -23,11 +23,11 @@ the endpoints are differences of the cycle's corner prefixes, and the
 cut-off walk's corner length a difference of its edge-weight prefixes.
 Equal records are one object per neighbourhood.
 
-Filing a record is the snippet's one full validity check, and
-`validate_snippet` on a snippet missing from the table files its record.
-So each distinct valid snippet is fully checked exactly once per
-neighbourhood, and validating it again is one table lookup; an invalid
-snippet raises `InconsistentSnippet` on every check and is never filed.
+Filing a record is the snippet's one full validity check: `facts` on a
+snippet missing from the table checks it and files its record.  So each
+distinct valid snippet is fully checked exactly once per neighbourhood, and
+checking it again is one table lookup; an invalid snippet raises
+`InconsistentSnippet` on every check and is never filed.
 """
 from __future__ import annotations
 
@@ -116,13 +116,6 @@ def valid_winds(s: Snippet, nb: TieNeighbourhood) -> tuple[int, int, int] | None
         return (0, 0, n2)
     m_r = nb.walk_ccw(s.region, s.start, s.end).corners
     return (m_r, n2 - m_r, n2)
-
-
-def validate_snippet(s: Snippet, nb: TieNeighbourhood) -> None:
-    """Raise InconsistentSnippet unless the snippet is valid; a valid
-    snippet missing from the fact table gets its record filed."""
-    if s not in nb._classify_cache:
-        facts(s, nb)
 
 
 class SnippetFacts(NamedTuple):

@@ -44,7 +44,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .curve_ops import ARC, CLOSED, Curve, WorkingCurve, measure
+from .curve_ops import (ARC, CLOSED, Curve, WorkingCurve, measure,
+                        validate_curve)
 from .errors import AuditFailure, BadInput, NotApplicable, TrackformError
 from .formats import Hom, trace_record
 from .homotopy_engine import EXPECTED_J, TRIGON_GRAPH, hom
@@ -360,7 +361,8 @@ def audit_trace(trace, before: Curve, after: Curve,
                 nb: TieNeighbourhood) -> AuditReport:
     """Replay a recorded run and verify every event against its contracts.
 
-    Raises AuditFailure naming the first failing event and clause."""
+    Raises what `validate_curve` raises on an invalid `before`, first, and
+    AuditFailure naming the first failing event and clause."""
     return _Audit(trace, before, after, nb).run()
 
 
@@ -436,7 +438,8 @@ def _least_rotation(ids: tuple[int, ...]) -> tuple[int, ...]:
 def exhaustive_oracle(curve: Curve, nb: TieNeighbourhood,
                       max_len: int | None = None,
                       cap_states: int = 50_000) -> OracleVerdict:
-    """Close the curve under all legal pushes and report what is reachable.
+    """Check the curve (`validate_curve`), close it under all legal pushes
+    and report what is reachable.
 
     Visits every curve obtainable by pushing bad snippets (interior ones for
     arcs), up to `max_len` snippets and `cap_states` distinct states; winding
@@ -465,6 +468,7 @@ def exhaustive_oracle(curve: Curve, nb: TieNeighbourhood,
     second."""
     if cap_states < 1:
         raise BadInput(f"state cap {cap_states} is not positive")
+    validate_curve(curve, nb)
     tab = _IdTable(nb)
     s_N = nb.s_N
     if max_len is None:

@@ -34,7 +34,7 @@ from trackform.snippet_core import (BAD, CARRIED, DUAL_COMP, DUAL_TIE, LEFT,
                                     PERIPHERAL, R_BOUNDARY, R_TRIVIAL, RIGHT,
                                     TRIVIAL, Snippet, SnippetClass, classify,
                                     corner_length, fact_table, is_bigon,
-                                    is_trigon, valid_winds, validate_snippet)
+                                    is_trigon, valid_winds)
 from trackform.track_model import (ANNULUS, BOUNDARY, BRANCH, SWITCH, H, T, V,
                                    Locus, TieNeighbourhood, Walk)
 from trackform.verification import audit_trace
@@ -416,7 +416,7 @@ def test_every_snippet_files_the_reference_record(name):
         assert {"cross-cycle", "boundary", "wound"} <= set(seen), seen
     # on the now warm table every invalid snippet still raises, each time
     for s in invalid:
-        for check in (validate_snippet, classify):
+        for check in (snippet_core.facts, classify):
             with pytest.raises(InconsistentSnippet) as exc:
                 check(s, nb)
             assert str(exc.value) == _outcome(_reference_facts, s, ref)[1]
@@ -483,7 +483,7 @@ def test_invalid_snippets_still_raise_on_a_warm_table(warm):
     # the valid neighbours of these encodings are in the table
     assert Snippet(br, (0, 0), (2, 0)) in fact_table(nb)
     for s in invalid:
-        for check in (validate_snippet, classify):
+        for check in (snippet_core.facts, classify):
             with pytest.raises(InconsistentSnippet):
                 check(s, nb)
         assert s not in fact_table(nb)
@@ -629,10 +629,12 @@ def test_serialize_curve_covers_windings_closed_snippets_and_no_track(named):
     bounce = peripheral_bounce(nb, f, 3)
     assert power.snippets[0].closed and power.snippets[0].wind
     assert any(s.wind for s in bounce.snippets)
-    for curve in (power, bounce, Curve(ARC, ())):
+    for curve in (power, bounce):
         for track in (None, "t11", 'quo"teé'):
             assert serialize_curve(curve, nb, track) == \
                 _reference_text(curve, nb, track)
+    with pytest.raises(BadInput):  # a curve has at least one snippet
+        serialize_curve(Curve(ARC, ()), nb)
     unnamed = load_fixture("t11")
     del unnamed.name
     text = serialize_curve(bounce, unnamed)

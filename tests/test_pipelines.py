@@ -22,8 +22,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trackform.curve_ops import ARC, CLOSED, Curve, measure, validate_curve
+from trackform.curve_ops import (ARC, CLOSED, Curve, WorkingCurve, measure,
+                                 validate_curve)
 from trackform.errors import BudgetExceeded
 from trackform.fixtures import FIXTURE_NAMES, load_fixture
 from trackform.generate import (
@@ -34,6 +37,7 @@ from trackform.generate import (
     random_closed,
     trivial_loop,
 )
+from trackform.homotopy_engine import hom
 from trackform.pipelines import (
     EFFICIENT,
     INSIDE_EFFICIENT,
@@ -364,9 +368,9 @@ def test_all_fixture_tracks_smoke():
 
 class _CheckedRun(Run):
     """A Run that, after every operation, compares its bad positions,
-    counters, fact records and bad flags with a scan, a full count and
-    fresh table lookups of `run.curve`, and that compares the fact records
-    `hom` hands over with fresh lookups of the window."""
+    counters, fact records and bad flags with a scan, a full count, fresh
+    table lookups and `validate_curve` of `run.curve`, and that compares
+    the fact records `hom` hands over with fresh lookups of the window."""
 
     def __init__(self, curve, nb, rng):
         self.rng = rng
@@ -385,6 +389,7 @@ class _CheckedRun(Run):
         table = fact_table(self.nb)
         fresh = [table[s] for s in curve.snippets]
         assert self.work.facts == fresh, op
+        assert validate_curve(curve, self.nb) == self.work.facts, op
         assert self.work.bad == bytearray(f.cls.bad for f in fresh), op
         assert self.report() == measure(curve, self.nb), op
         spans = [(-1, None), (0, n - 1), (n, None), (3, 2), (2, -5)]
@@ -433,3 +438,46 @@ def test_run_bookkeeping_matches_a_scan_after_every_operation():
                     single_bad(run)
             ops |= run.ops
     assert ops == {"init", "hom", "rotate", "reverse", "open", "seam"}
+
+
+# --- Push-order invariance of the read-off ------------------------------------
+
+
+@pytest.fixture(scope="module")
+def tracks():
+    return {name: load_fixture(name) for name in FIXTURE_NAMES}
+
+
+_SHAPES = {"closed": random_closed, "arc": random_arc,
+           "doubled-back": doubled_back}
+
+
+def _read_off(curve, nb):
+    """Status, class, boundary component and power of the curve's run: the
+    read-off a homotopy cannot change.  An inessential curve's region is
+    left out; it depends on which snippet survives."""
+    info = terminal_summary(efficient_position(curve, nb), nb)
+    return (info["status"], info["class"], info.get("boundary"),
+            info.get("power"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(FIXTURE_NAMES),
+       shape=st.sampled_from(sorted(_SHAPES)),
+       seed=st.integers(0, 2**32 - 1), steps=st.integers(5, 60),
+       pushes=st.integers(1, 20), data=st.data())
+def test_bad_pushes_before_a_run_keep_its_read_off(tracks, name, shape, seed,
+                                                   steps, pushes, data):
+    nb = tracks[name]
+    curve = _SHAPES[shape](nb, random.Random(seed), steps)
+    work = WorkingCurve(curve, nb)
+    for _ in range(pushes):
+        n = len(work.snippets)
+        bads = [p for p in range(n) if work.bad[p]
+                and not work.snippets[p].closed
+                and (work.kind == CLOSED or 0 < p < n - 1)]
+        if not bads:
+            break
+        window, wf, push = hom(work, data.draw(st.sampled_from(bads)), nb)
+        work.apply(push, window, wf)
+    assert _read_off(work.freeze(), nb) == _read_off(curve, nb)

@@ -18,16 +18,15 @@ from trackform.generate import (doubled_back, peripheral_bounce, random_arc,
                                 random_closed)
 from trackform.homotopy_engine import _push_recipe_uncached, hom, push_recipe
 from trackform.pipelines import efficient_position
-from trackform.snippet_core import (Snippet, classify, fact_table, is_bigon,
-                                    is_trigon, reverse_snippet,
-                                    validate_snippet)
+from trackform.snippet_core import (Snippet, classify, fact_table, facts,
+                                    is_bigon, is_trigon, reverse_snippet)
 from trackform.track_model import ANNULUS, DISC
 from trackform.verification import audit_trace
 
 
 def _valid(s, nb) -> bool:
     try:
-        validate_snippet(s, nb)
+        facts(s, nb)
     except InconsistentSnippet:
         return False
     return True

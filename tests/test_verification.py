@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import trackform.pipelines as pipelines
 import trackform.verification as verification
 from trackform.curve_ops import ARC, CLOSED, Curve, measure
-from trackform.errors import AuditFailure, BadInput
+from trackform.errors import AdjacencyError, AuditFailure, BadInput
 from trackform.fixtures import FIXTURE_NAMES, load_fixture
 from trackform.generate import (GenerationFailed, boundary_power,
                                 doubled_back, peripheral_bounce, random_arc,
@@ -256,6 +256,32 @@ def test_audit_rejects_forged_seam_wind(t11):
     with pytest.raises(AuditFailure) as err:
         audit_trace(events, c, res.curve, t11)
     assert "wind" in err.value.clause
+
+
+def _unchained(curve: Curve) -> Curve:
+    """The curve with its snippets 1 and 2 swapped."""
+    s = list(curve.snippets)
+    s[1], s[2] = s[2], s[1]
+    return Curve(curve.kind, tuple(s))
+
+
+def test_audit_checks_the_input_curve_before_any_event(t11):
+    c, res = _traced_run(t11)
+    trace = iter(res.events)
+    with pytest.raises(AdjacencyError, match="snippets 0 and 1 do not chain"):
+        audit_trace(trace, _unchained(c), res.curve, t11)
+    assert next(trace) is res.events[0]  # no event was read
+
+
+@pytest.mark.parametrize("kind", [ARC, CLOSED])
+def test_empty_curves_are_bad_input(t11, kind):
+    empty = Curve(kind, ())
+    with pytest.raises(BadInput):
+        efficient_position(empty, t11)
+    with pytest.raises(BadInput):
+        audit_trace([], empty, empty, t11)
+    with pytest.raises(BadInput):
+        exhaustive_oracle(empty, t11)
 
 
 def _first_index(events, pred):
@@ -625,6 +651,12 @@ def test_oracle_respects_state_cap(t11):
     for cap in (0, -1):
         with pytest.raises(BadInput):
             exhaustive_oracle(c, t11, cap_states=cap)
+
+
+def test_oracle_rejects_a_curve_that_does_not_chain(t11):
+    c, _ = _traced_run(t11)
+    with pytest.raises(AdjacencyError, match="snippets 0 and 1 do not chain"):
+        exhaustive_oracle(_unchained(c), t11)
 
 
 def _random_closed_inputs(t11, s04):
