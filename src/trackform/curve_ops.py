@@ -31,10 +31,13 @@ from .errors import AdjacencyError, BadInput, NotGluable
 from .snippet_core import (
     Snippet,
     SnippetFacts,
-    classify,
     fact_table,
+    file_facts,
     reverse_snippet,
 )
+# Nothing here calls `classify` any more, but perfbench's tracer wraps this
+# module attribute, so it stays.
+from .snippet_core import classify  # noqa: F401
 from .track_model import TieNeighbourhood
 
 ARC = "Arc"
@@ -207,17 +210,11 @@ def glue_seam(arc: Curve, original_wind: int, nb: TieNeighbourhood) -> Curve:
     return out
 
 
-def _classified(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
-    """Classify a snippet missing from the fact table, which files its
-    record, and return the record."""
-    classify(s, nb)
-    return fact_table(nb)[s]
-
-
 def _facts_of(snippets, nb: TieNeighbourhood) -> list[SnippetFacts]:
-    """The snippets' fact records, one table lookup each."""
+    """The snippets' fact records, one table lookup each; a snippet missing
+    from the table is checked and filed with one insert."""
     get = fact_table(nb).get
-    return [get(s) or _classified(s, nb) for s in snippets]
+    return [get(s) or file_facts(s, nb) for s in snippets]
 
 
 def _blockers_in(facts) -> int:

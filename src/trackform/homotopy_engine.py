@@ -21,30 +21,38 @@ Most of a push depends on the bad snippet alone: its cut-off walk and j,
 both slide targets with their corner flags, the j - 1 in-between snippets
 with their fact records, and the chain of crossed edges.  That part is a
 `PushRecipe`, worked out once per distinct bad snippet per neighbourhood
-and filed beside its fact record.  The checks on it run once, when it is
-filed: j against the rule, each in-between snippet valid and not bad, and
-the two sides of each crossed edge gluing partners.  A recipe is filed only
-for an open bad snippet, so a push whose snippet has one is one lookup;
-only a snippet without one is checked for being open and bad.  Each `hom`
-call does only what depends on the neighbours, and checks them every time:
-the previous snippet must end and the next must start on the partners of
-the bad snippet's endpoints, a slid endpoint's winding moves only where
-windings count (`_wind_ok`), and both slid snippets are validated, which
-looks up (or files) their fact records.  `hom` returns the replacement
-window, not the curve, with the window's fact records and the push's own
-trace/1 fields: a run or an audit splices the window and its records into
-its working curve, so a push costs its window whatever the curve's length.
+and filed beside its fact record.  Filing one is table lookups: the
+neighbourhood's step table gives each slide target and its corner flag
+(one step round the cycle from the partner of the bad snippet's start or
+end), the cut-off walk's inner loci are j - 1 further steps from the
+start, and each in-between snippet is threaded once per (region, crossed
+locus, turn) into the neighbourhood's thread table, then looked up.  The
+checks on a recipe run once, when it is filed: its class and j against the
+rule, each in-between snippet valid and not bad, and the two sides of each
+crossed edge gluing partners; the check that an in-between snippet hugs
+its edge depends only on its thread-table key and runs once per key.  A
+recipe is filed only for an open bad snippet, so a push whose snippet has
+one is one lookup; only a snippet without one is checked for being open
+and bad.  Each `hom` call does only what depends on the neighbours, and
+checks them every time: the previous snippet must end and the next must
+start on the partners of the bad snippet's endpoints (`AdjacencyError`
+otherwise), a slid endpoint's winding moves only where windings count
+(`_wind_ok`), and both slid snippets are validated, which looks up (or
+files) their fact records.  `hom` returns the replacement window, not the
+curve, with the window's fact records and the push's own trace/1 fields:
+a run or an audit splices the window and its records into its working
+curve, so a push costs its window whatever the curve's length.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
 from .curve_ops import ARC, CLOSED, Curve
-from .errors import BadInput, ClosedSnippet, NotBad
+from .errors import AdjacencyError, BadInput, ClosedSnippet, NotBad
 from .formats import Hom
 from .snippet_core import (RIGHT, Snippet, SnippetClass, SnippetFacts,
-                           classify, facts)
-from .track_model import ANNULUS, BOUNDARY, Locus, TieNeighbourhood
+                           classify, facts, file_facts)
+from .track_model import ANNULUS, Locus, TieNeighbourhood
 
 # Weight of the cut-off walk for each rectangle bad type; complementary-region
 # types R(h,h) and R(h,v) have track-dependent weights (marks under a run).
@@ -66,44 +74,14 @@ TRIGON_GRAPH: dict[str, frozenset[str]] = {
 }
 
 
-def _slide_target(nb: TieNeighbourhood, region: int, locus: Locus,
-                  at_ccw_start: bool) -> tuple[Locus, bool, bool]:
-    """Slide an endpoint off `locus` through the tiling point at its CCW start
-    (or end), onto the adjacent locus across that wedge.
-
-    Returns (new locus, slid counter-clockwise?, crossed a region corner?).
-    """
-    ci, pos = nb.locus_cycle(region, locus)
-    loci = nb.cycle_loci(region, ci)
-    n = len(loci)
-    if at_ccw_start:
-        gap = (pos - 1) % n
-        return loci[gap], False, nb.gap_is_corner(region, ci, gap)
-    return loci[(pos + 1) % n], True, nb.gap_is_corner(region, ci, pos)
-
-
 def _wind_ok(nb: TieNeighbourhood, region: int, s: Snippet) -> bool:
-    """Does the snippet live where winding numbers are meaningful?"""
+    """Does the snippet live where winding numbers are meaningful: in an
+    annulus, with neither endpoint on the surface boundary?"""
     if nb.regions[region].kind != ANNULUS:
         return False
-    return not any(
-        nb.side_label(region, l) == BOUNDARY for l in (s.start, s.end))
-
-
-def _hug_wind(nb: TieNeighbourhood, region: int, start: Locus, end: Locus,
-              crossed: Locus, dir_right: bool) -> int:
-    """Winding of an in-between snippet threaded through an annulus: it hugs
-    the crossed edge's locus, on the left of a right-turning push."""
-    if nb.regions[region].kind != ANNULUS:
-        return 0
-    if dir_right:
-        hug = nb.walk_ccw(region, end, start)
-        sign = -1
-    else:
-        hug = nb.walk_ccw(region, start, end)
-        sign = 1
-    assert hug.between == (crossed,), "in-between snippet does not hug its edge"
-    return sign * hug.corners
+    # per locus: (cycle, position, label, on the surface boundary?)
+    info = nb._locus_info[region]
+    return not (info[s.start][3] or info[s.end][3])
 
 
 class PushRecipe(NamedTuple):
@@ -134,60 +112,99 @@ def push_recipe(a: Snippet, nb: TieNeighbourhood) -> PushRecipe:
     return rec
 
 
-def _push_recipe_uncached(a: Snippet, nb: TieNeighbourhood) -> PushRecipe:
-    cls = classify(a, nb)
+def _push_recipe_uncached(a: Snippet, nb: TieNeighbourhood,
+                          cls: SnippetClass | None = None) -> PushRecipe:
+    """The recipe, read off the neighbourhood's step table: each slide is
+    one step from a partner locus, and each in-between snippet is threaded
+    once per (region, crossed locus, turn) and then looked up.  `cls` is
+    the snippet's class, when the caller has just looked it up."""
+    if cls is None:
+        cls = classify(a, nb)
     assert cls.bad and not a.closed, "recipes are for open bad snippets"
     j = cls.j
     if cls.type in EXPECTED_J:
         assert j in EXPECTED_J[cls.type], (cls.type, j)
 
-    before = nb.partner(a.region, a.start)
+    partners = nb._partners
+    before = partners[a.region][a.start]
     if j == 0:
         return PushRecipe(cls, 0, before, before, None, 0, None, 0, (), ())
-    # the cut-off walk passes j gaps counter-clockwise from the start
-    # (Right) or from the end (Left); its j - 1 inner loci, in the order
-    # the push crosses them
+    steps = nb._steps
     dir_right = cls.turn == RIGHT
-    ci, p0 = nb.locus_cycle(a.region, a.start if dir_right else a.end)
-    loci = nb.cycle_loci(a.region, ci)
-    steps = range(1, j) if dir_right else range(j - 1, 0, -1)
-    between = [loci[(p0 + i) % len(loci)] for i in steps]
-
-    # Slide the endpoint of the neighbour before the window ...
+    # Slide the endpoint of the neighbour before the window one step
+    # clockwise (Right) or counter-clockwise (Left), and the start of the
+    # neighbour after it one step the other way.  Sliding an end
+    # counter-clockwise across a corner adds one to the winding, and a
+    # start the opposite.
     p_region, p_locus = before
-    new_end, slid_ccw, corner = _slide_target(nb, p_region, p_locus, dir_right)
-    d_end = (1 if slid_ccw else -1) if corner else 0
-    # ... and of the neighbour after it.
-    after = nb.partner(a.region, a.end)
+    after = partners[a.region][a.end]
     q_region, q_locus = after
-    new_start, slid_ccw2, corner2 = _slide_target(
-        nb, q_region, q_locus, not dir_right)
-    d_start = (-1 if slid_ccw2 else 1) if corner2 else 0
+    if dir_right:
+        new_end, corner, _, _ = steps[p_region][p_locus]
+        _, _, new_start, corner2 = steps[q_region][q_locus]
+        d_end, d_start = -corner, -corner2
+    else:
+        _, _, new_end, corner = steps[p_region][p_locus]
+        new_start, corner2, _, _ = steps[q_region][q_locus]
+        d_end, d_start = int(corner), int(corner2)
+    inners, inner_facts = _threaded(a, j, dir_right, nb) if j > 1 else ((), ())
 
+    # Each crossed edge must be one tiling edge seen from its two sides.
+    region, locus = p_region, new_end
+    for i, s in enumerate(inners):
+        assert partners[region][locus] == (s.region, s.start), \
+            f"crossed edge mismatch at {i}"
+        region, locus = s.region, s.end
+    assert partners[region][locus] == (q_region, new_start), \
+        f"crossed edge mismatch at {j - 1}"
+    return PushRecipe(cls, j, before, after, new_end, d_end, new_start,
+                      d_start, inners, inner_facts)
+
+
+def _threaded(a: Snippet, j: int, dir_right: bool, nb: TieNeighbourhood
+              ) -> tuple[tuple[Snippet, ...], tuple[SnippetFacts, ...]]:
+    """The j - 1 in-between snippets of pushing `a`, with their fact
+    records, each checked valid and not bad.  The cut-off walk's inner
+    loci are the j - 1 steps from the start towards the cut-off side, in
+    the order the push crosses them; each in-between snippet is looked up
+    in the neighbourhood's thread table, and threaded on a miss."""
+    region_steps = nb._steps[a.region]
+    toward = 2 if dir_right else 0
+    locus = a.start
     inners: list[Snippet] = []
     inner_facts: list[SnippetFacts] = []
-    for ci_locus in between:
-        w_region, w_locus = nb.partner(a.region, ci_locus)
-        s_loc, _, _ = _slide_target(nb, w_region, w_locus, not dir_right)
-        e_loc, _, _ = _slide_target(nb, w_region, w_locus, dir_right)
-        wind = _hug_wind(nb, w_region, s_loc, e_loc, w_locus, dir_right)
-        inner = Snippet(w_region, s_loc, e_loc, wind)
+    for _ in range(j - 1):
+        locus = region_steps[locus][toward]
+        inner = nb._threads.get((a.region, locus, dir_right))
+        if inner is None:
+            inner = _thread(nb, a.region, locus, dir_right)
         rec = facts(inner, nb)  # validates it first
         assert not rec.cls.bad, "in-between snippet came out bad"
         inners.append(inner)
         inner_facts.append(rec)
+    return tuple(inners), tuple(inner_facts)
 
-    # Each crossed edge must be one tiling edge seen from its two sides.
-    chain = [(p_region, new_end)]
-    for s in inners:
-        chain.append((s.region, s.start))
-        chain.append((s.region, s.end))
-    chain.append((q_region, new_start))
-    for i in range(0, len(chain), 2):
-        left, right = chain[i], chain[i + 1]
-        assert nb.partner(*left) == right, f"crossed edge mismatch at {i // 2}"
-    return PushRecipe(cls, j, before, after, new_end, d_end, new_start,
-                      d_start, tuple(inners), tuple(inner_facts))
+
+def _thread(nb: TieNeighbourhood, region: int, crossed: Locus,
+            dir_right: bool) -> Snippet:
+    """The in-between snippet a push turning `dir_right` threads across the
+    partner of `crossed`, filed in the neighbourhood's thread table.
+
+    It runs from one neighbour of the partner locus to the other, hugging
+    that locus on the left of a right-turning push; in an annulus its
+    winding counts the corners of the two gaps it hugs."""
+    w_region, w_locus = nb._partners[region][crossed]
+    cw, cw_corner, ccw, ccw_corner = nb._steps[w_region][w_locus]
+    start, end = (ccw, cw) if dir_right else (cw, ccw)
+    wind = 0
+    if nb.regions[w_region].kind == ANNULUS:
+        assert start != end, "in-between snippet does not hug its edge"
+        wind = cw_corner + ccw_corner
+        if dir_right:
+            wind = -wind
+    inner = nb._threads[(region, crossed, dir_right)] = Snippet(
+        w_region, start, end, wind)
+    return inner
 
 
 def _push(cls: SnippetClass, k: int, j: int, rot: int, n0: int, n1: int,
@@ -233,12 +250,12 @@ def hom(curve: Curve, k: int, nb: TieNeighbourhood
         cls = classify(a, nb)
         if not cls.bad:
             raise NotBad(f"snippet at {k} is {cls.verdict}, not bad")
-        rec = push_recipe(a, nb)
+        rec = nb._push_recipes[a] = _push_recipe_uncached(a, nb, cls)
     prev, nxt = snap[(k - 1) % n], snap[(k + 1) % n]
-    assert (prev.region, prev.end) == rec.before, \
-        "previous snippet is not glued to the bad one"
-    assert (nxt.region, nxt.start) == rec.after, \
-        "next snippet is not glued to the bad one"
+    if (prev.region, prev.end) != rec.before:
+        raise AdjacencyError("previous snippet is not glued to the bad one")
+    if (nxt.region, nxt.start) != rec.after:
+        raise AdjacencyError("next snippet is not glued to the bad one")
 
     rotation = 0
     if curve.kind == CLOSED and n >= 3 and (k == 0 or k == n - 1):
@@ -277,7 +294,10 @@ def hom(curve: Curve, k: int, nb: TieNeighbourhood
 
     slid_prev = Snippet(prev.region, prev.start, rec.new_end, prev.wind + d_end)
     slid_next = Snippet(nxt.region, rec.new_start, nxt.end, nxt.wind + d_start)
+    # their fact records: one lookup each, and a miss files the record
+    get = nb._classify_cache.get
     return ((slid_prev, *rec.inners, slid_next),
-            (facts(slid_prev, nb), *rec.inner_facts, facts(slid_next, nb)),
+            (get(slid_prev) or file_facts(slid_prev, nb), *rec.inner_facts,
+             get(slid_next) or file_facts(slid_next, nb)),
             _push(cls, k, j, rotation, n, n + j - 2, k - 1, j + 1))
 

@@ -21,17 +21,20 @@ is looked up once in the neighbourhood's build-time locus tables (cycle,
 position, segment label, boundary flag), the two boundary walks between
 the endpoints are differences of the cycle's corner prefixes, and the
 cut-off walk's corner length a difference of its edge-weight prefixes.
-Equal records are one object per neighbourhood.
+Equal records are one object per neighbourhood, and a bad type's name is
+read from a constant table, so filing one builds no string and, past the
+first few per neighbourhood, no new record.
 
 Filing a record is the snippet's one full validity check: `facts` on a
-snippet missing from the table checks it and files its record.  So each
+snippet missing from the table checks it and files its record, and a
+caller that has just missed in the table files it with `file_facts`, so a
+miss costs one lookup, the check and one insert.  So each
 distinct valid snippet is fully checked exactly once per neighbourhood, and
 checking it again is one table lookup; an invalid snippet raises
 `InconsistentSnippet` on every check and is never filed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InconsistentSnippet
@@ -67,6 +70,16 @@ BIGON_TYPES = frozenset({
 })
 TRIGON_TYPES = frozenset({"B(h,t)", "S(h,t,1)", "S(h,v,2)", "S(h,t,3)", "R(h,v)"})
 
+# Bad-type names by the endpoints' segment labels, and for a switch
+# rectangle by j (a walk on its six loci passes at most five gaps), so that
+# filing a record builds no string.
+_LABEL_PAIRS = {(x, y): tuple(sorted((x, y))) for x in (H, T, V)
+                for y in (H, T, V)}
+_R_TYPES = {k: "R(%s,%s)" % p for k, p in _LABEL_PAIRS.items()}
+_B_TYPES = {k: "B(%s,%s)" % p for k, p in _LABEL_PAIRS.items()}
+_S_TYPES = {(*k, j): "S(%s,%s,%d)" % (*p, j)
+            for k, p in _LABEL_PAIRS.items() for j in range(6)}
+
 
 class Snippet(NamedTuple):
     region: int
@@ -79,8 +92,7 @@ class Snippet(NamedTuple):
         return self.start is None
 
 
-@dataclass(frozen=True)
-class SnippetClass:
+class SnippetClass(NamedTuple):
     verdict: str  # Carried | DualTie | DualComp | Bad
     type: str | None = None  # bad-type name, only for Bad
     turn: str | None = None  # Left | Right | None
@@ -137,9 +149,13 @@ def fact_table(nb: TieNeighbourhood) -> dict[Snippet, SnippetFacts]:
 
 def facts(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
     """The snippet's fact record, worked out and filed on first use."""
-    rec = nb._classify_cache.get(s)
-    if rec is None:
-        rec = nb._classify_cache[s] = _classify_uncached(s, nb)
+    return nb._classify_cache.get(s) or file_facts(s, nb)
+
+
+def file_facts(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
+    """File the record of a snippet the caller found missing from the fact
+    table: the full check, then one insert."""
+    rec = nb._classify_cache[s] = _classify_uncached(s, nb)
     return rec
 
 
@@ -237,10 +253,9 @@ def _classify_uncached(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
         corn = 0
     if corners == 2:
         # index-zero strip: a dual; flavour from the endpoint labels
-        return _record(nb, corn, DUAL_COMP, turn=side,
-                       vertical=la == lb == H, horizontal=la == lb == V)
-    x, y = sorted((la, lb))
-    return _record(nb, corn, BAD, f"R({x},{y})", side if gaps else None,
+        return _record(nb, corn, DUAL_COMP, None, side, None, la == lb == H,
+                       la == lb == V)
+    return _record(nb, corn, BAD, _R_TYPES[la, lb], side if gaps else None,
                    gaps)
 
 
@@ -255,10 +270,10 @@ def _rect_record(nb: TieNeighbourhood, kind: str, sa: int, sb: int, la: str,
     elif (sa, sb) in ((1, 3), (3, 1)):
         return _record(nb, corn, CARRIED)
     if la == lb == H and sa != sb:
-        return _record(nb, corn, DUAL_TIE, mid=kind == BRANCH)
+        return _record(nb, corn, DUAL_TIE, None, None, None, False, False,
+                       kind == BRANCH)
     assert corners <= 1, "no efficient rectangle snippet reaches here"
-    x, y = sorted((la, lb))
-    typ = f"B({x},{y})" if kind == BRANCH else f"S({x},{y},{j})"
+    typ = _B_TYPES[la, lb] if kind == BRANCH else _S_TYPES[la, lb, j]
     return _record(nb, corn, BAD, typ, side if j else None, j)
 
 

@@ -14,6 +14,16 @@ extra side on the surface boundary, as a separate boundary cycle.
 All boundary cycles are stored counter-clockwise as seen from inside the
 region; every gluing then reverses orientation, and the tiling-vertex table is
 built by identifying each edge's CCW-end with its partner's CCW-start.
+
+A neighbourhood never changes once built, so it carries the tables the rest
+of the program reads instead of walking its cycles: per locus its cycle,
+position, segment label and boundary flag, its gluing partner, and its step
+table entry (the loci one step clockwise and counter-clockwise on its
+cycle, and whether each of those gaps is a corner); per cycle its corner
+and edge-weight prefix sums.  It also holds the tables filled as it meets
+snippets: the fact table (`snippet_core`), and the push recipes and the
+in-between snippets threaded for them (`homotopy_engine`).  None of these
+outlives the neighbourhood.
 """
 from __future__ import annotations
 
@@ -110,14 +120,20 @@ class TieNeighbourhood:
         # of its first i loci, so a walk's corners and the corner length of
         # the loci it passes are differences of two entries.  Also the
         # polygon (non-boundary) cycle and the crossable loci of each region.
+        # The step table gives, per locus, its neighbours one step clockwise
+        # and one step counter-clockwise on its cycle and whether the gap to
+        # each is a corner: (cw locus, cw gap a corner?, ccw locus, ccw gap a
+        # corner?).  A push reads its slides and in-between snippets off it.
         self._cycle_loci: list[tuple[tuple[Locus, ...], ...]] = []
         self._locus_info: list[dict[Locus, tuple[int, int, str, bool]]] = []
+        self._steps: list[dict[Locus, tuple[Locus, bool, Locus, bool]]] = []
         self._corners_before: list[tuple[tuple[int, ...], ...]] = []
         self._polygon_cycle: list[int | None] = []
         self._crossable: list[tuple[Locus, ...]] = []
         for r in regions:
             cycles = []
             info: dict[Locus, tuple[int, int, str, bool]] = {}
+            steps: dict[Locus, tuple[Locus, bool, Locus, bool]] = {}
             prefixes = []
             for ci, cyc in enumerate(r.cycles):
                 loci: list[Locus] = []
@@ -129,8 +145,11 @@ class TieNeighbourhood:
                     if r.kind == SWITCH and l == (3, 1):
                         label = V
                     info[l] = (ci, p, label, label == BOUNDARY)
-                cycles.append(tuple(loci))
                 n = len(loci)
+                for p, l in enumerate(loci):
+                    cw, ccw = loci[p - 1], loci[(p + 1) % n]
+                    steps[l] = (cw, cw[0] != l[0], ccw, l[0] != ccw[0])
+                cycles.append(tuple(loci))
                 counts = [0]
                 for p in range(2 * n):
                     counts.append(counts[-1]
@@ -138,6 +157,7 @@ class TieNeighbourhood:
                 prefixes.append(tuple(counts))
             self._cycle_loci.append(tuple(cycles))
             self._locus_info.append(info)
+            self._steps.append(steps)
             self._corners_before.append(tuple(prefixes))
             self._polygon_cycle.append(next(
                 (ci for ci, cyc in enumerate(r.cycles)
@@ -178,8 +198,10 @@ class TieNeighbourhood:
         self._classify_cache: dict = {}
         self._fact_records: dict = {}
         self._snippet_classes: dict = {}
-        # bad snippet -> push recipe, filled and read by homotopy_engine
+        # bad snippet -> push recipe, and (region, crossed locus, turn) ->
+        # in-between snippet, filled and read by homotopy_engine
         self._push_recipes: dict = {}
+        self._threads: dict = {}
         self._build_vertices()
         self.s_N = self._compute_s_N()
         self.boundary_components: tuple[tuple[int, int], ...] = tuple(

@@ -8,7 +8,9 @@ unchanged: it builds both boundary walks between the endpoints and reads
 validity, class and corner length off them.  Every snippet of each
 fixture's locus space, and random snippets, must get the same record (or
 the same `InconsistentSnippet`) from both, and every push recipe must equal
-one built from the reference walk."""
+one built from the reference walk.  The reference's slides step along the
+cycle tuples (`_slide_target`), not along the neighbourhood's step table,
+and its in-between snippets hug a computed walk (`_hug_wind`)."""
 from __future__ import annotations
 
 import json
@@ -26,9 +28,8 @@ from trackform.formats import parse_curve, serialize_curve
 from trackform.generate import (boundary_power, doubled_back,
                                 peripheral_bounce, random_arc, random_closed,
                                 trivial_loop)
-from trackform.homotopy_engine import (EXPECTED_J, PushRecipe, _hug_wind,
-                                       _push_recipe_uncached, _slide_target,
-                                       hom)
+from trackform.homotopy_engine import (EXPECTED_J, PushRecipe,
+                                       _push_recipe_uncached, hom)
 from trackform.pipelines import efficient_position
 from trackform.snippet_core import (BAD, CARRIED, DUAL_COMP, DUAL_TIE, LEFT,
                                     PERIPHERAL, R_BOUNDARY, R_TRIVIAL, RIGHT,
@@ -233,6 +234,38 @@ def _reference_facts(s, nb):
            int(cls.bad))
     return (cls, row, cls.turn if cls.vertical_dual else None,
             cls.verdict == DUAL_TIE and nb.regions[s.region].kind == BRANCH)
+
+
+def _slide_target(nb: TieNeighbourhood, region: int, locus: Locus,
+                  at_ccw_start: bool) -> tuple[Locus, bool, bool]:
+    """Slide an endpoint off `locus` through the tiling point at its CCW start
+    (or end), onto the adjacent locus across that wedge.
+
+    Returns (new locus, slid counter-clockwise?, crossed a region corner?).
+    """
+    ci, pos = nb.locus_cycle(region, locus)
+    loci = nb.cycle_loci(region, ci)
+    n = len(loci)
+    if at_ccw_start:
+        gap = (pos - 1) % n
+        return loci[gap], False, nb.gap_is_corner(region, ci, gap)
+    return loci[(pos + 1) % n], True, nb.gap_is_corner(region, ci, pos)
+
+
+def _hug_wind(nb: TieNeighbourhood, region: int, start: Locus, end: Locus,
+              crossed: Locus, dir_right: bool) -> int:
+    """Winding of an in-between snippet threaded through an annulus: it hugs
+    the crossed edge's locus, on the left of a right-turning push."""
+    if nb.regions[region].kind != ANNULUS:
+        return 0
+    if dir_right:
+        hug = nb.walk_ccw(region, end, start)
+        sign = -1
+    else:
+        hug = nb.walk_ccw(region, start, end)
+        sign = 1
+    assert hug.between == (crossed,), "in-between snippet does not hug its edge"
+    return sign * hug.corners
 
 
 def _reference_recipe(a, nb):
@@ -528,6 +561,41 @@ def test_walks_equal_the_uncached_walk(warm):
             for _ in range(2):
                 with pytest.raises(BadInput):
                     nb.walk_ccw(ri, (99, 0), cycles[0][0])
+
+
+def test_step_table_matches_the_cycles():
+    """Each locus's step-table entry holds its neighbours one step clockwise
+    and one step counter-clockwise on its cycle, and whether each of those
+    gaps is a corner, as `cycle_loci` and `gap_is_corner` give them."""
+    for name in FIXTURE_NAMES:
+        nb = load_fixture(name)
+        for ri, r in enumerate(nb.regions):
+            entries = 0
+            for ci in range(len(r.cycles)):
+                loci = nb.cycle_loci(ri, ci)
+                n = len(loci)
+                for p, locus in enumerate(loci):
+                    assert nb._steps[ri][locus] == (
+                        loci[(p - 1) % n], nb.gap_is_corner(ri, ci, p - 1),
+                        loci[(p + 1) % n], nb.gap_is_corner(ri, ci, p)), \
+                        (name, ri, locus)
+                    entries += 1
+            assert entries == len(nb._steps[ri])
+
+
+def test_thread_table_matches_the_reference_slides(warm):
+    """Every in-between snippet the runs threaded is the one the reference
+    slides and hugged walk give for its (region, crossed locus, turn)."""
+    for name, nb in warm.items():
+        ref = load_fixture(name)
+        assert len(nb._threads) > 10, name
+        for (region, crossed, dir_right), inner in nb._threads.items():
+            w_region, w_locus = ref.partner(region, crossed)
+            s_loc, _, _ = _slide_target(ref, w_region, w_locus, not dir_right)
+            e_loc, _, _ = _slide_target(ref, w_region, w_locus, dir_right)
+            wind = _hug_wind(ref, w_region, s_loc, e_loc, w_locus, dir_right)
+            assert inner == Snippet(w_region, s_loc, e_loc, wind), \
+                (name, region, crossed, dir_right)
 
 
 def test_partners_share_the_cycle_loci():

@@ -53,6 +53,7 @@ from trackform.pipelines import (
 )
 from trackform.snippet_core import Snippet, classify, fact_table
 from trackform.track_model import ANNULUS
+from trackform.verification import audit_trace
 
 
 @pytest.fixture(scope="module")
@@ -351,6 +352,29 @@ def test_random_sweep_other_tracks(s04):
         res = efficient_position(curve, s04)
         assert res.status in (EFFICIENT, SINGLE_SNIPPET)
         validate_curve(res.curve, s04)
+
+
+def test_two_trigons_pushes_a_last_r_hv_then_its_window_end():
+    """A seeded t11d closed curve (24 snippets) whose `two_trigons` step
+    finds an R(h,v) at the curve's last position: it pushes it (a rotation
+    by 8 first, on a 10-snippet curve) and then the snippet at the end of
+    that push's window.  No other tier-1 input reaches this branch."""
+    nb = load_fixture("t11d")
+    rng = random.Random("t11d/21717/reach")
+    n = rng.randrange(2, 40)
+    assert n == 22
+    c = random_closed(nb, rng, n)
+    assert len(c.snippets) == 24
+    res = efficient_position(c, nb)
+    assert (res.status, res.homs) == (EFFICIENT, 30)
+    rep = audit_trace(res.events, c, res.curve, nb)
+    assert (rep.events, rep.checks) == (35, 475)
+    ev, nxt = res.events[26], res.events[27]
+    assert (ev.op, ev.phase, ev.rule, ev.rot, ev.n[0]) == \
+        ("hom", "two_trigons", "R(h,v)", 8, 10)
+    ws, wl = ev.win
+    assert (nxt.op, nxt.phase, nxt.rot, nxt.k) == \
+        ("hom", "two_trigons", 0, ws + wl - 1)
 
 
 def test_all_fixture_tracks_smoke():

@@ -12,7 +12,7 @@ import pytest
 
 import trackform.snippet_core as snippet_core
 from trackform.curve_ops import ARC, Curve
-from trackform.errors import InconsistentSnippet
+from trackform.errors import AdjacencyError, InconsistentSnippet
 from trackform.fixtures import FIXTURE_NAMES, load_fixture
 from trackform.generate import (doubled_back, peripheral_bounce, random_arc,
                                 random_closed)
@@ -112,7 +112,7 @@ def _ending(nb, region, locus, other=False):
 
 def test_hom_checks_the_neighbours_against_the_recipe(warm):
     """A push between neighbours glued to the bad snippet goes through; a
-    neighbour that ends (or starts) elsewhere trips the per-call assert."""
+    neighbour that ends (or starts) elsewhere raises `AdjacencyError`."""
     for name, (nb, pushable) in warm.items():
         for a in pushable:
             rec = push_recipe(a, nb)
@@ -122,10 +122,12 @@ def test_hom_checks_the_neighbours_against_the_recipe(warm):
             assert (ev["rule"], ev["j"], ev["win"][1]) == \
                 (rec.cls.type, rec.j, len(window))
             bad_prev = _ending(nb, *rec.before, other=True)
-            with pytest.raises(AssertionError):
+            with pytest.raises(AdjacencyError,
+                               match="previous snippet is not glued"):
                 hom(Curve(ARC, (bad_prev, a, nxt)), 1, nb)
             bad_next = reverse_snippet(_ending(nb, *rec.after, other=True))
-            with pytest.raises(AssertionError):
+            with pytest.raises(AdjacencyError,
+                               match="next snippet is not glued"):
                 hom(Curve(ARC, (prev, a, bad_next)), 1, nb)
 
 

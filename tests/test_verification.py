@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import assume, given, settings
@@ -314,39 +315,153 @@ def _n(ev, d0, d1):
     return ev._replace(n=[ev.n[0] + d0, ev.n[1] + d1])
 
 
-# Doctored pushes that each break one contract: (which push is doctored,
-# whether the run's `hom` is doctored too so that its record matches the
-# replayed push, the doctor (pushed snippet, window, push) -> (window,
-# push), and the clause and message expected for the undoctored record).
+def _two_closed_run(nb):
+    """A two-snippet closed curve, [B(t,t), S(t,t,0)], whose B(t,t) is
+    pushed by hand: no pipeline branch that pushes on a two-snippet closed
+    curve is reached by a seeded input."""
+    r = nb.region_id
+    c = Curve(CLOSED, (Snippet(r["br:a"], (3, 0), (3, 0)),
+                       Snippet(r["sw:v0"], (1, 0), (1, 0))))
+    run = pipelines.Run(c, nb)
+    run.hom_at(0, "weight_two_bigon")
+    return c, run
+
+
+def _merge_arc_run(nb):
+    """A three-snippet arc whose middle B(t,t) merges its neighbours into
+    one snippet, the whole result."""
+    r = nb.region_id
+    c = Curve(ARC, (Snippet(r["sw:v0"], (0, 0), (1, 0)),
+                    Snippet(r["br:a"], (3, 0), (3, 0)),
+                    Snippet(r["sw:v0"], (1, 0), (2, 0))))
+    return c, efficient_position(c, nb)
+
+
+def _refiled(nb, window, ev):
+    return window, tuple(facts(s, nb) for s in window), ev
+
+
+def _full_turn_later(nb, s):
+    """The snippet wound one more full turn of its annulus, still valid."""
+    return s._replace(wind=s.wind + nb.total_corners(
+        s.region, nb.polygon_cycle(s.region)))
+
+
+def _one_more_carried(wf):
+    """The window's records with one efficient record counting one more
+    carried snippet than it is."""
+    i = next(i for i, f in enumerate(wf) if not f.row[4])
+    f = wf[i]
+    row = (f.row[0], f.row[1] + 1, *f.row[2:])
+    return (*wf[:i], f._replace(row=row), *wf[i + 1:])
+
+
+def _far_walk(ev, j=1000):
+    """The record with a walk of j points, and the length it implies."""
+    return ev._replace(j=j, n=[ev.n[0], ev.n[0] + j - 2])
+
+
+class _Doctored(NamedTuple):
+    """A doctored push that breaks one contract: which push is doctored
+    (picked by its record), whether the run's `hom` is doctored too so
+    that its record matches the replayed push, the doctor (neighbourhood,
+    pushed snippet, window, fact records, push) -> (window, fact records,
+    push), the clause and message expected for the undoctored record, and
+    the run doctored (seed 7's 14-snippet t11 curve unless named)."""
+    pick: Callable
+    record_too: bool
+    doctor: Callable
+    expect: Callable
+    run: Callable = _traced_run
+
+
+def _trigon(ev) -> bool:
+    return ev.n[0] > 2 and ev.rule in TRIGON_TYPES
+
+
 _DOCTORED_CLAUSES = {
-    "length": (
+    "length": _Doctored(
         lambda ev: ev.n[0] > 2, True,
-        lambda a, window, ev: (window, _n(ev, 0, 1)),
+        lambda nb, a, window, wf, ev: (window, wf, _n(ev, 0, 1)),
         lambda ev: ("length", f"delta {ev.j - 1} with j={ev.j}")),
-    "j": (
+    "length-two-closed": _Doctored(
+        lambda ev: ev.n[0] == 2, True,
+        lambda nb, a, window, wf, ev: (window, wf, _n(ev, 0, 1)),
+        lambda ev: ("length", "two-snippet closed rewrite length delta"),
+        _two_closed_run),
+    "j": _Doctored(
         lambda ev: ev.n[0] > 2 and ev.rule in EXPECTED_J, True,
-        lambda a, window, ev: (window, _n(ev, 0, 1)._replace(j=ev.j + 1)),
+        lambda nb, a, window, wf, ev: (
+            window, wf, _n(ev, 0, 1)._replace(j=ev.j + 1)),
         lambda ev: ("j", f"rule {ev.rule} cannot have j={ev.j + 1}")),
-    "locality-before": (
+    "j-R(h,v)": _Doctored(
+        lambda ev: ev.n[0] > 2 and ev.rule == "R(h,v)", True,
+        lambda nb, a, window, wf, ev: (window, wf, _far_walk(ev)),
+        lambda ev: ("j", "R(h,v) walk of 1000 points")),
+    "j-untabled": _Doctored(
+        lambda ev: ev.n[0] > 2 and ev.rule == "R(h,h)", True,
+        lambda nb, a, window, wf, ev: (window, wf, _far_walk(ev)),
+        lambda ev: ("j", "R(h,h) walk of 1000 points")),
+    "locality-before": _Doctored(
         lambda ev: ev.n[0] > 2, True,
-        lambda a, window, ev: (window, _n(ev, 1, 1)),
+        lambda nb, a, window, wf, ev: (window, wf, _n(ev, 1, 1)),
         lambda ev: ("locality", "window not glued to the snippet before it")),
-    "locality-after": (
+    "locality-after": _Doctored(
         lambda ev: ev.n[0] > 2 and ev.j >= 1, False,
-        lambda a, window, ev: (
-            (*window[:-1],
-             window[-1]._replace(end=window[-1].start, wind=0)), ev),
+        lambda nb, a, window, wf, ev: _refiled(nb, (
+            *window[:-1],
+            window[-1]._replace(end=window[-1].start, wind=0)), ev),
         lambda ev: ("locality", "window not glued to the snippet after it")),
-    "inner-bad": (
+    # seed 7's first push with j >= 1 slides its next snippet in an annulus
+    "slide-next": _Doctored(
+        lambda ev: ev.n[0] > 2 and ev.j >= 1, False,
+        lambda nb, a, window, wf, ev: _refiled(nb, (
+            *window[:-1], _full_turn_later(nb, window[-1])), ev),
+        lambda ev: ("slide", "next snippet slid illegally")),
+    "slide-merge": _Doctored(
+        lambda ev: ev.j == 0, False,
+        lambda nb, a, window, wf, ev: _refiled(nb, (a,), ev),
+        lambda ev: ("slide", "merge left its region"),
+        _merge_arc_run),
+    "inner-bad": _Doctored(
         lambda ev: ev.n[0] > 2 and ev.j >= 2, False,
-        lambda a, window, ev: ((window[0], a, *window[2:]), ev),
+        lambda nb, a, window, wf, ev: _refiled(
+            nb, (window[0], a, *window[2:]), ev),
         lambda ev: ("inner-bad", "replacement interior snippet is bad")),
-    "turn": (
+    # seed 7's first trigon push is a B(h,t) between efficient snippets,
+    # handing off to an R(h,v); its second, that R(h,v), hands back a
+    # B(h,t); the window records are doctored, the snippets kept
+    "chase-multiplicity": _Doctored(
+        _trigon, False,
+        lambda nb, a, window, wf, ev: (
+            window, tuple(facts(a, nb) for _ in wf), ev),
+        lambda ev: ("chase-multiplicity",
+                    "2 bad snippets out of one trigon")),
+    "graph-edge": _Doctored(
+        _trigon, False,
+        lambda nb, a, window, wf, ev: (
+            window, tuple(facts(a, nb) if f.row[4] else f for f in wf), ev),
+        lambda ev: ("graph-edge", "B(h,t) -> B(h,t) is not a hand-off")),
+    "turn": _Doctored(
         lambda ev: ev.n[0] > 2 and ev.rule == "B(h,t)", True,
-        lambda a, window, ev: (
-            window, ev._replace(turn="Left" if ev.turn == "Right"
-                                else "Right")),
+        lambda nb, a, window, wf, ev: (
+            window, wf, ev._replace(turn="Left" if ev.turn == "Right"
+                                    else "Right")),
         lambda ev: ("turn", "hand-off flipped the turn")),
+    "chase-delta-R(h,v)": _Doctored(
+        lambda ev: ev.n[0] > 2 and ev.rule == "R(h,v)", False,
+        lambda nb, a, window, wf, ev: (window, _one_more_carried(wf), ev),
+        lambda ev: ("chase-delta", "R(h,v) step changed (1,0,0)")),
+    "chase-delta-hand-off": _Doctored(
+        _trigon, False,
+        lambda nb, a, window, wf, ev: (window, _one_more_carried(wf), ev),
+        lambda ev: ("chase-delta", "B(h,t) -> R(h,v) changed (1,-1,0)")),
+    # seed 4's first trigon push, an S(h,v,2), hands off nothing
+    "chase-delta-terminal": _Doctored(
+        _trigon, False,
+        lambda nb, a, window, wf, ev: (window, _one_more_carried(wf), ev),
+        lambda ev: ("chase-delta", "terminal step changed (1,1,0)"),
+        lambda nb: _traced_run(nb, seed=4)),
 }
 
 
@@ -358,9 +473,8 @@ def _doctored(real_hom, m, doctor):
         window, wf, ev = real_hom(curve, k, nb)
         calls[0] += 1
         if calls[0] == m + 1:
-            window, ev = doctor(curve.snippets[k % len(curve.snippets)],
-                                window, ev)
-            wf = tuple(facts(s, nb) for s in window)
+            a = curve.snippets[k % len(curve.snippets)]
+            window, wf, ev = doctor(nb, a, window, wf, ev)
         return window, wf, ev
     return doctored
 
@@ -369,15 +483,15 @@ def _doctored(real_hom, m, doctor):
 def test_audit_names_each_contract_clause(t11, monkeypatch, case):
     """A push whose record matches the replayed push but breaks a rewrite
     contract fails at that contract's clause, with its message."""
-    pick, record_too, doctor, expect = _DOCTORED_CLAUSES[case]
-    c, res = _traced_run(t11)
+    pick, record_too, doctor, expect, run = _DOCTORED_CLAUSES[case]
+    c, res = run(t11)
     i = _first_index(res.events, lambda ev: ev.op == "hom" and pick(ev))
     m = sum(ev.op == "hom" for ev in res.events[:i])
     clause, detail = expect(res.events[i])
     real_hom = verification.hom
     if record_too:
         monkeypatch.setattr(pipelines, "hom", _doctored(real_hom, m, doctor))
-        res = efficient_position(c, t11)
+        c, res = run(t11)
     monkeypatch.setattr(verification, "hom", _doctored(real_hom, m, doctor))
     with pytest.raises(AuditFailure) as err:
         audit_trace(res.events, c, res.curve, t11)
