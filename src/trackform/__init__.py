@@ -28,11 +28,12 @@ from .formats import (format_track, parse_curve, parse_trace, parse_track,
 from .generate import (boundary_power, doubled_back, gen_random_curve,
                        peripheral_bounce, random_arc, random_closed,
                        trivial_loop)
-from .homotopy_engine import EXPECTED_J, TRIGON_GRAPH, hom
+from .homotopy_engine import EXPECTED_J, hom
 from .pipelines import (EFFICIENT, INSIDE_EFFICIENT, SINGLE_SNIPPET, Result,
                         Run, efficient_position, terminal_summary)
 from .render import render_svg
-from .snippet_core import Snippet, SnippetClass, classify, corner_length
+from .snippet_core import (TRIGON_GRAPH, Snippet, SnippetClass, classify,
+                           corner_length)
 from .track_model import TieNeighbourhood, TrainTrackDesc, \
     build_tie_neighbourhood
 from .verification import (AuditReport, EfficiencyReport, OracleVerdict,
@@ -52,11 +53,11 @@ __all__ = [
     "serialize_curve", "serialize_trace",
     "boundary_power", "doubled_back", "gen_random_curve",
     "peripheral_bounce", "random_arc", "random_closed", "trivial_loop",
-    "EXPECTED_J", "TRIGON_GRAPH", "hom",
+    "EXPECTED_J", "hom",
     "EFFICIENT", "INSIDE_EFFICIENT", "SINGLE_SNIPPET", "Result", "Run",
     "efficient_position", "terminal_summary",
     "render_svg",
-    "Snippet", "SnippetClass", "classify", "corner_length",
+    "TRIGON_GRAPH", "Snippet", "SnippetClass", "classify", "corner_length",
     "TieNeighbourhood", "TrainTrackDesc", "build_tie_neighbourhood",
     "AuditReport", "EfficiencyReport", "OracleVerdict", "audit_trace",
     "check_efficient", "exhaustive_oracle", "oracle_agrees",

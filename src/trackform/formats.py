@@ -194,7 +194,7 @@ def serialize_curve(curve, nb, track: str | None = None) -> str:
                     f'      "region": {names[s.region]},\n'
                     f'      "start": {_locus_text(s.start)}{wind}\n    }}')
     snippets = "[\n" + ",\n".join(recs) + "\n  ]"
-    name = track if track is not None else getattr(nb, "name", None)
+    name = track if track is not None else nb.name
     track_line = f',\n  "track": {json.dumps(name)}' if name is not None else ""
     return (f'{{\n  "format": {json.dumps(CURVE_FORMAT)},\n'
             f'  "kind": {json.dumps(_KIND_TO_JSON[curve.kind])},\n'
@@ -229,7 +229,7 @@ def parse_curve(text: str, nb) -> "Curve":
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _KIND_FROM_JSON:
         raise ParseError(f"curve kind must be 'closed' or 'arc', got {kind!r}")
-    want = getattr(nb, "name", None)
+    want = nb.name
     track = doc.get("track")
     if track is not None and want is not None and track != want:
         raise ParseError(

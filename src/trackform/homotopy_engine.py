@@ -62,17 +62,6 @@ EXPECTED_J: dict[str, set[int]] = {
     "S(h,v,2)": {2}, "S(t,t,2)": {2}, "S(h,t,3)": {3}, "R(v,v)": {0},
 }
 
-# When every other snippet is efficient, pushing a bad trigon either reaches
-# an efficient curve or hands the trigon to a neighbour; only these handoffs
-# can occur.
-TRIGON_GRAPH: dict[str, frozenset[str]] = {
-    "B(h,t)": frozenset({"S(h,t,1)", "S(h,t,3)", "S(h,v,2)", "R(h,v)"}),
-    "S(h,t,1)": frozenset({"B(h,t)"}),
-    "S(h,t,3)": frozenset({"B(h,t)"}),
-    "S(h,v,2)": frozenset({"R(h,v)"}),
-    "R(h,v)": frozenset({"B(h,t)", "S(h,t,1)", "S(h,t,3)"}),
-}
-
 
 def _wind_ok(nb: TieNeighbourhood, region: int, s: Snippet) -> bool:
     """Does the snippet live where winding numbers are meaningful: in an
@@ -101,15 +90,6 @@ class PushRecipe(NamedTuple):
     d_start: int
     inners: tuple[Snippet, ...]  # the j - 1 in-between snippets
     inner_facts: tuple[SnippetFacts, ...]  # and their fact records
-
-
-def push_recipe(a: Snippet, nb: TieNeighbourhood) -> PushRecipe:
-    """The recipe for pushing the bad snippet `a`, worked out and filed on
-    the first push of `a` in this neighbourhood."""
-    rec = nb._push_recipes.get(a)
-    if rec is None:
-        rec = nb._push_recipes[a] = _push_recipe_uncached(a, nb)
-    return rec
 
 
 def _push_recipe_uncached(a: Snippet, nb: TieNeighbourhood,

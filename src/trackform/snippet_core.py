@@ -61,14 +61,27 @@ RIGHT = "Right"
 TRIVIAL = "Trivial"
 R_TRIVIAL = "R-trivial"
 PERIPHERAL = "PeripheralCurve"
-INESSENTIAL_BIGON = "InessentialBigon"
 R_BOUNDARY = "R(∂S,∂S)"
 
 BIGON_TYPES = frozenset({
     "B(h,h)", "B(t,t)", "S(h,h,0)", "S(t,t,0)", "S(v,v,0)",
     "S(t,v,1)", "S(t,t,2)", "R(h,h)", "R(v,v)",
 })
-TRIGON_TYPES = frozenset({"B(h,t)", "S(h,t,1)", "S(h,v,2)", "S(h,t,3)", "R(h,v)"})
+
+# When every other snippet is efficient, pushing a bad trigon either reaches
+# an efficient curve or hands the trigon to a neighbour; only these hand-offs
+# can occur.  Each maps to its exact whole-curve (carried, dual on the turn
+# side, dual on the other side) counter delta; an R(h,v) hand-off maps to
+# None, as its carried delta is j - 1 and its dual deltas are 0.
+TRIGON_GRAPH: dict[str, dict[str, tuple[int, int, int] | None]] = {
+    "B(h,t)": {"S(h,t,1)": (-1, 0, 0), "S(h,t,3)": (-1, 0, 0),
+               "S(h,v,2)": (-1, 0, 0), "R(h,v)": (0, -1, 0)},
+    "S(h,t,1)": {"B(h,t)": (-1, 0, 0)},
+    "S(h,t,3)": {"B(h,t)": (-1, 0, 1)},
+    "S(h,v,2)": {"R(h,v)": (0, -1, 0)},
+    "R(h,v)": {"B(h,t)": None, "S(h,t,1)": None, "S(h,t,3)": None},
+}
+TRIGON_TYPES = frozenset(TRIGON_GRAPH)
 
 # Bad-type names by the endpoints' segment labels, and for a switch
 # rectangle by j (a walk on its six loci passes at most five gaps), so that
@@ -295,12 +308,11 @@ def _record(nb: TieNeighbourhood, corn: int, verdict: str,
             j: int | None = None, vertical: bool = False,
             horizontal: bool = False, mid: bool = False) -> SnippetFacts:
     """The fact record with these values, one object per distinct record
-    and class in the neighbourhood."""
+    in the neighbourhood."""
     key = (corn, verdict, typ, turn, j, vertical, horizontal, mid)
     rec = nb._fact_records.get(key)
     if rec is None:
         cls = SnippetClass(verdict, typ, turn, vertical, horizontal, j)
-        cls = nb._snippet_classes.setdefault(cls, cls)
         dual = vertical or horizontal
         row = (corn, int(verdict == CARRIED), int(dual and turn == RIGHT),
                int(dual and turn == LEFT), int(verdict == BAD))

@@ -20,10 +20,13 @@ of the program reads instead of walking its cycles: per locus its cycle,
 position, segment label and boundary flag, its gluing partner, and its step
 table entry (the loci one step clockwise and counter-clockwise on its
 cycle, and whether each of those gaps is a corner); per cycle its corner
-and edge-weight prefix sums.  It also holds the tables filled as it meets
-snippets: the fact table (`snippet_core`), and the push recipes and the
-in-between snippets threaded for them (`homotopy_engine`).  None of these
-outlives the neighbourhood.
+and edge-weight prefix sums.  The partner table is the one form of the
+gluing: it is derived from the builder's table of glued segments, and a
+`Side` holds only its label and segment count.  The neighbourhood also
+holds the tables filled as it meets snippets: the fact table and its
+distinct records (`snippet_core`), and the push recipes and the in-between
+snippets threaded for them (`homotopy_engine`).  None of these outlives
+the neighbourhood.
 """
 from __future__ import annotations
 
@@ -39,7 +42,6 @@ from .errors import (
 )
 
 Locus = tuple[int, int]  # (side index, segment index)
-PartnerRef = tuple[int, int, int]  # (region index, side index, segment index)
 
 H = "h"
 V = "v"
@@ -77,11 +79,7 @@ class TrainTrackDesc:
 @dataclass(frozen=True)
 class Side:
     label: str  # H | V | T | BOUNDARY
-    partners: tuple[PartnerRef | None, ...]  # one per segment
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.partners)
+    n_segments: int
 
 
 @dataclass(frozen=True)
@@ -90,6 +88,15 @@ class Region:
     name: str
     sides: tuple[Side, ...]
     cycles: tuple[tuple[int, ...], ...]  # cycles of side indices, CCW
+
+
+# The sides of every branch rectangle and of every switch rectangle, and
+# their one boundary cycle.  A switch rectangle's side 3 runs top-to-bottom
+# CCW: small tie, cusp, small tie; the side label stays "t" and
+# locus_label() reports segment (3,1) as vertical.
+_BRANCH_SIDES = (Side(H, 1), Side(T, 1), Side(H, 1), Side(T, 1))
+_SWITCH_SIDES = (Side(H, 1), Side(T, 1), Side(H, 1), Side(T, 3))
+_RECT_CYCLES = ((0, 1, 2, 3),)
 
 
 def index(chi: int, corners_down: int, corners_up: int) -> Fraction:
@@ -107,11 +114,17 @@ class Walk:
 
 class TieNeighbourhood:
     """The tiled surface: rectangles plus complementary regions, with
-    navigation tables (cycles, partners, tiling vertices)."""
+    navigation tables (cycles, partners, tiling vertices).
 
-    def __init__(self, desc: TrainTrackDesc, regions: tuple[Region, ...]):
+    `gluing` maps each glued (region, side, segment) to the one glued to it,
+    in both directions.  `name` is None until a caller names the track
+    (`load_fixture` and the CLI do)."""
+
+    def __init__(self, desc: TrainTrackDesc, regions: tuple[Region, ...],
+                 gluing: dict[tuple[int, int, int], tuple[int, int, int]]):
         self.desc = desc
         self.regions = regions
+        self.name: str | None = None
         self.region_id: dict[str, int] = {r.name: i for i, r in enumerate(regions)}
         # Per region: the loci of each boundary cycle, CCW, and per locus
         # (cycle, position, segment label, on the surface boundary?), the
@@ -169,13 +182,10 @@ class TieNeighbourhood:
         # boundary; every locus in it is one of the cycle tuples above
         self._partners: list[dict[Locus, tuple[int, Locus] | None]] = [
             {l: None for l in info} for info in self._locus_info]
-        for ri, r in enumerate(regions):
-            for l in self._locus_info[ri]:
-                ref = r.sides[l[0]].partners[l[1]]
-                if ref is not None:
-                    c2, p2 = self.locus_cycle(ref[0], ref[1:])
-                    self._partners[ri][l] = (ref[0],
-                                             self._cycle_loci[ref[0]][c2][p2])
+        for (ri, si, gi), (r2, s2, g2) in gluing.items():
+            c2, p2 = self.locus_cycle(r2, (s2, g2))
+            self._partners[ri][si, gi] = (r2, self._cycle_loci[r2][c2][p2])
+        self.n_edges = len(gluing) // 2
         # edge weights count only on the glued sides of complementary
         # regions (vertical 1, horizontal by the rectangle across); rectangle
         # and surface-boundary loci weigh 0, as no walk's length reads them
@@ -192,12 +202,10 @@ class TieNeighbourhood:
                     sums.append(sums[-1] + w[p % len(loci)])
                 prefixes.append(tuple(sums))
             self._weights_before.append(tuple(prefixes))
-        self._walks: dict[tuple[int, Locus, Locus], Walk] = {}
         # snippet -> fact record, filled and read by snippet_core, with the
-        # distinct records and classes it filed, so equal ones are one object
+        # distinct records it filed, so equal ones are one object
         self._classify_cache: dict = {}
         self._fact_records: dict = {}
-        self._snippet_classes: dict = {}
         # bad snippet -> push recipe, and (region, crossed locus, turn) ->
         # in-between snippet, filled and read by homotopy_engine
         self._push_recipes: dict = {}
@@ -276,15 +284,7 @@ class TieNeighbourhood:
         """CCW boundary walk from locus a to locus b (same cycle).
 
         Counts the corner and mark gaps passed and lists the loci strictly
-        between. a == b gives the empty walk.  Each walk is computed once;
-        loci that admit no walk raise on every call."""
-        key = (region, a, b)
-        walk = self._walks.get(key)
-        if walk is None:
-            walk = self._walks[key] = self._walk_ccw(region, a, b)
-        return walk
-
-    def _walk_ccw(self, region: int, a: Locus, b: Locus) -> Walk:
+        between. a == b gives the empty walk."""
         ca, pa = self.locus_cycle(region, a)
         cb, pb = self.locus_cycle(region, b)
         if ca != cb:
@@ -406,16 +406,6 @@ class TieNeighbourhood:
         return best
 
     @property
-    def n_edges(self) -> int:
-        return sum(
-            1
-            for ri, r in enumerate(self.regions)
-            for si, s in enumerate(r.sides)
-            for gi in range(s.n_segments)
-            if s.partners[gi] is not None
-        ) // 2
-
-    @property
     def euler(self) -> int:
         return self.n_vertices - self.n_edges + sum(
             self.region_chi(ri) for ri in range(len(self.regions)))
@@ -495,13 +485,6 @@ def build_tie_neighbourhood(desc: TrainTrackDesc) -> TieNeighbourhood:
     names += [f"face:{i}" for i in range(len(desc.faces))]
     ridx = {n: i for i, n in enumerate(names)}
 
-    # Where does each branch end attach on its switch rectangle?
-    def switch_slot_side(sw_name: str, slot: str) -> tuple[int, int]:
-        return {"large": (1, 0), "top": (3, 0), "bottom": (3, 2)}[slot]
-
-    def branch_end_side(end: int) -> tuple[int, int]:
-        return (1, 0) if end == 1 else (3, 0)
-
     # token -> (region index, side index) of the rectangle horizontal edge
     def token_rect_side(tok: str) -> tuple[int, int]:
         kind, owner, fl = _parse_token(tok, bset, sset)
@@ -511,25 +494,28 @@ def build_tie_neighbourhood(desc: TrainTrackDesc) -> TieNeighbourhood:
             return ridx[f"sw:{owner}"], (0 if fl == "b" else 2)
         raise BadInput(f"token {tok!r} is not a horizontal edge")
 
-    partners: dict[tuple[int, int, int], PartnerRef] = {}
+    gluing: dict[tuple[int, int, int], tuple[int, int, int]] = {}
 
     def glue(a: tuple[int, int, int], bref: tuple[int, int, int]) -> None:
-        assert a not in partners and bref not in partners, f"double gluing {a} {bref}"
-        partners[a] = bref
-        partners[bref] = a
+        assert a not in gluing and bref not in gluing, f"double gluing {a} {bref}"
+        gluing[a] = bref
+        gluing[bref] = a
 
-    # t-gluings from switches
+    # t-gluings from switches: the large, top and bottom slots of a switch
+    # rectangle to the tie side at each branch end (side 1 at end 1, side 3
+    # at end 0)
     for sw in desc.switches:
-        for end, slot in zip((sw.large, sw.smalls[0], sw.smalls[1]),
-                             ("large", "top", "bottom")):
-            bname, e = end
-            sside, sseg = switch_slot_side(sw.name, slot)
-            bside, bseg = branch_end_side(e)
-            glue((ridx[f"sw:{sw.name}"], sside, sseg), (ridx[f"br:{bname}"], bside, bseg))
+        for (bname, e), (sside, sseg) in zip((sw.large, *sw.smalls),
+                                             ((1, 0), (3, 0), (3, 2))):
+            glue((ridx[f"sw:{sw.name}"], sside, sseg),
+                 (ridx[f"br:{bname}"], 1 if e == 1 else 3, 0))
 
-    # face sides
-    face_sides: list[list[Side]] = []
-    face_cycles: list[tuple[tuple[int, ...], ...]] = []
+    # rectangles share their sides; face sides are built as the words are read
+    regions: list[Region] = [
+        Region(BRANCH, f"br:{x}", _BRANCH_SIDES, _RECT_CYCLES)
+        for x in branch_names]
+    regions += [Region(SWITCH, f"sw:{w}", _SWITCH_SIDES, _RECT_CYCLES)
+                for w in switch_names]
     for fi, f in enumerate(desc.faces):
         w = list(f.word)
         starts = [i for i, t in enumerate(w) if _parse_token(t, bset, sset)[0] == "cusp"]
@@ -541,59 +527,28 @@ def build_tie_neighbourhood(desc: TrainTrackDesc) -> TieNeighbourhood:
             tok = rot[i]
             kind, owner, _fl = _parse_token(tok, bset, sset)
             if kind == "cusp":
-                si = len(sides)
-                sides.append(Side(V, (None,)))  # partner filled below
-                glue((fridx, si, 0), (ridx[f"sw:{owner}"], 3, 1))
+                glue((fridx, len(sides), 0), (ridx[f"sw:{owner}"], 3, 1))
+                sides.append(Side(V, 1))
                 i += 1
             else:
                 run = []
                 while i < len(rot) and _parse_token(rot[i], bset, sset)[0] != "cusp":
                     run.append(rot[i])
                     i += 1
-                si = len(sides)
-                sides.append(Side(H, tuple(None for _ in run)))
                 for gi, t in enumerate(run):
                     rr, rs = token_rect_side(t)
-                    glue((fridx, si, gi), (rr, rs, 0))
+                    glue((fridx, len(sides), gi), (rr, rs, 0))
+                sides.append(Side(H, len(run)))
         poly = tuple(range(len(sides)))
         if f.kind == ANNULUS:
-            sides.append(Side(BOUNDARY, (None,)))
-            face_cycles.append((poly, (len(sides) - 1,)))
+            sides.append(Side(BOUNDARY, 1))
+            cycles: tuple[tuple[int, ...], ...] = (poly, (len(sides) - 1,))
         else:
-            face_cycles.append((poly,))
-        face_sides.append(sides)
-
-    # materialize regions with partner tuples
-    regions: list[Region] = []
-    for x in branch_names:
-        ri = ridx[f"br:{x}"]
-        sides = []
-        for si, lbl in ((0, H), (1, T), (2, H), (3, T)):
-            nseg = 1
-            segs = tuple(partners.get((ri, si, gi)) for gi in range(nseg))
-            sides.append(Side(lbl, segs))
-        regions.append(Region(BRANCH, f"br:{x}", tuple(sides), ((0, 1, 2, 3),)))
-    for w in switch_names:
-        ri = ridx[f"sw:{w}"]
-        sides = []
-        for si, lbl, nseg in ((0, H, 1), (1, T, 1), (2, H, 1)):
-            segs = tuple(partners.get((ri, si, gi)) for gi in range(nseg))
-            sides.append(Side(lbl, segs))
-        # side 3 runs top-to-bottom CCW: small tie, cusp, small tie; the side
-        # label stays "t" and locus_label() reports segment (3,1) as vertical
-        segs = tuple(partners.get((ri, 3, gi)) for gi in range(3))
-        sides.append(Side(T, segs))
-        regions.append(Region(SWITCH, f"sw:{w}", tuple(sides), ((0, 1, 2, 3),)))
-    for fi, f in enumerate(desc.faces):
-        ri = ridx[f"face:{fi}"]
-        sides = [
-            Side(s.label, tuple(partners.get((ri, si, gi)) for gi in range(s.n_segments)))
-            for si, s in enumerate(face_sides[fi])
-        ]
+            cycles = (poly,)
         kind = DISC if f.kind == DISC else ANNULUS
-        regions.append(Region(kind, f"face:{fi}", tuple(sides), face_cycles[fi]))
+        regions.append(Region(kind, f"face:{fi}", tuple(sides), cycles))
 
-    nb = TieNeighbourhood(desc, tuple(regions))
+    nb = TieNeighbourhood(desc, tuple(regions), gluing)
 
     if nb.euler != 2 - 2 * g - b:
         raise NotLarge(

@@ -47,9 +47,9 @@ from dataclasses import dataclass
 from .curve_ops import (ARC, CLOSED, Curve, WorkingCurve, measure,
                         validate_curve)
 from .errors import AuditFailure, BadInput, NotApplicable, TrackformError
-from .formats import Hom, trace_record
-from .homotopy_engine import EXPECTED_J, TRIGON_GRAPH, hom
-from .snippet_core import TRIGON_TYPES, Snippet, classify
+from .formats import _OWN, Hom, trace_record
+from .homotopy_engine import EXPECTED_J, hom
+from .snippet_core import TRIGON_GRAPH, TRIGON_TYPES, Snippet, classify
 from .track_model import ANNULUS, BOUNDARY, TieNeighbourhood
 
 __all__ = [
@@ -134,27 +134,13 @@ class AuditReport:
     checks: int
 
 
-# Exact whole-curve (carried, dual-on-turn-side, dual-on-opposite-side)
-# deltas of a chase step, keyed by (rule, surviving bad type).
-_CHASE_DELTAS: dict[tuple[str, str], tuple[int, int, int]] = {
-    ("B(h,t)", "S(h,t,1)"): (-1, 0, 0),
-    ("B(h,t)", "S(h,t,3)"): (-1, 0, 0),
-    ("B(h,t)", "S(h,v,2)"): (-1, 0, 0),
-    ("B(h,t)", "R(h,v)"): (0, -1, 0),
-    ("S(h,t,1)", "B(h,t)"): (-1, 0, 0),
-    ("S(h,t,3)", "B(h,t)"): (-1, 0, 1),
-    ("S(h,v,2)", "R(h,v)"): (0, -1, 0),
-}
-
-
 # The fields of a replayed push, each compared with the recorded one under
 # its clause, in this order, when the two differ.
 _HOM_CLAUSES = (("rot", "rot"), ("k", "k"), ("rule", "rule"),
                 ("turn", "turn"), ("j", "j"), ("n", "length"),
                 ("win", "window"))
-# A record's own fields (all but `phase` and `c`), sliced by tuple's own
+# A record's own fields (all but `phase` and `c`) are sliced by tuple's own
 # __getitem__ rather than the record's slower Python one.
-_OWN = slice(None, -2)
 _tuple_item = tuple.__getitem__
 
 
@@ -336,15 +322,17 @@ class _Audit:
             dt, do = (dr, dl) if turn == "Right" else (dl, dr)
             if bad_out:
                 t2 = bad_out[0].type
-                if t2 not in TRIGON_GRAPH[rule]:
+                hand_offs = TRIGON_GRAPH[rule]
+                if t2 not in hand_offs:
                     fail("graph-edge", f"{rule} -> {t2} is not a hand-off")
                 if bad_out[0].turn != turn:
                     fail("turn", "hand-off flipped the turn")
-                if rule == "R(h,v)":
+                delta = hand_offs[t2]
+                if delta is None:  # R(h,v)
                     if (dc, dt, do) != (j - 1, 0, 0):
                         fail("chase-delta",
                              f"R(h,v) step changed ({dc},{dt},{do})")
-                elif (dc, dt, do) != _CHASE_DELTAS[(rule, t2)]:
+                elif (dc, dt, do) != delta:
                     fail("chase-delta",
                          f"{rule} -> {t2} changed ({dc},{dt},{do})")
                 checks += 4

@@ -28,10 +28,10 @@ from trackform.fixtures import load_fixture
 from trackform.generate import (boundary_power, doubled_back,
                                 peripheral_bounce, random_arc, random_closed,
                                 trivial_loop)
-from trackform.homotopy_engine import TRIGON_GRAPH
 from trackform.pipelines import (EFFICIENT, SINGLE_SNIPPET,
                                  efficient_position, terminal_summary)
-from trackform.snippet_core import Snippet, classify, corner_length
+from trackform.snippet_core import (TRIGON_GRAPH, TRIGON_TYPES, Snippet,
+                                    classify, corner_length)
 from trackform.track_model import (ANNULUS, BRANCH, DISC, SWITCH,
                                    TieNeighbourhood)
 from trackform.verification import (_snippet_efficient, audit_trace,
@@ -39,7 +39,6 @@ from trackform.verification import (_snippet_efficient, audit_trace,
                                     oracle_agrees)
 
 FIXTURES = ("t11", "s12", "s04", "t11d")
-TRIGON_TYPES = frozenset(TRIGON_GRAPH)
 
 
 @pytest.fixture(scope="module")

@@ -26,8 +26,8 @@ from trackform.curve_ops import (ARC, CLOSED, Curve, WorkingCurve, reverse,
 from trackform.errors import BadInput, ClosedSnippet, GenerationFailed, NotBad
 from trackform.fixtures import FIXTURE_NAMES, load_fixture
 from trackform.generate import random_arc, random_closed
-from trackform.homotopy_engine import TRIGON_GRAPH, hom
-from trackform.snippet_core import Snippet, classify, fact_table
+from trackform.homotopy_engine import hom
+from trackform.snippet_core import TRIGON_GRAPH, Snippet, classify, fact_table
 
 
 @pytest.fixture(scope="module")

@@ -50,6 +50,7 @@ from trackform.pipelines import (
     single_bad,
     terminal_summary,
     trig_arc,
+    trig_curve,
 )
 from trackform.snippet_core import Snippet, classify, fact_table
 from trackform.track_model import ANNULUS
@@ -344,6 +345,54 @@ def test_zero_push_budget_stops_before_the_first_push():
                 else:
                     assert efficient_position(c, nb, max_homs=0) == res
     assert pushed >= 30
+
+
+class _StuckRun(Run):
+    """A run whose pushes leave the curve as it is, so a loop that pushes
+    runs into its step limit."""
+
+    def hom_at(self, k: int, phase: str) -> None:
+        return None
+
+
+# (loop, curve, message, budget_log row): t11 has s_N = 9.  The arc's span
+# has 2 interior snippets, so trig_arc's limit is 2 (2 + 1) (9 + 2) = 66.
+# The closed pair [B(t,t), S(t,t,0)] has len_red 4 and no trigon, so
+# trig_curve's limit is 2 (4 + 2 * 9 + 2) (9 + 2) = 528 and single_bad's is
+# 2 (4 + 1) + 1 = 11; each row records limit + 1 steps and no event.
+_STUCK = (
+    (trig_arc, "arc",
+     "trigon chase exceeded 66 pushes on a span of 2 interior snippets",
+     ("trig_arc", 67, 2, 0, 0, 0, 0)),
+    (trig_curve, "pair", "closed trigon chase exceeded 528 pushes",
+     ("trig_curve", 529, 4, 0, 0, 0, 0)),
+    (single_bad, "pair", "single-bad resolution exceeded 11 rounds",
+     ("single_bad", 12, 4, 0, 0, 0, 0)),
+)
+
+
+@pytest.mark.parametrize("loop, shape, message, row", _STUCK,
+                         ids=[case[0].__name__ for case in _STUCK])
+def test_each_loop_stops_at_its_step_limit(t11, loop, shape, message, row):
+    r = t11.region_id
+    curve = {
+        "arc": Curve(ARC, (
+            Snippet(r["face:0"], (3, 2), (1, 2), 2),
+            Snippet(r["br:a"], (0, 0), (1, 0)),
+            Snippet(r["sw:v1"], (1, 0), (3, 1)),
+            Snippet(r["face:0"], (2, 0), (3, 3), -3),
+        )),
+        "pair": Curve(CLOSED, (
+            Snippet(r["br:a"], (3, 0), (3, 0), 0),
+            Snippet(r["sw:v0"], (1, 0), (1, 0), 0),
+        )),
+    }[shape]
+    run = _StuckRun(curve, t11)
+    with pytest.raises(BudgetExceeded) as exc:
+        loop(run)
+    assert str(exc.value) == message
+    assert run.budget_log == [row]
+    assert run.curve == curve
 
 
 def test_random_sweep_other_tracks(s04):

@@ -7,11 +7,13 @@ face word, and indices from the corner-count formula.
 """
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from trackform.errors import (
+    BadInput,
     InvalidValence,
     LowComplexity,
     NonNegativeIndexRegion,
@@ -31,7 +33,9 @@ from trackform.track_model import (
     V,
     FaceDesc,
     SwitchDesc,
+    TieNeighbourhood,
     TrainTrackDesc,
+    _parse_token,
     build_tie_neighbourhood,
     index,
 )
@@ -137,6 +141,47 @@ def test_partner_involution_and_labels(tracks, name):
     assert n_glued == 2 * nb.n_edges
 
 
+def _token_of(nb, region: int, locus) -> str:
+    """The face-word token naming a rectangle locus a face is glued to."""
+    kind, name = nb.regions[region].name.split(":")
+    if kind == "br":
+        return name + {(0, 0): ".r", (2, 0): ".l"}[locus]
+    return name + {(0, 0): ".b", (2, 0): ".t", (3, 1): ".c"}[locus]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_gluing_follows_the_track_description(tracks, name):
+    """Each face's polygon cycle is glued, locus by locus, to the rectangle
+    sides its face word names, in the word's cyclic order; its boundary
+    cycle is glued to nothing; and each switch slot is glued to the tie
+    side of the branch end the switch lists there."""
+    nb = tracks[name]
+    for fi, face in enumerate(nb.desc.faces):
+        ri = nb.region_id[f"face:{fi}"]
+        loci = nb.cycle_loci(ri, nb.polygon_cycle(ri))
+        got = [_token_of(nb, *nb.partner(ri, l)) for l in loci]
+        word = list(face.word)
+        assert len(got) == len(word)
+        assert any(got == word[i:] + word[:i] for i in range(len(word))), \
+            (name, fi, got, word)
+        for ci in range(len(nb.regions[ri].cycles)):
+            if ci != nb.polygon_cycle(ri):
+                assert [nb.partner(ri, l) for l in nb.cycle_loci(ri, ci)] \
+                    == [None]
+    for sw in nb.desc.switches:
+        si = nb.region_id[f"sw:{sw.name}"]
+        for (branch, end), slot in zip((sw.large, *sw.smalls),
+                                       ((1, 0), (3, 0), (3, 2))):
+            tie = (1, 0) if end == 1 else (3, 0)
+            assert nb.partner(si, slot) == (nb.region_id[f"br:{branch}"], tie)
+
+
+def test_a_built_neighbourhood_is_unnamed_until_named():
+    nb = build_tie_neighbourhood(parse_track(fixture_text("t11")))
+    assert nb.name is None
+    assert load_fixture("t11").name == "t11"
+
+
 def _edges_at_vertex(nb, gaps) -> set:
     """The tiling edges at a vertex given by its wedges (region, cycle, gap
     position), each as the set of its two (region, locus) sides."""
@@ -191,14 +236,17 @@ def test_track_round_trip():
         assert again == desc
 
 
+_WORD = ("v0.c", "b.l", "v1.t", "a.r", "v0.b", "d.l",
+         "v1.c", "b.r", "v0.t", "a.l", "v1.b", "d.r")
+_SWITCHES = (SwitchDesc("v0", ("a", 0), (("b", 0), ("d", 0))),
+             SwitchDesc("v1", ("a", 1), (("b", 1), ("d", 1))))
+
+
 def _theta(genus=1, boundary=1, faces=None) -> TrainTrackDesc:
     return TrainTrackDesc(
         genus=genus, boundary=boundary, branches=("a", "b", "d"),
-        switches=(SwitchDesc("v0", ("a", 0), (("b", 0), ("d", 0))),
-                  SwitchDesc("v1", ("a", 1), (("b", 1), ("d", 1)))),
-        faces=faces if faces is not None else (
-            FaceDesc("annulus", ("v0.c", "b.l", "v1.t", "a.r", "v0.b", "d.l",
-                                 "v1.c", "b.r", "v0.t", "a.l", "v1.b", "d.r")),),
+        switches=_SWITCHES,
+        faces=faces if faces is not None else (FaceDesc("annulus", _WORD),),
     )
 
 
@@ -225,6 +273,92 @@ def test_validation_errors():
             switches=(SwitchDesc("v0", ("a", 0), (("b", 0), ("b", 0))),
                       SwitchDesc("v1", ("a", 1), (("b", 1), ("d", 1)))),
             faces=_theta().faces))
+
+
+def _theta_with(**changes) -> TrainTrackDesc:
+    return dataclasses.replace(_theta(), **changes)
+
+
+@pytest.mark.parametrize("desc, error, message", [
+    (_theta_with(branches=("a", "a", "d")), BadInput,
+     "duplicate branch names"),
+    (_theta_with(switches=(_SWITCHES[0], SwitchDesc(
+        "v0", ("a", 1), (("b", 1), ("d", 1))))),
+     BadInput, "duplicate switch names"),
+    (_theta_with(branches=("a", "b", "v0")), BadInput,
+     "branch and switch names must not collide"),
+    (_theta_with(switches=(SwitchDesc("v0", ("a", 0), (("b", 0), ("d", 0),
+                                                       ("a", 1))),
+                           _SWITCHES[1])),
+     InvalidValence, "switch v0 needs one large and two small ends"),
+    (_theta_with(switches=(SwitchDesc("v0", ("z", 0), (("b", 0), ("d", 0))),
+                           _SWITCHES[1])),
+     InvalidValence, "switch v0: unknown end ('z', 0)"),
+    (_theta_with(switches=(SwitchDesc("v0", ("a", 2), (("b", 0), ("d", 0))),
+                           _SWITCHES[1])),
+     InvalidValence, "switch v0: unknown end ('a', 2)"),
+    (_theta_with(branches=("a", "b", "d", "e")), InvalidValence,
+     "unattached branch ends: [('e', 0), ('e', 1)]"),
+    # an unknown token leaves some edge uncovered
+    (_theta_with(faces=(FaceDesc("annulus", tuple(
+        "z.l" if t == "a.l" else t for t in _WORD)),)),
+     NotLarge,
+     "face words do not cover every horizontal edge and cusp exactly once"),
+    # an empty branch name gives the tokens ".l" and ".r"
+    (_theta_with(branches=("", "b", "d"),
+                 switches=(SwitchDesc("v0", ("", 0), (("b", 0), ("d", 0))),
+                           SwitchDesc("v1", ("", 1), (("b", 1), ("d", 1)))),
+                 faces=(FaceDesc("annulus", tuple(
+                     t.replace("a.", ".") for t in _WORD)),)),
+     BadInput, "malformed face token '.r'"),
+    (_theta_with(faces=(FaceDesc("sphere", _WORD),)), BadInput,
+     "unknown face kind 'sphere'"),
+    (_theta_with(faces=(FaceDesc("annulus", ("b.l",)),
+                        FaceDesc("disc", tuple(t for t in _WORD
+                                               if t != "b.l")))),
+     NonNegativeIndexRegion, "annulus face with no cusp"),
+    # two h tokens swapped: covered, but no consistent tiling vertex
+    (_theta_with(faces=(FaceDesc("annulus", (
+        "v0.c", "a.r", "v1.t", "b.l", "v0.b", "d.l",
+        "v1.c", "b.r", "v0.t", "a.l", "v1.b", "d.r")),)),
+     NotLarge, "tiling vertex with 6 wedges (face words inconsistent): "
+               "[(0, 0, 0), (1, 0, 2), (3, 0, 3), (4, 0, 1), (5, 0, 0), "
+               "(5, 0, 2)]"),
+    (_theta_with(genus=2), NotLarge,
+     "Euler characteristic -1 != -3 for (g,b)=(2,1)"),
+], ids=["duplicate-branch", "duplicate-switch", "name-collision", "valence",
+        "unknown-end", "unknown-end-index", "unattached-end", "unknown-token",
+        "malformed-token", "face-kind", "annulus-no-cusp", "tiling-vertex",
+        "euler"])
+def test_build_errors_name_class_and_message(desc, error, message):
+    with pytest.raises(error) as exc:
+        build_tie_neighbourhood(desc)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize("tok, message", [
+    ("z.l", "face token 'z.l': unknown branch 'z'"),
+    ("z.t", "face token 'z.t': unknown switch 'z'"),
+    ("a.x", "malformed face token 'a.x'"),
+    ("al", "malformed face token 'al'"),
+])
+def test_face_token_errors(tok, message):
+    """Face-word coverage rejects an unknown token before the build parses
+    one, so the token parser's own checks are exercised directly."""
+    with pytest.raises(BadInput) as exc:
+        _parse_token(tok, {"a"}, {"v0"})
+    assert str(exc.value) == message
+
+
+def test_region_index_check(monkeypatch):
+    """A face that passes the cusp counts and the tiling-vertex check has
+    index at most -1/2, so the build's region-index check is a guard; a
+    neighbourhood reporting index 0 trips it."""
+    monkeypatch.setattr(TieNeighbourhood, "region_index",
+                        lambda self, ri: Fraction(0))
+    with pytest.raises(NonNegativeIndexRegion) as exc:
+        build_tie_neighbourhood(_theta())
+    assert str(exc.value) == "region face:0 has index 0"
 
 
 def test_parse_errors():
