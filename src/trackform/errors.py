@@ -14,7 +14,9 @@ class InvalidValence(TrackformError):
 
 class NotLarge(TrackformError):
     """The complement does not assemble into discs and peripheral annuli
-    matching the declared surface (Euler characteristic mismatch)."""
+    matching the declared surface: the face words do not cover the edges
+    and cusps, or do not follow the switches' successor map, or the annulus
+    count or Euler characteristic does not match."""
 
 
 class NonNegativeIndexRegion(TrackformError):

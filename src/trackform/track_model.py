@@ -12,8 +12,16 @@ horizontal edges, with marks between consecutive edges). Annuli carry one
 extra side on the surface boundary, as a separate boundary cycle.
 
 All boundary cycles are stored counter-clockwise as seen from inside the
-region; every gluing then reverses orientation, and the tiling-vertex table is
-built by identifying each edge's CCW-end with its partner's CCW-start.
+region, so every gluing reverses orientation.  The tiling vertices are the
+orbits of the corner permutation σ on the wedges (gaps) between consecutive
+loci of a glued cycle: the point after position p is the CCW-start of the
+locus at p+1, hence the CCW-end of its partner, so σ sends that gap to the
+gap after the partner locus.
+
+The builder reads each face word through one token table built from the
+switch lines: per token, the rectangle segment the face side is glued to and
+its successor, the token that follows it round its face.  Every face word
+must be a cyclic orbit of the successor map.
 
 A neighbourhood never changes once built, so it carries the tables the rest
 of the program reads instead of walking its cycles: per locus its cycle,
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .errors import (
     BadInput,
@@ -97,6 +106,7 @@ class Region:
 _BRANCH_SIDES = (Side(H, 1), Side(T, 1), Side(H, 1), Side(T, 1))
 _SWITCH_SIDES = (Side(H, 1), Side(T, 1), Side(H, 1), Side(T, 3))
 _RECT_CYCLES = ((0, 1, 2, 3),)
+_CUSP = (3, 1)
 
 
 def index(chi: int, corners_down: int, corners_up: int) -> Fraction:
@@ -155,7 +165,7 @@ class TieNeighbourhood:
                         loci.append((si, gi))
                 for p, l in enumerate(loci):
                     label = r.sides[l[0]].label
-                    if r.kind == SWITCH and l == (3, 1):
+                    if r.kind == SWITCH and l == _CUSP:
                         label = V
                     info[l] = (ci, p, label, label == BOUNDARY)
                 n = len(loci)
@@ -298,63 +308,33 @@ class TieNeighbourhood:
     # -- tiling vertices ------------------------------------------------------
 
     def _build_vertices(self) -> None:
-        """Union gaps (region wedges at tiling points) into vertices.
+        """The tiling vertices, as the orbits of the corner permutation σ.
 
-        gap key = (region, cycle, pos): the wedge between cycle position pos
-        and pos+1. A gap relates to the partner-side gaps of both adjacent
-        edges; classes must have exactly three wedges."""
-        parent: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        gaps: list[tuple[int, int, int]] = []
-        for ri, _ in enumerate(self.regions):
-            for ci, loci in enumerate(self._cycle_loci[ri]):
-                if len(loci) < 2:
-                    continue  # surface-boundary circle: no tiling points
-                for p in range(len(loci)):
-                    g = (ri, ci, p)
-                    parent[g] = g
-                    gaps.append(g)
-
-        for ri, ci, p in gaps:
-            loci = self._cycle_loci[ri][ci]
-            n = len(loci)
-            before, after = loci[p], loci[(p + 1) % n]
-            # The vertex is the CCW-end of `before`, which is the CCW-start of
-            # its partner edge: the gap *preceding* the partner locus.
-            pb = self.partner(ri, before)
-            if pb is not None:
-                r2, l2 = pb
-                c2, p2 = self.locus_cycle(r2, l2)
-                n2 = len(self._cycle_loci[r2][c2])
-                union((ri, ci, p), (r2, c2, (p2 - 1) % n2))
-            # ... and the CCW-start of `after`, i.e. the CCW-end of its
-            # partner: the gap *at* the partner locus.
-            pa = self.partner(ri, after)
-            if pa is not None:
-                r2, l2 = pa
-                c2, p2 = self.locus_cycle(r2, l2)
-                union((ri, ci, p), (r2, c2, p2))
-
-        classes: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
-        for g in gaps:
-            classes.setdefault(find(g), []).append(g)
-        bad = [c for c in classes.values() if len(c) != 3]
-        if bad:
-            raise NotLarge(
-                f"tiling vertex with {len(bad[0])} wedges (face words inconsistent): {sorted(bad[0])}")
-        self._vertex_gaps: list[tuple[tuple[int, int, int], ...]] = [
-            tuple(sorted(classes[root])) for root in sorted(classes)]
+        gap key = (region, cycle, pos): the wedge between cycle positions pos
+        and pos+1, which σ sends to the gap at the partner of the locus at
+        pos+1.  Surface-boundary cycles are glued to nothing and hold no
+        tiling point.  Each vertex lists its gaps in order, and vertices are
+        numbered in the order of the σ-images of their first gaps."""
+        sigma: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+        for ri, cycles in enumerate(self._cycle_loci):
+            partners = self._partners[ri]
+            for ci, loci in enumerate(cycles):
+                if partners[loci[0]] is None:
+                    continue
+                for p, l in enumerate(loci[1:] + loci[:1]):
+                    r2, l2 = partners[l]
+                    sigma[ri, ci, p] = (r2, *self._locus_info[r2][l2][:2])
+        orbits = []
+        seen: set[tuple[int, int, int]] = set()
+        for g in sigma:
+            if g not in seen:
+                orbit = [g]
+                while sigma[orbit[-1]] != g:
+                    orbit.append(sigma[orbit[-1]])
+                seen.update(orbit)
+                orbits.append(tuple(sorted(orbit)))
+        self._vertex_gaps: list[tuple[tuple[int, int, int], ...]] = sorted(
+            orbits, key=lambda v: sigma[v[0]])
 
     @property
     def n_vertices(self) -> int:
@@ -414,21 +394,6 @@ class TieNeighbourhood:
 # --- construction -----------------------------------------------------------
 
 
-def _parse_token(tok: str, branches: set[str], switches: set[str]
-                 ) -> tuple[str, str, str]:
-    """-> (kind, owner, flavour): kind in {'bh','sh','cusp'}."""
-    stem, _, suf = tok.rpartition(".")
-    if not stem or suf not in ("l", "r", "t", "b", "c"):
-        raise BadInput(f"malformed face token {tok!r}")
-    if suf in ("l", "r"):
-        if stem not in branches:
-            raise BadInput(f"face token {tok!r}: unknown branch {stem!r}")
-        return "bh", stem, suf
-    if stem not in switches:
-        raise BadInput(f"face token {tok!r}: unknown switch {stem!r}")
-    return ("cusp" if suf == "c" else "sh"), stem, suf
-
-
 def build_tie_neighbourhood(desc: TrainTrackDesc) -> TieNeighbourhood:
     g, b = desc.genus, desc.boundary
     if 3 * g - 3 + b < 1:
@@ -442,57 +407,25 @@ def build_tie_neighbourhood(desc: TrainTrackDesc) -> TieNeighbourhood:
         raise BadInput("duplicate switch names")
     if set(branch_names) & set(switch_names):
         raise BadInput("branch and switch names must not collide")
+    if "" in branch_names or "" in switch_names:
+        raise BadInput("branch and switch names must not be empty")
 
     # Every branch end in exactly one switch slot.
-    slot_of_end: dict[tuple[str, int], tuple[str, str]] = {}
+    branch_id = {x: i for i, x in enumerate(branch_names)}
+    attached: set[tuple[str, int]] = set()
     for sw in desc.switches:
-        ends = [sw.large, sw.smalls[0], sw.smalls[1]]
-        if len(ends) != 3 or len(sw.smalls) != 2:
+        if len(sw.smalls) != 2:
             raise InvalidValence(f"switch {sw.name} needs one large and two small ends")
-        for end, slot in zip(ends, ("large", "top", "bottom")):
+        for end in (sw.large, *sw.smalls):
             bname, e = end
-            if bname not in set(branch_names) or e not in (0, 1):
+            if bname not in branch_id or e not in (0, 1):
                 raise InvalidValence(f"switch {sw.name}: unknown end {end}")
-            if end in slot_of_end:
+            if end in attached:
                 raise InvalidValence(f"branch end {end} attached twice")
-            slot_of_end[end] = (sw.name, slot)
-    missing = [(x, e) for x in branch_names for e in (0, 1) if (x, e) not in slot_of_end]
+            attached.add(end)
+    missing = [(x, e) for x in branch_names for e in (0, 1) if (x, e) not in attached]
     if missing:
         raise InvalidValence(f"unattached branch ends: {missing}")
-
-    # Face-token coverage.
-    bset, sset = set(branch_names), set(switch_names)
-    expected = {f"{x}.{s}" for x in branch_names for s in ("l", "r")}
-    expected |= {f"{w}.{s}" for w in switch_names for s in ("t", "b", "c")}
-    used: list[str] = [t for f in desc.faces for t in f.word]
-    if sorted(used) != sorted(expected):
-        raise NotLarge("face words do not cover every horizontal edge and cusp exactly once")
-    for f in desc.faces:
-        if f.kind not in (DISC, ANNULUS):
-            raise BadInput(f"unknown face kind {f.kind!r}")
-        cusps = sum(1 for t in f.word if _parse_token(t, bset, sset)[0] == "cusp")
-        if f.kind == DISC and cusps < 3:
-            raise NonNegativeIndexRegion(f"disc face with {cusps} cusp(s)")
-        if f.kind == ANNULUS and cusps < 1:
-            raise NonNegativeIndexRegion("annulus face with no cusp")
-    n_annuli = sum(1 for f in desc.faces if f.kind == ANNULUS)
-    if n_annuli != b:
-        raise NotLarge(f"{n_annuli} annulus face(s) for declared boundary count {b}")
-
-    # Region order: branches, switches, faces.
-    names: list[str] = [f"br:{x}" for x in branch_names]
-    names += [f"sw:{w}" for w in switch_names]
-    names += [f"face:{i}" for i in range(len(desc.faces))]
-    ridx = {n: i for i, n in enumerate(names)}
-
-    # token -> (region index, side index) of the rectangle horizontal edge
-    def token_rect_side(tok: str) -> tuple[int, int]:
-        kind, owner, fl = _parse_token(tok, bset, sset)
-        if kind == "bh":
-            return ridx[f"br:{owner}"], (0 if fl == "r" else 2)
-        if kind == "sh":
-            return ridx[f"sw:{owner}"], (0 if fl == "b" else 2)
-        raise BadInput(f"token {tok!r} is not a horizontal edge")
 
     gluing: dict[tuple[int, int, int], tuple[int, int, int]] = {}
 
@@ -501,61 +434,81 @@ def build_tie_neighbourhood(desc: TrainTrackDesc) -> TieNeighbourhood:
         gluing[a] = bref
         gluing[bref] = a
 
-    # t-gluings from switches: the large, top and bottom slots of a switch
-    # rectangle to the tie side at each branch end (side 1 at end 1, side 3
-    # at end 0)
-    for sw in desc.switches:
-        for (bname, e), (sside, sseg) in zip((sw.large, *sw.smalls),
-                                             ((1, 0), (3, 0), (3, 2))):
-            glue((ridx[f"sw:{sw.name}"], sside, sseg),
-                 (ridx[f"br:{bname}"], 1 if e == 1 else 3, 0))
+    # Region order: branches, switches, faces.  The token table gives each
+    # face token the rectangle segment its face side is glued to and its
+    # successor round the face.  Walking branch x into end e (x.l reaches
+    # end 1, x.r end 0) leads to the token of the slot that end fills at
+    # switch w: large w.b, top w.t, bottom w.c.  A switch token leads on
+    # along a branch leaving w (x.l from end 0, x.r from end 1): w.b the
+    # bottom small, w.t the large, w.c the top small.  Each slot is also
+    # glued to the tie side at its branch end (side 1 at end 1, side 3 at
+    # end 0).
+    tokens: dict[str, tuple[tuple[int, int, int], str]] = {}
+    for si, sw in enumerate(desc.switches, start=len(branch_names)):
+        large, (top, bottom) = sw.large, sw.smalls
+        for (x, e), suffix, slot in zip((large, top, bottom), "btc",
+                                        ((1, 0), (3, 0), (3, 2))):
+            tokens[f"{x}.{'rl'[e]}"] = ((branch_id[x], 2 * e, 0),
+                                        f"{sw.name}.{suffix}")
+            glue((si, *slot), (branch_id[x], 1 if e == 1 else 3, 0))
+        for suffix, seg, (x, e) in (("b", (0, 0), bottom), ("t", (2, 0), large),
+                                    ("c", _CUSP, top)):
+            tokens[f"{sw.name}.{suffix}"] = ((si, *seg), f"{x}.{'lr'[e]}")
 
-    # rectangles share their sides; face sides are built as the words are read
+    # Face-token coverage.
+    used: list[str] = [t for f in desc.faces for t in f.word]
+    if sorted(used) != sorted(tokens):
+        raise NotLarge("face words do not cover every horizontal edge and cusp exactly once")
+    for f in desc.faces:
+        if f.kind not in (DISC, ANNULUS):
+            raise BadInput(f"unknown face kind {f.kind!r}")
+        cusps = sum(1 for t in f.word if tokens[t][0][1:] == _CUSP)
+        if f.kind == DISC and cusps < 3:
+            raise NonNegativeIndexRegion(f"disc face with {cusps} cusp(s)")
+        if f.kind == ANNULUS and cusps < 1:
+            raise NonNegativeIndexRegion("annulus face with no cusp")
+    n_annuli = sum(1 for f in desc.faces if f.kind == ANNULUS)
+    if n_annuli != b:
+        raise NotLarge(f"{n_annuli} annulus face(s) for declared boundary count {b}")
+    for fi, f in enumerate(desc.faces):
+        for tok, nxt in zip(f.word, f.word[1:] + f.word[:1]):
+            if nxt != tokens[tok][1]:
+                raise NotLarge(
+                    f"face:{fi} does not follow the switches: {tok!r} is "
+                    f"followed by {nxt!r}, not {tokens[tok][1]!r}")
+
+    # rectangles share their sides; face sides are built as the words are
+    # read, from the first cusp: a cusp, then the run of horizontal edges up
+    # to the next cusp (a cusp is always followed by a branch edge)
     regions: list[Region] = [
         Region(BRANCH, f"br:{x}", _BRANCH_SIDES, _RECT_CYCLES)
         for x in branch_names]
     regions += [Region(SWITCH, f"sw:{w}", _SWITCH_SIDES, _RECT_CYCLES)
                 for w in switch_names]
     for fi, f in enumerate(desc.faces):
-        w = list(f.word)
-        starts = [i for i, t in enumerate(w) if _parse_token(t, bset, sset)[0] == "cusp"]
-        rot = w[starts[0]:] + w[:starts[0]]
+        segs = [tokens[t][0] for t in f.word]
+        first = next(i for i, seg in enumerate(segs) if seg[1:] == _CUSP)
         sides: list[Side] = []
-        fridx = ridx[f"face:{fi}"]
-        i = 0
-        while i < len(rot):
-            tok = rot[i]
-            kind, owner, _fl = _parse_token(tok, bset, sset)
-            if kind == "cusp":
-                glue((fridx, len(sides), 0), (ridx[f"sw:{owner}"], 3, 1))
-                sides.append(Side(V, 1))
-                i += 1
-            else:
-                run = []
-                while i < len(rot) and _parse_token(rot[i], bset, sset)[0] != "cusp":
-                    run.append(rot[i])
-                    i += 1
-                for gi, t in enumerate(run):
-                    rr, rs = token_rect_side(t)
-                    glue((fridx, len(sides), gi), (rr, rs, 0))
-                sides.append(Side(H, len(run)))
+        for cusp, run in groupby(segs[first:] + segs[:first],
+                                 key=lambda seg: seg[1:] == _CUSP):
+            run = list(run)
+            for gi, seg in enumerate(run):
+                glue((len(regions), len(sides), gi), seg)
+            sides.append(Side(V, 1) if cusp else Side(H, len(run)))
         poly = tuple(range(len(sides)))
         if f.kind == ANNULUS:
             sides.append(Side(BOUNDARY, 1))
             cycles: tuple[tuple[int, ...], ...] = (poly, (len(sides) - 1,))
         else:
             cycles = (poly,)
-        kind = DISC if f.kind == DISC else ANNULUS
-        regions.append(Region(kind, f"face:{fi}", tuple(sides), cycles))
+        regions.append(Region(f.kind, f"face:{fi}", tuple(sides), cycles))
 
     nb = TieNeighbourhood(desc, tuple(regions), gluing)
 
     if nb.euler != 2 - 2 * g - b:
         raise NotLarge(
             f"Euler characteristic {nb.euler} != {2 - 2 * g - b} for (g,b)=({g},{b})")
-    for ri, r in enumerate(nb.regions):
-        if r.kind in (DISC, ANNULUS) and nb.region_index(ri) > Fraction(-1, 4):
-            raise NonNegativeIndexRegion(f"region {r.name} has index {nb.region_index(ri)}")
+    assert all(len(v) == 3 for v in nb._vertex_gaps)
     assert sum(nb.region_index(ri) for ri, r in enumerate(nb.regions)
                if r.kind in (BRANCH, SWITCH)) == 0
     assert nb.s_N >= 5

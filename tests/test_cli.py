@@ -393,3 +393,18 @@ def test_undecodable_files_exit_one(tmp_path, curve_file, fmt, case):
     assert len(err) < 300  # the offending text is not echoed in full
     if line is not None:
         assert f"(line {line}" in err, err
+
+
+def test_one_cusp_face_exits_one(tmp_path):
+    """A face word of one cusp token is a structured error, not a crash."""
+    path = tmp_path / "one-cusp.track"
+    path.write_text(
+        "format: track/1\ngenus: 1\nboundary: 2\nbranches: a b d\n"
+        "switch v0: large a.0 smalls b.0 d.0\n"
+        "switch v1: large a.1 smalls b.1 d.1\n"
+        "face annulus: v0.c\n"
+        "face annulus: b.l v1.t a.r v0.b d.l v1.c b.r v0.t a.l v1.b d.r\n")
+    code, _, err = run_cli("validate", str(path))
+    assert code == 1, err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "face:0 does not follow the switches" in err

@@ -8,9 +8,12 @@ face word, and indices from the corner-count formula.
 from __future__ import annotations
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trackform.errors import (
     BadInput,
@@ -19,9 +22,12 @@ from trackform.errors import (
     NonNegativeIndexRegion,
     NotLarge,
     ParseError,
+    TrackformError,
 )
 from trackform.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from trackform.formats import format_track, parse_track
+from trackform.generate import random_closed
+from trackform.pipelines import efficient_position
 from trackform.track_model import (
     ANNULUS,
     BOUNDARY,
@@ -33,12 +39,11 @@ from trackform.track_model import (
     V,
     FaceDesc,
     SwitchDesc,
-    TieNeighbourhood,
     TrainTrackDesc,
-    _parse_token,
     build_tie_neighbourhood,
     index,
 )
+from trackform.verification import audit_trace
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +209,51 @@ def test_every_vertex_has_three_wedges(tracks, name):
         assert len(_edges_at_vertex(nb, gaps)) == 3
 
 
+def _union_find_vertex_gaps(nb) -> list:
+    """The tiling vertices by a union-find over gaps, independent of the
+    corner permutation: gap (region, cycle, pos) is the wedge between cycle
+    positions pos and pos+1; it joins the gap before the partner of the
+    locus at pos and the gap at the partner of the locus at pos+1.  Classes
+    come out sorted, and in the order of their roots."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    gaps = [(ri, ci, p) for ri in range(len(nb.regions))
+            for ci in range(len(nb.regions[ri].cycles))
+            if nb.partner(ri, nb.cycle_loci(ri, ci)[0]) is not None
+            for p in range(len(nb.cycle_loci(ri, ci)))]
+    parent.update((g, g) for g in gaps)
+    for ri, ci, p in gaps:
+        loci = nb.cycle_loci(ri, ci)
+        # the CCW-end of the locus at p is the CCW-start of its partner ...
+        r2, l2 = nb.partner(ri, loci[p])
+        c2, p2 = nb.locus_cycle(r2, l2)
+        union((ri, ci, p), (r2, c2, (p2 - 1) % len(nb.cycle_loci(r2, c2))))
+        # ... and the CCW-start of the locus at p+1 the CCW-end of its partner
+        r2, l2 = nb.partner(ri, loci[(p + 1) % len(loci)])
+        union((ri, ci, p), (r2, *nb.locus_cycle(r2, l2)))
+    classes = {}
+    for g in gaps:
+        classes.setdefault(find(g), []).append(g)
+    return [tuple(sorted(classes[root])) for root in sorted(classes)]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_vertex_table_matches_a_union_find(tracks, name):
+    nb = tracks[name]
+    assert nb._vertex_gaps == _union_find_vertex_gaps(nb)
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_walks(tracks, name):
     nb = tracks[name]
@@ -310,20 +360,19 @@ def _theta_with(**changes) -> TrainTrackDesc:
                            SwitchDesc("v1", ("", 1), (("b", 1), ("d", 1)))),
                  faces=(FaceDesc("annulus", tuple(
                      t.replace("a.", ".") for t in _WORD)),)),
-     BadInput, "malformed face token '.r'"),
+     BadInput, "branch and switch names must not be empty"),
     (_theta_with(faces=(FaceDesc("sphere", _WORD),)), BadInput,
      "unknown face kind 'sphere'"),
     (_theta_with(faces=(FaceDesc("annulus", ("b.l",)),
                         FaceDesc("disc", tuple(t for t in _WORD
                                                if t != "b.l")))),
      NonNegativeIndexRegion, "annulus face with no cusp"),
-    # two h tokens swapped: covered, but no consistent tiling vertex
+    # two h tokens swapped: covered, but not the walk the switches give
     (_theta_with(faces=(FaceDesc("annulus", (
         "v0.c", "a.r", "v1.t", "b.l", "v0.b", "d.l",
         "v1.c", "b.r", "v0.t", "a.l", "v1.b", "d.r")),)),
-     NotLarge, "tiling vertex with 6 wedges (face words inconsistent): "
-               "[(0, 0, 0), (1, 0, 2), (3, 0, 3), (4, 0, 1), (5, 0, 0), "
-               "(5, 0, 2)]"),
+     NotLarge, "face:0 does not follow the switches: 'v0.c' is followed by "
+               "'a.r', not 'b.l'"),
     (_theta_with(genus=2), NotLarge,
      "Euler characteristic -1 != -3 for (g,b)=(2,1)"),
 ], ids=["duplicate-branch", "duplicate-switch", "name-collision", "valence",
@@ -336,29 +385,128 @@ def test_build_errors_name_class_and_message(desc, error, message):
     assert type(exc.value) is error and str(exc.value) == message
 
 
-@pytest.mark.parametrize("tok, message", [
-    ("z.l", "face token 'z.l': unknown branch 'z'"),
-    ("z.t", "face token 'z.t': unknown switch 'z'"),
-    ("a.x", "malformed face token 'a.x'"),
-    ("al", "malformed face token 'al'"),
-])
-def test_face_token_errors(tok, message):
-    """Face-word coverage rejects an unknown token before the build parses
-    one, so the token parser's own checks are exercised directly."""
-    with pytest.raises(BadInput) as exc:
-        _parse_token(tok, {"a"}, {"v0"})
-    assert str(exc.value) == message
+def test_one_cusp_face_is_a_structured_error():
+    """A face word of one cusp token is covered and counted like any other
+    but is no walk the switches give; its polygon cycle has one locus."""
+    desc = _theta_with(boundary=2, faces=(FaceDesc("annulus", ("v0.c",)),
+                                          FaceDesc("annulus", _WORD[1:])))
+    with pytest.raises(NotLarge) as exc:
+        build_tie_neighbourhood(desc)
+    assert str(exc.value) == ("face:0 does not follow the switches: 'v0.c' "
+                              "is followed by 'v0.c', not 'b.l'")
 
 
-def test_region_index_check(monkeypatch):
-    """A face that passes the cusp counts and the tiling-vertex check has
-    index at most -1/2, so the build's region-index check is a guard; a
-    neighbourhood reporting index 0 trips it."""
-    monkeypatch.setattr(TieNeighbourhood, "region_index",
-                        lambda self, ri: Fraction(0))
-    with pytest.raises(NonNegativeIndexRegion) as exc:
-        build_tie_neighbourhood(_theta())
-    assert str(exc.value) == "region face:0 has index 0"
+def _successors(desc) -> dict:
+    """Each face token to the token after it round its face, from the
+    switch lines: arriving at a branch end leads to the switch token of its
+    slot (large: bottom edge, top small: top edge, bottom small: cusp); a
+    switch token leads on along a branch leaving the switch (bottom edge:
+    the bottom small, top edge: the large, cusp: the top small)."""
+    def arriving(end):
+        return f"{end[0]}.{'l' if end[1] == 1 else 'r'}"
+
+    def leaving(end):
+        return f"{end[0]}.{'l' if end[1] == 0 else 'r'}"
+
+    succ = {}
+    for sw in desc.switches:
+        large, (top, bottom) = sw.large, sw.smalls
+        succ[arriving(large)] = f"{sw.name}.b"
+        succ[arriving(top)] = f"{sw.name}.t"
+        succ[arriving(bottom)] = f"{sw.name}.c"
+        succ[f"{sw.name}.b"] = leaving(bottom)
+        succ[f"{sw.name}.t"] = leaving(large)
+        succ[f"{sw.name}.c"] = leaving(top)
+    return succ
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_faces_are_successor_orbits(name):
+    desc = parse_track(fixture_text(name))
+    succ = _successors(desc)
+    assert sorted(succ) == sorted(t for f in desc.faces for t in f.word)
+    for f in desc.faces:
+        assert [succ[t] for t in f.word] == list(f.word[1:] + f.word[:1])
+
+
+def _mutant(desc: TrainTrackDesc, data) -> TrainTrackDesc:
+    """`desc` changed once: two tokens swapped, a face split in two or two
+    faces merged, a word rotated, a face's kind flipped, or a new genus or
+    boundary count."""
+    words = [list(f.word) for f in desc.faces]
+    kinds = [f.kind for f in desc.faces]
+    change = data.draw(st.sampled_from(
+        ("swap", "split", "merge", "rotate", "flip", "genus", "boundary")))
+    if change in ("genus", "boundary"):
+        return dataclasses.replace(
+            desc, **{change: data.draw(st.integers(0, 4))})
+    fi = data.draw(st.integers(0, len(words) - 1))
+    if change == "swap":
+        fj = data.draw(st.integers(0, len(words) - 1))
+        i = data.draw(st.integers(0, len(words[fi]) - 1))
+        j = data.draw(st.integers(0, len(words[fj]) - 1))
+        words[fi][i], words[fj][j] = words[fj][j], words[fi][i]
+    elif change == "split" and len(words[fi]) > 1:
+        cut = data.draw(st.integers(1, len(words[fi]) - 1))
+        words.append(words[fi][cut:])
+        kinds.append(data.draw(st.sampled_from((DISC, ANNULUS))))
+        words[fi] = words[fi][:cut]
+    elif change == "merge" and len(words) > 1:
+        fj = data.draw(st.integers(0, len(words) - 1).filter(
+            lambda j: j != fi))
+        other = words.pop(fj)
+        kinds.pop(fj)
+        words[fi - (fj < fi)] += other
+    elif change == "rotate":
+        k = data.draw(st.integers(0, len(words[fi]) - 1))
+        words[fi] = words[fi][k:] + words[fi][:k]
+    elif change == "flip":
+        kinds[fi] = ANNULUS if kinds[fi] == DISC else DISC
+    return dataclasses.replace(desc, faces=tuple(
+        FaceDesc(kind, tuple(word)) for kind, word in zip(kinds, words)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(FIXTURE_NAMES), n=st.integers(1, 3),
+       data=st.data())
+def test_mutated_descriptions_build_or_raise_a_structured_error(name, n,
+                                                                 data):
+    """No track description crashes the build: each mutant of a fixture's
+    description builds or raises a TrackformError, and one that builds has
+    the Euler characteristic of its track plus its discs, three wedges at
+    every vertex (one each of a branch, a switch and a face), and faces
+    that walk the switches' successor map."""
+    desc = parse_track(fixture_text(name))
+    for _ in range(n):
+        desc = _mutant(desc, data)
+    try:
+        nb = build_tie_neighbourhood(desc)
+    except TrackformError:
+        return
+    discs = sum(1 for f in desc.faces if f.kind == DISC)
+    assert nb.euler == len(desc.switches) - len(desc.branches) + discs
+    for gaps in nb._vertex_gaps:
+        assert len(gaps) == 3 and len(_edges_at_vertex(nb, gaps)) == 3
+        kinds = [nb.regions[ri].kind for ri, _, _ in gaps]
+        assert kinds[:2] == [BRANCH, SWITCH] and kinds[2] in (DISC, ANNULUS)
+    succ = _successors(desc)
+    for f in desc.faces:
+        assert [succ[t] for t in f.word] == list(f.word[1:] + f.word[:1])
+
+
+def test_t11d_with_its_disc_declared_an_annulus():
+    """The tetrahedral track on the twice-punctured torus: t11d's faces,
+    both annuli.  It builds, and seeded runs on it pass the audit."""
+    desc = parse_track(fixture_text("t11d"))
+    desc = dataclasses.replace(desc, boundary=2, faces=tuple(
+        dataclasses.replace(f, kind=ANNULUS) for f in desc.faces))
+    nb = build_tie_neighbourhood(desc)
+    assert (nb.euler, nb.n_vertices, nb.n_edges, nb.s_N) == (-2, 24, 36, 17)
+    assert len(nb.boundary_components) == 2
+    for seed in (1, 2, 3, 4):
+        curve = random_closed(nb, random.Random(seed), 12)
+        res = efficient_position(curve, nb)
+        assert audit_trace(res.events, curve, res.curve, nb).ok
 
 
 def test_parse_errors():
