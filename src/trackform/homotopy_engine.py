@@ -33,15 +33,22 @@ crossed edge gluing partners; the check that an in-between snippet hugs
 its edge depends only on its thread-table key and runs once per key.  A
 recipe is filed only for an open bad snippet, so a push whose snippet has
 one is one lookup; only a snippet without one is checked for being open
-and bad.  Each `hom` call does only what depends on the neighbours, and
-checks them every time: the previous snippet must end and the next must
-start on the partners of the bad snippet's endpoints (`AdjacencyError`
-otherwise), a slid endpoint's winding moves only where windings count
-(`_wind_ok`), and both slid snippets are validated, which looks up (or
-files) their fact records.  `hom` returns the replacement window, not the
-curve, with the window's fact records and the push's own trace/1 fields:
-a run or an audit splices the window and its records into its working
-curve, so a push costs its window whatever the curve's length.
+and bad.
+
+What depends on the neighbours is one step, `push_window(prev, bad, next)`,
+which reads those three snippets and nothing else and checks them every
+time: it looks up (or files) the recipe, the previous snippet must end and
+the next must start on the partners of the bad snippet's endpoints
+(`AdjacencyError` otherwise), a slid endpoint's winding moves only where
+windings count (`_wind_ok`), and both slid (or the merged) snippets are
+validated, which looks up (or files) their fact records.  It returns the
+replacement window with its fact records.  `hom` adds what depends on the
+curve: the position checks, the rotation of a closed curve whose window
+would wrap, and the push's own trace/1 fields; it rewrites a two-snippet
+closed curve, whose window is all of it, itself.  A run or an audit
+splices the window and its records into its working curve, so a push costs
+its window whatever the curve's length; the exhaustive oracle calls
+`push_window` directly, once per distinct triple of snippets it meets.
 """
 from __future__ import annotations
 
@@ -187,10 +194,55 @@ def _thread(nb: TieNeighbourhood, region: int, crossed: Locus,
     return inner
 
 
-def _push(cls: SnippetClass, k: int, j: int, rot: int, n0: int, n1: int,
-           ws: int, wl: int) -> Hom:
-    """A push's own trace/1 fields, as a `Hom` record its run stamps."""
-    return Hom(k, rot, cls.type, cls.turn, j, [n0, n1], [ws, wl])
+def push_window(prev: Snippet, a: Snippet, nxt: Snippet,
+                nb: TieNeighbourhood, k: int = 1
+                ) -> tuple[tuple[Snippet, ...], tuple[SnippetFacts, ...],
+                           PushRecipe]:
+    """Push the bad snippet `a` between its neighbours `prev` and `nxt`:
+    the step of a push that reads the three snippets and nothing else.
+
+    Returns the window that stands in place of the three, its snippets'
+    fact records, and the push's recipe.  The recipe is looked up, or
+    filed on a miss after checking that `a` is open (`ClosedSnippet`) and
+    bad (`NotBad`, naming position `k`); then both neighbours must be
+    glued to `a` (`AdjacencyError`).  `hom` calls it for every push but
+    one on a two-snippet closed curve, whose window is all of the curve;
+    the exhaustive oracle calls it once per distinct triple it meets."""
+    rec, d_end, d_start = _glued(prev, a, nxt, k, nb)
+    if rec.j == 0:
+        merged = Snippet(prev.region, prev.start, nxt.end, prev.wind + nxt.wind)
+        return (merged,), (facts(merged, nb),), rec
+    slid_prev = Snippet(prev.region, prev.start, rec.new_end, prev.wind + d_end)
+    slid_next = Snippet(nxt.region, rec.new_start, nxt.end, nxt.wind + d_start)
+    # their fact records: one lookup each, and a miss files the record
+    get = nb._classify_cache.get
+    return ((slid_prev, *rec.inners, slid_next),
+            (get(slid_prev) or file_facts(slid_prev, nb), *rec.inner_facts,
+             get(slid_next) or file_facts(slid_next, nb)), rec)
+
+
+def _glued(prev: Snippet, a: Snippet, nxt: Snippet, k: int,
+           nb: TieNeighbourhood) -> tuple[PushRecipe, int, int]:
+    """The recipe of pushing `a`, filed on a miss, once both neighbours are
+    checked glued to it, with the winding changes of the two slid
+    neighbours: a slid endpoint's winding moves where it crosses a corner
+    of an annulus."""
+    rec = nb._push_recipes.get(a)
+    if rec is None:  # recipes are filed for open bad snippets only
+        if a.closed:
+            raise ClosedSnippet("cannot rewrite a closed snippet")
+        cls = classify(a, nb)
+        if not cls.bad:
+            raise NotBad(f"snippet at {k} is {cls.verdict}, not bad")
+        rec = nb._push_recipes[a] = _push_recipe_uncached(a, nb, cls)
+    if (prev.region, prev.end) != rec.before:
+        raise AdjacencyError("previous snippet is not glued to the bad one")
+    if (nxt.region, nxt.start) != rec.after:
+        raise AdjacencyError("next snippet is not glued to the bad one")
+    d_end = rec.d_end if rec.d_end and _wind_ok(nb, prev.region, prev) else 0
+    d_start = (rec.d_start if rec.d_start and _wind_ok(nb, nxt.region, nxt)
+               else 0)
+    return rec, d_end, d_start
 
 
 def hom(curve: Curve, k: int, nb: TieNeighbourhood
@@ -212,7 +264,9 @@ def hom(curve: Curve, k: int, nb: TieNeighbourhood
     Arcs keep their endpoints: only strictly interior positions may be
     rewritten.  On closed curves any position works; if the three-snippet
     window would wrap, the curve is taken as first rotated so it does not,
-    and the rotation is recorded.
+    and the rotation is recorded.  The window and its records come from
+    `push_window` on the bad snippet and its two neighbours, except on a
+    two-snippet closed curve, which `hom` rewrites whole.
     """
     snap = curve.snippets
     n = len(snap)
@@ -222,62 +276,41 @@ def hom(curve: Curve, k: int, nb: TieNeighbourhood
                 f"arc position {k} of {n} is an endpoint or out of range")
     else:
         k %= n
-    a = snap[k]
-    rec = nb._push_recipes.get(a)
-    if rec is None:  # recipes are filed for open bad snippets only
-        if a.closed:
-            raise ClosedSnippet("cannot rewrite a closed snippet")
-        cls = classify(a, nb)
-        if not cls.bad:
-            raise NotBad(f"snippet at {k} is {cls.verdict}, not bad")
-        rec = nb._push_recipes[a] = _push_recipe_uncached(a, nb, cls)
-    prev, nxt = snap[(k - 1) % n], snap[(k + 1) % n]
-    if (prev.region, prev.end) != rec.before:
-        raise AdjacencyError("previous snippet is not glued to the bad one")
-    if (nxt.region, nxt.start) != rec.after:
-        raise AdjacencyError("next snippet is not glued to the bad one")
+    prev, a, nxt = snap[(k - 1) % n], snap[k], snap[(k + 1) % n]
+    if curve.kind == CLOSED and n == 2:
+        return _hom_two(prev, a, k, nb)
 
+    window, wf, rec = push_window(prev, a, nxt, nb, k)
     rotation = 0
     if curve.kind == CLOSED and n >= 3 and (k == 0 or k == n - 1):
         rotation = (k - 1) % n
         k = 1
-    two_closed = curve.kind == CLOSED and n == 2
     cls, j = rec.cls, rec.j
-
     if j == 0:
-        if two_closed:
-            merged = Snippet(prev.region, None, None, prev.wind)
-        else:
-            merged = Snippet(prev.region, prev.start, nxt.end,
-                             prev.wind + nxt.wind)
-        n1 = 1 if two_closed else n - 2
+        return window, wf, Hom(k, rotation, cls.type, cls.turn, 0,
+                               [n, n - 2], [max(k - 1, 0), 1])
+    return window, wf, Hom(k, rotation, cls.type, cls.turn, j,
+                           [n, n + j - 2], [k - 1, j + 1])
+
+
+def _hom_two(prev: Snippet, a: Snippet, k: int, nb: TieNeighbourhood
+             ) -> tuple[tuple[Snippet, ...], tuple[SnippetFacts, ...], Hom]:
+    """`hom` on a two-snippet closed curve: `prev` is both neighbours of
+    `a`, and the window is the whole pushed curve."""
+    rec, d_end, d_start = _glued(prev, a, prev, k, nb)
+    cls, j = rec.cls, rec.j
+    if j == 0:
+        merged = Snippet(prev.region, None, None, prev.wind)
         return ((merged,), (facts(merged, nb),),
-                _push(cls, k, 0, rotation, n, n1, max(k - 1, 0), 1))
-
-    # windings move where a slid endpoint crosses a corner of an annulus
-    d_end = rec.d_end if rec.d_end and _wind_ok(nb, prev.region, prev) else 0
-    d_start = (rec.d_start if rec.d_start and _wind_ok(nb, nxt.region, nxt)
-               else 0)
-
-    if two_closed:
-        slid = Snippet(prev.region, rec.new_start, rec.new_end,
-                       prev.wind + d_end + d_start)
-        # Keep positional semantics: the in-between snippets stand where the
-        # rewritten snippet was (position k), the slid survivor at k - 1.
-        window = (slid, *rec.inners)
-        wf = (facts(slid, nb), *rec.inner_facts)
-        r0 = (k - 1) % j
-        if r0:
-            window = window[-r0:] + window[:-r0]
-            wf = wf[-r0:] + wf[:-r0]
-        return window, wf, _push(cls, k, j, rotation, n, j, 0, j)
-
-    slid_prev = Snippet(prev.region, prev.start, rec.new_end, prev.wind + d_end)
-    slid_next = Snippet(nxt.region, rec.new_start, nxt.end, nxt.wind + d_start)
-    # their fact records: one lookup each, and a miss files the record
-    get = nb._classify_cache.get
-    return ((slid_prev, *rec.inners, slid_next),
-            (get(slid_prev) or file_facts(slid_prev, nb), *rec.inner_facts,
-             get(slid_next) or file_facts(slid_next, nb)),
-            _push(cls, k, j, rotation, n, n + j - 2, k - 1, j + 1))
-
+                Hom(k, 0, cls.type, cls.turn, 0, [2, 1], [0, 1]))
+    slid = Snippet(prev.region, rec.new_start, rec.new_end,
+                   prev.wind + d_end + d_start)
+    # Keep positional semantics: the in-between snippets stand where the
+    # rewritten snippet was (position k), the slid survivor at k - 1.
+    window = (slid, *rec.inners)
+    wf = (facts(slid, nb), *rec.inner_facts)
+    r0 = (k - 1) % j
+    if r0:
+        window = window[-r0:] + window[:-r0]
+        wf = wf[-r0:] + wf[:-r0]
+    return window, wf, Hom(k, 0, cls.type, cls.turn, j, [2, j], [0, j])

@@ -37,19 +37,27 @@ Three layers of defence against a wrong pipeline:
   cross-validating the pipeline's terminal status on desk-scale instances.
   It searches over tuples of snippet ids interned in a table of its own,
   which ends with the search, and memoises each push on its (previous,
-  bad, next) ids, so a push it has seen is one lookup.
+  bad, next) ids, so a push it has seen is one lookup.  A new triple is
+  pushed by `homotopy_engine.push_window`, the step `hom` takes its window
+  from, on the three snippets alone; each snippet is interned with the bad
+  flag of the fact record that comes with it, so the search classifies
+  nothing itself.
 """
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .curve_ops import (ARC, CLOSED, Curve, WorkingCurve, measure,
+from .curve_ops import (CLOSED, Curve, WorkingCurve, measure,
                         validate_curve)
 from .errors import AuditFailure, BadInput, NotApplicable, TrackformError
 from .formats import _OWN, Hom, trace_record
-from .homotopy_engine import EXPECTED_J, hom
-from .snippet_core import TRIGON_GRAPH, TRIGON_TYPES, Snippet, classify
+from .homotopy_engine import EXPECTED_J, hom, push_window
+from .snippet_core import TRIGON_GRAPH, TRIGON_TYPES, Snippet, SnippetFacts
+# Nothing here calls `classify` any more, but perfbench's tracer wraps this
+# module attribute, so it stays.
+from .snippet_core import classify  # noqa: F401
 from .track_model import ANNULUS, BOUNDARY, TieNeighbourhood
 
 __all__ = [
@@ -370,7 +378,8 @@ class _IdTable:
     """The table of one oracle search, filled as it meets new snippets:
     snippet -> dense int id, id -> snippet, each id's bad flag and |wind|,
     and the push memo (prev, bad, next) ids -> (window ids, largest |wind|
-    in the window)."""
+    in the window).  A snippet is interned with the bad flag of the fact
+    record its caller holds, so the table classifies nothing itself."""
     __slots__ = ("nb", "ids", "snippets", "bad", "wind", "pushes")
 
     def __init__(self, nb: TieNeighbourhood) -> None:
@@ -382,35 +391,44 @@ class _IdTable:
         self.pushes: dict[tuple[int, int, int],
                           tuple[tuple[int, ...], int]] = {}
 
-    def intern(self, s: Snippet) -> int:
-        i = self.ids.get(s)
-        if i is None:
-            i = self.ids[s] = len(self.snippets)
-            self.snippets.append(s)
-            self.bad.append(classify(s, self.nb).bad)
-            self.wind.append(abs(s.wind))
-        return i
+    def intern(self, snippets: Sequence[Snippet],
+               records: Sequence[SnippetFacts]
+               ) -> tuple[tuple[int, ...], int]:
+        """The snippets' ids and their largest |wind|, in one pass; a new
+        id files the bad flag (`row[4]`) of the snippet's fact record."""
+        ids, snap, bad, wind = self.ids, self.snippets, self.bad, self.wind
+        out = []
+        top = 0
+        for s, f in zip(snippets, records):
+            i = ids.get(s)
+            if i is None:
+                i = ids[s] = len(snap)
+                snap.append(s)
+                bad.append(f.row[4])
+                wind.append(abs(s.wind))
+            out.append(i)
+            if wind[i] > top:
+                top = wind[i]
+        return tuple(out), top
 
     def push(self, arc: tuple[int, int, int]
              ) -> tuple[tuple[int, ...], int]:
-        """Push the middle snippet of the three-snippet arc `arc` and
-        memoise its window: `hom` reads only the bad snippet and its two
-        neighbours, so the window is the same wherever the three stand in
-        a curve."""
+        """Push the middle snippet of the triple `arc` with `push_window`
+        and memoise its window: the step reads only the bad snippet and
+        its two neighbours, so the window is the same wherever the three
+        stand in a curve."""
         snap = self.snippets
         p, b, q = arc
-        window = hom(Curve(ARC, (snap[p], snap[b], snap[q])), 1, self.nb)[0]
-        win = tuple([self.intern(s) for s in window])
-        hit = self.pushes[arc] = (win, max([self.wind[i] for i in win]))
+        window, wf, _ = push_window(snap[p], snap[b], snap[q], self.nb)
+        hit = self.pushes[arc] = self.intern(window, wf)
         return hit
 
     def push_two(self, cur: tuple[int, ...], k: int
                  ) -> tuple[tuple[int, ...], int]:
         """A push on a two-snippet closed curve, whose window is the child."""
         c = Curve(CLOSED, tuple([self.snippets[i] for i in cur]))
-        window = hom(c, k, self.nb)[0]
-        child = tuple([self.intern(s) for s in window])
-        return child, max([self.wind[i] for i in child])
+        window, wf, _ = hom(c, k, self.nb)
+        return self.intern(window, wf)
 
 
 def _least_rotation(ids: tuple[int, ...]) -> tuple[int, ...]:
@@ -442,29 +460,30 @@ def exhaustive_oracle(curve: Curve, nb: TieNeighbourhood,
 
     The search runs over tuples of dense int snippet ids, interned in a
     table of its own with each id's bad flag and |wind|; the table ends
-    with the search.  A push is memoised on its (prev, bad, next) ids,
-    since `hom` reads only those three snippets: each distinct triple is
-    pushed once by `hom` on the three-snippet arc, and every later push of
-    it is one lookup.  A child is laid out as `WorkingCurve.apply` lays out
-    a push, so the breadth-first order, and with it `states` under a state
-    cap, is that of a search over whole curves.  Only the window can pass
-    the winding cap.  A closed curve is keyed by its least rotation.  A
-    two-snippet closed curve, whose push rewrites all of it, is pushed by
-    `hom` on the curve, and the window is the child.
-    Curves of up to 12 snippets take milliseconds to a tenth of a second;
-    an 18-snippet curve of tens of thousands of states takes about a
-    second."""
+    with the search.  The input's bad flags come from the fact records
+    `validate_curve` returns, and a window's from the records its push
+    returns.  A push is memoised on its (prev, bad, next) ids, since its
+    window depends on those three snippets alone: each distinct triple is
+    pushed once by `push_window`, the step `hom` uses, and every later
+    push of it is one lookup.  A child is laid out as `WorkingCurve.apply`
+    lays out a push, so the breadth-first order, and with it `states` under
+    a state cap, is that of a search over whole curves.  Only the window
+    can pass the winding cap.  A closed curve is keyed by its least
+    rotation.  A two-snippet closed curve, whose push rewrites all of it,
+    is pushed by `hom` on the curve, and the window is the child.
+    Curves of up to 12 snippets take 0.1 ms to under 0.2 s; an 18-snippet
+    curve of tens of thousands of states takes 0.6 to 1 s (2-vCPU VM)."""
     if cap_states < 1:
         raise BadInput(f"state cap {cap_states} is not positive")
-    validate_curve(curve, nb)
+    facts = validate_curve(curve, nb)
     tab = _IdTable(nb)
     s_N = nb.s_N
     if max_len is None:
         max_len = len(curve.snippets) + 3 * s_N
     closed = curve.kind == CLOSED
-    start = tuple([tab.intern(s) for s in curve.snippets])
-    bad, wind, pushes = tab.bad, tab.wind, tab.pushes
-    wind_cap = max([wind[i] for i in start], default=0) + 3 * s_N
+    start, w0 = tab.intern(curve.snippets, facts)
+    bad, pushes = tab.bad, tab.pushes
+    wind_cap = w0 + 3 * s_N
     seen = {_least_rotation(start) if closed else start}
     queue = deque([start])
     efficient_found = False

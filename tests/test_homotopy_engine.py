@@ -23,10 +23,11 @@ from hypothesis import strategies as st
 
 from trackform.curve_ops import (ARC, CLOSED, Curve, WorkingCurve, reverse,
                                  validate_curve)
-from trackform.errors import BadInput, ClosedSnippet, GenerationFailed, NotBad
+from trackform.errors import (AdjacencyError, BadInput, ClosedSnippet,
+                              GenerationFailed, NotBad, TrackformError)
 from trackform.fixtures import FIXTURE_NAMES, load_fixture
-from trackform.generate import random_arc, random_closed
-from trackform.homotopy_engine import hom
+from trackform.generate import random_arc, random_closed, trivial_loop
+from trackform.homotopy_engine import hom, push_window
 from trackform.snippet_core import TRIGON_GRAPH, Snippet, classify, fact_table
 
 
@@ -328,3 +329,68 @@ def test_window_reads_only_prev_bad_next(named, name, closed, seed, length):
         window = hom(curve, k, nb)[0]
         triple = Curve(ARC, (snap[k - 1], snap[k], snap[(k + 1) % n]))
         assert hom(triple, 1, nb)[0] == window, (k, curve)
+
+
+def _raised(fn, *args):
+    """The class and message of the `TrackformError` a call raises."""
+    with pytest.raises(TrackformError) as exc:
+        fn(*args)
+    return type(exc.value), str(exc.value)
+
+
+def _step_corpus(nb, name):
+    for seed in range(12):
+        rng = random.Random(f"{name}/{seed}/step")
+        yield random_closed(nb, rng, rng.randrange(3, 40))
+        yield random_arc(nb, rng, rng.randrange(3, 30))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_push_window_is_homs_window_step(named, name):
+    """At every interior position of seeded curves of three or more
+    snippets, `push_window` on the snippet and its two neighbours gives the
+    window and fact records `hom` gives, and the recipe behind its record;
+    where `hom` raises (a snippet not bad, a neighbour not glued to it, a
+    closed snippet), the step raises the same class and message."""
+    nb = named[name]
+    pushed = refused = unglued = 0
+    for curve in _step_corpus(nb, name):
+        snap = curve.snippets
+        n = len(snap)
+        if n < 3:
+            continue
+        for k in range(n) if curve.kind == CLOSED else range(1, n - 1):
+            prev, a, nxt = snap[k - 1], snap[k], snap[(k + 1) % n]
+            if not classify(a, nb).bad:
+                assert _raised(push_window, prev, a, nxt, nb, k) == \
+                    _raised(hom, curve, k, nb)
+                refused += 1
+                continue
+            window, wf, ev = hom(curve, k, nb)
+            got, got_facts, rec = push_window(prev, a, nxt, nb, k)
+            assert (got, got_facts) == (window, wf), (curve, k)
+            assert (rec.cls.type, rec.cls.turn, rec.j) == \
+                (ev["rule"], ev["turn"], ev["j"])
+            pushed += 1
+            for x in snap:
+                if (x.region, x.end) != (prev.region, prev.end):
+                    assert _raised(push_window, x, a, nxt, nb, 1) == \
+                        _raised(hom, Curve(ARC, (x, a, nxt)), 1, nb) == \
+                        (AdjacencyError,
+                         "previous snippet is not glued to the bad one")
+                    unglued += 1
+                    break
+            for x in snap:
+                if (x.region, x.start) != (nxt.region, nxt.start):
+                    assert _raised(push_window, prev, a, x, nb, 1) == \
+                        _raised(hom, Curve(ARC, (prev, a, x)), 1, nb) == \
+                        (AdjacencyError,
+                         "next snippet is not glued to the bad one")
+                    unglued += 1
+                    break
+    loop = trivial_loop(nb, 0)
+    c = loop.snippets[0]
+    assert _raised(push_window, c, c, c, nb, 0) == _raised(hom, loop, 0, nb) \
+        == (ClosedSnippet, "cannot rewrite a closed snippet")
+    assert pushed > 50 and refused > 50 and unglued > 50, \
+        (pushed, refused, unglued)

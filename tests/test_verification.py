@@ -1025,3 +1025,64 @@ def test_state_key_splits_states_as_the_old_key(monkeypatch):
         searches += 1
         states += len(new_to_old)
     assert searches > 80 and states > 1000
+
+
+def test_oracle_table_files_each_snippets_own_facts(monkeypatch):
+    """On criterion 7's corpus, every snippet an oracle search interns,
+    from the input or from a pushed window, carries the bad flag its
+    classification gives and its own |wind|, although the table takes
+    them from the fact records its callers hold."""
+    tables: list = []
+    id_table = verification._IdTable
+
+    def new_table(nb):
+        tables.append(id_table(nb))
+        return tables[-1]
+
+    monkeypatch.setattr(verification, "_IdTable", new_table)
+    interned = 0
+    for nb, curve in _criterion_7_corpus():
+        tables.clear()
+        exhaustive_oracle(curve, nb)
+        tab, = tables
+        assert len(tab.ids) == len(tab.snippets) == len(tab.bad) \
+            == len(tab.wind)
+        for i, s in enumerate(tab.snippets):
+            assert tab.ids[s] == i
+            assert tab.bad[i] == classify(s, nb).bad, (nb.name, s)
+            assert tab.wind[i] == abs(s.wind), (nb.name, s)
+        interned += len(tab.snippets)
+    assert interned > 2000
+
+
+def test_oracle_pushes_each_distinct_triple_once(monkeypatch):
+    """Timing-free cost guard: in each search on criterion 7's corpus, the
+    oracle runs the window step exactly once per distinct (previous, bad,
+    next) triple that the reference search, which pushes every triple of
+    every state it dequeues, meets in three-snippet-or-longer states, and
+    in the order it first meets them."""
+    stepped: list = []
+    met: list = []
+    step, real_hom = verification.push_window, hom
+
+    def counted(prev, a, nxt, nb, k=1):
+        stepped.append((prev, a, nxt))
+        return step(prev, a, nxt, nb, k)
+
+    def recording(curve, k, nb):
+        snap = curve.snippets
+        n = len(snap)
+        if n >= 3:
+            met.append((snap[k - 1], snap[k], snap[(k + 1) % n]))
+        return real_hom(curve, k, nb)
+
+    monkeypatch.setattr(verification, "push_window", counted)
+    monkeypatch.setitem(globals(), "hom", recording)
+    repeats = 0
+    for nb, curve in _criterion_7_corpus():
+        stepped.clear()
+        met.clear()
+        assert exhaustive_oracle(curve, nb) == reference_oracle(curve, nb)
+        assert stepped == list(dict.fromkeys(met)), (nb.name, curve)
+        repeats += len(met) - len(stepped)
+    assert repeats > 1000
