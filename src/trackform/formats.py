@@ -178,7 +178,7 @@ _KIND_TO_JSON = {"Closed": "closed", "Arc": "arc"}
 _KIND_FROM_JSON = {v: k for k, v in _KIND_TO_JSON.items()}
 
 
-def serialize_curve(curve, nb, track: str | None = None) -> str:
+def serialize_curve(curve, nb) -> str:
     """Canonical curve/1 JSON: snippets by region name, winding omitted when
     zero; byte-deterministic (sorted keys, two-space indent)."""
     from .curve_ops import validate_curve
@@ -194,8 +194,8 @@ def serialize_curve(curve, nb, track: str | None = None) -> str:
                     f'      "region": {names[s.region]},\n'
                     f'      "start": {_locus_text(s.start)}{wind}\n    }}')
     snippets = "[\n" + ",\n".join(recs) + "\n  ]"
-    name = track if track is not None else nb.name
-    track_line = f',\n  "track": {json.dumps(name)}' if name is not None else ""
+    track_line = (f',\n  "track": {json.dumps(nb.name)}'
+                  if nb.name is not None else "")
     return (f'{{\n  "format": {json.dumps(CURVE_FORMAT)},\n'
             f'  "kind": {json.dumps(_KIND_TO_JSON[curve.kind])},\n'
             f'  "snippets": {snippets}{track_line}\n}}\n')

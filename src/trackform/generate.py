@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from .curve_ops import ARC, CLOSED, Curve, reverse, validate_curve
 from .errors import BadInput, GenerationFailed
 from .snippet_core import Snippet, valid_winds
-from .track_model import ANNULUS, BOUNDARY, Locus, TieNeighbourhood
+from .track_model import ANNULUS, Locus, TieNeighbourhood
 
 __all__ = [
     "random_arc",
@@ -35,16 +35,6 @@ __all__ = [
 # steps `random_closed` takes to return to its starting edge.
 _SPREAD = 2
 _PATIENCE = 256
-
-
-def _boundary_loci(nb: TieNeighbourhood, region: int) -> list[Locus]:
-    out: list[Locus] = []
-    for si, side in enumerate(nb.regions[region].sides):
-        for gi in range(side.n_segments):
-            locus = (si, gi)
-            if nb.side_label(region, locus) == BOUNDARY:
-                out.append(locus)
-    return out
 
 
 def _pick_wind(nb: TieNeighbourhood, region: int, start: Locus, end: Locus,
@@ -67,7 +57,7 @@ def _pick_wind(nb: TieNeighbourhood, region: int, start: Locus, end: Locus,
 def _step(nb: TieNeighbourhood, region: int, start: Locus,
           rng: random.Random,
           end_pool: Sequence[Locus] | None = None) -> Snippet:
-    pool = end_pool if end_pool is not None else nb.crossable_loci(region)
+    pool = end_pool or nb.crossable_loci(region)
     end = rng.choice(pool)
     wind = _pick_wind(nb, region, start, end, rng)
     return Snippet(region, start, end, wind)
@@ -83,25 +73,19 @@ def random_arc(nb: TieNeighbourhood, rng: random.Random, length: int,
     """
     if length < 1:
         raise BadInput("arc length must be >= 1")
-    regions = range(len(nb.regions))
-    if proper:
-        starts = [(r, l) for r in regions for l in _boundary_loci(nb, r)]
-        if not starts:
-            raise BadInput("track has no surface boundary inside its faces")
-    else:
-        starts = [(r, l) for r in regions for l in nb.crossable_loci(r)]
+    # each boundary side is one segment
+    on_boundary = [(r, (si, 0)) for r, si in nb.boundary_components]
+    if proper and not on_boundary:
+        raise BadInput("track has no surface boundary inside its faces")
+    starts = on_boundary if proper else [
+        (r, l) for r in range(len(nb.regions)) for l in nb.crossable_loci(r)]
     region, start = rng.choice(starts)
     snippets: list[Snippet] = []
     for i in range(length):
-        last = i == length - 1
-        if last and proper:
-            pool = _boundary_loci(nb, region) or None
-            if pool is None:
-                last = False  # keep walking on a region with no boundary side
-        if last and proper:
-            s = _step(nb, region, start, rng, end_pool=pool)
-        else:
-            s = _step(nb, region, start, rng)
+        # a proper arc ends on the boundary if its last region meets it
+        last = proper and i == length - 1
+        pool = [l for r, l in on_boundary if r == region] if last else None
+        s = _step(nb, region, start, rng, end_pool=pool)
         snippets.append(s)
         if i < length - 1:
             nxt = nb.partner(s.region, s.end)

@@ -335,14 +335,12 @@ def hor_bigon_comp(run: Run, k: int) -> None:
             all_but(run, b[0])
         return
     ev = run.hom_at(k, phase)
-    ws = ev.win[0]
     if ev.j == 0:
         # narrow: the merge lands flat against the far side of a rectangle
-        t = run.cls_at(ws).type
+        t = run.cls_at(ev.win[0]).type
         assert t in ("B(h,h)", "S(h,h,0)"), t
         return
-    if run.cls_at(ws).type in ("B(h,h)", "S(h,h,0)"):
-        return
+    # wide: the slid previous end lies on a tie, so no B(h,h) or S(h,h,0)
     _hor_bigon_wide(run, ev)
 
 

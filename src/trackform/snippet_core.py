@@ -40,7 +40,6 @@ from typing import NamedTuple
 from .errors import InconsistentSnippet
 from .track_model import (
     ANNULUS,
-    BOUNDARY,
     BRANCH,
     DISC,
     SWITCH,
@@ -130,16 +129,22 @@ def valid_winds(s: Snippet, nb: TieNeighbourhood) -> tuple[int, int, int] | None
     """For an annulus snippet off the surface boundary: (m_r, m_l, n2) with
     valid windings {m_r + n2*d} and {-(m_l + n2*d)} for d >= 0; same-locus
     endpoints admit every multiple of n2.  None when windings are forced 0."""
-    r = nb.regions[s.region]
-    if r.kind != ANNULUS:
+    if nb.regions[s.region].kind != ANNULUS:
         return None
-    if not s.closed and any(
-            nb.side_label(s.region, l) == BOUNDARY for l in (s.start, s.end)):
-        return None
-    n2 = nb.total_corners(s.region, nb.polygon_cycle(s.region))
-    if s.closed or s.start == s.end:
+    before = nb._corners_before[s.region][nb.polygon_cycle(s.region)]
+    n = len(before) // 2
+    n2 = before[n]
+    if s.closed:
         return (0, 0, n2)
-    m_r = nb.walk_ccw(s.region, s.start, s.end).corners
+    info = nb._locus_info[s.region]
+    _, pa, _, a_off = info[s.start]
+    _, pb, _, b_off = info[s.end]
+    if a_off or b_off:
+        return None
+    if pa == pb:
+        return (0, 0, n2)
+    # the corners of the CCW walk a -> b, as `_classify_uncached` finds c_r
+    m_r = before[pa + (pb - pa) % n] - before[pa]
     return (m_r, n2 - m_r, n2)
 
 

@@ -101,8 +101,8 @@ class Region:
 
 # The sides of every branch rectangle and of every switch rectangle, and
 # their one boundary cycle.  A switch rectangle's side 3 runs top-to-bottom
-# CCW: small tie, cusp, small tie; the side label stays "t" and
-# locus_label() reports segment (3,1) as vertical.
+# CCW: small tie, cusp, small tie; the side label stays "t" and the locus
+# table labels segment (3,1) as vertical.
 _BRANCH_SIDES = (Side(H, 1), Side(T, 1), Side(H, 1), Side(T, 1))
 _SWITCH_SIDES = (Side(H, 1), Side(T, 1), Side(H, 1), Side(T, 3))
 _RECT_CYCLES = ((0, 1, 2, 3),)
@@ -112,14 +112,6 @@ _CUSP = (3, 1)
 def index(chi: int, corners_down: int, corners_up: int) -> Fraction:
     """Index of a surface piece: chi - (outward corners)/4 + (inward corners)/4."""
     return Fraction(chi) - Fraction(corners_down, 4) + Fraction(corners_up, 4)
-
-
-@dataclass(frozen=True)
-class Walk:
-    """A CCW boundary walk between two loci of one region (possibly empty)."""
-    corners: int
-    marks: int
-    between: tuple[Locus, ...]  # loci strictly between the two endpoints
 
 
 class TieNeighbourhood:
@@ -240,14 +232,6 @@ class TieNeighbourhood:
     def side_label(self, region: int, locus: Locus) -> str:
         return self.regions[region].sides[locus[0]].label
 
-    def locus_label(self, region: int, locus: Locus) -> str:
-        """Per-segment label: the middle segment of a switch rectangle's west
-        side is the cusp and counts as vertical."""
-        try:
-            return self._locus_info[region][locus][2]
-        except KeyError:
-            raise BadInput(f"no locus {locus} in region {self.regions[region].name}") from None
-
     def cycle_loci(self, region: int, ci: int) -> tuple[Locus, ...]:
         return self._cycle_loci[region][ci]
 
@@ -289,21 +273,6 @@ class TieNeighbourhood:
         loci = self._cycle_loci[region][ci]
         n = len(loci)
         return loci[pos % n][0] != loci[(pos + 1) % n][0]
-
-    def walk_ccw(self, region: int, a: Locus, b: Locus) -> Walk:
-        """CCW boundary walk from locus a to locus b (same cycle).
-
-        Counts the corner and mark gaps passed and lists the loci strictly
-        between. a == b gives the empty walk."""
-        ca, pa = self.locus_cycle(region, a)
-        cb, pb = self.locus_cycle(region, b)
-        if ca != cb:
-            raise BadInput("walk endpoints on different boundary cycles")
-        loci = self._cycle_loci[region][ca]
-        gaps = (pb - pa) % len(loci)
-        before = self._corners_before[region][ca]
-        corners = before[pa + gaps] - before[pa]
-        return Walk(corners, gaps - corners, (loci + loci)[pa + 1:pa + gaps])
 
     # -- tiling vertices ------------------------------------------------------
 
@@ -349,22 +318,16 @@ class TieNeighbourhood:
         ci = self.polygon_cycle(region) if self.regions[region].kind in (DISC, ANNULUS) else 0
         return index(self.region_chi(region), self.total_corners(region, ci), 0)
 
-    def h_side_weight(self, region: int, locus: Locus) -> int:
-        """Corner-length weight of the full edge at a comp-region horizontal
-        locus: branch edge 1, switch edge 3."""
-        pr = self.partner(region, locus)
-        if pr is None:
-            raise BadInput("boundary side has no weight")
-        return 1 if self.regions[pr[0]].kind == BRANCH else 3
-
     def edge_weight(self, region: int, locus: Locus) -> int:
         """Corner-length weight of a full comp-region edge: vertical 1,
-        branch horizontal 1, switch horizontal 3."""
+        branch horizontal 1, switch horizontal 3 (by the rectangle glued
+        across; a horizontal locus is always glued)."""
         lbl = self.side_label(region, locus)
         if lbl == V:
             return 1
         if lbl == H:
-            return self.h_side_weight(region, locus)
+            across = self.regions[self.partner(region, locus)[0]]
+            return 1 if across.kind == BRANCH else 3
         raise BadInput(f"edge weight undefined for label {lbl}")
 
     def h_run_length(self, region: int, side: int) -> int:
@@ -509,7 +472,5 @@ def build_tie_neighbourhood(desc: TrainTrackDesc) -> TieNeighbourhood:
         raise NotLarge(
             f"Euler characteristic {nb.euler} != {2 - 2 * g - b} for (g,b)=({g},{b})")
     assert all(len(v) == 3 for v in nb._vertex_gaps)
-    assert sum(nb.region_index(ri) for ri, r in enumerate(nb.regions)
-               if r.kind in (BRANCH, SWITCH)) == 0
     assert nb.s_N >= 5
     return nb

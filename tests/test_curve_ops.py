@@ -21,24 +21,7 @@ from trackform.curve_ops import (
     validate_curve,
 )
 from trackform.errors import AdjacencyError, BadInput, NotGluable
-from trackform.fixtures import load_fixture
 from trackform.snippet_core import Snippet
-
-
-@pytest.fixture(scope="module")
-def t11():
-    return load_fixture("t11")
-
-
-@pytest.fixture(scope="module")
-def carried_loop(t11):
-    r = t11.region_id
-    return Curve(CLOSED, (
-        Snippet(r["br:a"], (3, 0), (1, 0)),
-        Snippet(r["sw:v1"], (1, 0), (3, 0)),
-        Snippet(r["br:b"], (1, 0), (3, 0)),
-        Snippet(r["sw:v0"], (3, 0), (1, 0)),
-    ))
 
 
 @pytest.fixture(scope="module")

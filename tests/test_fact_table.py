@@ -3,9 +3,12 @@ checked against a cold recomputation; the snippet value type; and the
 direct curve/1 writer against `json.dumps`.
 
 The reference for a fact record is the walk-based derivation the
-table-driven `snippet_core._classify_uncached` replaced, kept below
-unchanged: it builds both boundary walks between the endpoints and reads
-validity, class and corner length off them.  Every snippet of each
+table-driven `snippet_core._classify_uncached` replaced: it builds both
+boundary walks between the endpoints and reads validity, class and corner
+length off them.  It finds each walk, and the corners of a turn, by stepping
+round the cycle gap by gap (`cycle_loci`, `gap_is_corner`), locates loci
+by scanning the cycles and labels them from their sides, so it reads none
+of the neighbourhood's prefix or locus tables.  Every snippet of each
 fixture's locus space, and random snippets, must get the same record (or
 the same `InconsistentSnippet`) from both, and every push recipe must equal
 one built from the reference walk.  The reference's slides step along the
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import json
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +41,7 @@ from trackform.snippet_core import (BAD, CARRIED, DUAL_COMP, DUAL_TIE, LEFT,
                                     corner_length, fact_table, is_bigon,
                                     is_trigon, valid_winds)
 from trackform.track_model import (ANNULUS, BOUNDARY, BRANCH, SWITCH, H, T, V,
-                                   Locus, TieNeighbourhood, Walk)
+                                   Locus, TieNeighbourhood)
 from trackform.verification import audit_trace
 
 # -- the reference derivation -------------------------------------------------
@@ -49,6 +53,61 @@ def _locus_ok(nb: TieNeighbourhood, region: int, locus: Locus) -> bool:
     return 0 <= si < len(sides) and 0 <= gi < sides[si].n_segments
 
 
+class _Walk(NamedTuple):
+    """A CCW boundary walk: the corner and mark gaps it passes and the loci
+    strictly between its endpoints."""
+    corners: int
+    marks: int
+    between: tuple[Locus, ...]
+
+
+def _locate(nb: TieNeighbourhood, ri: int, locus: Locus) -> tuple[int, int]:
+    """(cycle, position) of a locus, found by scanning the cycles."""
+    for ci in range(len(nb.regions[ri].cycles)):
+        loci = nb.cycle_loci(ri, ci)
+        if locus in loci:
+            return ci, loci.index(locus)
+    raise AssertionError(f"no locus {locus} in region {ri}")
+
+
+def _stepped_walk(nb: TieNeighbourhood, ri: int, a: Locus, b: Locus,
+                  corners: int | None = None) -> _Walk:
+    """The CCW walk from a to b found by stepping gap by gap: the first
+    arrival at b (a == b gives the empty walk), or the one passing exactly
+    `corners` corners, full turns of the cycle included."""
+    ci, p = _locate(nb, ri, a)
+    loci = nb.cycle_loci(ri, ci)
+    assert b in loci, f"{a} and {b} lie on different cycles"
+    passed = marks = 0
+    between = []
+    while loci[p] != b or (corners is not None and passed != corners):
+        assert corners is None or passed <= corners, (
+            f"walk cannot pass {corners} corners from {a} to {b}")
+        if nb.gap_is_corner(ri, ci, p):
+            passed += 1
+        else:
+            marks += 1
+        p = (p + 1) % len(loci)
+        between.append(loci[p])
+    return _Walk(passed, marks, tuple(between[:-1]))
+
+
+def _turn_corners(nb: TieNeighbourhood, ri: int) -> int:
+    """n2: the corners passed in one turn of the region's polygon cycle,
+    counted gap by gap."""
+    ci = nb.polygon_cycle(ri)
+    return sum(nb.gap_is_corner(ri, ci, p)
+               for p in range(len(nb.cycle_loci(ri, ci))))
+
+
+def _segment_label(nb: TieNeighbourhood, region: int, locus: Locus) -> str:
+    """The side label, with a switch rectangle's cusp segment (3,1) read as
+    vertical."""
+    if nb.regions[region].kind == SWITCH and locus == (3, 1):
+        return V
+    return nb.side_label(region, locus)
+
+
 def _check_snippet(s: Snippet, nb: TieNeighbourhood) -> None:
     """The full validity check: region, loci, and the winding the loci
     admit."""
@@ -57,23 +116,27 @@ def _check_snippet(s: Snippet, nb: TieNeighbourhood) -> None:
     r = nb.regions[s.region]
     if (s.start is None) != (s.end is None):
         raise InconsistentSnippet("one endpoint closed, the other not")
+    on_boundary = False
     if not s.closed:
         for locus in (s.start, s.end):
             if not _locus_ok(nb, s.region, locus):
                 raise InconsistentSnippet(f"no locus {locus} in region {r.name}")
-        if r.kind != ANNULUS and any(
-                nb.side_label(s.region, l) == BOUNDARY for l in (s.start, s.end)):
+        on_boundary = any(nb.side_label(s.region, l) == BOUNDARY
+                          for l in (s.start, s.end))
+        if r.kind != ANNULUS and on_boundary:
             raise InconsistentSnippet("boundary endpoint outside an annulus region")
-    fams = valid_winds(s, nb)
-    if fams is None:
+    if r.kind != ANNULUS or on_boundary:
         if s.wind != 0:
             raise InconsistentSnippet(
                 f"winding {s.wind} must be 0 for {r.name} snippet")
         return
-    m_r, m_l, n2 = fams
+    n2 = _turn_corners(nb, s.region)
     if s.closed or s.start == s.end:
+        m_r = 0
         ok = s.wind % n2 == 0
     else:
+        m_r = _stepped_walk(nb, s.region, s.start, s.end).corners
+        m_l = _stepped_walk(nb, s.region, s.end, s.start).corners
         ok = (s.wind >= m_r and (s.wind - m_r) % n2 == 0) or \
              (s.wind <= -m_l and (-s.wind - m_l) % n2 == 0)
     if not ok:
@@ -82,28 +145,7 @@ def _check_snippet(s: Snippet, nb: TieNeighbourhood) -> None:
             f" (forward walk passes {m_r} corners, polygon has {n2})")
 
 
-def _wrapped_walk(nb: TieNeighbourhood, region: int, a: Locus, b: Locus,
-                  need_corners: int) -> Walk:
-    """CCW walk from a to b passing exactly need_corners corners, adding full
-    wraps of the polygon cycle when the direct walk passes fewer (possible on
-    annuli whose corner period divides the winding number)."""
-    direct = nb.walk_ccw(region, a, b)
-    ci, pa = nb.locus_cycle(region, a)
-    loci = nb.cycle_loci(region, ci)
-    n = len(loci)
-    total_corners = nb.total_corners(region, ci)
-    extra = need_corners - direct.corners
-    if extra == 0:
-        return direct
-    assert extra > 0 and extra % total_corners == 0, (
-        f"walk cannot pass {need_corners} corners from {a} to {b}")
-    wraps = extra // total_corners
-    gaps = len(direct.between) + 1 + wraps * n if a != b else wraps * n
-    between = tuple(loci[(pa + i) % n] for i in range(1, gaps))
-    return Walk(need_corners, gaps - need_corners, between)
-
-
-def _t_walk(s: Snippet, nb: TieNeighbourhood) -> tuple[Walk, str] | None:
+def _t_walk(s: Snippet, nb: TieNeighbourhood) -> tuple[_Walk, str] | None:
     """The boundary walk around the cut-off piece with non-negative index,
     with the side it lies on ('Right' = the CCW start-to-end walk).
 
@@ -119,17 +161,17 @@ def _t_walk(s: Snippet, nb: TieNeighbourhood) -> tuple[Walk, str] | None:
         if abs(s.wind) > 2:
             return None
         if s.wind > 0:
-            return _wrapped_walk(nb, s.region, s.start, s.end, s.wind), RIGHT
+            return _stepped_walk(nb, s.region, s.start, s.end, s.wind), RIGHT
         if s.wind < 0:
-            return _wrapped_walk(nb, s.region, s.end, s.start, -s.wind), LEFT
-        wr = nb.walk_ccw(s.region, s.start, s.end)
+            return _stepped_walk(nb, s.region, s.end, s.start, -s.wind), LEFT
+        wr = _stepped_walk(nb, s.region, s.start, s.end)
         if wr.corners == 0:
             return wr, RIGHT
-        wl = nb.walk_ccw(s.region, s.end, s.start)
+        wl = _stepped_walk(nb, s.region, s.end, s.start)
         assert wl.corners == 0, "winding 0 requires a corner-free side"
         return wl, LEFT
-    wr = nb.walk_ccw(s.region, s.start, s.end)
-    wl = nb.walk_ccw(s.region, s.end, s.start)
+    wr = _stepped_walk(nb, s.region, s.start, s.end)
+    wl = _stepped_walk(nb, s.region, s.end, s.start)
     if wr.corners <= wl.corners:
         best, side = wr, RIGHT
     else:
@@ -180,7 +222,8 @@ def _classify_uncached(s: Snippet, nb: TieNeighbourhood) -> SnippetClass:
 
 def _classify_rect(s: Snippet, nb: TieNeighbourhood) -> SnippetClass:
     r = nb.regions[s.region]
-    la, lb = nb.locus_label(s.region, s.start), nb.locus_label(s.region, s.end)
+    la, lb = (_segment_label(nb, s.region, s.start),
+              _segment_label(nb, s.region, s.end))
     sa, sb = s.start[0], s.end[0]
     if r.kind == BRANCH:
         if {la, lb} == {T} and sa != sb:
@@ -243,7 +286,7 @@ def _slide_target(nb: TieNeighbourhood, region: int, locus: Locus,
 
     Returns (new locus, slid counter-clockwise?, crossed a region corner?).
     """
-    ci, pos = nb.locus_cycle(region, locus)
+    ci, pos = _locate(nb, region, locus)
     loci = nb.cycle_loci(region, ci)
     n = len(loci)
     if at_ccw_start:
@@ -259,10 +302,10 @@ def _hug_wind(nb: TieNeighbourhood, region: int, start: Locus, end: Locus,
     if nb.regions[region].kind != ANNULUS:
         return 0
     if dir_right:
-        hug = nb.walk_ccw(region, end, start)
+        hug = _stepped_walk(nb, region, end, start)
         sign = -1
     else:
-        hug = nb.walk_ccw(region, start, end)
+        hug = _stepped_walk(nb, region, start, end)
         sign = 1
     assert hug.between == (crossed,), "in-between snippet does not hug its edge"
     return sign * hug.corners
@@ -404,7 +447,7 @@ def _endpoints(nb, ri):
 
 def _windings(nb, ri):
     if nb.regions[ri].kind == ANNULUS:
-        n2 = nb.total_corners(ri, nb.polygon_cycle(ri))
+        n2 = _turn_corners(nb, ri)
         return range(-3 * n2 - 2, 3 * n2 + 3)
     return range(-1, 2)
 
@@ -525,40 +568,40 @@ def test_invalid_snippets_still_raise_on_a_warm_table(warm):
                                    Snippet(br, (0, 0), (2, 0), 1))), nb)
 
 
-def _stepped_walk(nb, ri, a, b):
-    """The walk from a to b found by stepping gap by gap."""
-    ci, p = nb.locus_cycle(ri, a)
-    loci = nb.cycle_loci(ri, ci)
-    corners = marks = 0
-    between = []
-    while loci[p] != b:
-        if nb.gap_is_corner(ri, ci, p):
-            corners += 1
-        else:
-            marks += 1
-        p = (p + 1) % len(loci)
-        between.append(loci[p])
-    return Walk(corners, marks, tuple(between[:-1]))
-
-
-def test_walks_equal_the_uncached_walk(warm):
+def test_valid_winds_equal_the_stepped_walks():
+    """On every annulus, for every ordered pair of polygon-cycle loci (a
+    same-locus pair included), `valid_winds` gives (m_r, m_l, n2): the
+    corners of the CCW walks start -> end and end -> start and of one turn,
+    found by stepping.  It gives None for a boundary endpoint and outside an
+    annulus."""
+    pairs = 0
     for name in FIXTURE_NAMES:
-        nb = warm[name]
+        nb = load_fixture(name)
         for ri, r in enumerate(nb.regions):
-            cycles = [nb.cycle_loci(ri, ci) for ci in range(len(r.cycles))]
-            pairs = [(a, b) for loci in cycles for a in loci for b in loci]
-            random.Random(f"{name}/{ri}").shuffle(pairs)
-            for a, b in pairs:
-                assert nb.walk_ccw(ri, a, b) == _stepped_walk(nb, ri, a, b), \
-                    (name, ri, a, b)
-            if len(cycles) > 1:
-                # loci on different cycles admit no walk, every time
-                for _ in range(2):
-                    with pytest.raises(BadInput):
-                        nb.walk_ccw(ri, cycles[0][0], cycles[1][0])
-            for _ in range(2):
-                with pytest.raises(BadInput):
-                    nb.walk_ccw(ri, (99, 0), cycles[0][0])
+            loci = _loci(nb, ri)
+            if r.kind != ANNULUS:
+                assert valid_winds(Snippet(ri, None, None), nb) is None
+                for a in loci:
+                    for b in loci:
+                        assert valid_winds(Snippet(ri, a, b), nb) is None
+                continue
+            n2 = _turn_corners(nb, ri)
+            assert valid_winds(Snippet(ri, None, None, n2), nb) == (0, 0, n2)
+            poly = nb.cycle_loci(ri, nb.polygon_cycle(ri))
+            for a in poly:
+                for b in poly:
+                    m_r = _stepped_walk(nb, ri, a, b).corners
+                    m_l = _stepped_walk(nb, ri, b, a).corners
+                    assert a == b or m_r + m_l == n2
+                    assert valid_winds(Snippet(ri, a, b), nb) == \
+                        (m_r, m_l, n2), (name, ri, a, b)
+                    pairs += 1
+            for off in set(loci) - set(poly):
+                assert nb.side_label(ri, off) == BOUNDARY
+                for other in loci:
+                    assert valid_winds(Snippet(ri, off, other), nb) is None
+                    assert valid_winds(Snippet(ri, other, off), nb) is None
+    assert pairs > 100, pairs
 
 
 def test_step_table_matches_the_cycles():
@@ -632,7 +675,7 @@ def test_snippet_is_an_immutable_value():
 # -- the curve/1 writer -------------------------------------------------------
 
 
-def _reference_text(curve, nb, track=None) -> str:
+def _reference_text(curve, nb) -> str:
     """curve/1 text as json.dumps writes it."""
     recs = []
     for s in curve.snippets:
@@ -645,15 +688,9 @@ def _reference_text(curve, nb, track=None) -> str:
     doc = {"format": "curve/1",
            "kind": "closed" if curve.kind == CLOSED else "arc",
            "snippets": recs}
-    name = track if track is not None else getattr(nb, "name", None)
-    if name is not None:
-        doc["track"] = name
+    if nb.name is not None:
+        doc["track"] = nb.name
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-@pytest.fixture(scope="module")
-def named():
-    return {name: load_fixture(name) for name in FIXTURE_NAMES}
 
 
 def _curve(nb, shape, seed, length):
@@ -675,33 +712,32 @@ def _curve(nb, shape, seed, length):
        shape=st.sampled_from(["closed", "arc", "doubled", "bounce", "power"]),
        seed=st.integers(0, 10**6), length=st.integers(2, 60),
        track=st.none() | st.text(max_size=12))
-def test_serialize_curve_matches_json_dumps(named, name, shape, seed, length,
-                                            track):
-    nb = named[name]
+def test_serialize_curve_matches_json_dumps(name, shape, seed, length, track):
+    """On a neighbourhood of the example's own, named `track` (or unnamed):
+    the text equals json.dumps's and parses back to the curve."""
+    nb = load_fixture(name)
+    nb.name = track
     try:
         curve = _curve(nb, shape, seed, length)
     except GenerationFailed:
         return
-    text = serialize_curve(curve, nb, track=track)
-    assert text == _reference_text(curve, nb, track)
-    if track in (None, name):
-        assert parse_curve(text, nb) == curve
+    text = serialize_curve(curve, nb)
+    assert text == _reference_text(curve, nb)
+    assert parse_curve(text, nb) == curve
 
 
-def test_serialize_curve_covers_windings_closed_snippets_and_no_track(named):
-    nb = named["t11"]
+def test_serialize_curve_covers_windings_closed_snippets_and_no_track():
+    nb = load_fixture("t11")
     f = _annuli(nb)[0]
     power = boundary_power(nb, f, -2)
     bounce = peripheral_bounce(nb, f, 3)
     assert power.snippets[0].closed and power.snippets[0].wind
     assert any(s.wind for s in bounce.snippets)
-    for curve in (power, bounce):
-        for track in (None, "t11", 'quo"teé'):
-            assert serialize_curve(curve, nb, track) == \
-                _reference_text(curve, nb, track)
+    for track in (None, "t11", 'quo"teé'):
+        nb.name = track
+        for curve in (power, bounce):
+            text = serialize_curve(curve, nb)
+            assert text == _reference_text(curve, nb)
+            assert ('"track"' in text) == (track is not None)
     with pytest.raises(BadInput):  # a curve has at least one snippet
         serialize_curve(Curve(ARC, ()), nb)
-    unnamed = load_fixture("t11")
-    unnamed.name = None
-    text = serialize_curve(bounce, unnamed)
-    assert '"track"' not in text and text == _reference_text(bounce, unnamed)

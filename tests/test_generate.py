@@ -17,18 +17,7 @@ from trackform.generate import (
     random_closed,
     trivial_loop,
 )
-from trackform.fixtures import load_fixture
 from trackform.snippet_core import classify
-
-
-@pytest.fixture(scope="module")
-def t11():
-    return load_fixture("t11")
-
-
-@pytest.fixture(scope="module")
-def s04():
-    return load_fixture("s04")
 
 
 def test_crossable_loci_excludes_boundary(t11):

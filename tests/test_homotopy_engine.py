@@ -31,11 +31,6 @@ from trackform.homotopy_engine import hom, push_window
 from trackform.snippet_core import TRIGON_GRAPH, Snippet, classify, fact_table
 
 
-@pytest.fixture(scope="module")
-def t11():
-    return load_fixture("t11")
-
-
 def _pushed(curve, window, wf, ev, nb):
     """The whole curve after a push, spliced by `WorkingCurve.apply`, the
     step runs and audits replay a push with."""

@@ -23,11 +23,6 @@ from trackform.snippet_core import Snippet
 from trackform.verification import audit_trace
 
 
-@pytest.fixture(scope="module")
-def t11():
-    return load_fixture("t11")
-
-
 def carried_loop() -> Curve:
     return Curve(CLOSED, (
         Snippet(0, (3, 0), (1, 0)),

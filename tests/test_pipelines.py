@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from trackform.curve_ops import (ARC, CLOSED, Curve, WorkingCurve, measure,
                                  validate_curve)
-from trackform.errors import BudgetExceeded
+from trackform.errors import BudgetExceeded, InconsistentSnippet
 from trackform.fixtures import FIXTURE_NAMES, load_fixture
 from trackform.generate import (
     boundary_power,
@@ -37,7 +37,7 @@ from trackform.generate import (
     random_closed,
     trivial_loop,
 )
-from trackform.homotopy_engine import hom
+from trackform.homotopy_engine import _push_recipe_uncached, hom
 from trackform.pipelines import (
     EFFICIENT,
     INSIDE_EFFICIENT,
@@ -53,29 +53,8 @@ from trackform.pipelines import (
     trig_curve,
 )
 from trackform.snippet_core import Snippet, classify, fact_table
-from trackform.track_model import ANNULUS
+from trackform.track_model import ANNULUS, BRANCH, SWITCH, H, T
 from trackform.verification import audit_trace
-
-
-@pytest.fixture(scope="module")
-def t11():
-    return load_fixture("t11")
-
-
-@pytest.fixture(scope="module")
-def s04():
-    return load_fixture("s04")
-
-
-@pytest.fixture(scope="module")
-def carried_loop(t11):
-    r = t11.region_id
-    return Curve(CLOSED, (
-        Snippet(r["br:a"], (3, 0), (1, 0)),
-        Snippet(r["sw:v1"], (1, 0), (3, 0)),
-        Snippet(r["br:b"], (1, 0), (3, 0)),
-        Snippet(r["sw:v0"], (3, 0), (1, 0)),
-    ))
 
 
 # --- hand-derived span algorithm oracles -----------------------------------
@@ -511,6 +490,51 @@ def test_run_bookkeeping_matches_a_scan_after_every_operation():
                     single_bad(run)
             ops |= run.ops
     assert ops == {"init", "hom", "rotate", "reverse", "open", "seam"}
+
+
+# --- What a wide R(h,h) push leaves at its window start -----------------------
+
+
+def test_wide_hor_bigon_push_starts_its_window_on_a_tie():
+    """`hor_bigon_comp` needs no early return for a B(h,h) or S(h,h,0) at
+    the window start after a wide push: that snippet is the previous one,
+    its end slid one step off a rectangle's horizontal segment, and both
+    step neighbours of every such segment are ties (not the cusp), so its
+    type has a t.  Checked on the step table and on every wide R(h,h)
+    recipe of the fixtures' locus space."""
+    h_loci = wide = 0
+    for name in FIXTURE_NAMES:
+        nb = load_fixture(name)
+        for ri, r in enumerate(nb.regions):
+            loci = nb.crossable_loci(ri)
+            if r.kind in (BRANCH, SWITCH):
+                for l in loci:
+                    if nb.side_label(ri, l) == H:
+                        cw, _, ccw, _ = nb._steps[ri][l]
+                        for m in (cw, ccw):  # (3, 1) is a switch's cusp
+                            assert nb.side_label(ri, m) == T and m != (3, 1), \
+                                (name, ri, l)
+                        h_loci += 1
+                continue
+            h = [l for l in loci if nb.side_label(ri, l) == H]
+            for a in h:
+                for b in h:
+                    for wind in range(-2, 3):
+                        s = Snippet(ri, a, b, wind)
+                        try:
+                            cls = classify(s, nb)
+                        except InconsistentSnippet:
+                            continue
+                        if cls.type != "R(h,h)" or cls.j == 0:
+                            continue
+                        rec = _push_recipe_uncached(s, nb)
+                        p_region, _ = rec.before
+                        assert nb.regions[p_region].kind in (BRANCH, SWITCH)
+                        assert nb.side_label(p_region, rec.new_end) == T
+                        assert rec.new_end != (3, 1)
+                        wide += 1
+    assert h_loci == 70, h_loci
+    assert wide > 0
 
 
 # --- Push-order invariance of the read-off ------------------------------------

@@ -29,11 +29,6 @@ from trackform.snippet_core import (
 
 
 @pytest.fixture(scope="module")
-def t11():
-    return load_fixture("t11")
-
-
-@pytest.fixture(scope="module")
 def t11d():
     return load_fixture("t11d")
 

@@ -120,6 +120,14 @@ def test_t11_face_word_pattern(tracks):
     assert face.sides[face.cycles[1][0]].label == BOUNDARY
 
 
+def _segment_label(nb, region, locus):
+    """The side label, with a switch rectangle's cusp segment (3,1) read as
+    vertical."""
+    if nb.regions[region].kind == SWITCH and locus == (3, 1):
+        return V
+    return nb.side_label(region, locus)
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_partner_involution_and_labels(tracks, name):
     nb = tracks[name]
@@ -134,7 +142,8 @@ def test_partner_involution_and_labels(tracks, name):
                 n_glued += 1
                 r2, l2 = pr
                 assert nb.partner(r2, l2) == (ri, (si, gi))
-                a, b = nb.locus_label(ri, (si, gi)), nb.locus_label(r2, l2)
+                a = _segment_label(nb, ri, (si, gi))
+                b = _segment_label(nb, r2, l2)
                 # gluings pair tie-to-tie and horizontal-to-horizontal and
                 # cusp(v)-to-v
                 if T in (a, b):
@@ -256,26 +265,25 @@ def test_vertex_table_matches_a_union_find(tracks, name):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_walks(tracks, name):
+    """The corners a boundary walk passes are read off its cycle's corner
+    prefix sums, which, over two turns, step up exactly at the gaps
+    `gap_is_corner` calls corners.  One turn passes four corners on a
+    rectangle and twice the cusp count on a face's polygon cycle."""
     nb = tracks[name]
     for ri, r in enumerate(nb.regions):
-        if r.kind not in (DISC, ANNULUS):
-            continue
-        ci = nb.polygon_cycle(ri)
-        loci = nb.cycle_loci(ri, ci)
-        # full walk from a locus to itself is empty; corners around the cycle
-        # equal twice the cusp count
-        w = nb.walk_ccw(ri, loci[0], loci[0])
-        assert (w.corners, w.marks, w.between) == (0, 0, ())
-        cusps = sum(1 for side in r.sides if side.label == V)
-        assert nb.total_corners(ri, ci) == 2 * cusps
-        # walk from first to second locus passes one gap, no loci between
-        w = nb.walk_ccw(ri, loci[0], loci[1])
-        assert w.corners + w.marks == 1 and w.between == ()
-        # complementary walks partition the gaps
-        a, b = loci[0], loci[3]
-        w1, w2 = nb.walk_ccw(ri, a, b), nb.walk_ccw(ri, b, a)
-        assert w1.corners + w2.corners == nb.total_corners(ri, ci)
-        assert len(w1.between) + len(w2.between) + 2 == len(loci)
+        for ci in range(len(r.cycles)):
+            n = len(nb.cycle_loci(ri, ci))
+            before = nb._corners_before[ri][ci]
+            assert len(before) == 2 * n + 1 and before[0] == 0
+            for p in range(2 * n):
+                assert before[p + 1] - before[p] == \
+                    nb.gap_is_corner(ri, ci, p), (ri, ci, p)
+            assert nb.total_corners(ri, ci) == before[n]
+        if r.kind in (DISC, ANNULUS):
+            cusps = sum(1 for side in r.sides if side.label == V)
+            assert nb.total_corners(ri, nb.polygon_cycle(ri)) == 2 * cusps
+        else:
+            assert nb.total_corners(ri, 0) == 4
 
 
 def test_track_round_trip():

@@ -30,16 +30,6 @@ from trackform.verification import (OracleVerdict, _Audit, audit_trace,
                                     oracle_agrees)
 
 
-@pytest.fixture(scope="module")
-def t11():
-    return load_fixture("t11")
-
-
-@pytest.fixture(scope="module")
-def s04():
-    return load_fixture("s04")
-
-
 def carried_loop(nb) -> Curve:
     return Curve(CLOSED, (
         Snippet(0, (3, 0), (1, 0)),
