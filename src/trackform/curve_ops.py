@@ -31,6 +31,7 @@ from .errors import AdjacencyError, BadInput, NotGluable
 from .snippet_core import (
     Snippet,
     SnippetFacts,
+    composed,
     fact_table,
     file_facts,
     reverse_snippet,
@@ -110,9 +111,9 @@ class WorkingCurve:
             self.kind = ARC
             self.orig_wind = snap[0].wind
             snap.append(snap[0])
-        else:  # seam
-            glued = glue_seam(self.freeze(), self.orig_wind, self.nb)
-            self.kind, self.snippets = glued.kind, list(glued.snippets)
+        else:  # seam: the two copies of the basepoint snippet become one
+            glued, _ = seam(snap, self.orig_wind, self.nb)
+            self.kind, self.snippets = CLOSED, [glued, *snap[1:-1]]
             self.orig_wind = None
         self._count(_facts_of(self.snippets, self.nb))
 
@@ -181,33 +182,22 @@ def reverse(curve: Curve) -> Curve:
     return Curve(curve.kind, tuple(reverse_snippet(s) for s in reversed(curve.snippets)))
 
 
-def glue_seam(arc: Curve, original_wind: int, nb: TieNeighbourhood) -> Curve:
-    """Close an arc that starts and ends inside two halves of one original
-    snippet: the first and last snippets merge into their common region,
-    keeping the slid endpoints of both and composing the windings.
-
-    original_wind is the winding the snippet had before its two copies'
-    endpoints were slid independently.
-
-    A length-1 arc means everything between the two halves collapsed; the
-    halves then close up into a single closed snippet whose winding is the
-    merged winding minus the duplicated original."""
-    if arc.kind != ARC or len(arc.snippets) < 1:
-        raise NotGluable("seam glue needs an arc of length >= 1")
-    if len(arc.snippets) == 1:
-        s = arc.snippets[0]
-        closed = Snippet(s.region, None, None, s.wind - original_wind)
-        out = Curve(CLOSED, (closed,))
-        validate_curve(out, nb)
-        return out
-    first, last = arc.snippets[0], arc.snippets[-1]
+def seam(snippets, original_wind: int, nb: TieNeighbourhood
+         ) -> tuple[Snippet, SnippetFacts]:
+    """The snippet that closes a curve opened inside one snippet of winding
+    `original_wind`, with its fact record: the first and last snippets, the
+    two halves, merge into their common region, keeping the slid endpoints
+    of both, with the halves' windings less the duplicated original
+    (`snippet_core.composed`).  A lone snippet means everything between the
+    halves collapsed, and it closes up into a closed snippet."""
+    first, last = snippets[0], snippets[-1]
+    if len(snippets) == 1:
+        return composed(first.region, None, None,
+                        first.wind - original_wind, nb)
     if first.region != last.region:
         raise NotGluable("seam halves lie in different regions")
-    seam = Snippet(first.region, last.start, first.end,
-                   last.wind + first.wind - original_wind)
-    out = Curve(CLOSED, (seam,) + arc.snippets[1:-1])
-    validate_curve(out, nb)
-    return out
+    return composed(first.region, last.start, first.end,
+                    last.wind + first.wind - original_wind, nb)
 
 
 def _facts_of(snippets, nb: TieNeighbourhood) -> list[SnippetFacts]:

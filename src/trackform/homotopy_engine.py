@@ -39,26 +39,27 @@ What depends on the neighbours is one step, `push_window(prev, bad, next)`,
 which reads those three snippets and nothing else and checks them every
 time: it looks up (or files) the recipe, the previous snippet must end and
 the next must start on the partners of the bad snippet's endpoints
-(`AdjacencyError` otherwise), a slid endpoint's winding moves only where
-windings count (`_wind_ok`), and both slid (or the merged) snippets are
-validated, which looks up (or files) their fact records.  It returns the
-replacement window with its fact records.  `hom` adds what depends on the
-curve: the position checks, the rotation of a closed curve whose window
-would wrap, and the push's own trace/1 fields; it rewrites a two-snippet
-closed curve, whose window is all of it, itself.  A run or an audit
-splices the window and its records into its working curve, so a push costs
-its window whatever the curve's length; the exhaustive oracle calls
-`push_window` directly, once per distinct triple of snippets it meets.
+(`AdjacencyError` otherwise), and the merged or slid snippets are built by
+`snippet_core.composed`, which keeps their composed winding only where
+windings count and looks up (or files) their fact records.  A two-snippet
+closed curve, whose window is all of it, is pushed by `push_two`: the same
+step with one snippet as both neighbours, then the window's ends glued by
+`curve_ops.seam`.  `hom` adds what depends on the curve: the position
+checks, the rotation of a closed curve whose window would wrap, and the
+push's own trace/1 fields.  A run or an audit splices the window and its
+records into its working curve, so a push costs its window whatever the
+curve's length; the exhaustive oracle calls the two steps directly,
+`push_window` once per distinct triple of snippets it meets.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .curve_ops import ARC, CLOSED, Curve
+from .curve_ops import ARC, CLOSED, Curve, seam
 from .errors import AdjacencyError, BadInput, ClosedSnippet, NotBad
 from .formats import Hom
 from .snippet_core import (RIGHT, Snippet, SnippetClass, SnippetFacts,
-                           classify, facts, file_facts)
+                           classify, composed, facts)
 from .track_model import ANNULUS, Locus, TieNeighbourhood
 
 # Weight of the cut-off walk for each rectangle bad type; complementary-region
@@ -68,16 +69,6 @@ EXPECTED_J: dict[str, set[int]] = {
     "S(v,v,0)": {0}, "B(h,t)": {1}, "S(h,t,1)": {1}, "S(t,v,1)": {1},
     "S(h,v,2)": {2}, "S(t,t,2)": {2}, "S(h,t,3)": {3}, "R(v,v)": {0},
 }
-
-
-def _wind_ok(nb: TieNeighbourhood, region: int, s: Snippet) -> bool:
-    """Does the snippet live where winding numbers are meaningful: in an
-    annulus, with neither endpoint on the surface boundary?"""
-    if nb.regions[region].kind != ANNULUS:
-        return False
-    # per locus: (cycle, position, label, on the surface boundary?)
-    info = nb._locus_info[region]
-    return not (info[s.start][3] or info[s.end][3])
 
 
 class PushRecipe(NamedTuple):
@@ -205,28 +196,10 @@ def push_window(prev: Snippet, a: Snippet, nxt: Snippet,
     fact records, and the push's recipe.  The recipe is looked up, or
     filed on a miss after checking that `a` is open (`ClosedSnippet`) and
     bad (`NotBad`, naming position `k`); then both neighbours must be
-    glued to `a` (`AdjacencyError`).  `hom` calls it for every push but
-    one on a two-snippet closed curve, whose window is all of the curve;
-    the exhaustive oracle calls it once per distinct triple it meets."""
-    rec, d_end, d_start = _glued(prev, a, nxt, k, nb)
-    if rec.j == 0:
-        merged = Snippet(prev.region, prev.start, nxt.end, prev.wind + nxt.wind)
-        return (merged,), (facts(merged, nb),), rec
-    slid_prev = Snippet(prev.region, prev.start, rec.new_end, prev.wind + d_end)
-    slid_next = Snippet(nxt.region, rec.new_start, nxt.end, nxt.wind + d_start)
-    # their fact records: one lookup each, and a miss files the record
-    get = nb._classify_cache.get
-    return ((slid_prev, *rec.inners, slid_next),
-            (get(slid_prev) or file_facts(slid_prev, nb), *rec.inner_facts,
-             get(slid_next) or file_facts(slid_next, nb)), rec)
-
-
-def _glued(prev: Snippet, a: Snippet, nxt: Snippet, k: int,
-           nb: TieNeighbourhood) -> tuple[PushRecipe, int, int]:
-    """The recipe of pushing `a`, filed on a miss, once both neighbours are
-    checked glued to it, with the winding changes of the two slid
-    neighbours: a slid endpoint's winding moves where it crosses a corner
-    of an annulus."""
+    glued to `a` (`AdjacencyError`).  The merged snippet (j = 0) or the two
+    slid ones are `composed`.  `hom` calls it for every push, through
+    `push_two` on a two-snippet closed curve; the exhaustive oracle calls
+    it once per distinct triple it meets."""
     rec = nb._push_recipes.get(a)
     if rec is None:  # recipes are filed for open bad snippets only
         if a.closed:
@@ -239,10 +212,36 @@ def _glued(prev: Snippet, a: Snippet, nxt: Snippet, k: int,
         raise AdjacencyError("previous snippet is not glued to the bad one")
     if (nxt.region, nxt.start) != rec.after:
         raise AdjacencyError("next snippet is not glued to the bad one")
-    d_end = rec.d_end if rec.d_end and _wind_ok(nb, prev.region, prev) else 0
-    d_start = (rec.d_start if rec.d_start and _wind_ok(nb, nxt.region, nxt)
-               else 0)
-    return rec, d_end, d_start
+    if rec.j == 0:
+        merged, f = composed(prev.region, prev.start, nxt.end,
+                             prev.wind + nxt.wind, nb)
+        return (merged,), (f,), rec
+    slid_prev, f_prev = composed(prev.region, prev.start, rec.new_end,
+                                 prev.wind + rec.d_end, nb)
+    slid_next, f_next = composed(nxt.region, rec.new_start, nxt.end,
+                                 nxt.wind + rec.d_start, nb)
+    return ((slid_prev, *rec.inners, slid_next),
+            (f_prev, *rec.inner_facts, f_next), rec)
+
+
+def push_two(prev: Snippet, a: Snippet, nb: TieNeighbourhood, k: int = 1
+             ) -> tuple[tuple[Snippet, ...], tuple[SnippetFacts, ...],
+                        PushRecipe]:
+    """Push the bad snippet `a` at position `k` of the two-snippet closed
+    curve (`prev`, `a`): `push_window` with `prev` as both neighbours, then
+    the window's two ends, the halves of `prev`, glued at the seam
+    (`curve_ops.seam`).  The window is the whole pushed curve, laid out by
+    position: the in-between snippets stand where `a` was (position k) and
+    the glued survivor at k - 1.  `hom` and the exhaustive oracle both push
+    a two-snippet closed curve with it."""
+    window, wf, rec = push_window(prev, a, prev, nb, k)
+    s, f = seam(window, prev.wind, nb)
+    window, wf = (s, *window[1:-1]), (f, *wf[1:-1])
+    r0 = (k - 1) % len(window)
+    if r0:
+        window = window[-r0:] + window[:-r0]
+        wf = wf[-r0:] + wf[:-r0]
+    return window, wf, rec
 
 
 def hom(curve: Curve, k: int, nb: TieNeighbourhood
@@ -265,8 +264,8 @@ def hom(curve: Curve, k: int, nb: TieNeighbourhood
     rewritten.  On closed curves any position works; if the three-snippet
     window would wrap, the curve is taken as first rotated so it does not,
     and the rotation is recorded.  The window and its records come from
-    `push_window` on the bad snippet and its two neighbours, except on a
-    two-snippet closed curve, which `hom` rewrites whole.
+    `push_window` on the bad snippet and its two neighbours, or from
+    `push_two` on a two-snippet closed curve.
     """
     snap = curve.snippets
     n = len(snap)
@@ -278,39 +277,13 @@ def hom(curve: Curve, k: int, nb: TieNeighbourhood
         k %= n
     prev, a, nxt = snap[(k - 1) % n], snap[k], snap[(k + 1) % n]
     if curve.kind == CLOSED and n == 2:
-        return _hom_two(prev, a, k, nb)
-
-    window, wf, rec = push_window(prev, a, nxt, nb, k)
+        window, wf, rec = push_two(prev, a, nb, k)
+    else:
+        window, wf, rec = push_window(prev, a, nxt, nb, k)
     rotation = 0
     if curve.kind == CLOSED and n >= 3 and (k == 0 or k == n - 1):
         rotation = (k - 1) % n
         k = 1
-    cls, j = rec.cls, rec.j
-    if j == 0:
-        return window, wf, Hom(k, rotation, cls.type, cls.turn, 0,
-                               [n, n - 2], [max(k - 1, 0), 1])
-    return window, wf, Hom(k, rotation, cls.type, cls.turn, j,
-                           [n, n + j - 2], [k - 1, j + 1])
-
-
-def _hom_two(prev: Snippet, a: Snippet, k: int, nb: TieNeighbourhood
-             ) -> tuple[tuple[Snippet, ...], tuple[SnippetFacts, ...], Hom]:
-    """`hom` on a two-snippet closed curve: `prev` is both neighbours of
-    `a`, and the window is the whole pushed curve."""
-    rec, d_end, d_start = _glued(prev, a, prev, k, nb)
-    cls, j = rec.cls, rec.j
-    if j == 0:
-        merged = Snippet(prev.region, None, None, prev.wind)
-        return ((merged,), (facts(merged, nb),),
-                Hom(k, 0, cls.type, cls.turn, 0, [2, 1], [0, 1]))
-    slid = Snippet(prev.region, rec.new_start, rec.new_end,
-                   prev.wind + d_end + d_start)
-    # Keep positional semantics: the in-between snippets stand where the
-    # rewritten snippet was (position k), the slid survivor at k - 1.
-    window = (slid, *rec.inners)
-    wf = (facts(slid, nb), *rec.inner_facts)
-    r0 = (k - 1) % j
-    if r0:
-        window = window[-r0:] + window[:-r0]
-        wf = wf[-r0:] + wf[:-r0]
-    return window, wf, Hom(k, 0, cls.type, cls.turn, j, [2, j], [0, j])
+    m = len(window)
+    return window, wf, Hom(k, rotation, rec.cls.type, rec.cls.turn, rec.j,
+                           [n, n - min(n, 3) + m], [max(k - 1, 0), m])

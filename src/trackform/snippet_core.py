@@ -126,10 +126,11 @@ def reverse_snippet(s: Snippet) -> Snippet:
 
 
 def valid_winds(s: Snippet, nb: TieNeighbourhood) -> tuple[int, int, int] | None:
-    """For an annulus snippet off the surface boundary: (m_r, m_l, n2) with
-    valid windings {m_r + n2*d} and {-(m_l + n2*d)} for d >= 0; same-locus
-    endpoints admit every multiple of n2.  None when windings are forced 0."""
-    if nb.regions[s.region].kind != ANNULUS:
+    """Where windings count (`_winds_count`): (m_r, m_l, n2) with valid
+    windings {m_r + n2*d} and {-(m_l + n2*d)} for d >= 0; closed and
+    same-locus snippets admit every multiple of n2.  None where windings
+    are forced 0."""
+    if not _winds_count(s.region, s.start, s.end, nb):
         return None
     before = nb._corners_before[s.region][nb.polygon_cycle(s.region)]
     n = len(before) // 2
@@ -137,10 +138,7 @@ def valid_winds(s: Snippet, nb: TieNeighbourhood) -> tuple[int, int, int] | None
     if s.closed:
         return (0, 0, n2)
     info = nb._locus_info[s.region]
-    _, pa, _, a_off = info[s.start]
-    _, pb, _, b_off = info[s.end]
-    if a_off or b_off:
-        return None
+    pa, pb = info[s.start][1], info[s.end][1]
     if pa == pb:
         return (0, 0, n2)
     # the corners of the CCW walk a -> b, as `_classify_uncached` finds c_r
@@ -179,6 +177,31 @@ def file_facts(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
 
 def classify(s: Snippet, nb: TieNeighbourhood) -> SnippetClass:
     return facts(s, nb).cls
+
+
+def composed(region: int, start: Locus | None, end: Locus | None, wind: int,
+             nb: TieNeighbourhood) -> tuple[Snippet, SnippetFacts]:
+    """The snippet a push or a seam builds from a region, two endpoints and
+    the winding its parts compose, with its fact record (looked up, or
+    filed on a miss).  The winding is kept where windings count and is 0
+    elsewhere: a boundary endpoint slides along its boundary component,
+    which unwinds any turn round the core."""
+    if wind and not _winds_count(region, start, end, nb):
+        wind = 0
+    s = Snippet(region, start, end, wind)
+    return s, nb._classify_cache.get(s) or file_facts(s, nb)
+
+
+def _winds_count(region: int, start: Locus | None, end: Locus | None,
+                 nb: TieNeighbourhood) -> bool:
+    """Do windings count for a snippet with these endpoints: is it in an
+    annulus, and closed or with no endpoint on the surface boundary?"""
+    if nb.regions[region].kind != ANNULUS:
+        return False
+    if start is None:
+        return True
+    info = nb._locus_info[region]
+    return not (info[start][3] or info[end][3])
 
 
 def _classify_uncached(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:

@@ -53,7 +53,7 @@ from .curve_ops import (CLOSED, Curve, WorkingCurve, measure,
                         validate_curve)
 from .errors import AuditFailure, BadInput, NotApplicable, TrackformError
 from .formats import _OWN, Hom, trace_record
-from .homotopy_engine import EXPECTED_J, hom, push_window
+from .homotopy_engine import EXPECTED_J, hom, push_two, push_window
 from .snippet_core import TRIGON_GRAPH, TRIGON_TYPES, Snippet, SnippetFacts
 # Nothing here calls `classify` any more, but perfbench's tracer wraps this
 # module attribute, so it stays.
@@ -425,9 +425,10 @@ class _IdTable:
 
     def push_two(self, cur: tuple[int, ...], k: int
                  ) -> tuple[tuple[int, ...], int]:
-        """A push on a two-snippet closed curve, whose window is the child."""
-        c = Curve(CLOSED, tuple([self.snippets[i] for i in cur]))
-        window, wf, _ = hom(c, k, self.nb)
+        """A push on a two-snippet closed curve, whose window is the child
+        (`push_two`, the step `hom` takes it from)."""
+        snap = self.snippets
+        window, wf, _ = push_two(snap[cur[k - 1]], snap[cur[k]], self.nb, k)
         return self.intern(window, wf)
 
 
@@ -470,7 +471,8 @@ def exhaustive_oracle(curve: Curve, nb: TieNeighbourhood,
     a state cap, is that of a search over whole curves.  Only the window
     can pass the winding cap.  A closed curve is keyed by its least
     rotation.  A two-snippet closed curve, whose push rewrites all of it,
-    is pushed by `hom` on the curve, and the window is the child.
+    is pushed by `push_two`, the step `hom` takes it from, and the window
+    is the child.
     Curves of up to 12 snippets take 0.1 ms to under 0.2 s; an 18-snippet
     curve of tens of thousands of states takes 0.6 to 1 s (2-vCPU VM)."""
     if cap_states < 1:

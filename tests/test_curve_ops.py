@@ -14,14 +14,14 @@ from trackform.curve_ops import (
     ARC,
     CLOSED,
     Curve,
-    glue_seam,
     is_blocker,
     measure,
     reverse,
+    seam,
     validate_curve,
 )
 from trackform.errors import AdjacencyError, BadInput, NotGluable
-from trackform.snippet_core import Snippet
+from trackform.snippet_core import Snippet, facts
 
 
 @pytest.fixture(scope="module")
@@ -93,11 +93,12 @@ def test_concat_reverse_glue(t11, carried_loop):
     validate_curve(rc, t11)
     assert reverse(rc) == c
     # seam gluing joins the two copies of the first snippet into one again
-    opened = Curve(ARC, c.snippets + c.snippets[:1])
-    seamed = glue_seam(opened, opened.snippets[0].wind, t11)
-    assert seamed == Curve(CLOSED, c.snippets)
+    opened = c.snippets + c.snippets[:1]
+    glued, rec = seam(opened, opened[0].wind, t11)
+    assert (glued, *opened[1:-1]) == c.snippets
+    assert rec is facts(glued, t11)
     with pytest.raises(NotGluable):
-        glue_seam(c, 0, t11)  # a closed curve has no seam to glue
+        seam(c.snippets, 0, t11)  # its ends lie in different regions
 
 
 def test_measure_additivity(t11, carried_loop):

@@ -26,9 +26,12 @@ from trackform.curve_ops import (ARC, CLOSED, Curve, WorkingCurve, reverse,
 from trackform.errors import (AdjacencyError, BadInput, ClosedSnippet,
                               GenerationFailed, NotBad, TrackformError)
 from trackform.fixtures import FIXTURE_NAMES, load_fixture
+from trackform.formats import Hom
 from trackform.generate import random_arc, random_closed, trivial_loop
-from trackform.homotopy_engine import hom, push_window
-from trackform.snippet_core import TRIGON_GRAPH, Snippet, classify, fact_table
+from trackform.homotopy_engine import _push_recipe_uncached, hom, push_window
+from trackform.snippet_core import (TRIGON_GRAPH, Snippet, classify, fact_table,
+                                   facts)
+from trackform.track_model import ANNULUS
 
 
 def _pushed(curve, window, wf, ev, nb):
@@ -389,3 +392,88 @@ def test_push_window_is_homs_window_step(named, name):
         == (ClosedSnippet, "cannot rewrite a closed snippet")
     assert pushed > 50 and refused > 50 and unglued > 50, \
         (pushed, refused, unglued)
+
+
+def _reference_two(prev, a, k, nb):
+    """`hom` on the two-snippet closed curve (prev, a), worked out as it
+    was before its window came from `push_window`: one survivor with both
+    of `prev`'s endpoints slid and both winding changes added where
+    windings count (or, j = 0, the closed snippet of `prev`'s winding),
+    then the in-between snippets, rotated so they stand at position k."""
+    if a.closed:
+        raise ClosedSnippet("cannot rewrite a closed snippet")
+    cls = classify(a, nb)
+    if not cls.bad:
+        raise NotBad(f"snippet at {k} is {cls.verdict}, not bad")
+    rec = _push_recipe_uncached(a, nb, cls)
+    if (prev.region, prev.end) != rec.before:
+        raise AdjacencyError("previous snippet is not glued to the bad one")
+    if (prev.region, prev.start) != rec.after:
+        raise AdjacencyError("next snippet is not glued to the bad one")
+    j = rec.j
+    if j == 0:
+        merged = Snippet(prev.region, None, None, prev.wind)
+        return ((merged,), (facts(merged, nb),),
+                Hom(k, 0, cls.type, cls.turn, 0, [2, 1], [0, 1]))
+    info = nb._locus_info[prev.region]
+    counts = (nb.regions[prev.region].kind == ANNULUS
+              and not (info[prev.start][3] or info[prev.end][3]))
+    wind = prev.wind + (rec.d_end + rec.d_start if counts else 0)
+    slid = Snippet(prev.region, rec.new_start, rec.new_end, wind)
+    window, wf = (slid, *rec.inners), (facts(slid, nb), *rec.inner_facts)
+    r0 = (k - 1) % j
+    if r0:
+        window, wf = window[-r0:] + window[:-r0], wf[-r0:] + wf[:-r0]
+    return window, wf, Hom(k, 0, cls.type, cls.turn, j, [2, j], [0, j])
+
+
+def _two_snippet_curves(nb, turns=range(-8, 9)):
+    """Every valid two-snippet closed curve with windings in `turns`."""
+    for r0 in range(len(nb.regions)):
+        for a in nb.crossable_loci(r0):
+            for b in nb.crossable_loci(r0):
+                r1, start = nb.partner(r0, b)
+                back, end = nb.partner(r0, a)
+                if back != r1:
+                    continue
+                for w0 in turns:
+                    for w1 in turns:
+                        curve = Curve(CLOSED, (Snippet(r0, a, b, w0),
+                                               Snippet(r1, start, end, w1)))
+                        try:
+                            validate_curve(curve, nb)
+                        except TrackformError:
+                            continue
+                        yield curve
+
+
+# pushes of bad snippets, and positions refused, per fixture
+_TWO_PUSHES = {"t11": (248, 304), "t11d": (292, 156), "s04": (528, 384),
+               "s12": (376, 344)}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_push_two_keeps_the_two_snippet_arithmetic(name):
+    """At both positions of every valid two-snippet closed curve with
+    windings -8..8, `hom` (through `push_two`: `push_window` with `prev` as
+    both neighbours, then the seam) gives the window, fact records and
+    `Hom` record of the former direct arithmetic, or raises the same
+    error."""
+    nb = load_fixture(name)
+    counts = [0, 0]
+    for curve in _two_snippet_curves(nb):
+        for k in (0, 1):
+            prev, a = curve.snippets[k - 1], curve.snippets[k]
+            want = _raised_or(_reference_two, prev, a, k, nb)
+            assert _raised_or(hom, curve, k, nb) == want, (curve, k)
+            counts[isinstance(want[0], type)] += 1
+    assert tuple(counts) == _TWO_PUSHES[name]
+
+
+def _raised_or(fn, *args):
+    """What the call returns, or the class and message of the
+    `TrackformError` it raises."""
+    try:
+        return fn(*args)
+    except TrackformError as exc:
+        return type(exc), str(exc)

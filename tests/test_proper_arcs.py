@@ -111,8 +111,9 @@ def test_smallest_one_ended_arc_merges_onto_the_boundary(name):
                       Snippet(face, b, out, 0)))
     assert nb.partner(face, out) is None
     res = _checked(arc, nb)
-    # the merge keeps the fixed end and the boundary end, winding 0
-    assert res.status == SINGLE_SNIPPET
+    # the bounce merges the two face snippets into one from the fixed end
+    # to the boundary end, winding 0: a dual strip, so efficient
+    assert res.status == EFFICIENT
     assert res.curve.snippets == (Snippet(face, a, out, 0),)
 
 
