@@ -65,12 +65,11 @@ def _step(nb: TieNeighbourhood, region: int, start: Locus,
 
 def random_arc(nb: TieNeighbourhood, rng: random.Random, length: int,
                proper: bool = False) -> Curve:
-    """A random arc of the requested snippet length.
-
-    With ``proper=True`` the endpoints are placed on the surface boundary
-    (requires a track whose complement meets the boundary); otherwise they
-    sit on interior tiling edges.
-    """
+    """A random arc of the requested snippet length, its endpoints on
+    interior tiling edges.  With ``proper=True`` both lie on the surface
+    boundary (the track's complement must meet it): after ``length - 1``
+    free steps the walk crosses to the nearest face meeting the boundary,
+    so the arc can be longer than requested, and ends on its boundary."""
     if length < 1:
         raise BadInput("arc length must be >= 1")
     # each boundary side is one segment
@@ -80,20 +79,32 @@ def random_arc(nb: TieNeighbourhood, rng: random.Random, length: int,
     starts = on_boundary if proper else [
         (r, l) for r in range(len(nb.regions)) for l in nb.crossable_loci(r)]
     region, start = rng.choice(starts)
+    hops = _hops_to(nb, nb.component_of) if proper else None
     snippets: list[Snippet] = []
-    for i in range(length):
-        # a proper arc ends on the boundary if its last region meets it
-        last = proper and i == length - 1
-        pool = [l for r, l in on_boundary if r == region] if last else None
+    while len(snippets) < length - 1 or proper and hops[region]:
+        pool = None if len(snippets) < length - 1 else [
+            l for l in nb.crossable_loci(region)
+            if hops[nb.partner(region, l)[0]] < hops[region]]
         s = _step(nb, region, start, rng, end_pool=pool)
         snippets.append(s)
-        if i < length - 1:
-            nxt = nb.partner(s.region, s.end)
-            assert nxt is not None
-            region, start = nxt
+        region, start = nb.partner(s.region, s.end)
+    pool = [l for r, l in on_boundary if r == region] if proper else None
+    snippets.append(_step(nb, region, start, rng, end_pool=pool))
     arc = Curve(ARC, tuple(snippets))
     validate_curve(arc, nb)
     return arc
+
+
+def _hops_to(nb: TieNeighbourhood, targets) -> dict[int, int]:
+    """Each region's fewest crossings to one of the target regions."""
+    hops, queue = dict.fromkeys(targets, 0), list(targets)
+    for region in queue:  # breadth first
+        for l in nb.crossable_loci(region):
+            far = nb.partner(region, l)[0]
+            if far not in hops:
+                hops[far] = hops[region] + 1
+                queue.append(far)
+    return hops
 
 
 def random_closed(nb: TieNeighbourhood, rng: random.Random,

@@ -554,8 +554,7 @@ def terminal_summary(result: Result, nb: TieNeighbourhood) -> dict:
         n2 = nb.total_corners(s.region, nb.polygon_cycle(s.region))
         info["class"] = "peripheral"
         info["power"] = s.wind // n2
-        info["boundary"] = nb.boundary_components.index(
-            (s.region, nb.boundary_side(s.region)))
+        info["boundary"] = nb.component_of[s.region]
     else:
         info["class"] = "inessential"
     return info

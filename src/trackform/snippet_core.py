@@ -126,10 +126,9 @@ def reverse_snippet(s: Snippet) -> Snippet:
 
 
 def valid_winds(s: Snippet, nb: TieNeighbourhood) -> tuple[int, int, int] | None:
-    """Where windings count (`_winds_count`): (m_r, m_l, n2) with valid
-    windings {m_r + n2*d} and {-(m_l + n2*d)} for d >= 0; closed and
-    same-locus snippets admit every multiple of n2.  None where windings
-    are forced 0."""
+    """Where windings count: (m_r, m_l, n2) with valid windings {m_r + n2*d}
+    and {-(m_l + n2*d)} for d >= 0; closed and same-locus snippets admit
+    every multiple of n2.  None where windings are forced 0."""
     if not _winds_count(s.region, s.start, s.end, nb):
         return None
     before = nb._corners_before[s.region][nb.polygon_cycle(s.region)]

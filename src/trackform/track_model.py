@@ -220,6 +220,9 @@ class TieNeighbourhood:
             for si, s in enumerate(r.sides)
             if s.label == BOUNDARY
         )
+        # each annulus's boundary component: its index in the tuple above
+        self.component_of = {ri: k for k, (ri, _) in
+                             enumerate(self.boundary_components)}
 
     # -- basic navigation ---------------------------------------------------
 
@@ -257,11 +260,8 @@ class TieNeighbourhood:
         return self._crossable[region]
 
     def boundary_side(self, region: int) -> int | None:
-        r = self.regions[region]
-        for si, s in enumerate(r.sides):
-            if s.label == BOUNDARY:
-                return si
-        return None
+        k = self.component_of.get(region)
+        return None if k is None else self.boundary_components[k][1]
 
     def total_corners(self, region: int, ci: int) -> int:
         before = self._corners_before[region][ci]  # two turns: 2n + 1 entries

@@ -425,8 +425,7 @@ class _IdTable:
 
     def push_two(self, cur: tuple[int, ...], k: int
                  ) -> tuple[tuple[int, ...], int]:
-        """A push on a two-snippet closed curve, whose window is the child
-        (`push_two`, the step `hom` takes it from)."""
+        """A push on a two-snippet closed curve: `push_two`'s window."""
         snap = self.snippets
         window, wf, _ = push_two(snap[cur[k - 1]], snap[cur[k]], self.nb, k)
         return self.intern(window, wf)
@@ -471,8 +470,7 @@ def exhaustive_oracle(curve: Curve, nb: TieNeighbourhood,
     a state cap, is that of a search over whole curves.  Only the window
     can pass the winding cap.  A closed curve is keyed by its least
     rotation.  A two-snippet closed curve, whose push rewrites all of it,
-    is pushed by `push_two`, the step `hom` takes it from, and the window
-    is the child.
+    is pushed by `push_two`, as `hom` pushes it; the window is the child.
     Curves of up to 12 snippets take 0.1 ms to under 0.2 s; an 18-snippet
     curve of tens of thousands of states takes 0.6 to 1 s (2-vCPU VM)."""
     if cap_states < 1:

@@ -370,8 +370,7 @@ def test_criterion_6_trichotomy(tracks):
             suite.append((doubled_back(nb, rng, rng.randrange(1, 5)),
                           "inessential", {}))
         for ri in annuli:
-            comp = nb.boundary_components.index(
-                (ri, nb.boundary_side(ri)))
+            comp = nb.component_of[ri]
             for k in (1, 2, 3):
                 suite.append((boundary_power(nb, ri, k), "peripheral",
                               {"power": k, "component": comp}))
@@ -403,9 +402,7 @@ def test_criterion_6_trichotomy(tracks):
                     notes.append(f"{name}: trivial input -> {res.status}")
             else:
                 s_out = res.curve.snippets[0]
-                comp_out = nb.boundary_components.index(
-                    (s_out.region, nb.boundary_side(s_out.region))) \
-                    if nb.regions[s_out.region].kind == ANNULUS else None
+                comp_out = nb.component_of.get(s_out.region)
                 if res.status != SINGLE_SNIPPET or \
                         info["class"] != "peripheral" or \
                         info["power"] != want["power"] or \

@@ -9,6 +9,7 @@ import pytest
 
 from trackform.curve_ops import ARC, CLOSED, validate_curve
 from trackform.errors import BadInput
+from trackform.fixtures import FIXTURE_NAMES, load_fixture
 from trackform.generate import (
     boundary_power,
     doubled_back,
@@ -34,6 +35,36 @@ def test_random_arc_valid_and_deterministic(t11):
     validate_curve(a1, t11)
     a3 = random_arc(t11, random.Random(8), 12)
     assert a1 != a3
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_proper_random_arcs_end_on_the_boundary(name):
+    """Both ends of every proper arc lie on the surface boundary; the arc
+    is at least as long as requested, and the walk steers only after its
+    free steps, so no arc is longer than it needs to reach a boundary
+    face."""
+    nb = load_fixture(name)
+    longest = 0
+    for seed in range(500):
+        length = 1 + seed % 30
+        arc = random_arc(nb, random.Random(seed), length, proper=True)
+        first, last = arc.snippets[0], arc.snippets[-1]
+        assert nb.partner(first.region, first.start) is None, seed
+        assert nb.partner(last.region, last.end) is None, seed
+        assert len(arc.snippets) >= length
+        longest = max(longest, len(arc.snippets) - length)
+    assert 0 < longest <= _most_hops(nb)
+
+
+def _most_hops(nb) -> int:
+    """The most crossings from any region to a face meeting the boundary,
+    found by growing the set of regions reached one crossing at a time."""
+    reached, hops = set(nb.component_of), 0
+    while len(reached) < len(nb.regions):
+        reached |= {nb.partner(r, l)[0] for r in reached
+                    for l in nb.crossable_loci(r)}
+        hops += 1
+    return hops
 
 
 def test_random_closed_valid_and_deterministic(t11):

@@ -23,15 +23,6 @@ from trackform.snippet_core import Snippet
 from trackform.verification import audit_trace
 
 
-def carried_loop() -> Curve:
-    return Curve(CLOSED, (
-        Snippet(0, (3, 0), (1, 0)),
-        Snippet(4, (1, 0), (3, 0)),
-        Snippet(1, (1, 0), (3, 0)),
-        Snippet(3, (3, 0), (1, 0)),
-    ))
-
-
 # -- track round-trip -------------------------------------------------------
 
 
@@ -46,8 +37,8 @@ def test_track_round_trip_is_canonical():
 # -- curve format -----------------------------------------------------------
 
 
-def test_curve_round_trip(t11):
-    c = carried_loop()
+def test_curve_round_trip(t11, carried_loop):
+    c = carried_loop
     text = serialize_curve(c, t11)
     back = parse_curve(text, t11)
     assert back.kind == c.kind and back.snippets == c.snippets
@@ -85,13 +76,13 @@ def test_curve_bytes_are_frozen(t11):
     assert parse_curve(expected, t11).snippets == c.snippets
 
 
-def test_curve_wind_zero_omitted(t11):
-    text = serialize_curve(carried_loop(), t11)
+def test_curve_wind_zero_omitted(t11, carried_loop):
+    text = serialize_curve(carried_loop, t11)
     assert '"wind"' not in text
 
 
-def test_parse_curve_rejects_broken_chain(t11):
-    doc = json.loads(serialize_curve(carried_loop(), t11))
+def test_parse_curve_rejects_broken_chain(t11, carried_loop):
+    doc = json.loads(serialize_curve(carried_loop, t11))
     doc["snippets"][1], doc["snippets"][2] = (doc["snippets"][2],
                                               doc["snippets"][1])
     with pytest.raises(AdjacencyError) as err:
@@ -114,24 +105,24 @@ def test_parse_curve_rejects_garbage(t11):
                     ' "snippets": [{}]}', t11)
 
 
-def test_parse_curve_rejects_booleans(t11):
+def test_parse_curve_rejects_booleans(t11, carried_loop):
     for key, value in (("start", [False, False]), ("wind", True)):
-        doc = json.loads(serialize_curve(carried_loop(), t11))
+        doc = json.loads(serialize_curve(carried_loop, t11))
         doc["snippets"][0][key] = value
         with pytest.raises(ParseError):
             parse_curve(json.dumps(doc), t11)
 
 
-def test_parse_curve_rejects_unknown_region(t11):
-    doc = json.loads(serialize_curve(carried_loop(), t11))
+def test_parse_curve_rejects_unknown_region(t11, carried_loop):
+    doc = json.loads(serialize_curve(carried_loop, t11))
     doc["snippets"][0]["region"] = "br:zz"
     with pytest.raises(ParseError) as err:
         parse_curve(json.dumps(doc), t11)
     assert "br:zz" in str(err.value)
 
 
-def test_parse_curve_rejects_wrong_track(t11):
-    doc = json.loads(serialize_curve(carried_loop(), t11))
+def test_parse_curve_rejects_wrong_track(t11, carried_loop):
+    doc = json.loads(serialize_curve(carried_loop, t11))
     doc["track"] = "s04"
     with pytest.raises(ParseError) as err:
         parse_curve(json.dumps(doc), t11)

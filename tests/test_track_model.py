@@ -83,6 +83,10 @@ def test_counts(tracks, name):
     assert kinds.count(SWITCH) * 3 == kinds.count(BRANCH) * 2
     assert nb.s_N == exp["s_N"]
     assert len(nb.boundary_components) == exp["annuli"]
+    # each annulus's component is the one its boundary side lies on
+    assert nb.component_of == {
+        ri: nb.boundary_components.index((ri, nb.boundary_side(ri)))
+        for ri, r in enumerate(nb.regions) if r.kind == ANNULUS}
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

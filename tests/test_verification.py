@@ -30,15 +30,6 @@ from trackform.verification import (OracleVerdict, _Audit, audit_trace,
                                     oracle_agrees)
 
 
-def carried_loop(nb) -> Curve:
-    return Curve(CLOSED, (
-        Snippet(0, (3, 0), (1, 0)),
-        Snippet(4, (1, 0), (3, 0)),
-        Snippet(1, (1, 0), (3, 0)),
-        Snippet(3, (3, 0), (1, 0)),
-    ))
-
-
 def chase_arc(nb) -> Curve:
     # interior B(h,t) at 1 followed by S(h,v,2)-producing chase; see the
     # pipeline oracles for its full resolution
@@ -53,8 +44,8 @@ def chase_arc(nb) -> Curve:
 # -- check_efficient --------------------------------------------------------
 
 
-def test_checker_passes_carried_loop(t11):
-    rep = check_efficient(carried_loop(t11), t11)
+def test_checker_passes_carried_loop(t11, carried_loop):
+    rep = check_efficient(carried_loop, t11)
     assert rep.ok
     assert rep.first_failure is None
     assert rep.verdicts == (True, True, True, True)
@@ -740,8 +731,8 @@ def test_oracle_trivial_pair_reaches_single(t11):
     assert oracle_agrees(v, res.status)
 
 
-def test_oracle_on_efficient_input(t11):
-    c = carried_loop(t11)
+def test_oracle_on_efficient_input(t11, carried_loop):
+    c = carried_loop
     v = exhaustive_oracle(c, t11)
     assert v.conclusive and v.efficient_reachable and not v.single_reachable
     assert oracle_agrees(v, EFFICIENT)
@@ -929,11 +920,11 @@ def reference_oracle(curve: Curve, nb, max_len: int | None = None,
     return OracleVerdict(True, efficient_found, single_found, states)
 
 
-def _oracle_test_searches(t11, s04):
+def _oracle_test_searches(t11, s04, carried_loop):
     """(neighbourhood, curve, state cap) of each search the oracle tests
     above make."""
     yield t11, _trivial_pair(), 50_000
-    yield t11, carried_loop(t11), 50_000
+    yield t11, carried_loop, 50_000
     yield t11, doubled_back(t11, random.Random(3), 4), 2
     for nb, _, c in _random_closed_inputs(t11, s04):
         yield nb, c, 30000
@@ -944,7 +935,7 @@ def _oracle_test_searches(t11, s04):
 
 
 @pytest.mark.parametrize("corpus", ["criterion-7", "oracle-tests"])
-def test_oracle_equals_reference(t11, s04, corpus):
+def test_oracle_equals_reference(t11, s04, carried_loop, corpus):
     """Every verdict field, `states` and `reason` included, equals the
     reference's: at each search's own cap, at caps that stop the search
     early, where `states` shows any change in breadth-first order, and with
@@ -952,7 +943,7 @@ def test_oracle_equals_reference(t11, s04, corpus):
     if corpus == "criterion-7":
         searches = ((nb, c, 50_000) for nb, c in _criterion_7_corpus())
     else:
-        searches = _oracle_test_searches(t11, s04)
+        searches = _oracle_test_searches(t11, s04, carried_loop)
     reasons = {"state cap": 0, "length or winding cap": 0}
     for nb, c, cap in searches:
         n = len(c.snippets)
