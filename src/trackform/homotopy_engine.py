@@ -224,7 +224,7 @@ def push_window(prev: Snippet, a: Snippet, nxt: Snippet,
             (f_prev, *rec.inner_facts, f_next), rec)
 
 
-def push_two(prev: Snippet, a: Snippet, nb: TieNeighbourhood, k: int = 1
+def push_two(prev: Snippet, a: Snippet, nb: TieNeighbourhood, k: int
              ) -> tuple[tuple[Snippet, ...], tuple[SnippetFacts, ...],
                         PushRecipe]:
     """Push the bad snippet `a` at position `k` of the two-snippet closed

@@ -200,7 +200,8 @@ def _winds_count(region: int, start: Locus | None, end: Locus | None,
     if start is None:
         return True
     info = nb._locus_info[region]
-    return not (info[start][3] or info[end][3])
+    a, b = info.get(start), info.get(end)  # the full check names a missing one
+    return not (a and a[3] or b and b[3])
 
 
 def _classify_uncached(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 from pathlib import Path
 
 import click
@@ -13,7 +14,8 @@ import pytest
 from trackform import cli, pipelines
 from trackform.cli import main
 from trackform.fixtures import load_fixture
-from trackform.formats import parse_curve
+from trackform.formats import parse_curve, serialize_curve
+from trackform.generate import random_arc
 from trackform.pipelines import efficient_position
 
 
@@ -88,6 +90,22 @@ def test_run_reads_off_boundary_power(tmp_path):
     assert "class: peripheral" in out
     assert "boundary: 0" in out
     assert "power: -1" in out
+
+
+def test_run_and_oracle_push_a_proper_arc(tmp_path):
+    """A proper arc whose pushes merge a turn round its face onto the
+    boundary (`test_proper_arcs` pins it): the turn is dropped, so both
+    commands finish with no error line."""
+    nb = load_fixture("t11")
+    p = tmp_path / "arc.curve"
+    p.write_text(serialize_curve(
+        random_arc(nb, random.Random(4), 5, proper=True), nb))
+    code, out, err = run_cli("run", "t11", str(p))
+    assert (code, err) == (2, ""), out
+    assert "status: SingleSnippet" in out and "class: inessential" in out
+    code, out, err = run_cli("oracle", "t11", str(p))
+    assert (code, err) == (0, ""), out
+    assert "agreement: yes" in out
 
 
 def test_verify_accepts_and_rejects(tmp_path, curve_file):

@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 from trackform.curve_ops import (ARC, CLOSED, Curve, WorkingCurve, reverse,
                                  validate_curve)
 from trackform.errors import (AdjacencyError, BadInput, ClosedSnippet,
-                              GenerationFailed, NotBad, TrackformError)
+                              GenerationFailed, InconsistentSnippet, NotBad,
+                              TrackformError)
 from trackform.fixtures import FIXTURE_NAMES, load_fixture
 from trackform.formats import Hom
 from trackform.generate import random_arc, random_closed, trivial_loop
@@ -477,3 +478,15 @@ def _raised_or(fn, *args):
         return fn(*args)
     except TrackformError as exc:
         return type(exc), str(exc)
+
+
+def test_merge_with_an_unknown_locus_is_a_structured_error(t11):
+    """`hom` reads only three snippets of a curve it is handed unchecked:
+    a merge that composes a winding onto an unknown locus raises
+    `InconsistentSnippet` naming it, as any unchecked snippet does."""
+    A, B, D, V0, V1, F = _ids(t11)
+    arc = Curve(ARC, (Snippet(F, (9, 9), (1, 3), 0),
+                      Snippet(V0, (0, 0), (0, 0), 0),
+                      Snippet(F, (1, 3), (3, 4), 6)))
+    assert _raised(hom, arc, 1, t11) == \
+        (InconsistentSnippet, "no locus (9, 9) in region face:0")

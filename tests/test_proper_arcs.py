@@ -15,10 +15,8 @@ import random
 
 import pytest
 
-from trackform.cli import main
 from trackform.curve_ops import ARC, Curve
 from trackform.fixtures import FIXTURE_NAMES, load_fixture
-from trackform.formats import serialize_curve
 from trackform.generate import random_arc
 from trackform.pipelines import (EFFICIENT, SINGLE_SNIPPET,
                                  efficient_position, terminal_summary)
@@ -66,27 +64,6 @@ def test_seed4_proper_arc_contracts_into_its_face(t11):
     assert res.status == SINGLE_SNIPPET
     assert res.curve.snippets == (Snippet(face, (4, 0), (4, 0), 0),)
     assert terminal_summary(res, t11)["class"] == "inessential"
-
-
-def _cli(*args: str) -> tuple[int, str, str]:
-    import contextlib
-    import io
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(args))
-    return code, out.getvalue(), err.getvalue()
-
-
-def test_seed4_proper_arc_through_the_cli(t11, tmp_path):
-    p = tmp_path / "arc.curve"
-    p.write_text(serialize_curve(_seed4_arc(t11), t11))
-    code, out, err = _cli("run", "t11", str(p))
-    assert (code, err) == (2, ""), out
-    assert "status: SingleSnippet" in out and "class: inessential" in out
-    code, out, err = _cli("oracle", "t11", str(p))
-    assert (code, err) == (0, ""), out
-    assert "agreement: yes" in out
-    assert "error:" not in out + err
 
 
 # The smallest one-ended three-snippet arc on each fixture whose push
