@@ -416,9 +416,9 @@ def _reference_two(prev, a, k, nb):
         merged = Snippet(prev.region, None, None, prev.wind)
         return ((merged,), (facts(merged, nb),),
                 Hom(k, 0, cls.type, cls.turn, 0, [2, 1], [0, 1]))
-    info = nb._locus_info[prev.region]
     counts = (nb.regions[prev.region].kind == ANNULUS
-              and not (info[prev.start][3] or info[prev.end][3]))
+              and nb.partner(prev.region, prev.start) is not None
+              and nb.partner(prev.region, prev.end) is not None)
     wind = prev.wind + (rec.d_end + rec.d_start if counts else 0)
     slid = Snippet(prev.region, rec.new_start, rec.new_end, wind)
     window, wf = (slid, *rec.inners), (facts(slid, nb), *rec.inner_facts)

@@ -112,11 +112,14 @@ def _boundary_arcs(nb, n: int):
     """Every valid arc of n snippets with at least one endpoint on ∂S and
     windings of at most one extra turn, in a fixed order: by start region
     and locus, then by each snippet's end locus and winding."""
-    info = nb._locus_info
+    def loci(region):
+        return [(si, gi) for si, side in enumerate(nb.regions[region].sides)
+                for gi in range(side.n_segments)]
 
     def walk(prefix, region, start, anchored):
         last = len(prefix) == n - 1
-        ends = ([l for l in info[region] if anchored or info[region][l][3]]
+        ends = ([l for l in loci(region)
+                 if anchored or nb.partner(region, l) is None]
                 if last else nb.crossable_loci(region))
         for end in ends:
             for w in _winds(nb, region, start, end):
@@ -127,9 +130,10 @@ def _boundary_arcs(nb, n: int):
                     yield from walk((*prefix, s), *nb.partner(region, end),
                                     anchored)
 
-    for region, loci in enumerate(info):
-        for start, (_, _, _, on_boundary) in loci.items():
-            yield from walk((), region, start, on_boundary)
+    for region in range(len(nb.regions)):
+        for start in loci(region):
+            yield from walk((), region, start,
+                            nb.partner(region, start) is None)
 
 
 # one-ended and two-ended arcs per fixture
