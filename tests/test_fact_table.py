@@ -604,6 +604,26 @@ def test_valid_winds_equal_the_stepped_walks():
     assert pairs > 100, pairs
 
 
+@pytest.mark.parametrize("region, start, end, message", [
+    ("face:0", (9, 9), (1, 0), "no locus (9, 9) in region face:0"),
+    ("face:0", (1, 0), (9, 9), "no locus (9, 9) in region face:0"),
+    ("br:a", (0, 0), (7, 0), "no locus (7, 0) in region br:a"),
+    (99, (0, 0), (1, 0), "no region 99"),
+    (99, None, None, "no region 99"),
+], ids=["start", "end", "rectangle", "region", "closed"])
+def test_valid_winds_names_an_unknown_region_or_locus(t11, region, start,
+                                                      end, message):
+    """`valid_winds` raises `InconsistentSnippet` with the fact table's
+    message for a region or locus the neighbourhood does not have."""
+    ri = t11.region_id.get(region, region)
+    with pytest.raises(InconsistentSnippet) as exc:
+        valid_winds(Snippet(ri, start, end), t11)
+    assert str(exc.value) == message
+    with pytest.raises(InconsistentSnippet) as exc:
+        classify(Snippet(ri, start, end), t11)
+    assert str(exc.value) == message
+
+
 def test_step_table_matches_the_cycles():
     """Each locus's step-table entry holds its neighbours one step clockwise
     and one step counter-clockwise on its cycle, and whether each of those
