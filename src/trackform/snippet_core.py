@@ -128,7 +128,15 @@ def reverse_snippet(s: Snippet) -> Snippet:
 def valid_winds(s: Snippet, nb: TieNeighbourhood) -> tuple[int, int, int] | None:
     """Where windings count: (m_r, m_l, n2) with valid windings {m_r + n2*d}
     and {-(m_l + n2*d)} for d >= 0; closed and same-locus snippets admit
-    every multiple of n2.  None where windings are forced 0."""
+    every multiple of n2.  None where windings are forced 0.  An unknown
+    region or locus raises `InconsistentSnippet`, as filing would."""
+    if not 0 <= s.region < len(nb.regions):
+        raise InconsistentSnippet(f"no region {s.region}")
+    info = nb._locus_info[s.region]
+    for x in () if s.closed else (s.start, s.end):
+        if x not in info:
+            raise InconsistentSnippet(
+                f"no locus {x} in region {nb.regions[s.region].name}")
     if not _winds_count(s.region, s.start, s.end, nb):
         return None
     before = nb._corners_before[s.region][nb.polygon_cycle(s.region)]
@@ -136,7 +144,6 @@ def valid_winds(s: Snippet, nb: TieNeighbourhood) -> tuple[int, int, int] | None
     n2 = before[n]
     if s.closed:
         return (0, 0, n2)
-    info = nb._locus_info[s.region]
     pa, pb = info[s.start][1], info[s.end][1]
     if pa == pb:
         return (0, 0, n2)
