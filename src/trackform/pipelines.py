@@ -27,8 +27,12 @@ its counters and its bad flags within its window only.
 self-contained: an auditor can replay them from the input curve and
 byte-compare every intermediate state.
 
-Termination is certified by step budgets: each loop asserts twice its proven
-bound and raises `BudgetExceeded` rather than run away.
+Termination is certified by step budgets, one entry of `LOOP_BOUNDS` per
+loop.  With s = s_N, `trig_arc` is proven to take at most (size + 1)(s + 2)
+pushes, size being its span's interior snippets; `trig_curve` (size + 2s +
+2)(s + 2) pushes and `single_bad` size + 1 rounds, size being the reduced
+corner length when the loop starts.  Each raises `BudgetExceeded` past
+twice its bound (twice plus one for `single_bad`) rather than run away.
 """
 
 from __future__ import annotations
@@ -70,7 +74,6 @@ __all__ = [
     "hor_bigon_branch",
     "single_bad",
     "proven_push_bound",
-    "default_budget",
     "efficient_position",
     "terminal_status",
     "terminal_summary",
@@ -93,10 +96,7 @@ class Run:
         self.nb = nb
         self.work = WorkingCurve(curve, nb)
         self.events: list = []
-        # one (loop name, steps used, size parameter, lo, tail, first event
-        # index, end event index) row per span-loop invocation, so budget
-        # audits can check the proven 1x bounds and replay each loop's own
-        # events against its own span
+        # one row per budgeted loop run, as `_budgeted` logs it
         self.budget_log: list[tuple[str, int, int, int, int, int, int]] = []
         self.homs = 0
         self.max_homs = max_homs
@@ -139,11 +139,6 @@ class Run:
     def report(self) -> LengthReport:
         return LengthReport(self.n, *self.work.c)
 
-    def _check_budget(self) -> None:
-        if self.max_homs is not None and self.homs >= self.max_homs:
-            raise BudgetExceeded(
-                f"global rewrite budget of {self.max_homs} pushes exhausted")
-
     # -- operations (each records one trace event) --------------------------
 
     def _record(self, ev, phase: str, window=(), wf=()):
@@ -159,7 +154,9 @@ class Run:
     def hom_at(self, k: int, phase: str) -> Hom:
         """Push the bad snippet at k; record and return the push's trace/1
         `hom` record."""
-        self._check_budget()
+        if self.max_homs is not None and self.homs >= self.max_homs:
+            raise BudgetExceeded(
+                f"global rewrite budget of {self.max_homs} pushes exhausted")
         window, wf, push = hom(self.work, k, self.nb)
         self.homs += 1
         return self._record(push, phase, window, wf)
@@ -190,6 +187,56 @@ class Run:
         self._record(Seam(self.work.orig_wind), phase)
 
 
+# -- step budgets -----------------------------------------------------------
+
+# Each budgeted loop's proven 1x step bound as a function of its size and
+# s_N, the slack its limit adds to twice the bound, and its overrun message.
+LOOP_BOUNDS = {
+    "trig_arc": (lambda n, s: (n + 1) * (s + 2), 0, "trigon chase exceeded "
+                 "{limit} pushes on a span of {size} interior snippets"),
+    "trig_curve": (lambda n, s: (n + 2 * s + 2) * (s + 2), 0,
+                   "closed trigon chase exceeded {limit} pushes"),
+    "single_bad": (lambda n, s: n + 1, 1,
+                   "single-bad resolution exceeded {limit} rounds"),
+}
+
+
+def _budgeted(run: Run, tag: str, size: int, pick, step, phase,
+              lo: int = 0, tail: int = 0) -> None:
+    """Run a budgeted loop: while `pick(run, lo, tail)` finds a bad position
+    k on a curve of more than one snippet, count a step, raise past the
+    loop's limit and take `step(run, k, phase)`, which ends the loop by
+    returning true.  Every exit logs the row (tag, steps, size, lo, tail,
+    first event index, end event index), so an audit can check the proven
+    bound and replay the loop's own events against its own span."""
+    bound, slack, overrun = LOOP_BOUNDS[tag]
+    limit = 2 * bound(size, run.nb.s_N) + slack
+    steps, e0 = 0, len(run.events)
+    try:
+        while run.n > 1 and (k := pick(run, lo, tail)) is not None:
+            steps += 1
+            if steps > limit:
+                raise BudgetExceeded(overrun.format(limit=limit, size=size))
+            if step(run, k, phase):
+                return
+    finally:
+        run.budget_log.append((tag, steps, size, lo, tail, e0,
+                               len(run.events)))
+
+
+# The budgeted loops' rules for picking the next bad position and one step.
+def _span_bad(run: Run, lo: int, tail: int) -> int | None:
+    return run.first_bad(lo, run.n - 1 - tail)
+
+
+def _any_bad(run: Run, lo: int, tail: int) -> int | None:
+    return run.first_bad()
+
+
+def _push(run: Run, k: int, phase: str) -> None:
+    run.hom_at(k, phase)
+
+
 # -- span algorithms --------------------------------------------------------
 
 
@@ -200,25 +247,8 @@ def trig_arc(run: Run, lo: int = 0, tail: int = 0,
     The span covers positions [lo, n - 1 - tail]; its two end positions are
     never rewritten.  The span boundary stays put while interior pushes
     shrink or grow the curve, so `tail` keeps addressing the same suffix."""
-    s = run.nb.s_N
-    interior = max(run.n - tail - lo - 2, 0)
-    limit = 2 * (interior + 1) * (s + 2)
-    steps = 0
-    e0 = len(run.events)
-    try:
-        while True:
-            k = run.first_bad(lo, run.n - 1 - tail)
-            if k is None:
-                return
-            steps += 1
-            if steps > limit:
-                raise BudgetExceeded(
-                    f"trigon chase exceeded {limit} pushes on a span of "
-                    f"{interior} interior snippets")
-            run.hom_at(k, phase)
-    finally:
-        run.budget_log.append(("trig_arc", steps, interior, lo, tail,
-                               e0, len(run.events)))
+    _budgeted(run, "trig_arc", max(run.n - tail - lo - 2, 0), _span_bad,
+              _push, phase, lo, tail)
 
 
 def big_arc(run: Run, lo: int = 0, tail: int = 0,
@@ -417,56 +447,30 @@ def hor_bigon_branch(run: Run, k: int) -> None:
 
 def trig_curve(run: Run) -> None:
     """Chase bad snippets around a closed curve until none remain."""
-    s = run.nb.s_N
-    red0 = max(run.report().len_red, 0)
-    limit = 2 * (red0 + 2 * s + 2) * (s + 2)
-    steps = 0
-    e0 = len(run.events)
-    try:
-        while run.n > 1:
-            k = run.first_bad()
-            if k is None:
-                return
-            steps += 1
-            if steps > limit:
-                raise BudgetExceeded(
-                    f"closed trigon chase exceeded {limit} pushes")
-            run.hom_at(k, "trig_curve")
-    finally:
-        run.budget_log.append(("trig_curve", steps, red0, 0, 0,
-                               e0, len(run.events)))
+    _budgeted(run, "trig_curve", max(run.report().len_red, 0), _any_bad,
+              _push, "trig_curve")
 
 
 def single_bad(run: Run) -> None:
     """Remove the last bad snippet of a closed curve."""
-    red0 = max(run.report().len_red, 0)
-    limit = 2 * (red0 + 1) + 1
-    iters = 0
-    e0 = len(run.events)
-    try:
-        while run.n > 1:
-            k = run.first_bad()
-            if k is None:
-                return
-            iters += 1
-            if iters > limit:
-                raise BudgetExceeded(
-                    f"single-bad resolution exceeded {limit} rounds")
-            t = run.cls_at(k).type
-            if t in EASY_BIGONS or t in ("S(t,v,1)", "S(t,t,2)"):
-                all_but(run, k)
-            elif t == "R(h,h)":
-                hor_bigon_comp(run, k)
-            elif t == "B(h,h)":
-                hor_bigon_branch(run, k)
-            if run.n <= 1:
-                return
-            if any(is_trigon(run.cls_at(p)) for p in run.bads()):
-                trig_curve(run)
-                return
-    finally:
-        run.budget_log.append(("single_bad", iters, red0, 0, 0,
-                               e0, len(run.events)))
+    _budgeted(run, "single_bad", max(run.report().len_red, 0), _any_bad,
+              _resolve, None)
+
+
+def _resolve(run: Run, k: int, _phase) -> bool:
+    """One round of `single_bad`: remove the bad snippet at k by its type;
+    True when a trigon chase has finished the curve."""
+    t = run.cls_at(k).type
+    if t in EASY_BIGONS or t in ("S(t,v,1)", "S(t,t,2)"):
+        all_but(run, k)
+    elif t == "R(h,h)":
+        hor_bigon_comp(run, k)
+    elif t == "B(h,h)":
+        hor_bigon_branch(run, k)
+    if run.n > 1 and any(is_trigon(run.cls_at(p)) for p in run.bads()):
+        trig_curve(run)
+        return True
+    return False
 
 
 # -- driver -----------------------------------------------------------------
@@ -490,17 +494,13 @@ def proven_push_bound(nb: TieNeighbourhood, n0: int) -> int:
     return (6 * s * (s + 2) + 8) * (n0 + 2) ** 2
 
 
-def default_budget(nb: TieNeighbourhood, n0: int) -> int:
-    """The global rewrite budget: twice the proven push bound."""
-    return 2 * proven_push_bound(nb, n0)
-
-
 def efficient_position(curve: Curve, nb: TieNeighbourhood,
                        max_homs: int | None = None) -> Result:
     """Homotope the curve or arc into efficient position, or contract it to
-    a single snippet exposing its homotopy class."""
+    a single snippet exposing its homotopy class.  The global rewrite
+    budget defaults to twice the proven push bound."""
     cap = max_homs if max_homs is not None \
-        else default_budget(nb, len(curve.snippets))
+        else 2 * proven_push_bound(nb, len(curve.snippets))
     run = Run(curve, nb, max_homs=cap)
     if run.kind == ARC:
         reduce_to_two(run)
