@@ -50,9 +50,6 @@ class Curve:
     kind: str  # Arc | Closed
     snippets: tuple[Snippet, ...]
 
-    def __len__(self) -> int:
-        return len(self.snippets)
-
 
 class WorkingCurve:
     """A curve being rewritten in place: its kind, its snippet list, each
