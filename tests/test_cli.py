@@ -13,8 +13,9 @@ import pytest
 
 from trackform import cli, pipelines
 from trackform.cli import main
-from trackform.fixtures import load_fixture
-from trackform.formats import parse_curve, serialize_curve
+from trackform.errors import ParseError
+from trackform.fixtures import fixture_text, load_fixture
+from trackform.formats import parse_curve, parse_track, serialize_curve
 from trackform.generate import random_arc
 from trackform.pipelines import efficient_position
 
@@ -426,3 +427,102 @@ def test_one_cusp_face_exits_one(tmp_path):
     assert code == 1, err
     assert err.startswith("error: ") and "Traceback" not in err
     assert "face:0 does not follow the switches" in err
+
+
+# -- malformed files that decode --------------------------------------------
+
+_T11 = fixture_text("t11")
+_SWITCH = "switch v0: large a.0 smalls b.0 d.0"
+
+
+def _drop(line: str) -> str:
+    return "".join(l for l in _T11.splitlines(keepends=True)
+                   if not l.startswith(line))
+
+
+# (track text, message, line): each line of t11's description counts from
+# its leading comment, so its switch v0 line is line 6
+_MALFORMED_TRACKS = {
+    "switch-line": (_T11.replace(_SWITCH, "switch v0: large a.0 smalls b.0"),
+                    "switch line must read 'large BR.E smalls BR.E BR.E'", 6),
+    "empty-face-word": (_T11 + "face disc:\n", "empty face word", 9),
+    "no-genus": (_drop("genus:"),
+                 "missing genus, boundary, or branches line", 1),
+    "no-boundary": (_drop("boundary:"),
+                    "missing genus, boundary, or branches line", 1),
+    "no-branches": (_drop("branches:"),
+                    "missing genus, boundary, or branches line", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_TRACKS))
+def test_malformed_track_line_is_a_parse_error(tmp_path, case):
+    text, message, line = _MALFORMED_TRACKS[case]
+    with pytest.raises(ParseError) as exc:
+        parse_track(text)
+    assert exc.value.line == line
+    assert str(exc.value) == f"{message} (line {line})"
+    path = tmp_path / "bad.track"
+    path.write_text(text)
+    code, out, err = run_cli("validate", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message} (line {line})\n"
+
+
+def test_snippet_that_is_not_an_object_is_a_parse_error(tmp_path,
+                                                        curve_file):
+    """A curve/1 error names the snippet: the JSON decoder keeps no line
+    for a value, and every other snippet error names its index too."""
+    doc = json.loads(curve_file.read_text())
+    doc["snippets"][1] = [1, 2]
+    text = json.dumps(doc, indent=2)
+    with pytest.raises(ParseError) as exc:
+        parse_curve(text, load_fixture("t11"))
+    assert str(exc.value) == "snippet 1 is not an object"
+    path = tmp_path / "bad.curve"
+    path.write_text(text)
+    code, out, err = run_cli("run", "t11", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: snippet 1 is not an object\n"
+
+
+# -- paths and counts the other tests do not take ---------------------------
+
+
+def test_track_given_as_a_file_path_is_named_by_its_stem(tmp_path):
+    path = tmp_path / "theta.track"
+    path.write_text(_T11)
+    code, out, err = run_cli("validate", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "track theta: valid"
+    assert "size s_N: 9" in out
+
+
+@pytest.mark.parametrize("case", [
+    "curve", "trace", "count-0", "stats-no-dir", "stats-no-curves"])
+def test_missing_inputs_are_usage_errors(tmp_path, curve_file, case):
+    missing, empty = str(tmp_path / "missing"), tmp_path / "empty"
+    empty.mkdir()
+    args, named = {
+        "curve": (["classify", "t11", missing],
+                  f"no curve file {missing!r}"),
+        "trace": (["verify", "t11", str(curve_file), str(curve_file),
+                   "--trace", missing], f"no trace file {missing!r}"),
+        "count-0": (["gen", "t11", "--len", "4", "--count", "0"],
+                    "--count must be >= 1"),
+        "stats-no-dir": (["stats", "t11", "--batch", missing],
+                         f"{missing!r} is not a directory"),
+        "stats-no-curves": (["stats", "t11", "--batch", str(empty)],
+                            f"no .curve files in {str(empty)!r}"),
+    }[case]
+    code, out, err = run_cli(*args)
+    assert (code, out) == (64, "")
+    assert err.splitlines()[-1] == f"Error: {named}"
+
+
+def test_oracle_at_its_smallest_cap_is_inconclusive(curve_file):
+    code, out, err = run_cli("oracle", "t11", str(curve_file), "--cap", "1")
+    assert code == 1
+    assert out == ("oracle: conclusive=False efficient_reachable=False"
+                   " single_reachable=False states=1\n")
+    assert err == "inconclusive: state cap\n"
