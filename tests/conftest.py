@@ -6,8 +6,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from trackform.curve_ops import CLOSED, Curve
+from trackform.curve_ops import ARC, CLOSED, Curve, reverse
 from trackform.fixtures import load_fixture
+from trackform.generate import random_arc
 from trackform.snippet_core import Snippet
 
 # Every run draws the same examples, and none are replayed from a saved
@@ -38,6 +39,16 @@ def carried_loop(t11):
         Snippet(r["br:b"], (1, 0), (3, 0)),
         Snippet(r["sw:v0"], (3, 0), (1, 0)),
     ))
+
+
+def one_ended_arc(nb, rng, length: int, flip: bool = True) -> Curve:
+    """A random arc of at least `length` snippets with exactly one endpoint
+    on the surface boundary: a proper arc without its last snippet, so it
+    ends on a glued edge.  It starts on the boundary, or with `flip` ends
+    there on a coin toss."""
+    arc = random_arc(nb, rng, length + 1, proper=True)
+    arc = Curve(ARC, arc.snippets[:-1])
+    return reverse(arc) if flip and rng.random() < 0.5 else arc
 
 
 ACCEPTANCE: list[str] = []

@@ -14,14 +14,15 @@ import random
 import statistics
 import time
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
-from conftest import record
+from conftest import one_ended_arc, record
 
 import trackform.pipelines as P
 from trackform.curve_ops import (ARC, CLOSED, Curve, is_blocker, measure,
-                                 validate_curve)
+                                 reverse, validate_curve)
 from trackform.errors import (AuditFailure, InconsistentSnippet,
                               TrackformError)
 from trackform.fixtures import load_fixture
@@ -31,7 +32,7 @@ from trackform.generate import (boundary_power, doubled_back,
 from trackform.pipelines import (EFFICIENT, SINGLE_SNIPPET,
                                  efficient_position, terminal_summary)
 from trackform.snippet_core import (TRIGON_GRAPH, TRIGON_TYPES, Snippet,
-                                    classify, corner_length)
+                                    classify, corner_length, valid_winds)
 from trackform.track_model import (ANNULUS, BRANCH, DISC, SWITCH,
                                    TieNeighbourhood)
 from trackform.verification import (_snippet_efficient, audit_trace,
@@ -156,12 +157,27 @@ def _corpus(nb: TieNeighbourhood, name: str, count: int, max_len: int,
             yield random_closed(nb, rng, length)
 
 
+def _boundary_corpus(nb: TieNeighbourhood, name: str, count: int,
+                     max_len: int, salt: str):
+    """Seeded arcs with an endpoint on the surface boundary: proper arcs
+    and one-ended arcs in turn."""
+    for seed in range(count):
+        rng = random.Random(f"{name}/{seed}/{salt}")
+        length = rng.randrange(1, max_len + 1)
+        if seed % 2:
+            yield one_ended_arc(nb, rng, length)
+        else:
+            yield random_arc(nb, rng, length, proper=True)
+
+
 def test_criterion_3_rewrite_contracts(tracks):
-    curves = events_seen = audits_ok = audits_run = 0
+    curves = on_boundary = events_seen = audits_ok = audits_run = 0
     delta_bad = window_bad = 0
     for name, nb in tracks.items():
         s = nb.s_N
-        for curve in _corpus(nb, name, 2500, 12, salt="c3"):
+        arcs = list(_boundary_corpus(nb, name, 250, 12, salt="c3-boundary"))
+        on_boundary += len(arcs)
+        for curve in chain(_corpus(nb, name, 2500, 12, salt="c3"), arcs):
             res = efficient_position(curve, nb)
             curves += 1
             for ev in res.events:
@@ -187,7 +203,8 @@ def test_criterion_3_rewrite_contracts(tracks):
                 pass
     ok = delta_bad == 0 and window_bad == 0 and audits_ok == audits_run
     line = (f"criterion 3 (rewrite contracts): {'PASS' if ok else 'FAIL'} — "
-            f"{curves} curves, {events_seen} hom events, "
+            f"{curves} curves ({on_boundary} arcs with an endpoint on the "
+            f"boundary), {events_seen} hom events, "
             f"{delta_bad} per-type delta violations, "
             f"{window_bad} window violations, audits (locality + turn "
             f"preservation included) {audits_ok}/{audits_run}")
@@ -356,6 +373,25 @@ def _carried_loop(nb: TieNeighbourhood) -> Curve | None:
     return None
 
 
+def _retraced(nb: TieNeighbourhood, out: Curve, rng=None) -> Curve:
+    """`out`, an arc from the surface boundary, then a bounce off the
+    region past its far end and `out` walked back.  Walked all the way back
+    it is null-homotopic, its ends on the boundary.  Given `rng`, the last
+    snippet turns off to another glued locus y of the first face: with its
+    boundary end sliding, the arc is homotopic to the one snippet from the
+    boundary to y, winding 0."""
+    last = out.snippets[-1]
+    far = nb.partner(last.region, last.end)
+    back = reverse(out).snippets
+    if rng is not None:
+        face, x, _, _ = back[-1]
+        y = rng.choice([l for l in nb.crossable_loci(face) if l != x])
+        m_r = valid_winds(Snippet(face, x, y), nb)[0]  # an annulus face
+        back = (*back[:-1], Snippet(face, x, y, m_r))
+    return Curve(ARC, (*out.snippets, Snippet(far[0], far[1], far[1]),
+                       *back))
+
+
 def test_criterion_6_trichotomy(tracks):
     cases = failures = 0
     notes = []
@@ -376,6 +412,15 @@ def test_criterion_6_trichotomy(tracks):
                               {"power": k, "component": comp}))
                 suite.append((peripheral_bounce(nb, ri, k), "peripheral",
                               {"power": k, "component": comp}))
+        for seed in range(3):
+            rng = random.Random(f"{name}/{seed}/c6-boundary")
+            out = one_ended_arc(nb, rng, rng.randrange(1, 5), flip=False)
+            first = out.snippets[0]
+            suite.append((_retraced(nb, out), "inessential", {}))
+            arc = _retraced(nb, out, rng)
+            face, _, y, _ = arc.snippets[-1]
+            suite.append((arc, "efficient",
+                          {"curve": (Snippet(face, first.start, y, 0),)}))
         loop = _carried_loop(nb)
         if loop is None:
             failures += 1
@@ -392,9 +437,11 @@ def test_criterion_6_trichotomy(tracks):
                 continue
             info = terminal_summary(res, nb)
             if expect == "efficient":
-                if res.status != EFFICIENT or info["class"] != "essential":
+                if res.status != EFFICIENT or info["class"] != "essential" \
+                        or res.curve.snippets != want.get(
+                            "curve", res.curve.snippets):
                     failures += 1
-                    notes.append(f"{name}: carried loop -> {res.status}")
+                    notes.append(f"{name}: efficient input -> {res.status}")
             elif expect == "inessential":
                 if res.status != SINGLE_SNIPPET or \
                         info["class"] != "inessential":
@@ -415,7 +462,8 @@ def test_criterion_6_trichotomy(tracks):
     line = (f"criterion 6 (end-to-end trichotomy): "
             f"{'PASS' if ok else 'FAIL'} — {cases} constructed inputs "
             f"(trivial loops, doubled-back loops, boundary powers k=1..3, "
-            f"carried loops); every output checker-efficient or length 1; "
+            f"carried loops, arcs from the boundary walked back to it or "
+            f"to a glued edge); every output checker-efficient or length 1; "
             f"{failures} read-off failures{'; ' if notes else ''}"
             + "; ".join(notes[:4]))
     if not ok:
@@ -429,9 +477,12 @@ def test_criterion_6_trichotomy(tracks):
 def test_criterion_7_oracle_agreement(tracks):
     checked = inconclusive = disagreements = 0
     for name, nb in tracks.items():
-        for seed in range(45):
+        boundary = _boundary_corpus(nb, name, 16, 6, salt="c7-boundary")
+        for seed in range(45 + 16):
             rng = random.Random(f"{name}/{seed}/c7")
-            if seed % 3 == 0:
+            if seed >= 45:
+                curve = next(boundary)
+            elif seed % 3 == 0:
                 curve = random_arc(nb, rng, rng.randrange(1, 7))
             else:
                 curve = random_closed(nb, rng, rng.randrange(2, 9))

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import one_ended_arc
 from trackform.curve_ops import (ARC, CLOSED, Curve, WorkingCurve, measure,
                                  validate_curve)
 from trackform.errors import BudgetExceeded, InconsistentSnippet
@@ -468,6 +469,8 @@ def _bookkeeping_corpus(nb, name):
         yield random_closed(nb, rng, rng.randrange(2, 201))
         if seed < 3:
             yield random_arc(nb, rng, rng.randrange(3, 60))
+            yield random_arc(nb, rng, rng.randrange(1, 60), proper=True)
+            yield one_ended_arc(nb, rng, rng.randrange(1, 60))
     yield doubled_back(nb, random.Random(name), 5)
     for ri, r in enumerate(nb.regions):
         if r.kind == ANNULUS:
@@ -546,7 +549,8 @@ def tracks():
 
 
 _SHAPES = {"closed": random_closed, "arc": random_arc,
-           "doubled-back": doubled_back}
+           "doubled-back": doubled_back, "one-ended": one_ended_arc,
+           "proper": lambda nb, rng, n: random_arc(nb, rng, n, proper=True)}
 
 
 def _read_off(curve, nb):
@@ -558,7 +562,7 @@ def _read_off(curve, nb):
             info.get("power"))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(name=st.sampled_from(FIXTURE_NAMES),
        shape=st.sampled_from(sorted(_SHAPES)),
        seed=st.integers(0, 2**32 - 1), steps=st.integers(5, 60),
