@@ -128,15 +128,10 @@ def reverse_snippet(s: Snippet) -> Snippet:
 def valid_winds(s: Snippet, nb: TieNeighbourhood) -> tuple[int, int, int] | None:
     """Where windings count: (m_r, m_l, n2) with valid windings {m_r + n2*d}
     and {-(m_l + n2*d)} for d >= 0; closed and same-locus snippets admit
-    every multiple of n2.  None where windings are forced 0.  An unknown
-    region or locus raises `InconsistentSnippet`, as filing would."""
-    if not 0 <= s.region < len(nb.regions):
-        raise InconsistentSnippet(f"no region {s.region}")
-    info = nb._locus_info[s.region]
-    for x in () if s.closed else (s.start, s.end):
-        if x not in info:
-            raise InconsistentSnippet(
-                f"no locus {x} in region {nb.regions[s.region].name}")
+    every multiple of n2.  None where windings are forced 0."""
+    info = nb._locus_info[s.region] if 0 <= s.region < len(nb.regions) else {}
+    if not info or not s.closed and not (s.start in info and s.end in info):
+        _classify_uncached(s, nb)  # the full check names the unknown one
     if not _winds_count(s.region, s.start, s.end, nb):
         return None
     before = nb._corners_before[s.region][nb.polygon_cycle(s.region)]
