@@ -201,40 +201,41 @@ LOOP_BOUNDS = {
 }
 
 
-def _budgeted(run: Run, tag: str, size: int, pick, step, phase,
-              lo: int = 0, tail: int = 0) -> None:
+def _budgeted(run: Run, tag: str, size: int, pick, phase: str | None,
+              lo: int = 0, tail: int = 0, step=None) -> None:
     """Run a budgeted loop: while `pick(run, lo, tail)` finds a bad position
-    k on a curve of more than one snippet, count a step, raise past the
-    loop's limit and take `step(run, k, phase)`, which ends the loop by
-    returning true.  Every exit logs the row (tag, steps, size, lo, tail,
-    first event index, end event index), so an audit can check the proven
-    bound and replay the loop's own events against its own span."""
-    bound, slack, overrun = LOOP_BOUNDS[tag]
-    limit = 2 * bound(size, run.nb.s_N) + slack
+    k, count a step, raise past the loop's limit and push at k in `phase`,
+    or take the loop's own `step(run, k)`, which ends the loop by returning
+    true.  Every exit logs the row (tag, steps, size, lo, tail, first event
+    index, end event index), so an audit can check the proven bound and
+    replay the loop's own events against its own span."""
     steps, e0 = 0, len(run.events)
     try:
-        while run.n > 1 and (k := pick(run, lo, tail)) is not None:
+        while (k := pick(run, lo, tail)) is not None:
+            # the limit is worked out at the first step, as most of a
+            # sweep's chases push nothing
+            if not steps:
+                bound, slack, overrun = LOOP_BOUNDS[tag]
+                limit = 2 * bound(size, run.nb.s_N) + slack
             steps += 1
             if steps > limit:
                 raise BudgetExceeded(overrun.format(limit=limit, size=size))
-            if step(run, k, phase):
+            if step is None:
+                run.hom_at(k, phase)
+            elif step(run, k):
                 return
     finally:
         run.budget_log.append((tag, steps, size, lo, tail, e0,
                                len(run.events)))
 
 
-# The budgeted loops' rules for picking the next bad position and one step.
+# The budgeted loops' rules for picking the next bad position.
 def _span_bad(run: Run, lo: int, tail: int) -> int | None:
     return run.first_bad(lo, run.n - 1 - tail)
 
 
 def _any_bad(run: Run, lo: int, tail: int) -> int | None:
-    return run.first_bad()
-
-
-def _push(run: Run, k: int, phase: str) -> None:
-    run.hom_at(k, phase)
+    return run.first_bad() if run.n > 1 else None
 
 
 # -- span algorithms --------------------------------------------------------
@@ -248,7 +249,7 @@ def trig_arc(run: Run, lo: int = 0, tail: int = 0,
     never rewritten.  The span boundary stays put while interior pushes
     shrink or grow the curve, so `tail` keeps addressing the same suffix."""
     _budgeted(run, "trig_arc", max(run.n - tail - lo - 2, 0), _span_bad,
-              _push, phase, lo, tail)
+              phase, lo, tail)
 
 
 def big_arc(run: Run, lo: int = 0, tail: int = 0,
@@ -448,16 +449,16 @@ def hor_bigon_branch(run: Run, k: int) -> None:
 def trig_curve(run: Run) -> None:
     """Chase bad snippets around a closed curve until none remain."""
     _budgeted(run, "trig_curve", max(run.report().len_red, 0), _any_bad,
-              _push, "trig_curve")
+              "trig_curve")
 
 
 def single_bad(run: Run) -> None:
     """Remove the last bad snippet of a closed curve."""
     _budgeted(run, "single_bad", max(run.report().len_red, 0), _any_bad,
-              _resolve, None)
+              None, step=_resolve)
 
 
-def _resolve(run: Run, k: int, _phase) -> bool:
+def _resolve(run: Run, k: int) -> bool:
     """One round of `single_bad`: remove the bad snippet at k by its type;
     True when a trigon chase has finished the curve."""
     t = run.cls_at(k).type

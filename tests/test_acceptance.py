@@ -474,18 +474,20 @@ def test_criterion_6_trichotomy(tracks):
 # -- criterion 7: oracle agreement ------------------------------------------
 
 
+def _oracle_corpus(nb: TieNeighbourhood, name: str):
+    for seed in range(45):
+        rng = random.Random(f"{name}/{seed}/c7")
+        if seed % 3 == 0:
+            yield random_arc(nb, rng, rng.randrange(1, 7))
+        else:
+            yield random_closed(nb, rng, rng.randrange(2, 9))
+    yield from _boundary_corpus(nb, name, 16, 6, salt="c7-boundary")
+
+
 def test_criterion_7_oracle_agreement(tracks):
     checked = inconclusive = disagreements = 0
     for name, nb in tracks.items():
-        boundary = _boundary_corpus(nb, name, 16, 6, salt="c7-boundary")
-        for seed in range(45 + 16):
-            rng = random.Random(f"{name}/{seed}/c7")
-            if seed >= 45:
-                curve = next(boundary)
-            elif seed % 3 == 0:
-                curve = random_arc(nb, rng, rng.randrange(1, 7))
-            else:
-                curve = random_closed(nb, rng, rng.randrange(2, 9))
+        for curve in _oracle_corpus(nb, name):
             if len(curve.snippets) > 8:
                 continue
             verdict = exhaustive_oracle(curve, nb)
