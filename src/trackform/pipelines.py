@@ -212,9 +212,7 @@ def _budgeted(run: Run, tag: str, size: int, pick, phase: str | None,
     steps, e0 = 0, len(run.events)
     try:
         while (k := pick(run, lo, tail)) is not None:
-            # the limit is worked out at the first step, as most of a
-            # sweep's chases push nothing
-            if not steps:
+            if not steps:  # looked up here, as most chases push nothing
                 bound, slack, overrun = LOOP_BOUNDS[tag]
                 limit = 2 * bound(size, run.nb.s_N) + slack
             steps += 1
