@@ -245,9 +245,7 @@ def _classify_uncached(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
     ci, pa, la, a_off = ia
     _, pb, lb, b_off = ib
     if a_off or b_off:
-        if kind != ANNULUS:
-            raise InconsistentSnippet(
-                "boundary endpoint outside an annulus region")
+        # only an annulus face has a boundary side, so the region is one
         if wind != 0:
             raise InconsistentSnippet(
                 f"winding {wind} must be 0 for {r.name} snippet")

@@ -54,6 +54,7 @@ from .curve_ops import (CLOSED, Curve, WorkingCurve, measure,
 from .errors import AuditFailure, BadInput, NotApplicable, TrackformError
 from .formats import _OWN, Hom, trace_record
 from .homotopy_engine import EXPECTED_J, hom, push_two, push_window
+from .pipelines import EFFICIENT, SINGLE_SNIPPET
 from .snippet_core import TRIGON_GRAPH, TRIGON_TYPES, Snippet, SnippetFacts
 # Nothing here calls `classify` any more, but perfbench's tracer wraps this
 # module attribute, so it stays.
@@ -376,43 +377,35 @@ class OracleVerdict:
 
 class _IdTable:
     """The table of one oracle search, filled as it meets new snippets:
-    snippet -> dense int id, id -> snippet, each id's bad flag and |wind|,
-    and the push memo (prev, bad, next) ids -> (window ids, largest |wind|
-    in the window).  A snippet is interned with the bad flag of the fact
-    record its caller holds, so the table classifies nothing itself."""
-    __slots__ = ("nb", "ids", "snippets", "bad", "wind", "pushes")
+    snippet -> dense int id, id -> snippet, each id's bad flag, and the
+    push memo (prev, bad, next) ids -> window ids.  A snippet is interned
+    with the bad flag of the fact record its caller holds, so the table
+    classifies nothing itself."""
+    __slots__ = ("nb", "ids", "snippets", "bad", "pushes")
 
     def __init__(self, nb: TieNeighbourhood) -> None:
         self.nb = nb
         self.ids: dict[Snippet, int] = {}
         self.snippets: list[Snippet] = []
         self.bad = bytearray()
-        self.wind: list[int] = []
-        self.pushes: dict[tuple[int, int, int],
-                          tuple[tuple[int, ...], int]] = {}
+        self.pushes: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
     def intern(self, snippets: Sequence[Snippet],
-               records: Sequence[SnippetFacts]
-               ) -> tuple[tuple[int, ...], int]:
-        """The snippets' ids and their largest |wind|, in one pass; a new
-        id files the bad flag (`row[4]`) of the snippet's fact record."""
-        ids, snap, bad, wind = self.ids, self.snippets, self.bad, self.wind
+               records: Sequence[SnippetFacts]) -> tuple[int, ...]:
+        """The snippets' ids; a new id files the bad flag (`row[4]`) of
+        the snippet's fact record."""
+        ids, snap, bad = self.ids, self.snippets, self.bad
         out = []
-        top = 0
         for s, f in zip(snippets, records):
             i = ids.get(s)
             if i is None:
                 i = ids[s] = len(snap)
                 snap.append(s)
                 bad.append(f.row[4])
-                wind.append(abs(s.wind))
             out.append(i)
-            if wind[i] > top:
-                top = wind[i]
-        return tuple(out), top
+        return tuple(out)
 
-    def push(self, arc: tuple[int, int, int]
-             ) -> tuple[tuple[int, ...], int]:
+    def push(self, arc: tuple[int, int, int]) -> tuple[int, ...]:
         """Push the middle snippet of the triple `arc` with `push_window`
         and memoise its window: the step reads only the bad snippet and
         its two neighbours, so the window is the same wherever the three
@@ -423,8 +416,7 @@ class _IdTable:
         hit = self.pushes[arc] = self.intern(window, wf)
         return hit
 
-    def push_two(self, cur: tuple[int, ...], k: int
-                 ) -> tuple[tuple[int, ...], int]:
+    def push_two(self, cur: tuple[int, ...], k: int) -> tuple[int, ...]:
         """A push on a two-snippet closed curve: `push_two`'s window."""
         snap = self.snippets
         window, wf, _ = push_two(snap[cur[k - 1]], snap[cur[k]], self.nb, k)
@@ -448,46 +440,37 @@ def exhaustive_oracle(curve: Curve, nb: TieNeighbourhood,
     and report what is reachable.
 
     Visits every curve obtainable by pushing bad snippets (interior ones for
-    arcs), up to `max_len` snippets and `cap_states` distinct states; winding
-    numbers are allowed to drift by at most 3*s_N from the input.  A search
-    cut short is reported inconclusive rather than guessed — except that a
-    reached one-snippet state is already a positive witness.  No known
-    input reaches the winding cap (w0 + 3*s_N, w0 the input's largest
-    |wind|): no search in the tests, nor in probes over boundary powers,
-    peripheral bounces, random closed curves and arcs on all four
-    fixtures, was cut short by the length or winding cap, and the tests
-    pass without the winding prune.
+    arcs), up to `max_len` snippets and `cap_states` distinct states.  A
+    search cut short is reported inconclusive rather than guessed — except
+    that a reached one-snippet state is already a positive witness.
 
     The search runs over tuples of dense int snippet ids, interned in a
-    table of its own with each id's bad flag and |wind|; the table ends
-    with the search.  The input's bad flags come from the fact records
+    table of its own with each id's bad flag; the table ends with the
+    search.  The input's bad flags come from the fact records
     `validate_curve` returns, and a window's from the records its push
     returns.  A push is memoised on its (prev, bad, next) ids, since its
     window depends on those three snippets alone: each distinct triple is
     pushed once by `push_window`, the step `hom` uses, and every later
     push of it is one lookup.  A child is laid out as `WorkingCurve.apply`
     lays out a push, so the breadth-first order, and with it `states` under
-    a state cap, is that of a search over whole curves.  Only the window
-    can pass the winding cap.  A closed curve is keyed by its least
-    rotation.  A two-snippet closed curve, whose push rewrites all of it,
-    is pushed by `push_two`, as `hom` pushes it; the window is the child.
+    a state cap, is that of a search over whole curves.  A closed curve is
+    keyed by its least rotation.  A two-snippet closed curve, whose push
+    rewrites all of it, is pushed by `push_two`, as `hom` pushes it; the
+    window is the child.
     Curves of up to 12 snippets take 0.1 ms to under 0.2 s; an 18-snippet
     curve of tens of thousands of states takes 0.6 to 1 s (2-vCPU VM)."""
     if cap_states < 1:
         raise BadInput(f"state cap {cap_states} is not positive")
     facts = validate_curve(curve, nb)
     tab = _IdTable(nb)
-    s_N = nb.s_N
     if max_len is None:
-        max_len = len(curve.snippets) + 3 * s_N
+        max_len = len(curve.snippets) + 3 * nb.s_N
     closed = curve.kind == CLOSED
-    start, w0 = tab.intern(curve.snippets, facts)
+    start = tab.intern(curve.snippets, facts)
     bad, pushes = tab.bad, tab.pushes
-    wind_cap = w0 + 3 * s_N
     seen = {_least_rotation(start) if closed else start}
     queue = deque([start])
     efficient_found = False
-    single_found = False
     pruned = False
     states = 0
     while queue:
@@ -500,16 +483,15 @@ def exhaustive_oracle(curve: Curve, nb: TieNeighbourhood,
         elif n == 1:
             # a lone bad snippet is the contracted (inessential or
             # peripheral) terminal form: a positive witness
-            single_found = True
             return OracleVerdict(True, efficient_found, True, states)
         if not closed:
             bads = [i for i in bads if 0 < i < n - 1]
         for k in bads:
             if n == 2:  # closed: an arc of two has no interior position
-                child, w = tab.push_two(cur, k)
+                child = tab.push_two(cur, k)
             else:
                 arc = (cur[k - 1], cur[k], cur[(k + 1) % n])
-                win, w = pushes.get(arc) or tab.push(arc)
+                win = pushes.get(arc) or tab.push(arc)
                 # as `WorkingCurve.apply` lays it out: rotated first when
                 # the window would wrap
                 if 0 < k < n - 1:
@@ -518,27 +500,26 @@ def exhaustive_oracle(curve: Curve, nb: TieNeighbourhood,
                     child = win + cur[2:n - 1]
                 else:
                     child = win + cur[1:n - 2]
-            if len(child) > max_len or w > wind_cap:
+            if len(child) > max_len:
                 pruned = True
                 continue
             key = _least_rotation(child) if closed else child
             if key in seen:
                 continue
             if len(seen) >= cap_states:
-                return OracleVerdict(False, efficient_found, single_found,
-                                     states, reason="state cap")
+                return OracleVerdict(False, efficient_found, False, states,
+                                     reason="state cap")
             seen.add(key)
             queue.append(child)
-    if pruned and not single_found:
-        return OracleVerdict(False, efficient_found, single_found, states,
-                             reason="length or winding cap")
-    return OracleVerdict(True, efficient_found, single_found, states)
+    if pruned:
+        return OracleVerdict(False, efficient_found, False, states,
+                             reason="length cap")
+    return OracleVerdict(True, efficient_found, False, states)
 
 
 def oracle_agrees(verdict: OracleVerdict, status: str) -> bool:
     """Does a conclusive oracle verdict agree with a pipeline status on the
     single-snippet-vs-not question (and efficiency, where decided)?"""
-    from .pipelines import EFFICIENT, SINGLE_SNIPPET
     if status == SINGLE_SNIPPET:
         return verdict.single_reachable
     if verdict.single_reachable:

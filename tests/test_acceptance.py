@@ -410,8 +410,13 @@ def test_criterion_6_trichotomy(tracks):
             for k in (1, 2, 3):
                 suite.append((boundary_power(nb, ri, k), "peripheral",
                               {"power": k, "component": comp}))
-                suite.append((peripheral_bounce(nb, ri, k), "peripheral",
+                bounce = peripheral_bounce(nb, ri, k)
+                suite.append((bounce, "peripheral",
                               {"power": k, "component": comp}))
+                for reps in (2, 3):
+                    suite.append((Curve(CLOSED, bounce.snippets * reps),
+                                  "peripheral",
+                                  {"power": k * reps, "component": comp}))
         for seed in range(3):
             rng = random.Random(f"{name}/{seed}/c6-boundary")
             out = one_ended_arc(nb, rng, rng.randrange(1, 5), flip=False)
@@ -462,8 +467,9 @@ def test_criterion_6_trichotomy(tracks):
     line = (f"criterion 6 (end-to-end trichotomy): "
             f"{'PASS' if ok else 'FAIL'} — {cases} constructed inputs "
             f"(trivial loops, doubled-back loops, boundary powers k=1..3, "
-            f"carried loops, arcs from the boundary walked back to it or "
-            f"to a glued edge); every output checker-efficient or length 1; "
+            f"bounces repeated 2-3 times, carried loops, arcs from the "
+            f"boundary walked back to it or to a glued edge); every output "
+            f"checker-efficient or length 1; "
             f"{failures} read-off failures{'; ' if notes else ''}"
             + "; ".join(notes[:4]))
     if not ok:
