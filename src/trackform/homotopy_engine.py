@@ -21,19 +21,18 @@ Most of a push depends on the bad snippet alone: its cut-off walk and j,
 both slide targets with their corner flags, the j - 1 in-between snippets
 with their fact records, and the chain of crossed edges.  That part is a
 `PushRecipe`, worked out once per distinct bad snippet per neighbourhood
-and filed beside its fact record.  Filing one is table lookups: the
-neighbourhood's step table gives each slide target and its corner flag
-(one step round the cycle from the partner of the bad snippet's start or
-end), the cut-off walk's inner loci are j - 1 further steps from the
-start, and each in-between snippet is threaded once per (region, crossed
-locus, turn) into the neighbourhood's thread table, then looked up.  The
-checks on a recipe run once, when it is filed: its class and j against the
-rule, each in-between snippet valid and not bad, and the two sides of each
-crossed edge gluing partners; the check that an in-between snippet hugs
-its edge depends only on its thread-table key and runs once per key.  A
-recipe is filed only for an open bad snippet, so a push whose snippet has
-one is one lookup; only a snippet without one is checked for being open
-and bad.
+and filed beside its fact record.  Filing one is one pass of table
+lookups along the cut-off walk: the neighbourhood's step table gives each
+slide target and its corner flag (one step round the cycle from the
+partner of the bad snippet's start or end), and the walk's j - 1 inner
+loci are further steps from the start.  At each inner locus the pass takes
+its partner, builds the in-between snippet from the partner's step entry
+and files its fact record.  The checks on a recipe run once, in that pass:
+its class and j against the rule, each in-between snippet hugging its
+edge, valid and not bad, and the two sides of each crossed edge gluing
+partners.  A recipe is filed only for an open bad snippet, so a push
+whose snippet has one is one lookup; only a snippet without one is checked
+for being open and bad.
 
 What depends on the neighbours is one step, `push_window(prev, bad, next)`,
 which reads those three snippets and nothing else and checks them every
@@ -91,13 +90,11 @@ class PushRecipe(NamedTuple):
 
 
 def _push_recipe_uncached(a: Snippet, nb: TieNeighbourhood,
-                          cls: SnippetClass | None = None) -> PushRecipe:
-    """The recipe, read off the neighbourhood's step table: each slide is
-    one step from a partner locus, and each in-between snippet is threaded
-    once per (region, crossed locus, turn) and then looked up.  `cls` is
-    the snippet's class, when the caller has just looked it up."""
-    if cls is None:
-        cls = classify(a, nb)
+                          cls: SnippetClass) -> PushRecipe:
+    """The recipe of the open bad snippet `a` of class `cls`, read off the
+    neighbourhood's step table in one pass along the cut-off walk: each
+    slide is one step from a partner locus, and each in-between snippet is
+    built and filed as the walk crosses its locus."""
     assert cls.bad and not a.closed, "recipes are for open bad snippets"
     j = cls.j
     if cls.type in EXPECTED_J:
@@ -125,64 +122,41 @@ def _push_recipe_uncached(a: Snippet, nb: TieNeighbourhood,
         _, _, new_end, corner = steps[p_region][p_locus]
         new_start, corner2, _, _ = steps[q_region][q_locus]
         d_end, d_start = int(corner), int(corner2)
-    inners, inner_facts = _threaded(a, j, dir_right, nb) if j > 1 else ((), ())
 
+    # The cut-off walk's inner loci are the j - 1 steps from the start
+    # towards the cut-off side, in the order the push crosses them.  The
+    # in-between snippet across each runs from one neighbour of the partner
+    # locus to the other, hugging it on the left of a right-turning push;
+    # in an annulus its winding counts the corners of the two gaps it hugs.
     # Each crossed edge must be one tiling edge seen from its two sides.
-    region, locus = p_region, new_end
-    for i, s in enumerate(inners):
-        assert partners[region][locus] == (s.region, s.start), \
-            f"crossed edge mismatch at {i}"
-        region, locus = s.region, s.end
-    assert partners[region][locus] == (q_region, new_start), \
-        f"crossed edge mismatch at {j - 1}"
-    return PushRecipe(cls, j, before, after, new_end, d_end, new_start,
-                      d_start, inners, inner_facts)
-
-
-def _threaded(a: Snippet, j: int, dir_right: bool, nb: TieNeighbourhood
-              ) -> tuple[tuple[Snippet, ...], tuple[SnippetFacts, ...]]:
-    """The j - 1 in-between snippets of pushing `a`, with their fact
-    records, each checked valid and not bad.  The cut-off walk's inner
-    loci are the j - 1 steps from the start towards the cut-off side, in
-    the order the push crosses them; each in-between snippet is looked up
-    in the neighbourhood's thread table, and threaded on a miss."""
-    region_steps = nb._steps[a.region]
     toward = 2 if dir_right else 0
-    locus = a.start
+    crossed = a.start
+    region, end = p_region, new_end  # where the snippet before ends
     inners: list[Snippet] = []
     inner_facts: list[SnippetFacts] = []
-    for _ in range(j - 1):
-        locus = region_steps[locus][toward]
-        inner = nb._threads.get((a.region, locus, dir_right))
-        if inner is None:
-            inner = _thread(nb, a.region, locus, dir_right)
+    for i in range(j - 1):
+        crossed = steps[a.region][crossed][toward]
+        w_region, w_locus = partners[a.region][crossed]
+        cw, cw_corner, ccw, ccw_corner = steps[w_region][w_locus]
+        start, stop = (ccw, cw) if dir_right else (cw, ccw)
+        wind = 0
+        if nb.regions[w_region].kind == ANNULUS:
+            assert start != stop, "in-between snippet does not hug its edge"
+            wind = cw_corner + ccw_corner
+            if dir_right:
+                wind = -wind
+        inner = Snippet(w_region, start, stop, wind)
+        assert partners[region][end] == (w_region, start), \
+            f"crossed edge mismatch at {i}"
         rec = facts(inner, nb)  # validates it first
         assert not rec.cls.bad, "in-between snippet came out bad"
         inners.append(inner)
         inner_facts.append(rec)
-    return tuple(inners), tuple(inner_facts)
-
-
-def _thread(nb: TieNeighbourhood, region: int, crossed: Locus,
-            dir_right: bool) -> Snippet:
-    """The in-between snippet a push turning `dir_right` threads across the
-    partner of `crossed`, filed in the neighbourhood's thread table.
-
-    It runs from one neighbour of the partner locus to the other, hugging
-    that locus on the left of a right-turning push; in an annulus its
-    winding counts the corners of the two gaps it hugs."""
-    w_region, w_locus = nb._partners[region][crossed]
-    cw, cw_corner, ccw, ccw_corner = nb._steps[w_region][w_locus]
-    start, end = (ccw, cw) if dir_right else (cw, ccw)
-    wind = 0
-    if nb.regions[w_region].kind == ANNULUS:
-        assert start != end, "in-between snippet does not hug its edge"
-        wind = cw_corner + ccw_corner
-        if dir_right:
-            wind = -wind
-    inner = nb._threads[(region, crossed, dir_right)] = Snippet(
-        w_region, start, end, wind)
-    return inner
+        region, end = w_region, stop
+    assert partners[region][end] == (q_region, new_start), \
+        f"crossed edge mismatch at {j - 1}"
+    return PushRecipe(cls, j, before, after, new_end, d_end, new_start,
+                      d_start, tuple(inners), tuple(inner_facts))
 
 
 def push_window(prev: Snippet, a: Snippet, nxt: Snippet,

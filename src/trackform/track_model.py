@@ -32,9 +32,9 @@ and edge-weight prefix sums.  The partner table is the one form of the
 gluing: it is derived from the builder's table of glued segments, and a
 `Side` holds only its label and segment count.  The neighbourhood also
 holds the tables filled as it meets snippets: the fact table and its
-distinct records (`snippet_core`), and the push recipes and the in-between
-snippets threaded for them (`homotopy_engine`).  None of these outlives
-the neighbourhood.
+distinct records (`snippet_core`), and the push recipes (`homotopy_engine`),
+each filed in one pass along its cut-off walk.  None of these outlives the
+neighbourhood.
 """
 from __future__ import annotations
 
@@ -134,7 +134,7 @@ class TieNeighbourhood:
         # corners (side changes) among its first i gaps and the edge weights
         # of its first i loci, so a walk's corners and the corner length of
         # the loci it passes are differences of two entries.  Also the
-        # polygon (non-boundary) cycle and the crossable loci of each region.
+        # crossable loci of each region.
         # The step table gives, per locus, its neighbours one step clockwise
         # and one step counter-clockwise on its cycle and whether the gap to
         # each is a corner: (cw locus, cw gap a corner?, ccw locus, ccw gap a
@@ -143,7 +143,6 @@ class TieNeighbourhood:
         self._locus_info: list[dict[Locus, tuple[int, int, str, bool]]] = []
         self._steps: list[dict[Locus, tuple[Locus, bool, Locus, bool]]] = []
         self._corners_before: list[tuple[tuple[int, ...], ...]] = []
-        self._polygon_cycle: list[int | None] = []
         self._crossable: list[tuple[Locus, ...]] = []
         for r in regions:
             cycles = []
@@ -174,9 +173,6 @@ class TieNeighbourhood:
             self._locus_info.append(info)
             self._steps.append(steps)
             self._corners_before.append(tuple(prefixes))
-            self._polygon_cycle.append(next(
-                (ci for ci, cyc in enumerate(r.cycles)
-                 if r.sides[cyc[0]].label != BOUNDARY), None))
             self._crossable.append(tuple(
                 (si, gi) for si, side in enumerate(r.sides)
                 if side.label != BOUNDARY for gi in range(side.n_segments)))
@@ -208,10 +204,8 @@ class TieNeighbourhood:
         # distinct records it filed, so equal ones are one object
         self._classify_cache: dict = {}
         self._fact_records: dict = {}
-        # bad snippet -> push recipe, and (region, crossed locus, turn) ->
-        # in-between snippet, filled and read by homotopy_engine
+        # bad snippet -> push recipe, filled and read by homotopy_engine
         self._push_recipes: dict = {}
-        self._threads: dict = {}
         self._build_vertices()
         self.s_N = self._compute_s_N()
         self.boundary_components: tuple[tuple[int, int], ...] = tuple(
@@ -247,12 +241,9 @@ class TieNeighbourhood:
             raise BadInput(f"no locus {locus} in region {self.regions[region].name}") from None
 
     def polygon_cycle(self, region: int) -> int:
-        """Cycle index of the polygon (non-boundary) cycle of a comp region."""
-        ci = self._polygon_cycle[region]
-        if ci is None:
-            raise BadInput(
-                f"region {self.regions[region].name} has no polygon cycle")
-        return ci
+        """Cycle index of the region's polygon (non-boundary) cycle: always 0,
+        as a rectangle has one cycle and a face lists its polygon first."""
+        return 0
 
     def crossable_loci(self, region: int) -> tuple[Locus, ...]:
         """Loci on glued sides of a region, side by side — the places a
@@ -315,8 +306,8 @@ class TieNeighbourhood:
         return 0 if self.regions[region].kind == ANNULUS else 1
 
     def region_index(self, region: int) -> Fraction:
-        ci = self.polygon_cycle(region) if self.regions[region].kind in (DISC, ANNULUS) else 0
-        return index(self.region_chi(region), self.total_corners(region, ci), 0)
+        return index(self.region_chi(region),
+                     self.total_corners(region, self.polygon_cycle(region)), 0)
 
     def edge_weight(self, region: int, locus: Locus) -> int:
         """Corner-length weight of a full comp-region edge: vertical 1,
@@ -458,7 +449,7 @@ def build_tie_neighbourhood(desc: TrainTrackDesc) -> TieNeighbourhood:
             for gi, seg in enumerate(run):
                 glue((len(regions), len(sides), gi), seg)
             sides.append(Side(V, 1) if cusp else Side(H, len(run)))
-        poly = tuple(range(len(sides)))
+        poly = tuple(range(len(sides)))  # cycle 0: see `polygon_cycle`
         if f.kind == ANNULUS:
             sides.append(Side(BOUNDARY, 1))
             cycles: tuple[tuple[int, ...], ...] = (poly, (len(sides) - 1,))

@@ -530,7 +530,7 @@ def test_wide_hor_bigon_push_starts_its_window_on_a_tie():
                             continue
                         if cls.type != "R(h,h)" or cls.j == 0:
                             continue
-                        rec = _push_recipe_uncached(s, nb)
+                        rec = _push_recipe_uncached(s, nb, cls)
                         p_region, _ = rec.before
                         assert nb.regions[p_region].kind in (BRANCH, SWITCH)
                         assert nb.side_label(p_region, rec.new_end) == T

@@ -84,8 +84,10 @@ def test_recipes_equal_a_fresh_recomputation(warm):
         assert len(pushable) > 100
         assert set(nb._push_recipes) <= set(pushable)
         for s in pushable:
-            rec = nb._push_recipes.get(s) or _push_recipe_uncached(s, nb)
-            assert rec == _push_recipe_uncached(s, fresh), s
+            rec = (nb._push_recipes.get(s)
+                   or _push_recipe_uncached(s, nb, classify(s, nb)))
+            assert rec == _push_recipe_uncached(s, fresh,
+                                                classify(s, fresh)), s
             assert rec.cls == classify(s, fresh)
             assert len(rec.inners) == max(rec.j - 1, 0)
             for inner in rec.inners:
@@ -115,7 +117,7 @@ def test_hom_checks_the_neighbours_against_the_recipe(warm):
     neighbour that ends (or starts) elsewhere raises `AdjacencyError`."""
     for name, (nb, pushable) in warm.items():
         for a in pushable:
-            rec = _push_recipe_uncached(a, nb)
+            rec = _push_recipe_uncached(a, nb, classify(a, nb))
             prev = _ending(nb, *rec.before)
             nxt = reverse_snippet(_ending(nb, *rec.after))
             window, _, ev = hom(Curve(ARC, (prev, a, nxt)), 1, nb)
