@@ -25,7 +25,7 @@ records with the window (`homotopy_engine.hom` looks them up).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AdjacencyError, BadInput, NotGluable
 from .snippet_core import (
@@ -45,8 +45,7 @@ ARC = "Arc"
 CLOSED = "Closed"
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
     kind: str  # Arc | Closed
     snippets: tuple[Snippet, ...]
 
@@ -128,8 +127,7 @@ def rotate_in_place(seq, r: int) -> None:
         del seq[n:]
 
 
-@dataclass(frozen=True)
-class LengthReport:
+class LengthReport(NamedTuple):
     len: int
     len_corn: int
     len_block: int

@@ -27,12 +27,14 @@ slide target and its corner flag (one step round the cycle from the
 partner of the bad snippet's start or end), and the walk's j - 1 inner
 loci are further steps from the start.  At each inner locus the pass takes
 its partner, builds the in-between snippet from the partner's step entry
-and files its fact record.  The checks on a recipe run once, in that pass:
-its class and j against the rule, each in-between snippet hugging its
-edge, valid and not bad, and the two sides of each crossed edge gluing
-partners.  A recipe is filed only for an open bad snippet, so a push
-whose snippet has one is one lookup; only a snippet without one is checked
-for being open and bad.
+and files its fact record.  An in-between snippet may start and end on one
+locus: in the one-cusp annulus of a loop branch (a face word of one cusp
+and one branch edge) it runs from the cusp round the edge back to the
+cusp.  The checks on a recipe run once, in that pass: its class and j
+against the rule, each in-between snippet valid and not bad, and the two
+sides of each crossed edge gluing partners.  A recipe is filed only for an
+open bad snippet, so a push whose snippet has one is one lookup; only a
+snippet without one is checked for being open and bad.
 
 What depends on the neighbours is one step, `push_window(prev, bad, next)`,
 which reads those three snippets and nothing else and checks them every
@@ -127,7 +129,8 @@ def _push_recipe_uncached(a: Snippet, nb: TieNeighbourhood,
     # towards the cut-off side, in the order the push crosses them.  The
     # in-between snippet across each runs from one neighbour of the partner
     # locus to the other, hugging it on the left of a right-turning push;
-    # in an annulus its winding counts the corners of the two gaps it hugs.
+    # in an annulus its winding counts the corners of the two gaps it hugs
+    # (the two neighbours are one locus in a one-cusp annulus of one edge).
     # Each crossed edge must be one tiling edge seen from its two sides.
     toward = 2 if dir_right else 0
     crossed = a.start
@@ -141,7 +144,6 @@ def _push_recipe_uncached(a: Snippet, nb: TieNeighbourhood,
         start, stop = (ccw, cw) if dir_right else (cw, ccw)
         wind = 0
         if nb.regions[w_region].kind == ANNULUS:
-            assert start != stop, "in-between snippet does not hug its edge"
             wind = cw_corner + ccw_corner
             if dir_right:
                 wind = -wind

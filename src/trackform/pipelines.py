@@ -37,7 +37,7 @@ twice its bound (twice plus one for `single_bad`) rather than run away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .curve_ops import (
     ARC,
@@ -475,15 +475,14 @@ def _resolve(run: Run, k: int) -> bool:
 # -- driver -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Result:
+class Result(NamedTuple):
     """Outcome of one full homotopy run."""
     status: str
     curve: Curve
-    events: list = field(repr=False)
-    homs: int = 0
-    report: LengthReport | None = None
-    budget_log: list = field(repr=False, default_factory=list)
+    events: list
+    homs: int
+    report: LengthReport
+    budget_log: list
 
 
 def proven_push_bound(nb: TieNeighbourhood, n0: int) -> int:

@@ -38,9 +38,9 @@ neighbourhood.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from typing import NamedTuple
 
 from .errors import (
     BadInput,
@@ -63,21 +63,18 @@ DISC = "disc"
 ANNULUS = "annulus"
 
 
-@dataclass(frozen=True)
-class SwitchDesc:
+class SwitchDesc(NamedTuple):
     name: str
     large: tuple[str, int]
     smalls: tuple[tuple[str, int], tuple[str, int]]  # (top, bottom)
 
 
-@dataclass(frozen=True)
-class FaceDesc:
+class FaceDesc(NamedTuple):
     kind: str  # "disc" | "annulus"
     word: tuple[str, ...]  # cyclic tokens, face on the left
 
 
-@dataclass(frozen=True)
-class TrainTrackDesc:
+class TrainTrackDesc(NamedTuple):
     genus: int
     boundary: int
     branches: tuple[str, ...]
@@ -85,14 +82,12 @@ class TrainTrackDesc:
     faces: tuple[FaceDesc, ...]
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(NamedTuple):
     label: str  # H | V | T | BOUNDARY
     n_segments: int
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     kind: str  # BRANCH | SWITCH | DISC | ANNULUS
     name: str
     sides: tuple[Side, ...]

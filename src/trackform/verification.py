@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curve_ops import (CLOSED, Curve, WorkingCurve, measure,
                         validate_curve)
@@ -75,8 +75,7 @@ __all__ = [
 # -- independent efficiency checker -----------------------------------------
 
 
-@dataclass(frozen=True)
-class EfficiencyReport:
+class EfficiencyReport(NamedTuple):
     ok: bool
     verdicts: tuple[bool, ...]  # True = the snippet is in efficient position
     first_failure: int | None
@@ -136,8 +135,7 @@ def check_efficient(curve: Curve, nb: TieNeighbourhood) -> EfficiencyReport:
 # -- trace audit ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     ok: bool
     events: int
     checks: int
@@ -366,8 +364,7 @@ def audit_trace(trace, before: Curve, after: Curve,
 # -- exhaustive search oracle -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(NamedTuple):
     conclusive: bool
     efficient_reachable: bool
     single_reachable: bool

@@ -1,12 +1,16 @@
 """Shared pytest plumbing: a repeatable Hypothesis profile, the fixtures
-several test modules share, and the acceptance-criterion result lines,
-printed after the run outside output capture."""
+and helpers several test modules share, and the acceptance-criterion
+result lines, printed after the run outside output capture."""
 from __future__ import annotations
+
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
-from trackform.curve_ops import ARC, CLOSED, Curve, reverse
+from trackform.curve_ops import ARC, CLOSED, Curve, reverse, validate_curve
+from trackform.errors import TrackformError
 from trackform.fixtures import load_fixture
 from trackform.generate import random_arc
 from trackform.snippet_core import Snippet
@@ -49,6 +53,37 @@ def one_ended_arc(nb, rng, length: int, flip: bool = True) -> Curve:
     arc = random_arc(nb, rng, length + 1, proper=True)
     arc = Curve(ARC, arc.snippets[:-1])
     return reverse(arc) if flip and rng.random() < 0.5 else arc
+
+
+def two_snippet_curves(nb, turns):
+    """Every valid two-snippet closed curve with windings in `turns`, in
+    both rotations."""
+    for r0 in range(len(nb.regions)):
+        for a in nb.crossable_loci(r0):
+            for b in nb.crossable_loci(r0):
+                r1, start = nb.partner(r0, b)
+                back, end = nb.partner(r0, a)
+                if back != r1:
+                    continue
+                for w0 in turns:
+                    for w1 in turns:
+                        curve = Curve(CLOSED, (Snippet(r0, a, b, w0),
+                                               Snippet(r1, start, end, w1)))
+                        try:
+                            validate_curve(curve, nb)
+                        except TrackformError:
+                            continue
+                        yield curve
+
+
+def src_env() -> dict[str, str]:
+    """The environment for a subprocess that imports trackform from this
+    checkout's `src`."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 ACCEPTANCE: list[str] = []

@@ -1,6 +1,6 @@
 """The per-neighbourhood fact table and the memoised navigation tables, each
-checked against a cold recomputation; the snippet value type; and the
-direct curve/1 writer against `json.dumps`.
+checked against a cold recomputation; the snippet and record value types;
+and the direct curve/1 writer against `json.dumps`.
 
 The reference for a fact record is the walk-based derivation the
 table-driven `snippet_core._classify_uncached` replaced: it builds both
@@ -25,7 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trackform.snippet_core as snippet_core
-from trackform.curve_ops import ARC, CLOSED, Curve, measure, validate_curve
+from trackform.curve_ops import (ARC, CLOSED, Curve, LengthReport, measure,
+                                 validate_curve)
 from trackform.errors import BadInput, GenerationFailed, InconsistentSnippet
 from trackform.fixtures import FIXTURE_NAMES, load_fixture
 from trackform.formats import parse_curve, serialize_curve
@@ -34,15 +35,18 @@ from trackform.generate import (boundary_power, doubled_back,
                                 trivial_loop)
 from trackform.homotopy_engine import (EXPECTED_J, PushRecipe,
                                        _push_recipe_uncached, hom)
-from trackform.pipelines import efficient_position
+from trackform.pipelines import EFFICIENT, Result, efficient_position
 from trackform.snippet_core import (BAD, CARRIED, DUAL_COMP, DUAL_TIE, LEFT,
                                     PERIPHERAL, R_BOUNDARY, R_TRIVIAL, RIGHT,
                                     TRIVIAL, Snippet, SnippetClass, classify,
                                     corner_length, fact_table, is_bigon,
                                     is_trigon, valid_winds)
-from trackform.track_model import (ANNULUS, BOUNDARY, BRANCH, SWITCH, H, T, V,
-                                   Locus, TieNeighbourhood)
-from trackform.verification import audit_trace
+from trackform.track_model import (ANNULUS, BOUNDARY, BRANCH, DISC, SWITCH,
+                                   FaceDesc, H, Locus, Region, Side,
+                                   SwitchDesc, T, TieNeighbourhood,
+                                   TrainTrackDesc, V)
+from trackform.verification import (AuditReport, EfficiencyReport,
+                                    OracleVerdict, audit_trace)
 
 # -- the reference derivation -------------------------------------------------
 
@@ -675,6 +679,38 @@ def test_snippet_is_an_immutable_value():
     assert c1 == c2 and hash(c1) == hash(c2)
     assert c1 != Curve(ARC, c2.snippets)
     assert repr(a) == "Snippet(region=3, start=(1, 0), end=(2, 0), wind=0)"
+
+
+def _records() -> dict:
+    """A value of each record type, by name, built afresh on every call."""
+    curve = Curve(CLOSED, (Snippet(3, (1, 0), (2, 0)),))
+    report = LengthReport(1, 2, 0, 1, 0, 0, 1)
+    side = Side(H, 1)
+    return {
+        "Curve": curve,
+        "LengthReport": report,
+        "Result": Result(EFFICIENT, curve, (), 0, report, ()),
+        "EfficiencyReport": EfficiencyReport(True, (True,), None),
+        "AuditReport": AuditReport(True, 3, 12),
+        "OracleVerdict": OracleVerdict(True, True, False, 5),
+        "SwitchDesc": SwitchDesc("v0", ("a", 0), (("b", 0), ("d", 0))),
+        "FaceDesc": FaceDesc(DISC, ("v0.b", "a.l")),
+        "TrainTrackDesc": TrainTrackDesc(1, 1, ("a",), (), ()),
+        "Side": side,
+        "Region": Region(BRANCH, "br:a", (side,), ((0,),)),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_records()))
+def test_record_is_an_immutable_value(kind):
+    """Records built from equal fields are equal with equal hashes, and
+    no field can be assigned."""
+    a, b = _records()[kind], _records()[kind]
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert type(a).__name__ == kind
+    for name in a._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
 
 
 # -- the curve/1 writer -------------------------------------------------------

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import two_snippet_curves
 from trackform.curve_ops import (ARC, CLOSED, Curve, WorkingCurve, reverse,
                                  validate_curve)
 from trackform.errors import (AdjacencyError, BadInput, ClosedSnippet,
@@ -428,26 +429,6 @@ def _reference_two(prev, a, k, nb):
     return window, wf, Hom(k, 0, cls.type, cls.turn, j, [2, j], [0, j])
 
 
-def _two_snippet_curves(nb, turns=range(-8, 9)):
-    """Every valid two-snippet closed curve with windings in `turns`."""
-    for r0 in range(len(nb.regions)):
-        for a in nb.crossable_loci(r0):
-            for b in nb.crossable_loci(r0):
-                r1, start = nb.partner(r0, b)
-                back, end = nb.partner(r0, a)
-                if back != r1:
-                    continue
-                for w0 in turns:
-                    for w1 in turns:
-                        curve = Curve(CLOSED, (Snippet(r0, a, b, w0),
-                                               Snippet(r1, start, end, w1)))
-                        try:
-                            validate_curve(curve, nb)
-                        except TrackformError:
-                            continue
-                        yield curve
-
-
 # pushes of bad snippets, and positions refused, per fixture
 _TWO_PUSHES = {"t11": (248, 304), "t11d": (292, 156), "s04": (528, 384),
                "s12": (376, 344)}
@@ -462,7 +443,7 @@ def test_push_two_keeps_the_two_snippet_arithmetic(name):
     error."""
     nb = load_fixture(name)
     counts = [0, 0]
-    for curve in _two_snippet_curves(nb):
+    for curve in two_snippet_curves(nb, range(-8, 9)):
         for k in (0, 1):
             prev, a = curve.snippets[k - 1], curve.snippets[k]
             want = _raised_or(_reference_two, prev, a, k, nb)

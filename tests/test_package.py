@@ -4,8 +4,11 @@ from __future__ import annotations
 import contextlib
 import io
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+from conftest import src_env
 import trackform
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -15,6 +18,17 @@ def test_every_exported_name_resolves():
     missing = [n for n in trackform.__all__ if not hasattr(trackform, n)]
     assert not missing
     assert len(set(trackform.__all__)) == len(trackform.__all__)
+
+
+def test_import_loads_no_dataclasses():
+    """The record types are NamedTuples: a fresh `import trackform.cli`
+    leaves `dataclasses` unloaded."""
+    p = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, trackform.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env=src_env(), timeout=60)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "False"
 
 
 def test_readme_library_quick_start_runs():

@@ -7,7 +7,6 @@ face word, and indices from the corner-count formula.
 """
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -338,7 +337,7 @@ def test_validation_errors():
 
 
 def _theta_with(**changes) -> TrainTrackDesc:
-    return dataclasses.replace(_theta(), **changes)
+    return _theta()._replace(**changes)
 
 
 @pytest.mark.parametrize("desc, error, message", [
@@ -450,8 +449,7 @@ def _mutant(desc: TrainTrackDesc, data) -> TrainTrackDesc:
     change = data.draw(st.sampled_from(
         ("swap", "split", "merge", "rotate", "flip", "genus", "boundary")))
     if change in ("genus", "boundary"):
-        return dataclasses.replace(
-            desc, **{change: data.draw(st.integers(0, 4))})
+        return desc._replace(**{change: data.draw(st.integers(0, 4))})
     fi = data.draw(st.integers(0, len(words) - 1))
     if change == "swap":
         fj = data.draw(st.integers(0, len(words) - 1))
@@ -474,7 +472,7 @@ def _mutant(desc: TrainTrackDesc, data) -> TrainTrackDesc:
         words[fi] = words[fi][k:] + words[fi][:k]
     elif change == "flip":
         kinds[fi] = ANNULUS if kinds[fi] == DISC else DISC
-    return dataclasses.replace(desc, faces=tuple(
+    return desc._replace(faces=tuple(
         FaceDesc(kind, tuple(word)) for kind, word in zip(kinds, words)))
 
 
@@ -510,8 +508,8 @@ def test_t11d_with_its_disc_declared_an_annulus():
     """The tetrahedral track on the twice-punctured torus: t11d's faces,
     both annuli.  It builds, and seeded runs on it pass the audit."""
     desc = parse_track(fixture_text("t11d"))
-    desc = dataclasses.replace(desc, boundary=2, faces=tuple(
-        dataclasses.replace(f, kind=ANNULUS) for f in desc.faces))
+    desc = desc._replace(boundary=2, faces=tuple(
+        f._replace(kind=ANNULUS) for f in desc.faces))
     nb = build_tie_neighbourhood(desc)
     assert (nb.euler, nb.n_vertices, nb.n_edges, nb.s_N) == (-2, 24, 36, 17)
     assert len(nb.boundary_components) == 2
