@@ -12,8 +12,12 @@ from hypothesis import settings
 from trackform.curve_ops import ARC, CLOSED, Curve, reverse, validate_curve
 from trackform.errors import TrackformError
 from trackform.fixtures import load_fixture
+from trackform.formats import parse_track, read_text
 from trackform.generate import random_arc
 from trackform.snippet_core import Snippet
+from trackform.track_model import build_tie_neighbourhood
+
+LOOP_TRACK = Path(__file__).resolve().parent / "loop_annulus.track"
 
 # Every run draws the same examples, and none are replayed from a saved
 # database, so a property test passes or fails the same way each time.
@@ -43,6 +47,14 @@ def carried_loop(t11):
         Snippet(r["br:b"], (1, 0), (3, 0)),
         Snippet(r["sw:v0"], (3, 0), (1, 0)),
     ))
+
+
+def load_loop_track():
+    """The track of `loop_annulus.track`, whose face 3 is the one-cusp
+    annulus of the loop branch x1, named as the CLI names it."""
+    nb = build_tie_neighbourhood(parse_track(read_text(LOOP_TRACK)))
+    nb.name = LOOP_TRACK.stem
+    return nb
 
 
 def one_ended_arc(nb, rng, length: int, flip: bool = True) -> Curve:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import random
+from functools import partial
 from typing import NamedTuple
 
 import pytest
@@ -25,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trackform.snippet_core as snippet_core
+from conftest import load_loop_track
 from trackform.curve_ops import (ARC, CLOSED, Curve, LengthReport, measure,
                                  validate_curve)
 from trackform.errors import BadInput, GenerationFailed, InconsistentSnippet
@@ -305,14 +307,14 @@ def _hug_wind(nb: TieNeighbourhood, region: int, start: Locus, end: Locus,
     the crossed edge's locus, on the left of a right-turning push."""
     if nb.regions[region].kind != ANNULUS:
         return 0
-    if dir_right:
-        hug = _stepped_walk(nb, region, end, start)
-        sign = -1
-    else:
-        hug = _stepped_walk(nb, region, start, end)
-        sign = 1
-    assert hug.between == (crossed,), "in-between snippet does not hug its edge"
-    return sign * hug.corners
+    first, last = (end, start) if dir_right else (start, end)
+    # two walks, not one from first to last: in the one-cusp annulus of a
+    # loop branch first and last are one locus
+    to = _stepped_walk(nb, region, first, crossed)
+    on = _stepped_walk(nb, region, crossed, last)
+    assert to.between == on.between == (), \
+        "in-between snippet does not hug its edge"
+    return (-1 if dir_right else 1) * (to.corners + on.corners)
 
 
 def _reference_recipe(a, nb):
@@ -528,9 +530,11 @@ def test_random_snippets_file_the_reference_record(name, data):
 
 def test_push_recipes_equal_the_reference_recipe():
     """Every bigon and trigon snippet of each fixture's locus space (the
-    pushable ones) gets the recipe the reference walk gives."""
-    for name in FIXTURE_NAMES:
-        nb, ref = load_fixture(name), load_fixture(name)
+    pushable ones), and of the loop-branch track's, gets the recipe the
+    reference walk gives."""
+    loaders = [partial(load_fixture, n) for n in FIXTURE_NAMES]
+    for load in (*loaders, load_loop_track):
+        nb, ref = load(), load()
         pushed = 0
         for ri in range(len(nb.regions)):
             for wind in _windings(nb, ri):
@@ -545,7 +549,7 @@ def test_push_recipes_equal_the_reference_recipe():
                             assert _push_recipe_uncached(s, nb, cls) == \
                                 _reference_recipe(s, ref), s
                             pushed += 1
-        assert pushed > 100, name
+        assert pushed > 100, nb.name
 
 
 def test_invalid_snippets_still_raise_on_a_warm_table(warm):

@@ -3,27 +3,25 @@
 Branch x1 has both ends at switch v2, so face 3, `v2.c x1.r`, is a
 one-cusp annulus whose word is one cusp and one branch edge.  Its polygon
 cycle has two loci, so the in-between snippet a push threads across the
-edge x1.r starts and ends on the one cusp locus, hugging the edge.  Every
-curve here is a two-snippet closed curve on this track.
+edge x1.r starts and ends on the one cusp locus, hugging the edge.  The
+curves here are closed curves on this track; the known answers include
+pipeline branches that no fixture's curve reaches.
 """
 from __future__ import annotations
 
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from conftest import src_env, two_snippet_curves
-from trackform.formats import parse_curve, parse_track, read_text
+from conftest import (LOOP_TRACK, load_loop_track, src_env,
+                      two_snippet_curves)
+from trackform.formats import parse_curve
 from trackform.pipelines import (EFFICIENT, SINGLE_SNIPPET,
                                  efficient_position, terminal_summary)
-from trackform.track_model import build_tie_neighbourhood
 from trackform.verification import (audit_trace, exhaustive_oracle,
                                     oracle_agrees)
-
-TRACK = Path(__file__).resolve().parent / "loop_annulus.track"
 
 # Once round the loop branch x1; its second snippet is an S(t,t,2).
 LOOP = [{"end": [1, 0], "region": "br:x1", "start": [3, 0]},
@@ -35,16 +33,26 @@ WEIGHT_TWO = [{"end": [0, 0], "region": "br:x2", "start": [2, 0]},
 HOR_BIGON = [{"end": [0, 0], "region": "face:1", "start": [1, 5],
               "wind": -1},
              {"end": [2, 0], "region": "sw:v0", "start": [3, 1]}]
+# Reaches the S(t,t,0) exit of `two_trigons`; found among `random_closed`
+# curves on this track.
+TWO_TRIGONS = [{"end": [1, 0], "region": "face:0", "start": [0, 0],
+                "wind": -1},
+               {"end": [1, 0], "region": "br:x4", "start": [2, 0]},
+               {"end": [0, 0], "region": "sw:v1", "start": [3, 0]},
+               {"end": [1, 9], "region": "face:1", "start": [1, 7],
+                "wind": -2},
+               {"end": [3, 1], "region": "sw:v3", "start": [0, 0]}]
 
 # snippets, boundary component, power, pushes, oracle states
 KNOWN = {"loop": (LOOP, 3, -1, 2, 3),
          "weight_two": (WEIGHT_TWO, 3, -1, 4, 5),
-         "hor_bigon": (HOR_BIGON, 3, 1, 5, 7)}
+         "hor_bigon": (HOR_BIGON, 3, 1, 5, 7),
+         "two_trigons": (TWO_TRIGONS, 3, 1, 11, 44)}
 
 
 @pytest.fixture(scope="module")
 def nb():
-    return build_tie_neighbourhood(parse_track(read_text(TRACK)))
+    return load_loop_track()
 
 
 def _text(snippets) -> str:
@@ -82,17 +90,17 @@ def test_loop_curve_through_the_cli(tmp_path):
     before, after = tmp_path / "before.curve", tmp_path / "after.curve"
     trace = tmp_path / "run.trace"
     before.write_text(_text(LOOP))
-    p = _cli("run", str(TRACK), str(before), "--trace", str(trace),
+    p = _cli("run", str(LOOP_TRACK), str(before), "--trace", str(trace),
              "--out", str(after))
     assert p.returncode == 2, p.stderr
     assert "Traceback" not in p.stderr
     assert {"class: peripheral", "boundary: 3", "power: -1"} <= \
         set(p.stdout.splitlines())
-    p = _cli("verify", str(TRACK), str(before), str(after), "--trace",
+    p = _cli("verify", str(LOOP_TRACK), str(before), str(after), "--trace",
              str(trace))
     assert p.returncode == 0, p.stderr
     assert p.stdout.strip() == "PASS: 4 events, 32 checks"
-    p = _cli("oracle", str(TRACK), str(before))
+    p = _cli("oracle", str(LOOP_TRACK), str(before))
     assert p.returncode == 0, p.stderr
     assert "states=3" in p.stdout and "agreement: yes" in p.stdout
 
