@@ -35,10 +35,6 @@ class InconsistentSnippet(TrackformError):
     (unknown locus, impossible winding, nonzero wind off an annulus, ...)."""
 
 
-class NotApplicable(TrackformError):
-    """The requested quantity is undefined for this snippet type."""
-
-
 class NotGluable(TrackformError):
     """Arc ends cannot be closed or seam-glued as requested."""
 

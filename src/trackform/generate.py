@@ -57,7 +57,7 @@ def _pick_wind(nb: TieNeighbourhood, region: int, start: Locus, end: Locus,
 def _step(nb: TieNeighbourhood, region: int, start: Locus,
           rng: random.Random,
           end_pool: Sequence[Locus] | None = None) -> Snippet:
-    pool = end_pool or nb.crossable_loci(region)
+    pool = end_pool or nb.polygon_loci(region)
     end = rng.choice(pool)
     wind = _pick_wind(nb, region, start, end, rng)
     return Snippet(region, start, end, wind)
@@ -77,13 +77,13 @@ def random_arc(nb: TieNeighbourhood, rng: random.Random, length: int,
     if proper and not on_boundary:
         raise BadInput("track has no surface boundary inside its faces")
     starts = on_boundary if proper else [
-        (r, l) for r in range(len(nb.regions)) for l in nb.crossable_loci(r)]
+        (r, l) for r in range(len(nb.regions)) for l in nb.polygon_loci(r)]
     region, start = rng.choice(starts)
     hops = _hops_to(nb, nb.component_of) if proper else None
     snippets: list[Snippet] = []
     while len(snippets) < length - 1 or proper and hops[region]:
         pool = None if len(snippets) < length - 1 else [
-            l for l in nb.crossable_loci(region)
+            l for l in nb.polygon_loci(region)
             if hops[nb.partner(region, l)[0]] < hops[region]]
         s = _step(nb, region, start, rng, end_pool=pool)
         snippets.append(s)
@@ -99,7 +99,7 @@ def _hops_to(nb: TieNeighbourhood, targets) -> dict[int, int]:
     """Each region's fewest crossings to one of the target regions."""
     hops, queue = dict.fromkeys(targets, 0), list(targets)
     for region in queue:  # breadth first
-        for l in nb.crossable_loci(region):
+        for l in nb.polygon_loci(region):
             far = nb.partner(region, l)[0]
             if far not in hops:
                 hops[far] = hops[region] + 1
@@ -122,7 +122,7 @@ def random_closed(nb: TieNeighbourhood, rng: random.Random,
     if length < 2:
         raise BadInput("closed walks need length >= 2")
     starts = [(r, l) for r in range(len(nb.regions))
-              for l in nb.crossable_loci(r)]
+              for l in nb.polygon_loci(r)]
     region0, start0 = rng.choice(starts)
     back = nb.partner(region0, start0)
     assert back is not None
@@ -136,7 +136,7 @@ def random_closed(nb: TieNeighbourhood, rng: random.Random,
     for _ in range(_PATIENCE):
         if region == close_region:
             break
-        pool = nb.crossable_loci(region)
+        pool = nb.polygon_loci(region)
         into_target = [l for l in pool
                        if nb.partner(region, l)[0] == close_region]
         s = _step(nb, region, start, rng, end_pool=into_target or pool)
@@ -163,7 +163,7 @@ def boundary_power(nb: TieNeighbourhood, region: int, power: int) -> Curve:
     r = nb.regions[region]
     if r.kind != ANNULUS:
         raise BadInput(f"region {r.name} is not an annulus face")
-    n2 = nb.total_corners(region, nb.polygon_cycle(region))
+    n2 = nb.total_corners(region)
     curve = Curve(CLOSED, (Snippet(region, None, None, power * n2),))
     validate_curve(curve, nb)
     return curve
@@ -178,8 +178,8 @@ def peripheral_bounce(nb: TieNeighbourhood, region: int, power: int) -> Curve:
     r = nb.regions[region]
     if r.kind != ANNULUS:
         raise BadInput(f"region {r.name} is not an annulus face")
-    n2 = nb.total_corners(region, nb.polygon_cycle(region))
-    locus = nb.cycle_loci(region, nb.polygon_cycle(region))[0]
+    n2 = nb.total_corners(region)
+    locus = nb.polygon_loci(region)[0]
     other_region, other_locus = nb.partner(region, locus)
     curve = Curve(CLOSED, (
         Snippet(region, locus, locus, power * n2),

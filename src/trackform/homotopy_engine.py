@@ -23,7 +23,7 @@ with their fact records, and the chain of crossed edges.  That part is a
 `PushRecipe`, worked out once per distinct bad snippet per neighbourhood
 and filed beside its fact record.  Filing one is one pass of table
 lookups along the cut-off walk: the neighbourhood's step table gives each
-slide target and its corner flag (one step round the cycle from the
+slide target and its corner flag (one step round the polygon from the
 partner of the bad snippet's start or end), and the walk's j - 1 inner
 loci are further steps from the start.  At each inner locus the pass takes
 its partner, builds the in-between snippet from the partner's step entry

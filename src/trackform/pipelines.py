@@ -10,7 +10,9 @@ at most one bad snippet.  A final case analysis (`single_bad`) removes that
 survivor: most bigon types vanish in one push; the horizontal bigons need
 follow-up pushes chosen by the shape of their neighbourhood (narrow or wide
 complement bigons, blocked branch bigons); whenever a push hands the problem
-to a trigon, a plain chase (`trig_curve`) finishes.
+to a trigon, a plain chase (`trig_curve`) finishes.  `drive` runs the
+phases in this order on a `Run`; `efficient_position` builds the run and
+calls it.
 
 Every operation goes through `Run`, which owns the working curve, enforces
 the global rewrite budget and records one trace event per operation.  Each
@@ -74,6 +76,7 @@ __all__ = [
     "hor_bigon_branch",
     "single_bad",
     "proven_push_bound",
+    "drive",
     "efficient_position",
     "terminal_status",
     "terminal_summary",
@@ -273,8 +276,6 @@ def reduce_to_one(run: Run) -> None:
     """Merge the two adjacent bad positions of a swept closed curve."""
     if run.kind != CLOSED:
         raise BadInput("the seam step applies to closed curves")
-    if run.n < 2:
-        return
     run.open_dup("reduce_to_one")
     big_arc(run, 0, 0, "reduce_to_one")
     run.seam("reduce_to_one")
@@ -492,6 +493,20 @@ def proven_push_bound(nb: TieNeighbourhood, n0: int) -> int:
     return (6 * s * (s + 2) + 8) * (n0 + 2) ** 2
 
 
+def drive(run: Run) -> None:
+    """Run the phases on a run's curve: an arc is swept; a closed curve is
+    swept when it has more than two snippets, then, when it has more than
+    one, seamed and cleared of its last bad snippet."""
+    if run.kind == ARC:
+        reduce_to_two(run)
+        return
+    if run.n > 2:
+        reduce_to_two(run)
+    if run.n > 1:
+        reduce_to_one(run)
+        single_bad(run)
+
+
 def efficient_position(curve: Curve, nb: TieNeighbourhood,
                        max_homs: int | None = None) -> Result:
     """Homotope the curve or arc into efficient position, or contract it to
@@ -500,14 +515,7 @@ def efficient_position(curve: Curve, nb: TieNeighbourhood,
     cap = max_homs if max_homs is not None \
         else 2 * proven_push_bound(nb, len(curve.snippets))
     run = Run(curve, nb, max_homs=cap)
-    if run.kind == ARC:
-        reduce_to_two(run)
-    else:
-        if run.n > 2:
-            reduce_to_two(run)
-        if run.n > 1:
-            reduce_to_one(run)
-            single_bad(run)
+    drive(run)
     out = run.curve
     validate_curve(out, nb)
     status = terminal_status(out, nb)
@@ -549,7 +557,7 @@ def terminal_summary(result: Result, nb: TieNeighbourhood) -> dict:
     cls = classify(s, nb)
     info["region"] = nb.regions[s.region].name
     if cls.type == "PeripheralCurve":
-        n2 = nb.total_corners(s.region, nb.polygon_cycle(s.region))
+        n2 = nb.total_corners(s.region)
         info["class"] = "peripheral"
         info["power"] = s.wind // n2
         info["boundary"] = nb.component_of[s.region]

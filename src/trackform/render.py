@@ -59,12 +59,15 @@ class _Layout:
         if r.kind in (BRANCH, SWITCH):
             return _rect_point(r.sides, locus[0], locus[1],
                                x0 + 20, y0 + 40, _BOX - 40, _BOX - 80)
-        ci, pos = nb.locus_cycle(region, locus)
-        ring = nb.cycle_loci(region, ci)
-        n = len(ring)
+        # polygon loci round the face circle; an annulus's boundary locus
+        # at the top of the inner (boundary) circle
+        pos = nb.locus_position(region, locus)
         cx, cy = x0 + _BOX / 2, y0 + _BOX / 2
-        radius = _BOX / 2 - 28 if ci == nb.polygon_cycle(region) else _BOX / 2 - 58
-        ang = 2 * math.pi * pos / n - math.pi / 2
+        if pos is None:
+            radius, ang = _BOX / 2 - 58, -math.pi / 2
+        else:
+            n = len(nb.polygon_loci(region))
+            radius, ang = _BOX / 2 - 28, 2 * math.pi * pos / n - math.pi / 2
         return cx + radius * math.cos(ang), cy + radius * math.sin(ang)
 
 

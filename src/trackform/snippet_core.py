@@ -17,10 +17,10 @@ snippet is worked out once per neighbourhood: `facts` files one
 the neighbourhood's fact table, and `classify`, `corner_length` and the
 counters in `curve_ops` all read that record.  Filing a record takes one
 pass of table lookups and arithmetic (`_classify_uncached`): each endpoint
-is looked up once in the neighbourhood's build-time locus tables (cycle,
+is looked up once in the neighbourhood's build-time locus table (polygon
 position, segment label, boundary flag), the two boundary walks between
-the endpoints are differences of the cycle's corner prefixes, and the
-cut-off walk's corner length a difference of its edge-weight prefixes.
+the endpoints are differences of the region polygon's corner prefixes, and
+the cut-off walk's corner length a difference of its edge-weight prefixes.
 Equal records are one object per neighbourhood, and a bad type's name is
 read from a constant table, so filing one builds no string and, past the
 first few per neighbourhood, no new record.
@@ -134,12 +134,12 @@ def valid_winds(s: Snippet, nb: TieNeighbourhood) -> tuple[int, int, int] | None
         _classify_uncached(s, nb)  # the full check names the unknown one
     if not _winds_count(s.region, s.start, s.end, nb):
         return None
-    before = nb._corners_before[s.region][nb.polygon_cycle(s.region)]
+    before = nb._corners_before[s.region]
     n = len(before) // 2
     n2 = before[n]
     if s.closed:
         return (0, 0, n2)
-    pa, pb = info[s.start][1], info[s.end][1]
+    pa, pb = info[s.start][0], info[s.end][0]
     if pa == pb:
         return (0, 0, n2)
     # the corners of the CCW walk a -> b, as `_classify_uncached` finds c_r
@@ -203,19 +203,20 @@ def _winds_count(region: int, start: Locus | None, end: Locus | None,
         return True
     info = nb._locus_info[region]
     a, b = info.get(start), info.get(end)  # the full check names a missing one
-    return not (a and a[3] or b and b[3])
+    return not (a and a[2] or b and b[2])
 
 
 def _classify_uncached(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
     """The snippet's fact record, read off the neighbourhood's locus tables:
     the full validity check, then class, j, turn and corner length.
 
-    Each endpoint is looked up once, for its (cycle, position), segment
+    Each endpoint is looked up once, for its polygon position, segment
     label and boundary flag.  The CCW walks between the endpoints are
-    differences of the cycle's corner prefixes; the cut-off walk is the one
-    passing fewer corners (an annulus snippet's winding fixes its side and
-    corner count, full turns added arithmetically), j is its number of gaps,
-    and its corner length a difference of the cycle's weight prefixes."""
+    differences of the polygon's corner prefixes; the cut-off walk is the
+    one passing fewer corners (an annulus snippet's winding fixes its side
+    and corner count, full turns added arithmetically), j is its number of
+    gaps, and its corner length a difference of the polygon's weight
+    prefixes."""
     region, start, end, wind = s
     if not 0 <= region < len(nb.regions):
         raise InconsistentSnippet(f"no region {region}")
@@ -225,7 +226,7 @@ def _classify_uncached(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
         if start is not None or end is not None:
             raise InconsistentSnippet("one endpoint closed, the other not")
         if kind == ANNULUS:
-            n2 = nb.total_corners(region, nb.polygon_cycle(region))
+            n2 = nb.total_corners(region)
             if not _winding_admitted(wind, 0, 0, n2):
                 raise _bad_winding(s, 0, n2)
         elif wind != 0:
@@ -242,8 +243,8 @@ def _classify_uncached(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
     if ia is None or ib is None:
         raise InconsistentSnippet(
             f"no locus {start if ia is None else end} in region {r.name}")
-    ci, pa, la, a_off = ia
-    _, pb, lb, b_off = ib
+    pa, la, a_off = ia
+    pb, lb, b_off = ib
     if a_off or b_off:
         # only an annulus face has a boundary side, so the region is one
         if wind != 0:
@@ -253,9 +254,9 @@ def _classify_uncached(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
             return _record(nb, 0, BAD, R_BOUNDARY)
         return _record(nb, 2 * nb.s_N, DUAL_COMP)
 
-    # both endpoints on the region's one glued cycle: the CCW walks a -> b
-    # (Right) and b -> a (Left) pass g_r, g_l gaps and c_r, c_l corners
-    before = nb._corners_before[region][ci]
+    # both endpoints on the region's polygon: the CCW walks a -> b (Right)
+    # and b -> a (Left) pass g_r, g_l gaps and c_r, c_l corners
+    before = nb._corners_before[region]
     n = len(before) // 2
     g_r, g_l = (pb - pa) % n, (pa - pb) % n
     c_r = before[pa + g_r] - before[pa]
@@ -267,7 +268,7 @@ def _classify_uncached(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
         if abs(wind) >= 3:
             return _record(nb, 2 * nb.s_N, DUAL_COMP)
         # the hugged piece passes |wind| corners, after full turns of the
-        # cycle where the direct walk passes fewer
+        # polygon where the direct walk passes fewer
         if wind > 0 or (wind == 0 and c_r == 0):
             corners, p0, side = wind, pa, RIGHT
             gaps = g_r + (wind - c_r) // n2 * n
@@ -287,7 +288,7 @@ def _classify_uncached(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
             return _record(nb, 2 * nb.s_N, DUAL_COMP)
 
     if gaps:
-        weights = nb._weights_before[region][ci]
+        weights = nb._weights_before[region]
         turns, rest = divmod(gaps, n)
         corn = weights[p0 + rest] - weights[p0 + 1] + turns * weights[n]
     else:

@@ -6,17 +6,19 @@ A switch rectangle (large end pictured east, smalls west, smalls listed
 top-first) has sides CCW: 0 = bottom horizontal, 1 = large tie side,
 2 = top horizontal, 3 = west side subdivided into segments
 (3,0) = top small tie, (3,1) = cusp (vertical), (3,2) = bottom small tie.
-Complementary regions are discs or peripheral annuli; their polygon cycle
-alternates vertical sides (cusps) and horizontal sides (runs of rectangle
-horizontal edges, with marks between consecutive edges). Annuli carry one
-extra side on the surface boundary, as a separate boundary cycle.
+Complementary regions are discs or peripheral annuli, as the track is
+large; so every region meets the rest of the tiling along one glued cycle,
+its polygon.  A face's polygon alternates vertical sides (cusps) and
+horizontal sides (runs of rectangle horizontal edges, with marks between
+consecutive edges).  An annulus also has one side on the surface boundary,
+listed last: one locus, glued to nothing and on no polygon.
 
-All boundary cycles are stored counter-clockwise as seen from inside the
-region, so every gluing reverses orientation.  The tiling vertices are the
-orbits of the corner permutation σ on the wedges (gaps) between consecutive
-loci of a glued cycle: the point after position p is the CCW-start of the
-locus at p+1, hence the CCW-end of its partner, so σ sends that gap to the
-gap after the partner locus.
+Every polygon is stored counter-clockwise as seen from inside its region,
+so every gluing reverses orientation.  The tiling vertices are the orbits
+of the corner permutation σ on the wedges (gaps) between consecutive loci
+of a polygon: the point after position p is the CCW-start of the locus at
+p+1, hence the CCW-end of its partner, so σ sends that gap to the gap after
+the partner locus.
 
 The builder reads each face word through one token table built from the
 switch lines: per token, the rectangle segment the face side is glued to and
@@ -24,17 +26,17 @@ its successor, the token that follows it round its face.  Every face word
 must be a cyclic orbit of the successor map.
 
 A neighbourhood never changes once built, so it carries the tables the rest
-of the program reads instead of walking its cycles: per locus its cycle,
+of the program reads instead of walking its polygons: per locus its polygon
 position, segment label and boundary flag, its gluing partner, and its step
-table entry (the loci one step clockwise and counter-clockwise on its
-cycle, and whether each of those gaps is a corner); per cycle its corner
-and edge-weight prefix sums.  The partner table is the one form of the
-gluing: it is derived from the builder's table of glued segments, and a
-`Side` holds only its label and segment count.  The neighbourhood also
-holds the tables filled as it meets snippets: the fact table and its
-distinct records (`snippet_core`), and the push recipes (`homotopy_engine`),
-each filed in one pass along its cut-off walk.  None of these outlives the
-neighbourhood.
+table entry (the loci one step clockwise and counter-clockwise on the
+polygon, and whether each of those gaps is a corner); per region its
+polygon's corner and edge-weight prefix sums.  The partner table is the one
+form of the gluing: it is derived from the builder's table of glued
+segments, and a `Side` holds only its label and segment count.  The
+neighbourhood also holds the tables filled as it meets snippets: the fact
+table and its distinct records (`snippet_core`), and the push recipes
+(`homotopy_engine`), each filed in one pass along its cut-off walk.  None
+of these outlives the neighbourhood.
 """
 from __future__ import annotations
 
@@ -90,17 +92,15 @@ class Side(NamedTuple):
 class Region(NamedTuple):
     kind: str  # BRANCH | SWITCH | DISC | ANNULUS
     name: str
-    sides: tuple[Side, ...]
-    cycles: tuple[tuple[int, ...], ...]  # cycles of side indices, CCW
+    sides: tuple[Side, ...]  # CCW; an annulus's boundary side last
 
 
-# The sides of every branch rectangle and of every switch rectangle, and
-# their one boundary cycle.  A switch rectangle's side 3 runs top-to-bottom
-# CCW: small tie, cusp, small tie; the side label stays "t" and the locus
-# table labels segment (3,1) as vertical.
+# The sides of every branch rectangle and of every switch rectangle, all
+# on the polygon.  A switch rectangle's side 3 runs top-to-bottom CCW: small
+# tie, cusp, small tie; the side label stays "t" and the locus table labels
+# segment (3,1) as vertical.
 _BRANCH_SIDES = (Side(H, 1), Side(T, 1), Side(H, 1), Side(T, 1))
 _SWITCH_SIDES = (Side(H, 1), Side(T, 1), Side(H, 1), Side(T, 3))
-_RECT_CYCLES = ((0, 1, 2, 3),)
 _CUSP = (3, 1)
 
 
@@ -111,7 +111,7 @@ def index(chi: int, corners_down: int, corners_up: int) -> Fraction:
 
 class TieNeighbourhood:
     """The tiled surface: rectangles plus complementary regions, with
-    navigation tables (cycles, partners, tiling vertices).
+    navigation tables (polygons, partners, tiling vertices).
 
     `gluing` maps each glued (region, side, segment) to the one glued to it,
     in both directions.  `name` is None until a caller names the track
@@ -123,78 +123,67 @@ class TieNeighbourhood:
         self.regions = regions
         self.name: str | None = None
         self.region_id: dict[str, int] = {r.name: i for i, r in enumerate(regions)}
-        # Per region: the loci of each boundary cycle, CCW, and per locus
-        # (cycle, position, segment label, on the surface boundary?), the
-        # switch cusp labelled V; per cycle, over two turns, the number of
-        # corners (side changes) among its first i gaps and the edge weights
-        # of its first i loci, so a walk's corners and the corner length of
-        # the loci it passes are differences of two entries.  Also the
-        # crossable loci of each region.
-        # The step table gives, per locus, its neighbours one step clockwise
-        # and one step counter-clockwise on its cycle and whether the gap to
-        # each is a corner: (cw locus, cw gap a corner?, ccw locus, ccw gap a
-        # corner?).  A push reads its slides and in-between snippets off it.
-        self._cycle_loci: list[tuple[tuple[Locus, ...], ...]] = []
-        self._locus_info: list[dict[Locus, tuple[int, int, str, bool]]] = []
+        # Per region: its polygon, the loci of its glued sides in side
+        # order (CCW), and per locus (polygon position, segment label, on
+        # the surface boundary?), the switch cusp labelled V and an
+        # annulus's one boundary locus at position None; over two turns of
+        # the polygon, the number of corners (side changes) among its first
+        # i gaps and the edge weights of its first i loci, so a walk's
+        # corners and the corner length of the loci it passes are
+        # differences of two entries.
+        # The step table gives, per polygon locus, its neighbours one step
+        # clockwise and one step counter-clockwise and whether the gap to
+        # each is a corner: (cw locus, cw gap a corner?, ccw locus, ccw gap
+        # a corner?).  A push reads its slides and in-between snippets off
+        # it.
+        self._polygon: list[tuple[Locus, ...]] = []
+        self._locus_info: list[dict[Locus, tuple[int | None, str, bool]]] = []
         self._steps: list[dict[Locus, tuple[Locus, bool, Locus, bool]]] = []
-        self._corners_before: list[tuple[tuple[int, ...], ...]] = []
-        self._crossable: list[tuple[Locus, ...]] = []
+        self._corners_before: list[tuple[int, ...]] = []
         for r in regions:
-            cycles = []
-            info: dict[Locus, tuple[int, int, str, bool]] = {}
+            loci: list[Locus] = []
+            info: dict[Locus, tuple[int | None, str, bool]] = {}
+            for si, side in enumerate(r.sides):
+                for gi in range(side.n_segments):
+                    if side.label == BOUNDARY:
+                        info[si, gi] = (None, BOUNDARY, True)
+                        continue
+                    label = V if r.kind == SWITCH and (si, gi) == _CUSP \
+                        else side.label
+                    info[si, gi] = (len(loci), label, False)
+                    loci.append((si, gi))
+            n = len(loci)
             steps: dict[Locus, tuple[Locus, bool, Locus, bool]] = {}
-            prefixes = []
-            for ci, cyc in enumerate(r.cycles):
-                loci: list[Locus] = []
-                for si in cyc:
-                    for gi in range(r.sides[si].n_segments):
-                        loci.append((si, gi))
-                for p, l in enumerate(loci):
-                    label = r.sides[l[0]].label
-                    if r.kind == SWITCH and l == _CUSP:
-                        label = V
-                    info[l] = (ci, p, label, label == BOUNDARY)
-                n = len(loci)
-                for p, l in enumerate(loci):
-                    cw, ccw = loci[p - 1], loci[(p + 1) % n]
-                    steps[l] = (cw, cw[0] != l[0], ccw, l[0] != ccw[0])
-                cycles.append(tuple(loci))
-                counts = [0]
-                for p in range(2 * n):
-                    counts.append(counts[-1]
-                                  + (loci[p % n][0] != loci[(p + 1) % n][0]))
-                prefixes.append(tuple(counts))
-            self._cycle_loci.append(tuple(cycles))
+            for p, l in enumerate(loci):
+                cw, ccw = loci[p - 1], loci[(p + 1) % n]
+                steps[l] = (cw, cw[0] != l[0], ccw, l[0] != ccw[0])
+            counts = [0]
+            for p in range(2 * n):
+                counts.append(counts[-1]
+                              + (loci[p % n][0] != loci[(p + 1) % n][0]))
+            self._polygon.append(tuple(loci))
             self._locus_info.append(info)
             self._steps.append(steps)
-            self._corners_before.append(tuple(prefixes))
-            self._crossable.append(tuple(
-                (si, gi) for si, side in enumerate(r.sides)
-                if side.label != BOUNDARY for gi in range(side.n_segments)))
+            self._corners_before.append(tuple(counts))
         # the (region, locus) glued to each locus, None on the surface
-        # boundary; every locus in it is one of the cycle tuples above
+        # boundary; every locus in it is one of the polygon tuples above
         self._partners: list[dict[Locus, tuple[int, Locus] | None]] = [
             {l: None for l in info} for info in self._locus_info]
         for (ri, si, gi), (r2, s2, g2) in gluing.items():
-            c2, p2 = self.locus_cycle(r2, (s2, g2))
-            self._partners[ri][si, gi] = (r2, self._cycle_loci[r2][c2][p2])
+            self._partners[ri][si, gi] = (
+                r2, self._polygon[r2][self._locus_info[r2][s2, g2][0]])
         self.n_edges = len(gluing) // 2
         # edge weights count only on the glued sides of complementary
         # regions (vertical 1, horizontal by the rectangle across); rectangle
-        # and surface-boundary loci weigh 0, as no walk's length reads them
-        self._weights_before: list[tuple[tuple[int, ...], ...]] = []
-        for ri, r in enumerate(regions):
-            prefixes = []
-            for loci in self._cycle_loci[ri]:
-                w = [self.edge_weight(ri, l)
-                     if r.kind in (DISC, ANNULUS)
-                     and r.sides[l[0]].label in (H, V) else 0
-                     for l in loci]
-                sums = [0]
-                for p in range(2 * len(loci)):
-                    sums.append(sums[-1] + w[p % len(loci)])
-                prefixes.append(tuple(sums))
-            self._weights_before.append(tuple(prefixes))
+        # loci weigh 0, as no walk's length reads them
+        self._weights_before: list[tuple[int, ...]] = []
+        for ri, (r, loci) in enumerate(zip(regions, self._polygon)):
+            w = [self.edge_weight(ri, l) if r.kind in (DISC, ANNULUS) else 0
+                 for l in loci]
+            sums = [0]
+            for p in range(2 * len(loci)):
+                sums.append(sums[-1] + w[p % len(loci)])
+            self._weights_before.append(tuple(sums))
         # snippet -> fact record, filled and read by snippet_core, with the
         # distinct records it filed, so equal ones are one object
         self._classify_cache: dict = {}
@@ -224,39 +213,31 @@ class TieNeighbourhood:
     def side_label(self, region: int, locus: Locus) -> str:
         return self.regions[region].sides[locus[0]].label
 
-    def cycle_loci(self, region: int, ci: int) -> tuple[Locus, ...]:
-        return self._cycle_loci[region][ci]
+    def polygon_loci(self, region: int) -> tuple[Locus, ...]:
+        """The loci of the region's polygon, CCW: the loci of its glued
+        sides in side order, where a curve may cross."""
+        return self._polygon[region]
 
-    def locus_cycle(self, region: int, locus: Locus) -> tuple[int, int]:
-        """(cycle index, position) of a locus."""
+    def locus_position(self, region: int, locus: Locus) -> int | None:
+        """Position of a locus on its region's polygon; None for an
+        annulus's surface-boundary locus."""
         try:
-            ci, pos, _label, _boundary = self._locus_info[region][locus]
-            return ci, pos
+            return self._locus_info[region][locus][0]
         except KeyError:
             raise BadInput(f"no locus {locus} in region {self.regions[region].name}") from None
-
-    def polygon_cycle(self, region: int) -> int:
-        """Cycle index of the region's polygon (non-boundary) cycle: always 0,
-        as a rectangle has one cycle and a face lists its polygon first."""
-        return 0
-
-    def crossable_loci(self, region: int) -> tuple[Locus, ...]:
-        """Loci on glued sides of a region, side by side — the places a
-        curve may cross."""
-        return self._crossable[region]
 
     def boundary_side(self, region: int) -> int | None:
         k = self.component_of.get(region)
         return None if k is None else self.boundary_components[k][1]
 
-    def total_corners(self, region: int, ci: int) -> int:
-        before = self._corners_before[region][ci]  # two turns: 2n + 1 entries
+    def total_corners(self, region: int) -> int:
+        before = self._corners_before[region]  # two turns: 2n + 1 entries
         return before[len(before) // 2]
 
-    def gap_is_corner(self, region: int, ci: int, pos: int) -> bool:
-        """Is the gap after cycle position pos a region corner (side change)
-        rather than a mark (same side)?"""
-        loci = self._cycle_loci[region][ci]
+    def gap_is_corner(self, region: int, pos: int) -> bool:
+        """Is the gap after polygon position pos a region corner (side
+        change) rather than a mark (same side)?"""
+        loci = self._polygon[region]
         n = len(loci)
         return loci[pos % n][0] != loci[(pos + 1) % n][0]
 
@@ -265,22 +246,20 @@ class TieNeighbourhood:
     def _build_vertices(self) -> None:
         """The tiling vertices, as the orbits of the corner permutation σ.
 
-        gap key = (region, cycle, pos): the wedge between cycle positions pos
-        and pos+1, which σ sends to the gap at the partner of the locus at
-        pos+1.  Surface-boundary cycles are glued to nothing and hold no
-        tiling point.  Each vertex lists its gaps in order, and vertices are
-        numbered in the order of the σ-images of their first gaps."""
-        sigma: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-        for ri, cycles in enumerate(self._cycle_loci):
+        gap key = (region, pos): the wedge between polygon positions pos and
+        pos+1, which σ sends to the gap at the partner of the locus at
+        pos+1.  An annulus's surface-boundary side is glued to nothing and
+        holds no tiling point.  Each vertex lists its gaps in order, and
+        vertices are numbered in the order of the σ-images of their first
+        gaps."""
+        sigma: dict[tuple[int, int], tuple[int, int]] = {}
+        for ri, loci in enumerate(self._polygon):
             partners = self._partners[ri]
-            for ci, loci in enumerate(cycles):
-                if partners[loci[0]] is None:
-                    continue
-                for p, l in enumerate(loci[1:] + loci[:1]):
-                    r2, l2 = partners[l]
-                    sigma[ri, ci, p] = (r2, *self._locus_info[r2][l2][:2])
+            for p, l in enumerate(loci[1:] + loci[:1]):
+                r2, l2 = partners[l]
+                sigma[ri, p] = (r2, self._locus_info[r2][l2][0])
         orbits = []
-        seen: set[tuple[int, int, int]] = set()
+        seen: set[tuple[int, int]] = set()
         for g in sigma:
             if g not in seen:
                 orbit = [g]
@@ -288,7 +267,7 @@ class TieNeighbourhood:
                     orbit.append(sigma[orbit[-1]])
                 seen.update(orbit)
                 orbits.append(tuple(sorted(orbit)))
-        self._vertex_gaps: list[tuple[tuple[int, int, int], ...]] = sorted(
+        self._vertex_gaps: list[tuple[tuple[int, int], ...]] = sorted(
             orbits, key=lambda v: sigma[v[0]])
 
     @property
@@ -301,8 +280,7 @@ class TieNeighbourhood:
         return 0 if self.regions[region].kind == ANNULUS else 1
 
     def region_index(self, region: int) -> Fraction:
-        return index(self.region_chi(region),
-                     self.total_corners(region, self.polygon_cycle(region)), 0)
+        return index(self.region_chi(region), self.total_corners(region), 0)
 
     def edge_weight(self, region: int, locus: Locus) -> int:
         """Corner-length weight of a full comp-region edge: vertical 1,
@@ -430,9 +408,8 @@ def build_tie_neighbourhood(desc: TrainTrackDesc) -> TieNeighbourhood:
     # read, from the first cusp: a cusp, then the run of horizontal edges up
     # to the next cusp (a cusp is always followed by a branch edge)
     regions: list[Region] = [
-        Region(BRANCH, f"br:{x}", _BRANCH_SIDES, _RECT_CYCLES)
-        for x in branch_names]
-    regions += [Region(SWITCH, f"sw:{w}", _SWITCH_SIDES, _RECT_CYCLES)
+        Region(BRANCH, f"br:{x}", _BRANCH_SIDES) for x in branch_names]
+    regions += [Region(SWITCH, f"sw:{w}", _SWITCH_SIDES)
                 for w in switch_names]
     for fi, f in enumerate(desc.faces):
         segs = [tokens[t][0] for t in f.word]
@@ -444,13 +421,9 @@ def build_tie_neighbourhood(desc: TrainTrackDesc) -> TieNeighbourhood:
             for gi, seg in enumerate(run):
                 glue((len(regions), len(sides), gi), seg)
             sides.append(Side(V, 1) if cusp else Side(H, len(run)))
-        poly = tuple(range(len(sides)))  # cycle 0: see `polygon_cycle`
         if f.kind == ANNULUS:
             sides.append(Side(BOUNDARY, 1))
-            cycles: tuple[tuple[int, ...], ...] = (poly, (len(sides) - 1,))
-        else:
-            cycles = (poly,)
-        regions.append(Region(f.kind, f"face:{fi}", tuple(sides), cycles))
+        regions.append(Region(f.kind, f"face:{fi}", tuple(sides)))
 
     nb = TieNeighbourhood(desc, tuple(regions), gluing)
 

@@ -3,9 +3,9 @@
 Three layers of defence against a wrong pipeline:
 
 * `check_efficient` re-decides per-snippet efficiency from the region
-  incidence data alone — stepping locus by locus around boundary cycles and
-  counting corner gaps — without calling the classifier's walk machinery, so
-  a bug there cannot hide.
+  incidence data alone — stepping locus by locus around the region's
+  polygon and counting corner gaps — without calling the classifier's walk
+  machinery, so a bug there cannot hide.
 
 * `audit_trace` replays a recorded run event by event on its own working
   curve with `WorkingCurve.apply`, the step `Run` records each event with,
@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 from .curve_ops import (CLOSED, Curve, WorkingCurve, measure,
                         validate_curve)
-from .errors import AuditFailure, BadInput, NotApplicable, TrackformError
+from .errors import AuditFailure, BadInput, TrackformError
 from .formats import _OWN, Hom, trace_record
 from .homotopy_engine import EXPECTED_J, hom, push_two, push_window
 from .pipelines import EFFICIENT, SINGLE_SNIPPET
@@ -82,15 +82,14 @@ class EfficiencyReport(NamedTuple):
 
 
 def _stepped_corners(nb: TieNeighbourhood, region: int, a, b) -> int:
-    """Corners passed stepping counter-clockwise from locus a to locus b."""
-    ci, pa = nb.locus_cycle(region, a)
-    cj, pb = nb.locus_cycle(region, b)
-    if ci != cj:
-        raise NotApplicable("endpoints on different boundary cycles")
-    n = len(nb.cycle_loci(region, ci))
+    """Corners passed stepping counter-clockwise round the region's polygon
+    from locus a to locus b."""
+    pa = nb.locus_position(region, a)
+    pb = nb.locus_position(region, b)
+    n = len(nb.polygon_loci(region))
     c = 0
     for i in range((pb - pa) % n):
-        if nb.gap_is_corner(region, ci, (pa + i) % n):
+        if nb.gap_is_corner(region, (pa + i) % n):
             c += 1
     return c
 

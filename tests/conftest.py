@@ -71,8 +71,8 @@ def two_snippet_curves(nb, turns):
     """Every valid two-snippet closed curve with windings in `turns`, in
     both rotations."""
     for r0 in range(len(nb.regions)):
-        for a in nb.crossable_loci(r0):
-            for b in nb.crossable_loci(r0):
+        for a in nb.polygon_loci(r0):
+            for b in nb.polygon_loci(r0):
                 r1, start = nb.partner(r0, b)
                 back, end = nb.partner(r0, a)
                 if back != r1:

@@ -236,24 +236,13 @@ def _span_red(curve: Curve, lo: int, tail: int, nb: TieNeighbourhood) -> int:
     return measure(Curve(ARC, curve.snippets[lo + 1:hi]), nb).len_red
 
 
-def _drive(run: _RecordingRun) -> None:
-    if run.kind == ARC:
-        P.reduce_to_two(run)
-    else:
-        if run.n > 2:
-            P.reduce_to_two(run)
-        if run.n > 1:
-            P.reduce_to_one(run)
-            P.single_bad(run)
-
-
 def test_criterion_4_trigon_monotonicity_and_graph(tracks):
     runs = red_viol = edge_viol = foreign = curves = 0
     for name, nb in tracks.items():
         s = nb.s_N
         for curve in _corpus(nb, name, 450, 15, salt="c4"):
             run = _RecordingRun(curve, nb)
-            _drive(run)
+            P.drive(run)
             curves += 1
             assert len(run.states) == len(run.events) + 1
             for tag, steps, size, lo, tail, e0, e1 in run.budget_log:
@@ -385,7 +374,7 @@ def _retraced(nb: TieNeighbourhood, out: Curve, rng=None) -> Curve:
     back = reverse(out).snippets
     if rng is not None:
         face, x, _, _ = back[-1]
-        y = rng.choice([l for l in nb.crossable_loci(face) if l != x])
+        y = rng.choice([l for l in nb.polygon_loci(face) if l != x])
         m_r = valid_winds(Snippet(face, x, y), nb)[0]  # an annulus face
         back = (*back[:-1], Snippet(face, x, y, m_r))
     return Curve(ARC, (*out.snippets, Snippet(far[0], far[1], far[1]),

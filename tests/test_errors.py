@@ -121,8 +121,8 @@ ROWS = [
     ("peripheral_bounce-rectangle",
      lambda nb, *_: peripheral_bounce(nb, BR_A, 1),
      Raises(BadInput, "region br:a is not an annulus face")),
-    ("locus_cycle-unknown-locus",
-     lambda nb, *_: nb.locus_cycle(BR_A, (9, 9)),
+    ("locus_position-unknown-locus",
+     lambda nb, *_: nb.locus_position(BR_A, (9, 9)),
      Raises(BadInput, "no locus (9, 9) in region br:a")),
     ("edge_weight-tie-locus", lambda nb, *_: nb.edge_weight(BR_A, (1, 0)),
      Raises(BadInput, "edge weight undefined for label t")),
@@ -141,6 +141,12 @@ ROWS = [
      Raises(BadInput, "seam closes an arc opened by open_dup")),
     ("reduce_to_one-arc", lambda nb, *_: reduce_to_one(Run(_arc(nb), nb)),
      Raises(BadInput, "the seam step applies to closed curves")),
+    # a one-snippet closed curve is a closed snippet, as no region is
+    # glued to itself, so it cannot be opened at a seam
+    ("reduce_to_one-one-snippet",
+     lambda nb, *_: reduce_to_one(
+         Run(Curve(CLOSED, (Snippet(FACE_0, None, None, 4),)), nb)),
+     Raises(BadInput, "cannot open a curve at a closed snippet")),
     ("terminal_status-interior-bad",
      lambda nb, *_: terminal_status(doubled_back(nb, random.Random(0), 2),
                                     nb),

@@ -6,14 +6,14 @@ The reference for a fact record is the walk-based derivation the
 table-driven `snippet_core._classify_uncached` replaced: it builds both
 boundary walks between the endpoints and reads validity, class and corner
 length off them.  It finds each walk, and the corners of a turn, by stepping
-round the cycle gap by gap (`cycle_loci`, `gap_is_corner`), locates loci
-by scanning the cycles and labels them from their sides, so it reads none
-of the neighbourhood's prefix or locus tables.  Every snippet of each
-fixture's locus space, and random snippets, must get the same record (or
-the same `InconsistentSnippet`) from both, and every push recipe must equal
-one built from the reference walk.  The reference's slides step along the
-cycle tuples (`_slide_target`), not along the neighbourhood's step table,
-and its in-between snippets hug a computed walk (`_hug_wind`)."""
+round the region's polygon gap by gap (`polygon_loci`, `gap_is_corner`),
+locates loci by scanning the polygon and labels them from their sides, so
+it reads none of the neighbourhood's prefix or locus tables.  Every snippet
+of each fixture's locus space, and random snippets, must get the same record
+(or the same `InconsistentSnippet`) from both, and every push recipe must
+equal one built from the reference walk.  The reference's slides step along
+the polygon tuples (`_slide_target`), not along the neighbourhood's step
+table, and its in-between snippets hug a computed walk (`_hug_wind`)."""
 from __future__ import annotations
 
 import json
@@ -67,29 +67,27 @@ class _Walk(NamedTuple):
     between: tuple[Locus, ...]
 
 
-def _locate(nb: TieNeighbourhood, ri: int, locus: Locus) -> tuple[int, int]:
-    """(cycle, position) of a locus, found by scanning the cycles."""
-    for ci in range(len(nb.regions[ri].cycles)):
-        loci = nb.cycle_loci(ri, ci)
-        if locus in loci:
-            return ci, loci.index(locus)
-    raise AssertionError(f"no locus {locus} in region {ri}")
+def _locate(nb: TieNeighbourhood, ri: int, locus: Locus) -> int:
+    """Polygon position of a locus, found by scanning the polygon."""
+    loci = nb.polygon_loci(ri)
+    assert locus in loci, f"no locus {locus} on the polygon of region {ri}"
+    return loci.index(locus)
 
 
 def _stepped_walk(nb: TieNeighbourhood, ri: int, a: Locus, b: Locus,
                   corners: int | None = None) -> _Walk:
     """The CCW walk from a to b found by stepping gap by gap: the first
     arrival at b (a == b gives the empty walk), or the one passing exactly
-    `corners` corners, full turns of the cycle included."""
-    ci, p = _locate(nb, ri, a)
-    loci = nb.cycle_loci(ri, ci)
-    assert b in loci, f"{a} and {b} lie on different cycles"
+    `corners` corners, full turns of the polygon included."""
+    p = _locate(nb, ri, a)
+    loci = nb.polygon_loci(ri)
+    assert b in loci, f"no locus {b} on the polygon of region {ri}"
     passed = marks = 0
     between = []
     while loci[p] != b or (corners is not None and passed != corners):
         assert corners is None or passed <= corners, (
             f"walk cannot pass {corners} corners from {a} to {b}")
-        if nb.gap_is_corner(ri, ci, p):
+        if nb.gap_is_corner(ri, p):
             passed += 1
         else:
             marks += 1
@@ -99,11 +97,10 @@ def _stepped_walk(nb: TieNeighbourhood, ri: int, a: Locus, b: Locus,
 
 
 def _turn_corners(nb: TieNeighbourhood, ri: int) -> int:
-    """n2: the corners passed in one turn of the region's polygon cycle,
-    counted gap by gap."""
-    ci = nb.polygon_cycle(ri)
-    return sum(nb.gap_is_corner(ri, ci, p)
-               for p in range(len(nb.cycle_loci(ri, ci))))
+    """n2: the corners passed in one turn of the region's polygon, counted
+    gap by gap."""
+    return sum(nb.gap_is_corner(ri, p)
+               for p in range(len(nb.polygon_loci(ri))))
 
 
 def _segment_label(nb: TieNeighbourhood, region: int, locus: Locus) -> str:
@@ -292,13 +289,13 @@ def _slide_target(nb: TieNeighbourhood, region: int, locus: Locus,
 
     Returns (new locus, slid counter-clockwise?, crossed a region corner?).
     """
-    ci, pos = _locate(nb, region, locus)
-    loci = nb.cycle_loci(region, ci)
+    pos = _locate(nb, region, locus)
+    loci = nb.polygon_loci(region)
     n = len(loci)
     if at_ccw_start:
         gap = (pos - 1) % n
-        return loci[gap], False, nb.gap_is_corner(region, ci, gap)
-    return loci[(pos + 1) % n], True, nb.gap_is_corner(region, ci, pos)
+        return loci[gap], False, nb.gap_is_corner(region, gap)
+    return loci[(pos + 1) % n], True, nb.gap_is_corner(region, pos)
 
 
 def _hug_wind(nb: TieNeighbourhood, region: int, start: Locus, end: Locus,
@@ -466,7 +463,7 @@ def _kind_of(s, nb, outcome):
         return "closed"
     labels = [nb.side_label(s.region, l) for l in (s.start, s.end)]
     if labels.count(BOUNDARY) == 1:
-        return "cross-cycle"
+        return "one-boundary"
     if labels.count(BOUNDARY) == 2:
         return "boundary"
     return "wound" if abs(s.wind) >= 3 else outcome[0].verdict
@@ -495,7 +492,7 @@ def test_every_snippet_files_the_reference_record(name):
                         invalid.append(s)
     assert {"invalid", "closed", BAD, DUAL_COMP} <= set(seen), seen
     if any(r.kind == ANNULUS for r in nb.regions):
-        assert {"cross-cycle", "boundary", "wound"} <= set(seen), seen
+        assert {"one-boundary", "boundary", "wound"} <= set(seen), seen
     # on the now warm table every invalid snippet still raises, each time
     for s in invalid:
         for check in (snippet_core.facts, classify):
@@ -577,7 +574,7 @@ def test_invalid_snippets_still_raise_on_a_warm_table(warm):
 
 
 def test_valid_winds_equal_the_stepped_walks():
-    """On every annulus, for every ordered pair of polygon-cycle loci (a
+    """On every annulus, for every ordered pair of polygon loci (a
     same-locus pair included), `valid_winds` gives (m_r, m_l, n2): the
     corners of the CCW walks start -> end and end -> start and of one turn,
     found by stepping.  It gives None for a boundary endpoint and outside an
@@ -595,7 +592,7 @@ def test_valid_winds_equal_the_stepped_walks():
                 continue
             n2 = _turn_corners(nb, ri)
             assert valid_winds(Snippet(ri, None, None, n2), nb) == (0, 0, n2)
-            poly = nb.cycle_loci(ri, nb.polygon_cycle(ri))
+            poly = nb.polygon_loci(ri)
             for a in poly:
                 for b in poly:
                     m_r = _stepped_walk(nb, ri, a, b).corners
@@ -633,37 +630,31 @@ def test_valid_winds_names_an_unknown_region_or_locus(t11, region, start,
 
 
 def test_step_table_matches_the_cycles():
-    """Each locus's step-table entry holds its neighbours one step clockwise
-    and one step counter-clockwise on its cycle, and whether each of those
-    gaps is a corner, as `cycle_loci` and `gap_is_corner` give them."""
+    """Each polygon locus's step-table entry holds its neighbours one step
+    clockwise and one step counter-clockwise on the polygon, and whether
+    each of those gaps is a corner, as `polygon_loci` and `gap_is_corner`
+    give them; the table has no other entry."""
     for name in FIXTURE_NAMES:
         nb = load_fixture(name)
-        for ri, r in enumerate(nb.regions):
-            entries = 0
-            for ci in range(len(r.cycles)):
-                loci = nb.cycle_loci(ri, ci)
-                n = len(loci)
-                for p, locus in enumerate(loci):
-                    assert nb._steps[ri][locus] == (
-                        loci[(p - 1) % n], nb.gap_is_corner(ri, ci, p - 1),
-                        loci[(p + 1) % n], nb.gap_is_corner(ri, ci, p)), \
-                        (name, ri, locus)
-                    entries += 1
-            assert entries == len(nb._steps[ri])
+        for ri in range(len(nb.regions)):
+            loci = nb.polygon_loci(ri)
+            n = len(loci)
+            for p, locus in enumerate(loci):
+                assert nb._steps[ri][locus] == (
+                    loci[(p - 1) % n], nb.gap_is_corner(ri, p - 1),
+                    loci[(p + 1) % n], nb.gap_is_corner(ri, p)), \
+                    (name, ri, locus)
+            assert n == len(nb._steps[ri])
 
 
 def test_partners_share_the_cycle_loci():
     nb = load_fixture("s04")
-    for ri, r in enumerate(nb.regions):
-        for ci in range(len(r.cycles)):
-            for locus in nb.cycle_loci(ri, ci):
-                pr = nb.partner(ri, locus)
-                if pr is None:
-                    continue
-                r2, l2 = pr
-                c2, p2 = nb.locus_cycle(r2, l2)
-                assert l2 is nb.cycle_loci(r2, c2)[p2]
-                assert nb.partner(ri, locus) is pr
+    for ri in range(len(nb.regions)):
+        for locus in nb.polygon_loci(ri):
+            pr = nb.partner(ri, locus)
+            r2, l2 = pr
+            assert l2 is nb.polygon_loci(r2)[nb.locus_position(r2, l2)]
+            assert nb.partner(ri, locus) is pr
     with pytest.raises(BadInput):
         nb.partner(0, (9, 9))
 
@@ -701,7 +692,7 @@ def _records() -> dict:
         "FaceDesc": FaceDesc(DISC, ("v0.b", "a.l")),
         "TrainTrackDesc": TrainTrackDesc(1, 1, ("a",), (), ()),
         "Side": side,
-        "Region": Region(BRANCH, "br:a", (side,), ((0,),)),
+        "Region": Region(BRANCH, "br:a", (side,)),
     }
 
 

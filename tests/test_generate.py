@@ -21,9 +21,9 @@ from trackform.generate import (
 from trackform.snippet_core import classify
 
 
-def test_crossable_loci_excludes_boundary(t11):
+def test_polygon_loci_exclude_boundary(t11):
     for region in range(len(t11.regions)):
-        for locus in t11.crossable_loci(region):
+        for locus in t11.polygon_loci(region):
             assert t11.partner(region, locus) is not None
 
 
@@ -62,7 +62,7 @@ def _most_hops(nb) -> int:
     reached, hops = set(nb.component_of), 0
     while len(reached) < len(nb.regions):
         reached |= {nb.partner(r, l)[0] for r in reached
-                    for l in nb.crossable_loci(r)}
+                    for l in nb.polygon_loci(r)}
         hops += 1
     return hops
 
@@ -93,7 +93,7 @@ def test_boundary_power_reads_off(t11):
     for k in (1, 2, 3, -2):
         c = boundary_power(t11, 5, k)
         s = c.snippets[0]
-        n2 = t11.total_corners(5, t11.polygon_cycle(5))
+        n2 = t11.total_corners(5)
         assert s.wind == k * n2
         assert classify(s, t11).type == "PeripheralCurve"
 
@@ -107,7 +107,7 @@ def test_peripheral_bounce_shape(t11):
     c = peripheral_bounce(t11, 5, 2)
     assert c.kind == CLOSED and len(c.snippets) == 2
     validate_curve(c, t11)
-    assert c.snippets[0].wind == 2 * t11.total_corners(5, t11.polygon_cycle(5))
+    assert c.snippets[0].wind == 2 * t11.total_corners(5)
     assert c.snippets[1].start == c.snippets[1].end
 
 

@@ -45,8 +45,8 @@ from trackform.pipelines import (
     SINGLE_SNIPPET,
     Run,
     big_arc,
+    drive,
     efficient_position,
-    reduce_to_one,
     reduce_to_two,
     single_bad,
     terminal_summary,
@@ -483,14 +483,7 @@ def test_run_bookkeeping_matches_a_scan_after_every_operation():
         nb = load_fixture(name)
         for c in _bookkeeping_corpus(nb, name):
             run = _CheckedRun(c, nb, random.Random(len(c.snippets)))
-            if run.kind == ARC:
-                reduce_to_two(run)
-            else:
-                if run.n > 2:
-                    reduce_to_two(run)
-                if run.n > 1:
-                    reduce_to_one(run)
-                    single_bad(run)
+            drive(run)
             ops |= run.ops
     assert ops == {"init", "hom", "rotate", "reverse", "open", "seam"}
 
@@ -509,7 +502,7 @@ def test_wide_hor_bigon_push_starts_its_window_on_a_tie():
     for name in FIXTURE_NAMES:
         nb = load_fixture(name)
         for ri, r in enumerate(nb.regions):
-            loci = nb.crossable_loci(ri)
+            loci = nb.polygon_loci(ri)
             if r.kind in (BRANCH, SWITCH):
                 for l in loci:
                     if nb.side_label(ri, l) == H:

@@ -120,7 +120,7 @@ def _boundary_arcs(nb, n: int):
         last = len(prefix) == n - 1
         ends = ([l for l in loci(region)
                  if anchored or nb.partner(region, l) is None]
-                if last else nb.crossable_loci(region))
+                if last else nb.polygon_loci(region))
         for end in ends:
             for w in _winds(nb, region, start, end):
                 s = Snippet(region, start, end, w)

@@ -117,10 +117,10 @@ def test_region_indices_sum_to_euler(tracks, name):
 def test_t11_face_word_pattern(tracks):
     nb = tracks["t11"]
     face = nb.regions[nb.region_id["face:0"]]
-    labels = [face.sides[si].label for si in face.cycles[0]]
-    assert labels == [V, H, V, H]
-    assert [face.sides[si].n_segments for si in face.cycles[0]] == [1, 5, 1, 5]
-    assert face.sides[face.cycles[1][0]].label == BOUNDARY
+    *poly, boundary = face.sides
+    assert [side.label for side in poly] == [V, H, V, H]
+    assert [side.n_segments for side in poly] == [1, 5, 1, 5]
+    assert boundary.label == BOUNDARY
 
 
 def _segment_label(nb, region, locus):
@@ -168,23 +168,24 @@ def _token_of(nb, region: int, locus) -> str:
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_gluing_follows_the_track_description(tracks, name):
-    """Each face's polygon cycle is glued, locus by locus, to the rectangle
-    sides its face word names, in the word's cyclic order; its boundary
-    cycle is glued to nothing; and each switch slot is glued to the tie
-    side of the branch end the switch lists there."""
+    """Each face's polygon is glued, locus by locus, to the rectangle sides
+    its face word names, in the word's cyclic order; an annulus's one locus
+    off its polygon, its boundary side, is glued to nothing; and each
+    switch slot is glued to the tie side of the branch end the switch lists
+    there."""
     nb = tracks[name]
     for fi, face in enumerate(nb.desc.faces):
         ri = nb.region_id[f"face:{fi}"]
-        loci = nb.cycle_loci(ri, nb.polygon_cycle(ri))
+        loci = nb.polygon_loci(ri)
         got = [_token_of(nb, *nb.partner(ri, l)) for l in loci]
         word = list(face.word)
         assert len(got) == len(word)
         assert any(got == word[i:] + word[:i] for i in range(len(word))), \
             (name, fi, got, word)
-        for ci in range(len(nb.regions[ri].cycles)):
-            if ci != nb.polygon_cycle(ri):
-                assert [nb.partner(ri, l) for l in nb.cycle_loci(ri, ci)] \
-                    == [None]
+        off = [(si, gi) for si, side in enumerate(nb.regions[ri].sides)
+               for gi in range(side.n_segments) if (si, gi) not in loci]
+        assert [nb.partner(ri, l) for l in off] == \
+            ([None] if face.kind == ANNULUS else [])
     for sw in nb.desc.switches:
         si = nb.region_id[f"sw:{sw.name}"]
         for (branch, end), slot in zip((sw.large, *sw.smalls),
@@ -200,15 +201,13 @@ def test_a_built_neighbourhood_is_unnamed_until_named():
 
 
 def _edges_at_vertex(nb, gaps) -> set:
-    """The tiling edges at a vertex given by its wedges (region, cycle, gap
+    """The tiling edges at a vertex given by its wedges (region, gap
     position), each as the set of its two (region, locus) sides."""
     edges = set()
-    for ri, ci, p in gaps:
-        loci = nb.cycle_loci(ri, ci)
+    for ri, p in gaps:
+        loci = nb.polygon_loci(ri)
         for l in (loci[p], loci[(p + 1) % len(loci)]):
-            pr = nb.partner(ri, l)
-            if pr is not None:
-                edges.add(frozenset({(ri, l), pr}))
+            edges.add(frozenset({(ri, l), nb.partner(ri, l)}))
     return edges
 
 
@@ -223,7 +222,7 @@ def test_every_vertex_has_three_wedges(tracks, name):
 
 def _union_find_vertex_gaps(nb) -> list:
     """The tiling vertices by a union-find over gaps, independent of the
-    corner permutation: gap (region, cycle, pos) is the wedge between cycle
+    corner permutation: gap (region, pos) is the wedge between polygon
     positions pos and pos+1; it joins the gap before the partner of the
     locus at pos and the gap at the partner of the locus at pos+1.  Classes
     come out sorted, and in the order of their roots."""
@@ -240,20 +239,18 @@ def _union_find_vertex_gaps(nb) -> list:
         if rx != ry:
             parent[rx] = ry
 
-    gaps = [(ri, ci, p) for ri in range(len(nb.regions))
-            for ci in range(len(nb.regions[ri].cycles))
-            if nb.partner(ri, nb.cycle_loci(ri, ci)[0]) is not None
-            for p in range(len(nb.cycle_loci(ri, ci)))]
+    gaps = [(ri, p) for ri in range(len(nb.regions))
+            for p in range(len(nb.polygon_loci(ri)))]
     parent.update((g, g) for g in gaps)
-    for ri, ci, p in gaps:
-        loci = nb.cycle_loci(ri, ci)
+    for ri, p in gaps:
+        loci = nb.polygon_loci(ri)
         # the CCW-end of the locus at p is the CCW-start of its partner ...
         r2, l2 = nb.partner(ri, loci[p])
-        c2, p2 = nb.locus_cycle(r2, l2)
-        union((ri, ci, p), (r2, c2, (p2 - 1) % len(nb.cycle_loci(r2, c2))))
+        p2 = nb.locus_position(r2, l2)
+        union((ri, p), (r2, (p2 - 1) % len(nb.polygon_loci(r2))))
         # ... and the CCW-start of the locus at p+1 the CCW-end of its partner
         r2, l2 = nb.partner(ri, loci[(p + 1) % len(loci)])
-        union((ri, ci, p), (r2, *nb.locus_cycle(r2, l2)))
+        union((ri, p), (r2, nb.locus_position(r2, l2)))
     classes = {}
     for g in gaps:
         classes.setdefault(find(g), []).append(g)
@@ -268,25 +265,24 @@ def test_vertex_table_matches_a_union_find(tracks, name):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_walks(tracks, name):
-    """The corners a boundary walk passes are read off its cycle's corner
+    """The corners a boundary walk passes are read off its polygon's corner
     prefix sums, which, over two turns, step up exactly at the gaps
     `gap_is_corner` calls corners.  One turn passes four corners on a
-    rectangle and twice the cusp count on a face's polygon cycle."""
+    rectangle and twice the cusp count on a face's polygon."""
     nb = tracks[name]
     for ri, r in enumerate(nb.regions):
-        for ci in range(len(r.cycles)):
-            n = len(nb.cycle_loci(ri, ci))
-            before = nb._corners_before[ri][ci]
-            assert len(before) == 2 * n + 1 and before[0] == 0
-            for p in range(2 * n):
-                assert before[p + 1] - before[p] == \
-                    nb.gap_is_corner(ri, ci, p), (ri, ci, p)
-            assert nb.total_corners(ri, ci) == before[n]
+        n = len(nb.polygon_loci(ri))
+        before = nb._corners_before[ri]
+        assert len(before) == 2 * n + 1 and before[0] == 0
+        for p in range(2 * n):
+            assert before[p + 1] - before[p] == nb.gap_is_corner(ri, p), \
+                (ri, p)
+        assert nb.total_corners(ri) == before[n]
         if r.kind in (DISC, ANNULUS):
             cusps = sum(1 for side in r.sides if side.label == V)
-            assert nb.total_corners(ri, nb.polygon_cycle(ri)) == 2 * cusps
+            assert nb.total_corners(ri) == 2 * cusps
         else:
-            assert nb.total_corners(ri, 0) == 4
+            assert nb.total_corners(ri) == 4
 
 
 def test_track_round_trip():
@@ -497,7 +493,7 @@ def test_mutated_descriptions_build_or_raise_a_structured_error(name, n,
     assert nb.euler == len(desc.switches) - len(desc.branches) + discs
     for gaps in nb._vertex_gaps:
         assert len(gaps) == 3 and len(_edges_at_vertex(nb, gaps)) == 3
-        kinds = [nb.regions[ri].kind for ri, _, _ in gaps]
+        kinds = [nb.regions[ri].kind for ri, _ in gaps]
         assert kinds[:2] == [BRANCH, SWITCH] and kinds[2] in (DISC, ANNULUS)
     succ = _successors(desc)
     for f in desc.faces:

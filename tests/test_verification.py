@@ -282,7 +282,7 @@ def test_audit_checks_contracts_on_three_snippet_arcs(t11, monkeypatch):
     def mis_slid(curve, k, nb):
         window, wf, ev = real_hom(curve, k, nb)
         s = window[0]
-        turn = nb.total_corners(s.region, nb.polygon_cycle(s.region))
+        turn = nb.total_corners(s.region)
         s = s._replace(wind=s.wind + turn)
         return (s, *window[1:]), (facts(s, nb), *wf[1:]), ev
 
@@ -324,8 +324,7 @@ def _refiled(nb, window, ev):
 
 def _full_turn_later(nb, s):
     """The snippet wound one more full turn of its annulus, still valid."""
-    return s._replace(wind=s.wind + nb.total_corners(
-        s.region, nb.polygon_cycle(s.region)))
+    return s._replace(wind=s.wind + nb.total_corners(s.region))
 
 
 def _one_more_carried(wf):
