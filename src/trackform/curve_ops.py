@@ -41,12 +41,12 @@ from .snippet_core import (
 from .snippet_core import classify  # noqa: F401
 from .track_model import TieNeighbourhood
 
-ARC = "Arc"
-CLOSED = "Closed"
+ARC = "arc"
+CLOSED = "closed"
 
 
 class Curve(NamedTuple):
-    kind: str  # Arc | Closed
+    kind: str  # ARC | CLOSED, the curve/1 words
     snippets: tuple[Snippet, ...]
 
 

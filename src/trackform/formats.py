@@ -11,9 +11,11 @@ edges, `SW.t`/`SW.b` for switch horizontal edges, `SW.c` for cusps.
 Trace files hold one typed record per event.  Each of the five trace/1
 ops has one immutable record type (`Hom`, `Rotate`, `Reverse`, `Open`,
 `Seam`): a run builds its records in memory, `to_line` writes a record's
-canonical line directly (sorted keys, compact separators, each repeated
-string quoted once), and `from_json` reads a decoded JSON object back,
-checking each field and its JSON type once.  `parse_trace` leaves events as
+line, the canonical `json.dumps(dict(record), sort_keys=True,
+separators=(",", ":"))`, and `from_json` reads a decoded JSON object back,
+checking each field against the JSON type its record's `JSON` schema
+gives.  The `hom` record, one per push, builds that text directly and
+checks its types in one expression.  `parse_trace` leaves events as
 decoded objects; the audit reads each through `trace_record` at its own
 event index, so a malformed record fails there, after `trackform verify`
 has checked the header.
@@ -27,7 +29,10 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterable
 
+from . import curve_ops
+from .curve_ops import ARC, CLOSED, Curve
 from .errors import AuditFailure, ParseError
+from .snippet_core import Snippet
 from .track_model import FaceDesc, SwitchDesc, TrainTrackDesc
 
 TRACK_FORMAT = "track/1"
@@ -174,16 +179,10 @@ def format_track(desc: TrainTrackDesc) -> str:
 
 # -- curve files ------------------------------------------------------------
 
-_KIND_TO_JSON = {"Closed": "closed", "Arc": "arc"}
-_KIND_FROM_JSON = {v: k for k, v in _KIND_TO_JSON.items()}
-
-
 def serialize_curve(curve, nb) -> str:
     """Canonical curve/1 JSON: snippets by region name, winding omitted when
     zero; byte-deterministic (sorted keys, two-space indent)."""
-    from .curve_ops import validate_curve
-
-    validate_curve(curve, nb)
+    curve_ops.validate_curve(curve, nb)
     # The text json.dumps(doc, sort_keys=True, indent=2) would give, written
     # directly: indent= makes json fall back to its pure-Python encoder.
     names = [json.dumps(r.name) for r in nb.regions]
@@ -197,7 +196,7 @@ def serialize_curve(curve, nb) -> str:
     track_line = (f',\n  "track": {json.dumps(nb.name)}'
                   if nb.name is not None else "")
     return (f'{{\n  "format": {json.dumps(CURVE_FORMAT)},\n'
-            f'  "kind": {json.dumps(_KIND_TO_JSON[curve.kind])},\n'
+            f'  "kind": {json.dumps(curve.kind)},\n'
             f'  "snippets": {snippets}{track_line}\n}}\n')
 
 
@@ -217,17 +216,14 @@ def _locus(v: Any, i: int, which: str) -> tuple[int, int] | None:
     return (v[0], v[1])
 
 
-def parse_curve(text: str, nb) -> "Curve":
+def parse_curve(text: str, nb) -> Curve:
     """Parse curve/1 JSON against a tie neighbourhood, validating loci,
     windings, and the gluing chain (AdjacencyError names the snippet)."""
-    from .curve_ops import Curve, validate_curve
-    from .snippet_core import Snippet
-
     doc = _load_json(text, "curve file")
     if not isinstance(doc, dict) or doc.get("format") != CURVE_FORMAT:
         raise ParseError(f"expected a {CURVE_FORMAT} document")
     kind = doc.get("kind")
-    if not isinstance(kind, str) or kind not in _KIND_FROM_JSON:
+    if kind not in (ARC, CLOSED):
         raise ParseError(f"curve kind must be 'closed' or 'arc', got {kind!r}")
     want = nb.name
     track = doc.get("track")
@@ -258,8 +254,8 @@ def parse_curve(text: str, nb) -> "Curve":
             raise ParseError(f"snippet {i}: winding must be an integer")
         snippets.append(Snippet(rid, _locus(start, i, "start"),
                                 _locus(end, i, "end"), wind))
-    curve = Curve(_KIND_FROM_JSON[kind], tuple(snippets))
-    validate_curve(curve, nb)
+    curve = Curve(kind, tuple(snippets))
+    curve_ops.validate_curve(curve, nb)
     return curve
 
 
@@ -283,23 +279,11 @@ def _json_type_ok(v: Any, kind: str) -> bool:
             and all(map(_is_int, v)))
 
 
-def _stamp_typed(phase: Any, c: Any) -> bool:
-    """Is `phase` a string and `c` six integers?  Exact types, so a
-    boolean is no integer."""
-    return (type(phase) is str and type(c) is list and len(c) == 6
-            and type(c[0]) is type(c[1]) is type(c[2]) is type(c[3])
-            is type(c[4]) is type(c[5]) is int)
-
-
 @lru_cache(maxsize=256)
 def _json_text(v: str | None) -> str:
     """A string or null as JSON text.  Rules, turns and phases repeat, so
     each is quoted once."""
     return json.dumps(v)
-
-
-def _ints_text(v) -> str:
-    return ",".join(map(str, v))
 
 
 class _TraceRecord:
@@ -308,8 +292,9 @@ class _TraceRecord:
     its `JSON` schema, (field, JSON type) pairs in the order they are
     checked.  A record reads like the JSON object it is written as:
     `rec["op"]` and `rec["n"]` give its JSON values, and `dict(rec)` its
-    JSON form.  `phase` and `c` default to None, for a record whose run
-    has not stamped it yet."""
+    JSON form, which `to_line` writes and `_typed` checks against `JSON`.
+    `phase` and `c` default to None, for a record whose run has not
+    stamped it yet."""
     __slots__ = ()
     op = ""
     JSON: tuple[tuple[str, str], ...] = ()
@@ -336,6 +321,15 @@ class _TraceRecord:
         """The record with its phase and the counters it leaves."""
         return self._make((*tuple.__getitem__(self, _OWN), phase, c))
 
+    def _typed(self) -> bool:
+        """Does each field hold the JSON type `JSON` gives it?"""
+        return all(_json_type_ok(getattr(self, key), kind)
+                   for key, kind in self.JSON)
+
+    def to_line(self) -> str:
+        """The record's trace/1 line: the canonical JSON of its JSON form."""
+        return json.dumps(dict(self), sort_keys=True, separators=(",", ":"))
+
     @classmethod
     def from_json(cls, obj: dict, index: int):
         """The record a decoded trace/1 object of this op stands for.  Its
@@ -347,8 +341,8 @@ class _TraceRecord:
             rec = cls._make(map(obj.__getitem__, cls._fields))
         except KeyError:
             rec = None
-        # `_typed` checks exact types in one expression; a record it does
-        # not pass is walked field by field, to name the first failure
+        # a record `_typed` does not pass is walked again, to name the
+        # first missing field or the first of the wrong type
         if rec is None or not rec._typed():
             for key, kind in cls.JSON:
                 if key not in obj:
@@ -372,6 +366,8 @@ class Hom(_TraceRecord, namedtuple(
     JSON = (*_STAMP, ("k", _INT), ("rot", _INT), ("j", _INT), ("n", _INT2),
             ("win", _INT2), ("rule", _NAME), ("turn", _NAME))
 
+    # One record per push, 99% of events: the generic `_typed` and
+    # `to_line`, written out by hand for speed.
     def _typed(self) -> bool:
         k, rot, rule, turn, j, n, win, phase, c = self
         return (type(k) is type(rot) is type(j) is int
@@ -380,11 +376,13 @@ class Hom(_TraceRecord, namedtuple(
                 is int
                 and (rule is None or type(rule) is str)
                 and (turn is None or type(turn) is str)
-                and _stamp_typed(phase, c))
+                and type(phase) is str and type(c) is list and len(c) == 6
+                and type(c[0]) is type(c[1]) is type(c[2]) is type(c[3])
+                is type(c[4]) is type(c[5]) is int)
 
     def to_line(self) -> str:
         k, rot, rule, turn, j, n, win, phase, c = self
-        return (f'{{"c":[{_ints_text(c)}],"j":{j},"k":{k},'
+        return (f'{{"c":[{",".join(map(str, c))}],"j":{j},"k":{k},'
                 f'"n":[{n[0]},{n[1]}],"op":"hom","phase":{_json_text(phase)},'
                 f'"rot":{rot},"rule":{_json_text(rule)},'
                 f'"turn":{_json_text(turn)},"win":[{win[0]},{win[1]}]}}')
@@ -397,13 +395,6 @@ class Rotate(_TraceRecord, namedtuple(
     op = "rotate"
     JSON = (*_STAMP, ("by", _INT))
 
-    def _typed(self) -> bool:
-        return type(self.by) is int and _stamp_typed(self.phase, self.c)
-
-    def to_line(self) -> str:
-        return (f'{{"by":{self.by},"c":[{_ints_text(self.c)}],"op":"rotate",'
-                f'"phase":{_json_text(self.phase)}}}')
-
 
 class Reverse(_TraceRecord, namedtuple(
         "Reverse", "phase c", defaults=(None, None))):
@@ -412,13 +403,6 @@ class Reverse(_TraceRecord, namedtuple(
     op = "reverse"
     JSON = _STAMP
 
-    def _typed(self) -> bool:
-        return _stamp_typed(self.phase, self.c)
-
-    def to_line(self) -> str:
-        return (f'{{"c":[{_ints_text(self.c)}],"op":"reverse",'
-                f'"phase":{_json_text(self.phase)}}}')
-
 
 class _SeamRecord(_TraceRecord, namedtuple(
         "SeamRecord", "orig_wind phase c", defaults=(None, None))):
@@ -426,14 +410,6 @@ class _SeamRecord(_TraceRecord, namedtuple(
     duplicated basepoint snippet."""
     __slots__ = ()
     JSON = (*_STAMP, ("orig_wind", _INT))
-
-    def _typed(self) -> bool:
-        return type(self.orig_wind) is int and _stamp_typed(self.phase, self.c)
-
-    def to_line(self) -> str:
-        return (f'{{"c":[{_ints_text(self.c)}],"op":"{self.op}",'
-                f'"orig_wind":{self.orig_wind},'
-                f'"phase":{_json_text(self.phase)}}}')
 
 
 class Open(_SeamRecord):

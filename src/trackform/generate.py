@@ -22,15 +22,6 @@ from .errors import BadInput, GenerationFailed
 from .snippet_core import Snippet, valid_winds
 from .track_model import ANNULUS, Locus, TieNeighbourhood
 
-__all__ = [
-    "random_arc",
-    "random_closed",
-    "trivial_loop",
-    "boundary_power",
-    "peripheral_bounce",
-    "doubled_back",
-]
-
 # The most whole turns `_pick_wind` adds to a winding, and the most closing
 # steps `random_closed` takes to return to its starting edge.
 _SPREAD = 2

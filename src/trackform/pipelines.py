@@ -57,31 +57,6 @@ from .homotopy_engine import hom
 from .snippet_core import classify, is_bigon, is_trigon
 from .track_model import TieNeighbourhood
 
-__all__ = [
-    "EFFICIENT",
-    "SINGLE_SNIPPET",
-    "INSIDE_EFFICIENT",
-    "Run",
-    "Result",
-    "trig_arc",
-    "trig_curve",
-    "big_arc",
-    "reduce_to_two",
-    "reduce_to_one",
-    "all_but",
-    "weight_one",
-    "weight_two",
-    "two_trigons",
-    "hor_bigon_comp",
-    "hor_bigon_branch",
-    "single_bad",
-    "proven_push_bound",
-    "drive",
-    "efficient_position",
-    "terminal_status",
-    "terminal_summary",
-]
-
 EFFICIENT = "Efficient"
 SINGLE_SNIPPET = "SingleSnippet"
 INSIDE_EFFICIENT = "InsideEfficient"

@@ -61,16 +61,6 @@ from .snippet_core import TRIGON_GRAPH, TRIGON_TYPES, Snippet, SnippetFacts
 from .snippet_core import classify  # noqa: F401
 from .track_model import ANNULUS, BOUNDARY, TieNeighbourhood
 
-__all__ = [
-    "EfficiencyReport",
-    "AuditReport",
-    "OracleVerdict",
-    "check_efficient",
-    "audit_trace",
-    "exhaustive_oracle",
-    "oracle_agrees",
-]
-
 
 # -- independent efficiency checker -----------------------------------------
 

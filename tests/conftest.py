@@ -18,6 +18,7 @@ from trackform.snippet_core import Snippet
 from trackform.track_model import build_tie_neighbourhood
 
 LOOP_TRACK = Path(__file__).resolve().parent / "loop_annulus.track"
+CLOSED_TRACK = Path(__file__).resolve().parent / "closed_genus2.track"
 
 # Every run draws the same examples, and none are replayed from a saved
 # database, so a property test passes or fails the same way each time.
@@ -49,12 +50,18 @@ def carried_loop(t11):
     ))
 
 
+def load_track_file(path: Path):
+    """The neighbourhood of a track file, named by its stem as the CLI
+    names it."""
+    nb = build_tie_neighbourhood(parse_track(read_text(path)))
+    nb.name = path.stem
+    return nb
+
+
 def load_loop_track():
     """The track of `loop_annulus.track`, whose face 3 is the one-cusp
-    annulus of the loop branch x1, named as the CLI names it."""
-    nb = build_tie_neighbourhood(parse_track(read_text(LOOP_TRACK)))
-    nb.name = LOOP_TRACK.stem
-    return nb
+    annulus of the loop branch x1."""
+    return load_track_file(LOOP_TRACK)
 
 
 def one_ended_arc(nb, rng, length: int, flip: bool = True) -> Curve:

@@ -300,6 +300,7 @@ def test_readme_cli_lines_name_real_commands_and_options():
                 for o in p.opts}
         for w in words[2:]:
             assert not w.startswith("-") or w in opts, (words[1], w)
+    assert {words[1] for words in lines} == set(cli.cli.commands)
 
 
 def test_gen_count_needs_out_dir():

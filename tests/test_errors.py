@@ -9,15 +9,19 @@ import io
 import json
 import random
 import re
+import runpy
+import sys
+import warnings
 from types import SimpleNamespace
 from typing import NamedTuple
 
+import click
 import pytest
 
-from trackform import cli
+from trackform import cli, generate
 from trackform.cli import main
 from trackform.curve_ops import ARC, CLOSED, Curve, is_blocker, validate_curve
-from trackform.errors import BadInput, InconsistentSnippet
+from trackform.errors import BadInput, GenerationFailed, InconsistentSnippet
 from trackform.fixtures import load_fixture
 from trackform.formats import Rotate, parse_curve, serialize_curve
 from trackform.generate import (doubled_back, peripheral_bounce, random_arc,
@@ -89,6 +93,32 @@ def _verify_refused_efficient(nb, tmp_path, monkeypatch):
                 str(trace))
 
 
+def _validate_with_loader_raising(exc: BaseException):
+    """`validate` on t11, with the track loader made to raise `exc`."""
+    def call(nb, _tmp, monkeypatch):
+        def load(_source):
+            raise exc
+        monkeypatch.setattr(cli, "_load_track", load)
+        return _cli("validate", "t11")
+    return call
+
+
+def _random_closed_impatient(nb, _tmp, monkeypatch):
+    monkeypatch.setattr(generate, "_PATIENCE", 0)
+    return random_closed(nb, random.Random(0), 4)
+
+
+def _cli_as_main(_nb, _tmp, monkeypatch):
+    """`python -m trackform.cli validate t11`, run in this process, so that
+    a line tracer sees the module's `__main__` guard."""
+    monkeypatch.setattr(sys, "argv", ["trackform", "validate", "t11"])
+    with warnings.catch_warnings(), \
+            contextlib.redirect_stdout(io.StringIO()):
+        # runpy warns that the imported module is run again, as __main__
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module("trackform.cli", run_name="__main__")
+
+
 ROWS = [
     ("validate_curve-unknown-kind",
      lambda nb, *_: validate_curve(Curve("loop", _arc(nb).snippets), nb),
@@ -154,6 +184,15 @@ ROWS = [
     ("cli-verify-refused-efficient", _verify_refused_efficient,
      (1, "FAIL: trace claims Efficient but the final curve has a bad "
          "snippet\n")),
+    ("random_closed-out-of-patience", _random_closed_impatient,
+     Raises(GenerationFailed, "walk failed to return to its starting edge")),
+    ("cli-click-exception",
+     _validate_with_loader_raising(click.ClickException("boom")),
+     (1, "Error: boom\n")),
+    # click turns the interrupt into Abort, after ending the line
+    ("cli-keyboard-interrupt",
+     _validate_with_loader_raising(KeyboardInterrupt()), (130, "\n")),
+    ("cli-run-as-a-module", _cli_as_main, Raises(SystemExit, "0")),
 ]
 
 

@@ -14,9 +14,9 @@ from trackform.curve_ops import ARC, CLOSED, Curve
 from trackform.errors import AdjacencyError, BadInput, ParseError
 from trackform.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from trackform.formats import (RECORD_TYPES, Hom, Open, Reverse, Rotate,
-                               Seam, format_track, parse_curve, parse_track,
-                               parse_trace, serialize_curve, serialize_trace,
-                               trace_record)
+                               Seam, _TraceRecord, format_track, parse_curve,
+                               parse_track, parse_trace, serialize_curve,
+                               serialize_trace, trace_record)
 from trackform.generate import gen_random_curve, random_arc
 from trackform.pipelines import efficient_position
 from trackform.snippet_core import Snippet
@@ -230,6 +230,25 @@ def test_record_line_is_the_canonical_json_of_the_record(op, data):
                               separators=(",", ":"))
     back = RECORD_TYPES[op].from_json(json.loads(line), 0)
     assert type(back) is type(rec) and back == rec
+
+
+# values a field may hold that its JSON type may not allow: a bool, null, a
+# float, a string, or a list that is short, long or holds a non-integer
+_ANY = (st.booleans() | st.none() | st.floats() | _TEXT | _INTS
+        | st.lists(_INTS | st.booleans() | st.floats(), max_size=7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rec=_RECORD["hom"], field=st.sampled_from(Hom._fields),
+       value=_ANY)
+def test_hom_fast_path_matches_the_generic_record_code(rec, field, value):
+    """`Hom` writes and checks its records by hand; on every record the
+    generic code that `_TraceRecord` reads off the `JSON` schema must give
+    the same line and the same verdict."""
+    assert rec.to_line() == _TraceRecord.to_line(rec)
+    assert Hom._typed(rec) is _TraceRecord._typed(rec) is True
+    bad = rec._replace(**{field: value})
+    assert Hom._typed(bad) is _TraceRecord._typed(bad)
 
 
 _LOADED = {}

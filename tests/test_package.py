@@ -84,3 +84,9 @@ def test_traced_functions_stay_module_attributes(monkeypatch):
         "trackform.verification.measure": 1,
         "trackform.formats.parse_trace": 1,
         "trackform.formats.serialize_trace": 1}
+    # the curve/1 reader and writer each check the curve once, through
+    # curve_ops' attribute
+    calls.clear()
+    count(curve_ops, "validate_curve")
+    formats.parse_curve(formats.serialize_curve(curve, nb), nb)
+    assert calls == {"trackform.curve_ops.validate_curve": 2}
