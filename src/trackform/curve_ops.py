@@ -4,8 +4,8 @@ measures, and blocker detection.
 Consecutive snippets chain across gluings: the end locus of one snippet and
 the start locus of the next are partner segments (cyclically for closed
 curves).  A `Curve` is immutable, and every operation here returns a new
-one.  A `WorkingCurve` is the one mutable form and the replay state of a
-run and of an audit: its snippet list, each position's fact record, a
+one.  A `WorkingCurve` is the one mutable form, and a run (`pipelines.Run`)
+and an audit are each one: its snippet list, each position's fact record, a
 byte per position marking the bad snippets, and the six length counters.
 `WorkingCurve.apply` replays one typed trace/1 record on it and is the only
 code that changes them: the three lists are rotated and spliced together,
@@ -58,7 +58,8 @@ class WorkingCurve:
     of the duplicated basepoint snippet (else None).  `c` is replaced by a
     new list whenever the counters change and is never mutated, so a
     caller may keep it.  Building one checks the curve (`validate_curve`,
-    whose errors it raises).  `freeze` gives the `Curve` it stands for."""
+    whose errors it raises).  `freeze` gives the `Curve` it stands for.
+    A run and an audit are subclasses that replay events on themselves."""
     __slots__ = ("nb", "kind", "snippets", "facts", "bad", "c", "orig_wind")
 
     def __init__(self, curve: Curve, nb: TieNeighbourhood) -> None:
@@ -81,8 +82,8 @@ class WorkingCurve:
         put in place of three snippets and the window's fact records `wf`,
         as `homotopy_engine.hom` returns them; a `rotate`, `reverse`,
         `open` or `seam`), reading its op and fields as attributes.  The
-        event is taken as legal here: `Run` records only legal events, and
-        the audit checks each before it replays it."""
+        event is taken as legal here: a `Run` records only legal events,
+        and the audit checks each before it replays it."""
         op = ev.op
         snap, facts, bad = self.snippets, self.facts, self.bad
         if op == "hom":

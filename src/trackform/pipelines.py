@@ -14,15 +14,15 @@ to a trigon, a plain chase (`trig_curve`) finishes.  `drive` runs the
 phases in this order on a `Run`; `efficient_position` builds the run and
 calls it.
 
-Every operation goes through `Run`, which owns the working curve, enforces
-the global rewrite budget and records one trace event per operation.  Each
-of its five operations only builds the event's typed trace/1 record
-without its phase and counters (`hom` returns a push's window and the
-window's fact records with the push's own fields as such a record) and
-hands it to `Run._record`, which replays it on the working curve with
-`WorkingCurve.apply` (the step the audit replays each recorded event with)
-and then builds the full record once, stamped with its phase and the
-counters it leaves: the working curve's own counter list, which is
+Every operation goes through `Run`, which is the working curve it pushes
+(a `WorkingCurve`), enforces the global rewrite budget and records one
+trace event per operation.  Each of its five operations only builds the
+event's typed trace/1 record without its phase and counters (`hom` returns
+a push's window and the window's fact records with the push's own fields
+as such a record) and hands it to `Run._record`, which replays it on the
+run itself with `WorkingCurve.apply` (the step the audit replays each
+recorded event with) and then builds the full record once, stamped with
+its phase and the counters it leaves: the run's own counter list, which is
 replaced on each change and never mutated.  A push thus changes the curve,
 its counters and its bad flags within its window only.
 `run.curve` builds the `Curve` on demand.  The recorded events are
@@ -66,13 +66,14 @@ EASY_BIGONS = frozenset(
     {"B(t,t)", "S(h,h,0)", "S(t,t,0)", "S(v,v,0)", "R(v,v)"})
 
 
-class Run:
-    """The working frame of one homotopy run: curve, counters, trace."""
+class Run(WorkingCurve):
+    """One homotopy run: the working curve it pushes, with its trace events,
+    budget log and push count against the global rewrite budget."""
+    __slots__ = ("events", "budget_log", "homs", "max_homs")
 
     def __init__(self, curve: Curve, nb: TieNeighbourhood,
                  max_homs: int | None = None) -> None:
-        self.nb = nb
-        self.work = WorkingCurve(curve, nb)
+        super().__init__(curve, nb)
         self.events: list = []
         # one row per budgeted loop run, as `_budgeted` logs it
         self.budget_log: list[tuple[str, int, int, int, int, int, int]] = []
@@ -84,48 +85,44 @@ class Run:
     @property
     def curve(self) -> Curve:
         """The working curve as it stands, built on each call."""
-        return self.work.freeze()
+        return self.freeze()
 
     @property
     def n(self) -> int:
-        return len(self.work.snippets)
-
-    @property
-    def kind(self) -> str:
-        return self.work.kind
+        return len(self.snippets)
 
     def cls_at(self, i: int):
-        return self.work.facts[i].cls
+        return self.facts[i].cls
 
     def corn_at(self, i: int) -> int:
-        return self.work.facts[i].row[0]
+        return self.facts[i].row[0]
 
     def bads(self) -> list[int]:
         out = []
-        p = self.work.bad.find(1)
+        p = self.bad.find(1)
         while p >= 0:
             out.append(p)
-            p = self.work.bad.find(1, p + 1)
+            p = self.bad.find(1, p + 1)
         return out
 
     def first_bad(self, lo: int = -1, hi: int | None = None) -> int | None:
         """The first bad position p with lo < p < hi, or None."""
-        b = self.work.bad
+        b = self.bad
         p = b.find(1, lo + 1, len(b) if hi is None else max(hi, 0))
         return None if p < 0 else p
 
     def report(self) -> LengthReport:
-        return LengthReport(self.n, *self.work.c)
+        return LengthReport(self.n, *self.c)
 
     # -- operations (each records one trace event) --------------------------
 
     def _record(self, ev, phase: str, window=(), wf=()):
         """Replay the op `ev` (an unstamped trace/1 record: for a push,
         `hom`'s own fields, with its window and their fact records) on the
-        working curve, then stamp it with its phase and the counters it
+        run itself, then stamp it with its phase and the counters it
         leaves and keep it as the next trace event."""
-        self.work.apply(ev, window, wf)
-        rec = ev.stamped(phase, self.work.c)
+        self.apply(ev, window, wf)
+        rec = ev.stamped(phase, self.c)
         self.events.append(rec)
         return rec
 
@@ -135,7 +132,7 @@ class Run:
         if self.max_homs is not None and self.homs >= self.max_homs:
             raise BudgetExceeded(
                 f"global rewrite budget of {self.max_homs} pushes exhausted")
-        window, wf, push = hom(self.work, k, self.nb)
+        window, wf, push = hom(self, k, self.nb)
         self.homs += 1
         return self._record(push, phase, window, wf)
 
@@ -154,15 +151,15 @@ class Run:
         snippet at the far end; the seam step undoes the duplication."""
         if self.kind != CLOSED:
             raise BadInput("only closed curves open at a seam")
-        s0 = self.work.snippets[0]
+        s0 = self.snippets[0]
         if s0.closed:
             raise BadInput("cannot open a curve at a closed snippet")
         self._record(Open(s0.wind), phase)
 
     def seam(self, phase: str) -> None:
-        if self.kind != ARC or self.work.orig_wind is None:
+        if self.kind != ARC or self.orig_wind is None:
             raise BadInput("seam closes an arc opened by open_dup")
-        self._record(Seam(self.work.orig_wind), phase)
+        self._record(Seam(self.orig_wind), phase)
 
 
 # -- step budgets -----------------------------------------------------------
@@ -404,8 +401,8 @@ def hor_bigon_branch(run: Run, k: int) -> None:
         run.hom_at(k, phase)
         return
     if cm == 1 and cp == 1:
-        if not (is_blocker(run.work, nb, (k - 3) % n)
-                and is_blocker(run.work, nb, kp)):
+        if not (is_blocker(run, nb, (k - 3) % n)
+                and is_blocker(run, nb, kp)):
             run.hom_at(k, phase)
             return
         ws = run.hom_at(k, phase).win[0]

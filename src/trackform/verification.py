@@ -7,9 +7,10 @@ Three layers of defence against a wrong pipeline:
   polygon and counting corner gaps — without calling the classifier's walk
   machinery, so a bug there cannot hide.
 
-* `audit_trace` replays a recorded run event by event on its own working
-  curve with `WorkingCurve.apply`, the step `Run` records each event with,
-  so an event costs its window and not the curve's length.  It takes the
+* `audit_trace` replays a recorded run event by event on the audit, a
+  working curve as a `Run` is, with `WorkingCurve.apply`, the step a run
+  records each event with, so an event costs its window and not the
+  curve's length.  It takes the
   typed trace/1 records a run makes as they are, and reads a decoded JSON
   object (a parsed trace file) into its record type at its own event
   index, which checks its fields and their JSON types once
@@ -140,7 +141,7 @@ _HOM_CLAUSES = (("rot", "rot"), ("k", "k"), ("rule", "rule"),
 _tuple_item = tuple.__getitem__
 
 
-def _glued(nb: TieNeighbourhood, work: WorkingCurve, i: int) -> bool:
+def _glued(work: WorkingCurve, i: int) -> bool:
     """Does the snippet at i end where the one at i + 1 starts (cyclically
     on closed curves; vacuously true past either end of an arc)?"""
     snap = work.snippets
@@ -151,16 +152,19 @@ def _glued(nb: TieNeighbourhood, work: WorkingCurve, i: int) -> bool:
         a, b = snap[i], snap[i + 1]
     else:
         return True
-    return nb.partner(a.region, a.end) == (b.region, b.start)
+    return work.nb.partner(a.region, a.end) == (b.region, b.start)
 
 
-class _Audit:
+class _Audit(WorkingCurve):
+    """A recorded run's replay: a working curve built from the run's input,
+    with the trace, its output, the checks made and the current index."""
+    __slots__ = ("trace", "after", "checks", "index")
+
     def __init__(self, trace, before: Curve, after: Curve,
                  nb: TieNeighbourhood) -> None:
+        super().__init__(before, nb)
         self.trace = trace
-        self.before = before
         self.after = after
-        self.nb = nb
         self.checks = 0
         self.index = -1
 
@@ -177,55 +181,52 @@ class _Audit:
             self.fail(clause, detail.format(*args) if args else detail)
 
     def run(self) -> AuditReport:
-        nb = self.nb
-        work = self.work = WorkingCurve(self.before, nb)
         for self.index, ev in enumerate(self.trace):
             ev = trace_record(ev, self.index)
             op = ev.op
-            snap = work.snippets
+            snap = self.snippets
             if op == "rotate":
-                self.check(work.kind == CLOSED, "op", "rotate on an arc")
+                self.check(self.kind == CLOSED, "op", "rotate on an arc")
                 if not 0 < ev.by < len(snap):
                     self.fail("by", f"rotation by {ev.by} of a curve of"
                               f" {len(snap)} snippets")
             elif op == "open":
-                self.check(work.kind == CLOSED and not snap[0].closed,
+                self.check(self.kind == CLOSED and not snap[0].closed,
                            "op", "open needs a closed curve of open snippets")
                 self.check(ev.orig_wind == snap[0].wind,
                            "open-wind", "recorded seam winding is not the "
                            "basepoint snippet's")
             elif op == "seam":
-                self.check(work.orig_wind is not None, "op",
+                self.check(self.orig_wind is not None, "op",
                            "seam without open")
-                self.check(ev.orig_wind == work.orig_wind, "seam-wind",
+                self.check(ev.orig_wind == self.orig_wind, "seam-wind",
                            "seam winding differs from the opening event")
             if op == "hom":
-                self._replay_hom(work, ev)
+                self._replay_hom(ev)
             else:
-                work.apply(ev)
-            self._check_counters(work, ev)
+                self.apply(ev)
+            self._check_counters(ev)
         self.index = len(self.trace)
-        if work.kind != self.after.kind or \
-                work.snippets != list(self.after.snippets):
+        if self.kind != self.after.kind or \
+                self.snippets != list(self.after.snippets):
             self.fail("final", "replayed terminal curve differs")
-        full = measure(work, nb).counters
-        self.check(full == work.c, "final",
-                   "running counters {} != recomputed {}", work.c, full)
+        full = measure(self, self.nb).counters
+        self.check(full == self.c, "final",
+                   "running counters {} != recomputed {}", self.c, full)
         return AuditReport(ok=True, events=len(self.trace),
                            checks=self.checks)
 
-    def _check_counters(self, work: WorkingCurve, ev) -> None:
+    def _check_counters(self, ev) -> None:
         self.checks += 1
-        if ev.c != work.c:
-            self.fail("counters", f"recorded {ev.c} != recomputed {work.c}")
+        if ev.c != self.c:
+            self.fail("counters", f"recorded {ev.c} != recomputed {self.c}")
 
-    def _replay_hom(self, work: WorkingCurve, ev: Hom) -> None:
-        nb = self.nb
-        snap, bad = work.snippets, work.bad
+    def _replay_hom(self, ev: Hom) -> None:
+        snap, bad = self.snippets, self.bad
         n = len(snap)
         k_orig = (ev.k + ev.rot) % n
         try:
-            window, wf, push = hom(work, k_orig, nb)
+            window, wf, push = hom(self, k_orig, self.nb)
         except TrackformError as exc:
             self.fail("not-bad", f"recorded push is illegal here: {exc}")
         # one comparison of the push's own fields with the record's; only a
@@ -242,12 +243,11 @@ class _Audit:
         p, q = (k_orig - 1) % n, (k_orig + 1) % n
         pre = (snap[p], snap[q])
         pre_bad = bad[p] or bad[q]
-        c0 = work.c
-        work.apply(push, window, wf)
-        self._check_contracts(work, pre, pre_bad, window, push, c0)
+        c0 = self.c
+        self.apply(push, window, wf)
+        self._check_contracts(pre, pre_bad, window, push, c0)
 
-    def _check_contracts(self, work: WorkingCurve, pre, pre_bad, post,
-                         push: Hom, c0) -> None:
+    def _check_contracts(self, pre, pre_bad, post, push: Hom, c0) -> None:
         """Check a replayed push's contracts, in order, failing at the
         first that does not hold, and count the checks made."""
         nb, fail = self.nb, self.fail
@@ -256,7 +256,7 @@ class _Audit:
         j, rule, turn = push.j, push.rule, push.turn
 
         # length delta is determined by the tiling points on the cut piece
-        two_closed = n0 == 2 and work.kind == CLOSED
+        two_closed = n0 == 2 and self.kind == CLOSED
         if two_closed:
             if n1 - n0 != (j - 2 if j >= 1 else -1):
                 fail("length", "two-snippet closed rewrite length delta")
@@ -281,9 +281,9 @@ class _Audit:
         # locality: the window was spliced at the recorded place, in place
         # of three snippets, and is glued to the untouched snippets on both
         # sides of it
-        if not (len(work.snippets) == n1 and _glued(nb, work, ws - 1)):
+        if not (len(self.snippets) == n1 and _glued(self, ws - 1)):
             fail("locality", "window not glued to the snippet before it")
-        if not _glued(nb, work, ws + wl - 1):
+        if not _glued(self, ws + wl - 1):
             fail("locality", "window not glued to the snippet after it")
 
         if j >= 1:
@@ -297,7 +297,7 @@ class _Audit:
                     and post[-1].end == pre[1].end
                     and abs(post[-1].wind - pre[1].wind) <= 1):
                 fail("slide", "next snippet slid illegally")
-            inner = work.bad[ws + 1:ws + wl - 1]
+            inner = self.bad[ws + 1:ws + wl - 1]
             if any(inner):
                 fail("inner-bad", "replacement interior snippet is bad")
             checks = 6 + len(inner)
@@ -309,11 +309,11 @@ class _Audit:
         # chase step: a lone bad trigon between efficient neighbours obeys
         # the hand-off graph with exact carried/dual deltas
         if rule in TRIGON_TYPES and not pre_bad:
-            bad_out = [f.cls for f in work.facts[ws:ws + wl] if f.row[4]]
+            bad_out = [f.cls for f in self.facts[ws:ws + wl] if f.row[4]]
             if len(bad_out) > 1:
                 fail("chase-multiplicity",
                      f"{len(bad_out)} bad snippets out of one trigon")
-            c1 = work.c
+            c1 = self.c
             dc, dr, dl = c1[2] - c0[2], c1[3] - c0[3], c1[4] - c0[4]
             dt, do = (dr, dl) if turn == "Right" else (dl, dr)
             if bad_out:
@@ -420,15 +420,15 @@ def _least_rotation(ids: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def exhaustive_oracle(curve: Curve, nb: TieNeighbourhood,
-                      max_len: int | None = None,
                       cap_states: int = 50_000) -> OracleVerdict:
     """Check the curve (`validate_curve`), close it under all legal pushes
     and report what is reachable.
 
     Visits every curve obtainable by pushing bad snippets (interior ones for
-    arcs), up to `max_len` snippets and `cap_states` distinct states.  A
-    search cut short is reported inconclusive rather than guessed — except
-    that a reached one-snippet state is already a positive witness.
+    arcs), up to len(curve) + 3 s_N snippets and `cap_states` distinct
+    states.  A search cut short is reported inconclusive rather than
+    guessed — except that a reached one-snippet state is already a positive
+    witness.
 
     The search runs over tuples of dense int snippet ids, interned in a
     table of its own with each id's bad flag; the table ends with the
@@ -449,8 +449,7 @@ def exhaustive_oracle(curve: Curve, nb: TieNeighbourhood,
         raise BadInput(f"state cap {cap_states} is not positive")
     facts = validate_curve(curve, nb)
     tab = _IdTable(nb)
-    if max_len is None:
-        max_len = len(curve.snippets) + 3 * nb.s_N
+    max_len = len(curve.snippets) + 3 * nb.s_N
     closed = curve.kind == CLOSED
     start = tab.intern(curve.snippets, facts)
     bad, pushes = tab.bad, tab.pushes

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import random
+import re
 from pathlib import Path
 
 import click
@@ -527,3 +528,78 @@ def test_oracle_at_its_smallest_cap_is_inconclusive(curve_file):
     assert out == ("oracle: conclusive=False efficient_reachable=False"
                    " single_reachable=False states=1\n")
     assert err == "inconclusive: state cap\n"
+
+
+# -- mutated files ------------------------------------------------------------
+
+
+_MUTATIONS = ("delete", "insert", "change", "integer", "drop", "duplicate",
+              "truncate")
+
+
+def _mutant(data: bytes, how: str, rng: random.Random) -> bytes:
+    """`data` changed once, as `how` names: a byte deleted, inserted or
+    changed, an integer changed, a line dropped or duplicated, or the file
+    cut short."""
+    i = rng.randrange(len(data))
+    if how == "delete":
+        return data[:i] + data[i + 1:]
+    if how == "insert":
+        return data[:i] + bytes([rng.randrange(256)]) + data[i:]
+    if how == "change":
+        return data[:i] + bytes([rng.randrange(256)]) + data[i + 1:]
+    if how == "truncate":
+        return data[:i]
+    if how == "integer":
+        m = rng.choice(list(re.finditer(rb"-?\d+", data)))
+        new = str(int(m[0]) + rng.choice((-2, -1, 1, 2, 7))).encode()
+        return data[:m.start()] + new + data[m.end():]
+    lines = data.splitlines(keepends=True)
+    j = rng.randrange(len(lines))
+    lines[j:j + 1] = [] if how == "drop" else [lines[j], lines[j]]
+    return b"".join(lines)
+
+
+def test_mutated_curve_and_trace_files_exit_with_a_documented_code(
+        tmp_path):
+    """Seeded mutants of the input curve, the recorded trace and the
+    output curve of small runs: `run`, `verify` and `oracle` on them each
+    return 0, 1, 2 or 64, raise nothing and print no traceback.  A mutated
+    input curve goes to all three commands, a mutated trace or output
+    curve to `verify`."""
+    rng = random.Random("cli/mutations")
+    seen = set()
+    for seed in range(1, 7):
+        code, text, _ = run_cli("gen", "t11", "--len", str(3 + seed % 4),
+                                "--seed", str(seed))
+        assert code == 0
+        base = {"curve": tmp_path / f"in{seed}.curve",
+                "trace": tmp_path / f"run{seed}.trace",
+                "after": tmp_path / f"out{seed}.curve"}
+        base["curve"].write_text(text)
+        code, _, _ = run_cli("run", "t11", str(base["curve"]), "--trace",
+                             str(base["trace"]), "--out", str(base["after"]))
+        assert code in (0, 2)
+        for target in ("curve", "curve", "trace", "trace", "after"):
+            for how in _MUTATIONS:
+                files = dict(base)
+                files[target] = tmp_path / f"mutant.{target}"
+                files[target].write_bytes(
+                    _mutant(base[target].read_bytes(), how, rng))
+                calls = [["verify", "t11", str(files["curve"]),
+                          str(files["after"]), "--trace",
+                          str(files["trace"])]]
+                if target == "curve":
+                    calls += [["run", "t11", str(files["curve"]), "--trace",
+                               str(tmp_path / "t"), "--out",
+                               str(tmp_path / "o")],
+                              ["oracle", "t11", str(files["curve"]),
+                               "--cap", "2000"]]
+                for args in calls:
+                    code, _, err = run_cli(*args)
+                    assert code in (0, 1, 2, 64), (args[0], target, how)
+                    assert "Traceback" not in err, (args[0], target, how)
+                    seen.add((args[0], code))
+    # each command both accepted some mutant and rejected another
+    assert {(cmd, code) for cmd in ("run", "verify", "oracle")
+            for code in (0, 1)} <= seen

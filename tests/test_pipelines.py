@@ -441,9 +441,9 @@ class _CheckedRun(Run):
         assert self.bads() == scan, op
         table = fact_table(self.nb)
         fresh = [table[s] for s in curve.snippets]
-        assert self.work.facts == fresh, op
-        assert validate_curve(curve, self.nb) == self.work.facts, op
-        assert self.work.bad == bytearray(f.cls.bad for f in fresh), op
+        assert self.facts == fresh, op
+        assert validate_curve(curve, self.nb) == self.facts, op
+        assert self.bad == bytearray(f.cls.bad for f in fresh), op
         assert self.report() == measure(curve, self.nb), op
         spans = [(-1, None), (0, n - 1), (n, None), (3, 2), (2, -5)]
         spans += [(self.rng.randrange(-1, n + 1), self.rng.randrange(-2, n + 3))
