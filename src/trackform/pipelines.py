@@ -7,8 +7,9 @@ the two outermost positions can hold bad snippets.  For closed curves a seam
 step (`reduce_to_one`) then duplicates the basepoint snippet, cleans the
 opened arc, and glues the two halves of the duplicate back together, leaving
 at most one bad snippet.  A final case analysis (`single_bad`) removes that
-survivor: most bigon types vanish in one push; the horizontal bigons need
-follow-up pushes chosen by the shape of their neighbourhood (narrow or wide
+survivor, dispatching on its bigon type through one table, `RESOLVERS`:
+most bigon types vanish in one push; the horizontal bigons need follow-up
+pushes chosen by the shape of their neighbourhood (narrow or wide
 complement bigons, blocked branch bigons); whenever a push hands the problem
 to a trigon, a plain chase (`trig_curve`) finishes.  `drive` runs the
 phases in this order on a `Run`; `efficient_position` builds the run and
@@ -60,10 +61,6 @@ from .track_model import TieNeighbourhood
 EFFICIENT = "Efficient"
 SINGLE_SNIPPET = "SingleSnippet"
 INSIDE_EFFICIENT = "InsideEfficient"
-
-# Bigon types removed by a single push with no follow-up.
-EASY_BIGONS = frozenset(
-    {"B(t,t)", "S(h,h,0)", "S(t,t,0)", "S(v,v,0)", "R(v,v)"})
 
 
 class Run(WorkingCurve):
@@ -246,8 +243,6 @@ def reduce_to_two(run: Run) -> None:
 
 def reduce_to_one(run: Run) -> None:
     """Merge the two adjacent bad positions of a swept closed curve."""
-    if run.kind != CLOSED:
-        raise BadInput("the seam step applies to closed curves")
     run.open_dup("reduce_to_one")
     big_arc(run, 0, 0, "reduce_to_one")
     run.seam("reduce_to_one")
@@ -256,16 +251,9 @@ def reduce_to_one(run: Run) -> None:
 # -- the single-bad-snippet case analysis -----------------------------------
 
 
-def all_but(run: Run, k: int) -> None:
-    """Remove any bigon except the horizontal types R(h,h) and B(h,h)."""
-    t = run.cls_at(k).type
-    if t == "S(t,v,1)":
-        weight_one(run, k)
-    elif t == "S(t,t,2)":
-        weight_two(run, k)
-    else:
-        assert t in EASY_BIGONS, t
-        run.hom_at(k, "all_but")
+def one_push(run: Run, k: int) -> None:
+    """Remove a bigon that vanishes in one push with no follow-up."""
+    run.hom_at(k, "all_but")
 
 
 def weight_one(run: Run, k: int) -> None:
@@ -287,11 +275,11 @@ def weight_two(run: Run, k: int) -> None:
     from just past the dual sweeps one trigon around the curve.  If it comes
     back as a bigon against the other trigon, one more push removes both."""
     phase = "weight_two_bigon"
-    if run.n == 2:
-        ev = run.hom_at(k, phase)
+    two = run.n == 2
+    ev = run.hom_at(k, phase)
+    if two:
         run.hom_at((ev.k - 1) % run.n, phase)
         return
-    ev = run.hom_at(k, phase)
     run.rotate(ev.k, phase)
     trig_arc(run, 0, 0, phase)
     if is_bigon(run.cls_at(run.n - 1)):
@@ -329,21 +317,17 @@ def hor_bigon_comp(run: Run, k: int) -> None:
     """Remove an R(h,h) bigon in a complementary region."""
     phase = "hor_bigon_comp"
     assert run.cls_at(k).type == "R(h,h)"
-    if run.n == 2:
-        run.hom_at(k, phase)
-        b = run.bads()
-        if run.n > 1 and b:
-            assert len(b) == 1, b
-            all_but(run, b[0])
-        return
+    two = run.n == 2
     ev = run.hom_at(k, phase)
-    if ev.j == 0:
+    if two:
+        _resolve_left(run, NON_HORIZONTAL)
+    elif ev.j == 0:
         # narrow: the merge lands flat against the far side of a rectangle
         t = run.cls_at(ev.win[0]).type
         assert t in ("B(h,h)", "S(h,h,0)"), t
-        return
-    # wide: the slid previous end lies on a tie, so no B(h,h) or S(h,h,0)
-    _hor_bigon_wide(run, ev)
+    else:
+        # wide: the slid previous end lies on a tie, so no B(h,h) or S(h,h,0)
+        _hor_bigon_wide(run, ev)
 
 
 def _hor_bigon_wide(run: Run, ev: Hom) -> None:
@@ -356,20 +340,17 @@ def _hor_bigon_wide(run: Run, ev: Hom) -> None:
         return
     if run.cls_at(run.n - 2).type == "R(h,v)":
         run.hom_at(run.n - 2, phase)
-        b = run.bads()
-        if run.n > 1 and b:
-            assert len(b) == 1, b
-            all_but(run, b[0])
+        _resolve_left(run, NON_HORIZONTAL)
         return
-    if run.cls_at(run.n - 1).type in ("S(h,t,1)", "S(h,t,3)"):
-        run.rotate(run.n - 1, phase)
-        two_trigons(run)
-        return
-    # mirror image of the previous case: flip, resolve, flip back
-    run.reverse_(phase)
+    # the bads left are `two_trigons`' pair at positions n - 1 and 0, or
+    # its mirror image, which is flipped, resolved and flipped back
+    flip = run.cls_at(run.n - 1).type not in ("S(h,t,1)", "S(h,t,3)")
+    if flip:
+        run.reverse_(phase)
     run.rotate(run.n - 1, phase)
     two_trigons(run)
-    run.reverse_(phase)
+    if flip:
+        run.reverse_(phase)
 
 
 def hor_bigon_branch(run: Run, k: int) -> None:
@@ -383,38 +364,27 @@ def hor_bigon_branch(run: Run, k: int) -> None:
     assert run.cls_at(k).type == "B(h,h)"
     nb = run.nb
     n = run.n
-    if n == 2:
-        run.hom_at(k, phase)
-        return
-    two_sn = 2 * nb.s_N
-    km, kp = (k - 1) % n, (k + 1) % n
-    cm, cp = run.corn_at(km), run.corn_at(kp)
-    if cm == two_sn or cp == two_sn:
-        run.hom_at(k, phase)
-        return
-    clm, clp = run.cls_at(km), run.cls_at(kp)
-    if (clm.vertical_dual and clp.vertical_dual
-            and clm.turn is not None and clm.turn == clp.turn):
-        run.hom_at(k, phase)
-        return
-    if cm > 1 and cp > 1:
-        run.hom_at(k, phase)
-        return
-    if cm == 1 and cp == 1:
-        if not (is_blocker(run, nb, (k - 3) % n)
-                and is_blocker(run, nb, kp)):
-            run.hom_at(k, phase)
-            return
-        ws = run.hom_at(k, phase).win[0]
+    blocked = short = False
+    if n > 2:
+        km, kp = (k - 1) % n, (k + 1) % n
+        cm, cp = run.corn_at(km), run.corn_at(kp)
+        clm, clp = run.cls_at(km), run.cls_at(kp)
+        # one push suffices beside a neighbour of corner length 2 s_N,
+        # between two longer than 1 or between same-turn vertical duals
+        if not (2 * nb.s_N in (cm, cp) or cm > 1 and cp > 1
+                or clm.vertical_dual and clp.vertical_dual
+                and clm.turn is not None and clm.turn == clp.turn):
+            if cm == 1 and cp == 1:
+                blocked = (is_blocker(run, nb, (k - 3) % n)
+                           and is_blocker(run, nb, kp))
+            else:
+                short = True
+    ws = run.hom_at(k, phase).win[0]
+    if blocked:
         ws = run.hom_at(ws, phase).win[0]
         run.hom_at(ws, phase)
-        return
-    run.hom_at(k, phase)
-    b = run.bads()
-    if run.n > 1 and b:
-        assert len(b) == 1, b
-        assert run.cls_at(b[0]).type == "R(h,h)"
-        hor_bigon_comp(run, b[0])
+    elif short:
+        _resolve_left(run, ("R(h,h)",))
 
 
 def trig_curve(run: Run) -> None:
@@ -429,16 +399,33 @@ def single_bad(run: Run) -> None:
               None, step=_resolve)
 
 
+# The resolver of each bigon type; a trigon has none and is left to the
+# chase.
+RESOLVERS = dict.fromkeys(
+    ("B(t,t)", "S(h,h,0)", "S(t,t,0)", "S(v,v,0)", "R(v,v)"), one_push) | {
+    "S(t,v,1)": weight_one, "S(t,t,2)": weight_two,
+    "R(h,h)": hor_bigon_comp, "B(h,h)": hor_bigon_branch}
+# The types of the one bad an R(h,h) push may leave.
+NON_HORIZONTAL = frozenset(RESOLVERS) - {"R(h,h)", "B(h,h)"}
+
+
+def _resolve_left(run: Run, types) -> None:
+    """Resolve the bad snippet a push left, if any: there is at most one,
+    and its type is one of `types`."""
+    b = run.bads()
+    if run.n > 1 and b:
+        assert len(b) == 1, b
+        t = run.cls_at(b[0]).type
+        assert t in types, t
+        RESOLVERS[t](run, b[0])
+
+
 def _resolve(run: Run, k: int) -> bool:
-    """One round of `single_bad`: remove the bad snippet at k by its type;
-    True when a trigon chase has finished the curve."""
-    t = run.cls_at(k).type
-    if t in EASY_BIGONS or t in ("S(t,v,1)", "S(t,t,2)"):
-        all_but(run, k)
-    elif t == "R(h,h)":
-        hor_bigon_comp(run, k)
-    elif t == "B(h,h)":
-        hor_bigon_branch(run, k)
+    """One round of `single_bad`: remove the bad snippet at k by its
+    type's resolver; True when a trigon chase has finished the curve."""
+    resolver = RESOLVERS.get(run.cls_at(k).type)
+    if resolver is not None:
+        resolver(run, k)
     if run.n > 1 and any(is_trigon(run.cls_at(p)) for p in run.bads()):
         trig_curve(run)
         return True

@@ -170,7 +170,7 @@ ROWS = [
     ("Run.seam-without-open", lambda nb, *_: Run(_arc(nb), nb).seam("p"),
      Raises(BadInput, "seam closes an arc opened by open_dup")),
     ("reduce_to_one-arc", lambda nb, *_: reduce_to_one(Run(_arc(nb), nb)),
-     Raises(BadInput, "the seam step applies to closed curves")),
+     Raises(BadInput, "only closed curves open at a seam")),
     # a one-snippet closed curve is a closed snippet, as no region is
     # glued to itself, so it cannot be opened at a seam
     ("reduce_to_one-one-snippet",

@@ -20,16 +20,21 @@ from __future__ import annotations
 
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import one_ended_arc
+from conftest import LOOP_TRACK, load_loop_track, one_ended_arc, src_env
+from test_loop_track import HOR_BIGON
+from trackform import pipelines
 from trackform.curve_ops import (ARC, CLOSED, Curve, WorkingCurve, measure,
                                  validate_curve)
 from trackform.errors import BudgetExceeded, InconsistentSnippet
 from trackform.fixtures import FIXTURE_NAMES, load_fixture
+from trackform.formats import parse_curve
 from trackform.generate import (
     boundary_power,
     doubled_back,
@@ -42,6 +47,8 @@ from trackform.homotopy_engine import _push_recipe_uncached, hom
 from trackform.pipelines import (
     EFFICIENT,
     INSIDE_EFFICIENT,
+    NON_HORIZONTAL,
+    RESOLVERS,
     SINGLE_SNIPPET,
     Run,
     big_arc,
@@ -53,7 +60,8 @@ from trackform.pipelines import (
     trig_arc,
     trig_curve,
 )
-from trackform.snippet_core import Snippet, classify, fact_table
+from trackform.snippet_core import (BIGON_TYPES, TRIGON_TYPES, Snippet,
+                                    classify, fact_table)
 from trackform.track_model import ANNULUS, BRANCH, SWITCH, H, T
 from trackform.verification import audit_trace
 
@@ -575,3 +583,97 @@ def test_bad_pushes_before_a_run_keep_its_read_off(tracks, name, shape, seed,
         window, wf, push = hom(work, data.draw(st.sampled_from(bads)), nb)
         work.apply(push, window, wf)
     assert _read_off(work.freeze(), nb) == _read_off(curve, nb)
+
+
+# --- The single-bad resolver table --------------------------------------------
+
+
+def test_every_bigon_type_has_one_resolver():
+    """`RESOLVERS` covers exactly the bigon types, no trigon, and an
+    R(h,h) push may leave any bigon but R(h,h) and B(h,h)."""
+    assert set(RESOLVERS) == BIGON_TYPES
+    assert not set(RESOLVERS) & TRIGON_TYPES
+    assert NON_HORIZONTAL == BIGON_TYPES - {"R(h,h)", "B(h,h)"}
+
+
+def _loop_track_hor_bigon():
+    """The loop-branch track's two-snippet R(h,h) known answer."""
+    nb = load_loop_track()
+    text = json.dumps({"format": "curve/1", "kind": "closed",
+                       "snippets": HOR_BIGON})
+    return nb, parse_curve(text, nb)
+
+
+def _criterion_3_closed(name, seed):
+    """The closed curve at `seed` of criterion 3's corpus on a fixture."""
+    nb = load_fixture(name)
+    rng = random.Random(f"{name}/{seed}/c3")
+    return nb, random_closed(nb, rng, rng.randrange(2, 13))
+
+
+# A tier-1 input per "one bad left" site that leaves a bad there, and the
+# types that site allows.
+_LEFT_SITES = {
+    "hor_bigon_comp": (_loop_track_hor_bigon, NON_HORIZONTAL),
+    "_hor_bigon_wide": (lambda: _criterion_3_closed("t11d", 751),
+                        NON_HORIZONTAL),
+    "hor_bigon_branch": (lambda: _criterion_3_closed("t11", 1580),
+                         {"R(h,h)"}),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_LEFT_SITES))
+def test_each_one_bad_left_check_runs(site, monkeypatch):
+    """With no type allowed, the check on the bad a push leaves fails at
+    each site that makes it, on a bad of a type the site allows."""
+    build, allowed = _LEFT_SITES[site]
+    nb, curve = build()
+    resolve_left = pipelines._resolve_left
+    monkeypatch.setattr(pipelines, "_resolve_left",
+                        lambda run, types: resolve_left(run, frozenset()))
+    with pytest.raises(AssertionError) as info:
+        efficient_position(curve, nb)
+    assert [e.name for e in info.traceback][-3:] == \
+        [site, "<lambda>", "_resolve_left"]
+    assert str(info.value) in allowed
+
+
+# `digest(path)` hashes the trace/1 and curve/1 bytes of a seeded corpus:
+# closed curves and arcs on the four fixtures and on the track at `path`.
+_CORPUS_DIGEST = """
+import hashlib, random
+from trackform.fixtures import FIXTURE_NAMES, load_fixture
+from trackform.formats import (parse_track, read_text, serialize_curve,
+                               serialize_trace)
+from trackform.generate import random_arc, random_closed
+from trackform.pipelines import efficient_position
+from trackform.track_model import build_tie_neighbourhood
+
+
+def digest(path):
+    h = hashlib.sha256()
+    tracks = [load_fixture(name) for name in FIXTURE_NAMES]
+    tracks.append(build_tie_neighbourhood(parse_track(read_text(path))))
+    for nb in tracks:
+        for seed in range(92):
+            rng = random.Random(seed)
+            for make in (random_closed, random_arc):
+                curve = make(nb, rng, rng.randrange(2, 24))
+                res = efficient_position(curve, nb)
+                h.update(serialize_trace(res.events).encode())
+                h.update(serialize_curve(res.curve, nb).encode())
+    return h.hexdigest()
+"""
+
+
+def test_push_path_asserts_have_no_side_effect():
+    """Under `python -O`, with every assert stripped, a seeded corpus gives
+    the same trace and curve bytes as in this process."""
+    code = _CORPUS_DIGEST + "import sys; print(__debug__, digest(sys.argv[1]))"
+    p = subprocess.run([sys.executable, "-O", "-c", code, str(LOOP_TRACK)],
+                       capture_output=True, text=True, env=src_env(),
+                       timeout=120)
+    assert p.returncode == 0, p.stderr
+    namespace = {}
+    exec(_CORPUS_DIGEST, namespace)
+    assert p.stdout.split() == ["False", namespace["digest"](LOOP_TRACK)]

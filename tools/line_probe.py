@@ -12,7 +12,13 @@ Extra arguments go to pytest (for example `-x` or a test path).  The
 tracer slows the suite several times over, so this is not part of tier-1.
 A statement counts as executed when any of its own lines (those not inside
 a nested statement) ran; a statement whose own lines carry no bytecode,
-such as a function's docstring, is not listed.
+such as a function's docstring, is not listed.  Only this process is
+traced: a statement that the tests run only in a subprocess is listed as
+not executed.  To cover one, reach it in-process as well, as the
+`cli-run-as-a-module` row of `tests/test_errors.py` does with `runpy`.
+
+Exits 0 when pytest passes and every statement ran, and 1 otherwise, so
+it can gate a change.
 """
 from __future__ import annotations
 
@@ -88,7 +94,7 @@ def main(argv: list[str]) -> int:
                 print(f"{path.relative_to(ROOT)}:{lineno}: "
                       f"{lines[lineno - 1].strip()}")
     print(f"{missed} statements not executed (pytest exit {int(status)})")
-    return 0
+    return int(bool(missed or status))
 
 
 if __name__ == "__main__":
