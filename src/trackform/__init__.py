@@ -5,8 +5,9 @@ The public façade re-exports the objects most workflows need:
 
 - model: :func:`parse_track` / :func:`build_tie_neighbourhood` /
   :class:`TieNeighbourhood`, bundled demo tracks via :func:`load_fixture`
-- snippets and curves: :class:`Snippet`, :class:`Curve`, :func:`classify`,
-  :func:`measure`, :func:`validate_curve`
+- snippets and curves: :class:`Snippet`, :class:`Curve`, :func:`classify`
+  (the one lookup of a snippet's fact record, :class:`SnippetFacts`: its
+  class and the lengths it adds), :func:`measure`, :func:`validate_curve`
 - rewriting: :func:`hom` (one local push, returning the replacement
   window, its fact records and the push's own trace/1 fields as an
   unstamped `hom` record), :func:`efficient_position` (the full
@@ -32,7 +33,7 @@ from .homotopy_engine import EXPECTED_J, hom
 from .pipelines import (EFFICIENT, INSIDE_EFFICIENT, SINGLE_SNIPPET, Result,
                         Run, efficient_position, terminal_summary)
 from .render import render_svg
-from .snippet_core import (TRIGON_GRAPH, Snippet, SnippetClass, classify,
+from .snippet_core import (TRIGON_GRAPH, Snippet, SnippetFacts, classify,
                            corner_length)
 from .track_model import TieNeighbourhood, TrainTrackDesc, \
     build_tie_neighbourhood
@@ -57,7 +58,7 @@ __all__ = [
     "EFFICIENT", "INSIDE_EFFICIENT", "SINGLE_SNIPPET", "Result", "Run",
     "efficient_position", "terminal_summary",
     "render_svg",
-    "TRIGON_GRAPH", "Snippet", "SnippetClass", "classify", "corner_length",
+    "TRIGON_GRAPH", "Snippet", "SnippetFacts", "classify", "corner_length",
     "TieNeighbourhood", "TrainTrackDesc", "build_tie_neighbourhood",
     "AuditReport", "EfficiencyReport", "OracleVerdict", "audit_trace",
     "check_efficient", "exhaustive_oracle", "oracle_agrees",

@@ -154,9 +154,9 @@ def verify(track: str, curve_before: str, curve_after: str,
         return 1
     # the audit has matched the replayed terminal curve to `after`
     claimed, status = head.get("status"), terminal_status(after, nb)
-    if claimed != status:
-        click.echo(f"FAIL: trace claims status {claimed!r} but the final"
-                   f" curve's is {status!r}", err=True)
+    if status is None or claimed != status:
+        click.echo(f"FAIL: trace claims status {claimed!r}; the final"
+                   f" curve's terminal state is {status!r}", err=True)
         return 1
     if claimed == EFFICIENT and not check_efficient(after, nb).ok:
         click.echo("FAIL: trace claims Efficient but the final curve has a"

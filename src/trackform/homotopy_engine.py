@@ -59,8 +59,7 @@ from typing import NamedTuple
 from .curve_ops import ARC, CLOSED, Curve, seam
 from .errors import AdjacencyError, BadInput, ClosedSnippet, NotBad
 from .formats import Hom
-from .snippet_core import (RIGHT, Snippet, SnippetClass, SnippetFacts,
-                           classify, composed, facts)
+from .snippet_core import RIGHT, Snippet, SnippetFacts, classify, composed
 from .track_model import ANNULUS, Locus, TieNeighbourhood
 
 # Weight of the cut-off walk for each rectangle bad type; complementary-region
@@ -74,8 +73,7 @@ EXPECTED_J: dict[str, set[int]] = {
 
 class PushRecipe(NamedTuple):
     """The part of a push fixed by the bad snippet alone."""
-    cls: SnippetClass
-    j: int
+    cls: SnippetFacts  # the bad snippet's fact record
     # the (region, locus) the previous snippet must end on and the next
     # snippet must start on: the partners of the bad snippet's endpoints
     before: tuple[int, Locus]
@@ -92,11 +90,11 @@ class PushRecipe(NamedTuple):
 
 
 def _push_recipe_uncached(a: Snippet, nb: TieNeighbourhood,
-                          cls: SnippetClass) -> PushRecipe:
-    """The recipe of the open bad snippet `a` of class `cls`, read off the
-    neighbourhood's step table in one pass along the cut-off walk: each
-    slide is one step from a partner locus, and each in-between snippet is
-    built and filed as the walk crosses its locus."""
+                          cls: SnippetFacts) -> PushRecipe:
+    """The recipe of the open bad snippet `a` with fact record `cls`, read
+    off the neighbourhood's step table in one pass along the cut-off walk:
+    each slide is one step from a partner locus, and each in-between
+    snippet is built and filed as the walk crosses its locus."""
     assert cls.bad and not a.closed, "recipes are for open bad snippets"
     j = cls.j
     if cls.type in EXPECTED_J:
@@ -105,7 +103,7 @@ def _push_recipe_uncached(a: Snippet, nb: TieNeighbourhood,
     partners = nb._partners
     before = partners[a.region][a.start]
     if j == 0:
-        return PushRecipe(cls, 0, before, before, None, 0, None, 0, (), ())
+        return PushRecipe(cls, before, before, None, 0, None, 0, (), ())
     steps = nb._steps
     dir_right = cls.turn == RIGHT
     # Slide the endpoint of the neighbour before the window one step
@@ -150,15 +148,15 @@ def _push_recipe_uncached(a: Snippet, nb: TieNeighbourhood,
         inner = Snippet(w_region, start, stop, wind)
         assert partners[region][end] == (w_region, start), \
             f"crossed edge mismatch at {i}"
-        rec = facts(inner, nb)  # validates it first
-        assert not rec.cls.bad, "in-between snippet came out bad"
+        rec = classify(inner, nb)  # validates it first
+        assert not rec.bad, "in-between snippet came out bad"
         inners.append(inner)
         inner_facts.append(rec)
         region, end = w_region, stop
     assert partners[region][end] == (q_region, new_start), \
         f"crossed edge mismatch at {j - 1}"
-    return PushRecipe(cls, j, before, after, new_end, d_end, new_start,
-                      d_start, tuple(inners), tuple(inner_facts))
+    return PushRecipe(cls, before, after, new_end, d_end, new_start, d_start,
+                      tuple(inners), tuple(inner_facts))
 
 
 def push_window(prev: Snippet, a: Snippet, nxt: Snippet,
@@ -188,7 +186,7 @@ def push_window(prev: Snippet, a: Snippet, nxt: Snippet,
         raise AdjacencyError("previous snippet is not glued to the bad one")
     if (nxt.region, nxt.start) != rec.after:
         raise AdjacencyError("next snippet is not glued to the bad one")
-    if rec.j == 0:
+    if rec.cls.j == 0:
         merged, f = composed(prev.region, prev.start, nxt.end,
                              prev.wind + nxt.wind, nb)
         return (merged,), (f,), rec
@@ -261,5 +259,6 @@ def hom(curve: Curve, k: int, nb: TieNeighbourhood
         rotation = (k - 1) % n
         k = 1
     m = len(window)
-    return window, wf, Hom(k, rotation, rec.cls.type, rec.cls.turn, rec.j,
+    cls = rec.cls
+    return window, wf, Hom(k, rotation, cls.type, cls.turn, cls.j,
                            [n, n - min(n, 3) + m], [max(k - 1, 0), m])

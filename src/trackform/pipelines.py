@@ -75,7 +75,8 @@ class Run(WorkingCurve):
         # one row per budgeted loop run, as `_budgeted` logs it
         self.budget_log: list[tuple[str, int, int, int, int, int, int]] = []
         self.homs = 0
-        self.max_homs = max_homs
+        self.max_homs = max_homs if max_homs is not None \
+            else 2 * proven_push_bound(nb, len(curve.snippets))
 
     # -- state queries ------------------------------------------------------
 
@@ -87,12 +88,6 @@ class Run(WorkingCurve):
     @property
     def n(self) -> int:
         return len(self.snippets)
-
-    def cls_at(self, i: int):
-        return self.facts[i].cls
-
-    def corn_at(self, i: int) -> int:
-        return self.facts[i].row[0]
 
     def bads(self) -> list[int]:
         out = []
@@ -126,7 +121,7 @@ class Run(WorkingCurve):
     def hom_at(self, k: int, phase: str) -> Hom:
         """Push the bad snippet at k; record and return the push's trace/1
         `hom` record."""
-        if self.max_homs is not None and self.homs >= self.max_homs:
+        if self.homs >= self.max_homs:
             raise BudgetExceeded(
                 f"global rewrite budget of {self.max_homs} pushes exhausted")
         window, wf, push = hom(self, k, self.nb)
@@ -226,7 +221,7 @@ def big_arc(run: Run, lo: int = 0, tail: int = 0,
             phase: str = "big_arc") -> None:
     """Collapse a bigon at the penultimate span position, then chase."""
     hi = run.n - 1 - tail
-    if hi - lo + 1 > 2 and is_bigon(run.cls_at(hi - 1)):
+    if hi - lo + 1 > 2 and is_bigon(run.facts[hi - 1]):
         run.hom_at(hi - 1, phase)
     trig_arc(run, lo, tail, phase)
 
@@ -263,7 +258,7 @@ def weight_one(run: Run, k: int) -> None:
     assert ev.n[0] > 2, "a weight-one bigon cannot close a 2-curve"
     ws = ev.win[0]
     for p in (ws, ws + 1):
-        if run.cls_at(p).type == "R(h,v)":
+        if run.facts[p].type == "R(h,v)":
             run.hom_at(p, phase)
             return
 
@@ -282,7 +277,7 @@ def weight_two(run: Run, k: int) -> None:
         return
     run.rotate(ev.k, phase)
     trig_arc(run, 0, 0, phase)
-    if is_bigon(run.cls_at(run.n - 1)):
+    if is_bigon(run.facts[run.n - 1]):
         run.hom_at(run.n - 1, phase)
 
 
@@ -291,23 +286,23 @@ def two_trigons(run: Run) -> None:
     S(h,t,3) at position 0 and a B(h,t) at position 1, turning the same
     way."""
     phase = "two_trigons"
-    t0 = run.cls_at(0).type
+    t0 = run.facts[0].type
     assert t0 in ("S(h,t,1)", "S(h,t,3)"), t0
-    assert run.cls_at(1).type == "B(h,t)"
+    assert run.facts[1].type == "B(h,t)"
     if t0 == "S(h,t,3)":
         run.hom_at(1, phase)
-        if not run.cls_at(1).bad:
+        if not run.facts[1].bad:
             return
         run.hom_at(1, phase)
-        if run.cls_at(0).type == "S(t,t,0)":
+        if run.facts[0].type == "S(t,t,0)":
             run.hom_at(0, phase)
             return
         trig_arc(run, 1, 0, phase)
-        if run.cls_at(run.n - 1).type == "R(h,v)":
+        if run.facts[run.n - 1].type == "R(h,v)":
             ws, wl = run.hom_at(run.n - 1, phase).win
             run.hom_at(ws + wl - 1, phase)
             return
-        if not run.cls_at(1).bad:
+        if not run.facts[1].bad:
             return
     run.hom_at(1, phase)
     run.hom_at(0, phase)
@@ -316,14 +311,14 @@ def two_trigons(run: Run) -> None:
 def hor_bigon_comp(run: Run, k: int) -> None:
     """Remove an R(h,h) bigon in a complementary region."""
     phase = "hor_bigon_comp"
-    assert run.cls_at(k).type == "R(h,h)"
+    assert run.facts[k].type == "R(h,h)"
     two = run.n == 2
     ev = run.hom_at(k, phase)
     if two:
         _resolve_left(run, NON_HORIZONTAL)
     elif ev.j == 0:
         # narrow: the merge lands flat against the far side of a rectangle
-        t = run.cls_at(ev.win[0]).type
+        t = run.facts[ev.win[0]].type
         assert t in ("B(h,h)", "S(h,h,0)"), t
     else:
         # wide: the slid previous end lies on a tie, so no B(h,h) or S(h,h,0)
@@ -338,13 +333,13 @@ def _hor_bigon_wide(run: Run, ev: Hom) -> None:
     trig_arc(run, 0, 1, phase)
     if not any(p <= run.n - 2 for p in run.bads()):
         return
-    if run.cls_at(run.n - 2).type == "R(h,v)":
+    if run.facts[run.n - 2].type == "R(h,v)":
         run.hom_at(run.n - 2, phase)
         _resolve_left(run, NON_HORIZONTAL)
         return
     # the bads left are `two_trigons`' pair at positions n - 1 and 0, or
     # its mirror image, which is flipped, resolved and flipped back
-    flip = run.cls_at(run.n - 1).type not in ("S(h,t,1)", "S(h,t,3)")
+    flip = run.facts[run.n - 1].type not in ("S(h,t,1)", "S(h,t,3)")
     if flip:
         run.reverse_(phase)
     run.rotate(run.n - 1, phase)
@@ -361,14 +356,14 @@ def hor_bigon_branch(run: Run, k: int) -> None:
     three pushes.  When exactly one neighbour is a short complement snippet,
     the push turns the bigon into an R(h,h) handled by `hor_bigon_comp`."""
     phase = "hor_bigon_branch"
-    assert run.cls_at(k).type == "B(h,h)"
+    assert run.facts[k].type == "B(h,h)"
     nb = run.nb
     n = run.n
     blocked = short = False
     if n > 2:
         km, kp = (k - 1) % n, (k + 1) % n
-        cm, cp = run.corn_at(km), run.corn_at(kp)
-        clm, clp = run.cls_at(km), run.cls_at(kp)
+        clm, clp = run.facts[km], run.facts[kp]
+        cm, cp = clm.row[0], clp.row[0]
         # one push suffices beside a neighbour of corner length 2 s_N,
         # between two longer than 1 or between same-turn vertical duals
         if not (2 * nb.s_N in (cm, cp) or cm > 1 and cp > 1
@@ -415,7 +410,7 @@ def _resolve_left(run: Run, types) -> None:
     b = run.bads()
     if run.n > 1 and b:
         assert len(b) == 1, b
-        t = run.cls_at(b[0]).type
+        t = run.facts[b[0]].type
         assert t in types, t
         RESOLVERS[t](run, b[0])
 
@@ -423,10 +418,10 @@ def _resolve_left(run: Run, types) -> None:
 def _resolve(run: Run, k: int) -> bool:
     """One round of `single_bad`: remove the bad snippet at k by its
     type's resolver; True when a trigon chase has finished the curve."""
-    resolver = RESOLVERS.get(run.cls_at(k).type)
+    resolver = RESOLVERS.get(run.facts[k].type)
     if resolver is not None:
         resolver(run, k)
-    if run.n > 1 and any(is_trigon(run.cls_at(p)) for p in run.bads()):
+    if run.n > 1 and any(is_trigon(run.facts[p]) for p in run.bads()):
         trig_curve(run)
         return True
     return False
@@ -471,9 +466,7 @@ def efficient_position(curve: Curve, nb: TieNeighbourhood,
     """Homotope the curve or arc into efficient position, or contract it to
     a single snippet exposing its homotopy class.  The global rewrite
     budget defaults to twice the proven push bound."""
-    cap = max_homs if max_homs is not None \
-        else 2 * proven_push_bound(nb, len(curve.snippets))
-    run = Run(curve, nb, max_homs=cap)
+    run = Run(curve, nb, max_homs)
     drive(run)
     out = run.curve
     validate_curve(out, nb)

@@ -12,20 +12,22 @@ magnitude >= 2 is efficient (passing through).
 
 Everything this module derives about a snippet depends only on the snippet
 and its tie neighbourhood, which never changes once built.  So each distinct
-snippet is worked out once per neighbourhood: `facts` files one
-`SnippetFacts` record (class, corner length, counter row, blocker roles) in
-the neighbourhood's fact table, and `classify`, `corner_length` and the
-counters in `curve_ops` all read that record.  Filing a record takes one
-pass of table lookups and arithmetic (`_classify_uncached`): each endpoint
-is looked up once in the neighbourhood's build-time locus table (polygon
-position, segment label, boundary flag), the two boundary walks between
-the endpoints are differences of the region polygon's corner prefixes, and
-the cut-off walk's corner length a difference of its edge-weight prefixes.
+snippet is worked out once per neighbourhood, into one `SnippetFacts`
+record (class: verdict, bad type, turn, dual flavours and j; corner length,
+counter row and blocker roles) filed in the neighbourhood's fact table.
+`classify` is the one lookup: it returns the record held in the table, and
+`corner_length`, the pipelines and the counters in `curve_ops` all read
+that record.  Filing a record takes one pass of table lookups and
+arithmetic (`_classify_uncached`): each endpoint is looked up once in the
+neighbourhood's build-time locus table (polygon position, segment label,
+boundary flag), the two boundary walks between the endpoints are
+differences of the region polygon's corner prefixes, and the cut-off
+walk's corner length a difference of its edge-weight prefixes.
 Equal records are one object per neighbourhood, and a bad type's name is
 read from a constant table, so filing one builds no string and, past the
 first few per neighbourhood, no new record.
 
-Filing a record is the snippet's one full validity check: `facts` on a
+Filing a record is the snippet's one full validity check: `classify` on a
 snippet missing from the table checks it and files its record, and a
 caller that has just missed in the table files it with `file_facts`, so a
 miss costs one lookup, the check and one insert.  So each
@@ -104,23 +106,6 @@ class Snippet(NamedTuple):
         return self.start is None
 
 
-class SnippetClass(NamedTuple):
-    verdict: str  # Carried | DualTie | DualComp | Bad
-    type: str | None = None  # bad-type name, only for Bad
-    turn: str | None = None  # Left | Right | None
-    vertical_dual: bool = False
-    horizontal_dual: bool = False
-    j: int | None = None  # tiling points on the cut-off piece boundary
-
-    @property
-    def bad(self) -> bool:
-        return self.verdict == BAD
-
-    @property
-    def efficient(self) -> bool:
-        return self.verdict != BAD
-
-
 def reverse_snippet(s: Snippet) -> Snippet:
     return Snippet(s.region, s.end, s.start, -s.wind)
 
@@ -148,8 +133,14 @@ def valid_winds(s: Snippet, nb: TieNeighbourhood) -> tuple[int, int, int] | None
 
 
 class SnippetFacts(NamedTuple):
-    """What the rest of the program reads off one snippet."""
-    cls: SnippetClass
+    """What the rest of the program reads off one snippet: its class
+    (verdict, bad type, turn, dual flavours, j) and the lengths it adds."""
+    verdict: str  # Carried | DualTie | DualComp | Bad
+    type: str | None  # bad-type name, only for Bad
+    turn: str | None  # Left | Right | None
+    vertical_dual: bool
+    horizontal_dual: bool
+    j: int | None  # tiling points on the cut-off piece boundary
     # contribution to the counters other than len_block:
     # (len_corn, carried, dual_R, dual_L, bad)
     row: tuple[int, int, int, int, int]
@@ -158,13 +149,21 @@ class SnippetFacts(NamedTuple):
     # a DualTie in a branch rectangle, which can stand inside a blocker
     mid: bool
 
+    @property
+    def bad(self) -> bool:
+        return self.verdict == BAD
+
+    @property
+    def efficient(self) -> bool:
+        return self.verdict != BAD
+
 
 def fact_table(nb: TieNeighbourhood) -> dict[Snippet, SnippetFacts]:
     """The neighbourhood's fact table: every snippet classified so far."""
     return nb._classify_cache
 
 
-def facts(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
+def classify(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
     """The snippet's fact record, worked out and filed on first use."""
     return nb._classify_cache.get(s) or file_facts(s, nb)
 
@@ -174,10 +173,6 @@ def file_facts(s: Snippet, nb: TieNeighbourhood) -> SnippetFacts:
     table: the full check, then one insert."""
     rec = nb._classify_cache[s] = _classify_uncached(s, nb)
     return rec
-
-
-def classify(s: Snippet, nb: TieNeighbourhood) -> SnippetClass:
-    return facts(s, nb).cls
 
 
 def composed(region: int, start: Locus | None, end: Locus | None, wind: int,
@@ -341,12 +336,12 @@ def _record(nb: TieNeighbourhood, corn: int, verdict: str,
     key = (corn, verdict, typ, turn, j, vertical, horizontal, mid)
     rec = nb._fact_records.get(key)
     if rec is None:
-        cls = SnippetClass(verdict, typ, turn, vertical, horizontal, j)
         dual = vertical or horizontal
         row = (corn, int(verdict == CARRIED), int(dual and turn == RIGHT),
                int(dual and turn == LEFT), int(verdict == BAD))
         rec = nb._fact_records[key] = SnippetFacts(
-            cls, row, turn if vertical else None, mid)
+            verdict, typ, turn, vertical, horizontal, j, row,
+            turn if vertical else None, mid)
     return rec
 
 
@@ -354,12 +349,12 @@ def corner_length(s: Snippet, nb: TieNeighbourhood) -> int:
     """len_corn: vertical edges and branch edges count 1, switch edges 3,
     summed over the full edges of the cut-off piece's boundary walk; 2*s_N
     when no piece with non-negative index exists."""
-    return facts(s, nb).row[0]
+    return classify(s, nb).row[0]
 
 
-def is_bigon(cls: SnippetClass) -> bool:
-    return cls.type in BIGON_TYPES
+def is_bigon(rec: SnippetFacts) -> bool:
+    return rec.type in BIGON_TYPES
 
 
-def is_trigon(cls: SnippetClass) -> bool:
-    return cls.type in TRIGON_TYPES
+def is_trigon(rec: SnippetFacts) -> bool:
+    return rec.type in TRIGON_TYPES

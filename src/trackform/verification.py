@@ -10,18 +10,20 @@ Three layers of defence against a wrong pipeline:
 * `audit_trace` replays a recorded run event by event on the audit, a
   working curve as a `Run` is, with `WorkingCurve.apply`, the step a run
   records each event with, so an event costs its window and not the
-  curve's length.  It takes the
-  typed trace/1 records a run makes as they are, and reads a decoded JSON
-  object (a parsed trace file) into its record type at its own event
-  index, which checks its fields and their JSON types once
-  (`formats.trace_record`).  A rotation must lie strictly between 0 and
-  the curve's length.  Each rewrite is re-executed, and the replayed push
-  must equal the recorded one on its seven own fields, in one comparison
-  that is walked field by field only to name the first that differs,
-  before the event is replayed with the window and fact records the
-  replayed push gave.  The replayed counters must equal
-  each event's record and, at the end, a full count of the terminal curve,
-  which must also equal the recorded output snippet for snippet.  The
+  curve's length.  It reads the events from any iterable, counting them
+  as it goes.  It takes the typed trace/1 records a run makes as they
+  are, and reads a decoded JSON object (a parsed trace file) into its
+  record type at its own event index, which checks its fields and their
+  JSON types once (`formats.trace_record`).  A rotation must lie strictly
+  between 0 and the curve's length.  A trace must end as it began, as
+  every run does: each `open` sealed by a `seam`, and `reverse`s in
+  pairs, none while opened.  Each rewrite is re-executed, and the replayed
+  push must equal the recorded one on its seven own fields, in one
+  comparison that is walked field by field only to name the first that
+  differs, before the event is replayed with the window and fact records
+  the replayed push gave.  The replayed counters must equal each event's
+  record and, at the end, a full count of the terminal curve, which must
+  also equal the recorded output snippet for snippet.  The
   audit also asserts the per-rule contracts: length deltas, window
   locality, inner efficiency, slide winding deltas, and — on chase steps
   whose neighbours are efficient — membership in the trigon hand-off graph
@@ -157,13 +159,12 @@ def _glued(work: WorkingCurve, i: int) -> bool:
 
 class _Audit(WorkingCurve):
     """A recorded run's replay: a working curve built from the run's input,
-    with the trace, its output, the checks made and the current index."""
-    __slots__ = ("trace", "after", "checks", "index")
+    with its output, the checks made and the index of the event read."""
+    __slots__ = ("after", "checks", "index")
 
-    def __init__(self, trace, before: Curve, after: Curve,
+    def __init__(self, before: Curve, after: Curve,
                  nb: TieNeighbourhood) -> None:
         super().__init__(before, nb)
-        self.trace = trace
         self.after = after
         self.checks = 0
         self.index = -1
@@ -180,8 +181,10 @@ class _Audit(WorkingCurve):
         if not cond:
             self.fail(clause, detail.format(*args) if args else detail)
 
-    def run(self) -> AuditReport:
-        for self.index, ev in enumerate(self.trace):
+    def run(self, trace) -> AuditReport:
+        """Replay the events of `trace`, any iterable, as they are read."""
+        flipped = False
+        for self.index, ev in enumerate(trace):
             ev = trace_record(ev, self.index)
             op = ev.op
             snap = self.snippets
@@ -201,20 +204,27 @@ class _Audit(WorkingCurve):
                            "seam without open")
                 self.check(ev.orig_wind == self.orig_wind, "seam-wind",
                            "seam winding differs from the opening event")
+            elif op == "reverse":
+                if self.orig_wind is not None:
+                    self.fail("op", "reverse while opened at a seam")
+                flipped = not flipped
             if op == "hom":
                 self._replay_hom(ev)
             else:
                 self.apply(ev)
             self._check_counters(ev)
-        self.index = len(self.trace)
+        self.index += 1  # the number of events read
+        if self.orig_wind is not None:
+            self.fail("final", "an open that no seam closed")
+        if flipped:
+            self.fail("final", "an odd number of reverses")
         if self.kind != self.after.kind or \
                 self.snippets != list(self.after.snippets):
             self.fail("final", "replayed terminal curve differs")
         full = measure(self, self.nb).counters
         self.check(full == self.c, "final",
                    "running counters {} != recomputed {}", self.c, full)
-        return AuditReport(ok=True, events=len(self.trace),
-                           checks=self.checks)
+        return AuditReport(ok=True, events=self.index, checks=self.checks)
 
     def _check_counters(self, ev) -> None:
         self.checks += 1
@@ -309,7 +319,7 @@ class _Audit(WorkingCurve):
         # chase step: a lone bad trigon between efficient neighbours obeys
         # the hand-off graph with exact carried/dual deltas
         if rule in TRIGON_TYPES and not pre_bad:
-            bad_out = [f.cls for f in self.facts[ws:ws + wl] if f.row[4]]
+            bad_out = [f for f in self.facts[ws:ws + wl] if f.row[4]]
             if len(bad_out) > 1:
                 fail("chase-multiplicity",
                      f"{len(bad_out)} bad snippets out of one trigon")
@@ -343,11 +353,12 @@ class _Audit(WorkingCurve):
 
 def audit_trace(trace, before: Curve, after: Curve,
                 nb: TieNeighbourhood) -> AuditReport:
-    """Replay a recorded run and verify every event against its contracts.
+    """Replay a recorded run, any iterable of its events, and verify every
+    event against its contracts.
 
     Raises what `validate_curve` raises on an invalid `before`, first, and
     AuditFailure naming the first failing event and clause."""
-    return _Audit(trace, before, after, nb).run()
+    return _Audit(before, after, nb).run(trace)
 
 
 # -- exhaustive search oracle -----------------------------------------------

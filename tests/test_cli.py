@@ -16,9 +16,10 @@ from trackform import cli, pipelines
 from trackform.cli import main
 from trackform.errors import ParseError
 from trackform.fixtures import fixture_text, load_fixture
-from trackform.formats import parse_curve, parse_track, serialize_curve
-from trackform.generate import random_arc
-from trackform.pipelines import efficient_position
+from trackform.formats import (parse_curve, parse_track, serialize_curve,
+                               serialize_trace)
+from trackform.generate import random_arc, random_closed
+from trackform.pipelines import Run, efficient_position, terminal_status
 
 
 def run_cli(*args: str) -> tuple[int, str, str]:
@@ -210,6 +211,45 @@ def test_verify_rejects_malformed_records(tmp_path, curve_file):
                                "--trace", str(forged))
         assert code == 1
         assert "FAIL: event 0: record" in err and "Traceback" not in err
+
+
+def _write_forgery(tmp_path, events, before, after):
+    """The curve and trace files of a forged t11 run; the header claims the
+    forged output's terminal status (None for none)."""
+    nb = load_fixture("t11")
+    files = [tmp_path / "before.curve", tmp_path / "after.curve",
+             tmp_path / "forged.trace"]
+    files[0].write_text(serialize_curve(before, nb))
+    files[1].write_text(serialize_curve(after, nb))
+    files[2].write_text(serialize_trace(
+        events, track="t11", status=terminal_status(after, nb)))
+    return [str(f) for f in files]
+
+
+def test_verify_fails_a_trace_left_opened(tmp_path):
+    """A lone `open`: the audit fails it at the end of the trace."""
+    nb = load_fixture("t11")
+    c = random_closed(nb, random.Random(3), 6)
+    run = Run(c, nb)
+    run.open_dup("forged")
+    before, after, trace = _write_forgery(tmp_path, run.events, c, run.curve)
+    code, out, err = run_cli("verify", "t11", before, after, "--trace", trace)
+    assert code == 1 and "PASS" not in out
+    assert err.startswith("FAIL: event 1: final "), err
+
+
+def test_verify_fails_a_final_curve_in_no_terminal_state(tmp_path):
+    """A header-only trace whose input and output are one curve with
+    interior bad snippets: its `null` status matches no terminal state."""
+    nb = load_fixture("t11")
+    c = random_closed(nb, random.Random(3), 6)
+    assert terminal_status(c, nb) is None
+    before, after, trace = _write_forgery(tmp_path, [], c, c)
+    assert '"status":null' in Path(trace).read_text()
+    code, out, err = run_cli("verify", "t11", before, after, "--trace", trace)
+    assert code == 1 and "PASS" not in out
+    assert err.startswith("FAIL: trace claims status None; the final curve's"
+                          " terminal state is None"), err
 
 
 def test_oracle_agreement_exit_zero(tmp_path):

@@ -21,7 +21,7 @@ from trackform.curve_ops import (
     validate_curve,
 )
 from trackform.errors import AdjacencyError, BadInput, NotGluable
-from trackform.snippet_core import Snippet, facts
+from trackform.snippet_core import Snippet, classify
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,7 @@ def test_concat_reverse_glue(t11, carried_loop):
     opened = c.snippets + c.snippets[:1]
     glued, rec = seam(opened, opened[0].wind, t11)
     assert (glued, *opened[1:-1]) == c.snippets
-    assert rec is facts(glued, t11)
+    assert rec is classify(glued, t11)
     with pytest.raises(NotGluable):
         seam(c.snippets, 0, t11)  # its ends lie in different regions
 

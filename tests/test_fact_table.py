@@ -40,7 +40,7 @@ from trackform.homotopy_engine import (EXPECTED_J, PushRecipe,
 from trackform.pipelines import EFFICIENT, Result, efficient_position
 from trackform.snippet_core import (BAD, CARRIED, DUAL_COMP, DUAL_TIE, LEFT,
                                     PERIPHERAL, R_BOUNDARY, R_TRIVIAL, RIGHT,
-                                    TRIVIAL, Snippet, SnippetClass, classify,
+                                    TRIVIAL, Snippet, SnippetFacts, classify,
                                     corner_length, fact_table, is_bigon,
                                     is_trigon, valid_winds)
 from trackform.track_model import (ANNULUS, BOUNDARY, BRANCH, DISC, SWITCH,
@@ -57,6 +57,21 @@ def _locus_ok(nb: TieNeighbourhood, region: int, locus: Locus) -> bool:
     si, gi = locus
     sides = nb.regions[region].sides
     return 0 <= si < len(sides) and 0 <= gi < sides[si].n_segments
+
+
+class _Class(NamedTuple):
+    """A snippet's class as the reference derives it: the fact record's
+    first six fields."""
+    verdict: str
+    type: str | None = None
+    turn: str | None = None
+    vertical_dual: bool = False
+    horizontal_dual: bool = False
+    j: int | None = None
+
+    @property
+    def bad(self) -> bool:
+        return self.verdict == BAD
 
 
 class _Walk(NamedTuple):
@@ -184,61 +199,61 @@ def _t_walk(s: Snippet, nb: TieNeighbourhood) -> tuple[_Walk, str] | None:
     return best, side
 
 
-def _classify_uncached(s: Snippet, nb: TieNeighbourhood) -> SnippetClass:
+def _classify_uncached(s: Snippet, nb: TieNeighbourhood) -> _Class:
     _check_snippet(s, nb)
     r = nb.regions[s.region]
 
     if s.closed:
         if r.kind in (BRANCH, SWITCH):
-            return SnippetClass(BAD, TRIVIAL)
+            return _Class(BAD, TRIVIAL)
         if r.kind == ANNULUS and s.wind != 0:
-            return SnippetClass(BAD, PERIPHERAL)
-        return SnippetClass(BAD, R_TRIVIAL)
+            return _Class(BAD, PERIPHERAL)
+        return _Class(BAD, R_TRIVIAL)
 
     if r.kind in (BRANCH, SWITCH):
         return _classify_rect(s, nb)
 
     labels = (nb.side_label(s.region, s.start), nb.side_label(s.region, s.end))
     if labels.count(BOUNDARY) == 2:
-        return SnippetClass(BAD, R_BOUNDARY)
+        return _Class(BAD, R_BOUNDARY)
     if labels.count(BOUNDARY) == 1:
-        return SnippetClass(DUAL_COMP)
+        return _Class(DUAL_COMP)
 
     if r.kind == ANNULUS and abs(s.wind) >= 3:
-        return SnippetClass(DUAL_COMP)
+        return _Class(DUAL_COMP)
 
     tw = _t_walk(s, nb)
     if tw is None:
-        return SnippetClass(DUAL_COMP)
+        return _Class(DUAL_COMP)
     walk, side = tw
     if walk.corners == 2:
         # index-zero strip: a dual; flavour from the endpoint labels
         vert = labels == (H, H)
         horiz = labels == (V, V)
-        return SnippetClass(DUAL_COMP, turn=side,
-                            vertical_dual=vert, horizontal_dual=horiz)
+        return _Class(DUAL_COMP, turn=side, vertical_dual=vert,
+                      horizontal_dual=horiz)
     x, y = sorted(labels)
     typ = f"R({x},{y})"
     j = walk.corners + walk.marks
-    return SnippetClass(BAD, typ, turn=side if j > 0 else None, j=j)
+    return _Class(BAD, typ, turn=side if j > 0 else None, j=j)
 
 
-def _classify_rect(s: Snippet, nb: TieNeighbourhood) -> SnippetClass:
+def _classify_rect(s: Snippet, nb: TieNeighbourhood) -> _Class:
     r = nb.regions[s.region]
     la, lb = (_segment_label(nb, s.region, s.start),
               _segment_label(nb, s.region, s.end))
     sa, sb = s.start[0], s.end[0]
     if r.kind == BRANCH:
         if {la, lb} == {T} and sa != sb:
-            return SnippetClass(CARRIED)
+            return _Class(CARRIED)
         if {la, lb} == {H} and sa != sb:
-            return SnippetClass(DUAL_TIE)
+            return _Class(DUAL_TIE)
         prefix = "B"
     else:
         if {sa, sb} == {1, 3}:
-            return SnippetClass(CARRIED)
+            return _Class(CARRIED)
         if {la, lb} == {H} and sa != sb:
-            return SnippetClass(DUAL_TIE)
+            return _Class(DUAL_TIE)
         prefix = "S"
     tw = _t_walk(s, nb)
     assert tw is not None, "rectangle snippets always cut a piece"
@@ -247,7 +262,7 @@ def _classify_rect(s: Snippet, nb: TieNeighbourhood) -> SnippetClass:
     j = walk.corners + walk.marks
     x, y = sorted((la, lb))
     typ = f"{prefix}({x},{y})" if prefix == "B" else f"S({x},{y},{j})"
-    return SnippetClass(BAD, typ, turn=side if j > 0 else None, j=j)
+    return _Class(BAD, typ, turn=side if j > 0 else None, j=j)
 
 
 def _corner_length_uncached(s: Snippet, nb: TieNeighbourhood) -> int:
@@ -271,15 +286,17 @@ def _corner_length_uncached(s: Snippet, nb: TieNeighbourhood) -> int:
     return sum(nb.edge_weight(s.region, l) for l in walk.between)
 
 
-def _reference_facts(s, nb):
-    """(class, counter row, outer, mid) as the reference derives them."""
+def _reference_facts(s, nb) -> SnippetFacts:
+    """The fact record (class, counter row, outer, mid) as the reference
+    derives it."""
     cls = _classify_uncached(s, nb)
     dual = cls.vertical_dual or cls.horizontal_dual
     row = (_corner_length_uncached(s, nb), int(cls.verdict == CARRIED),
            int(dual and cls.turn == RIGHT), int(dual and cls.turn == LEFT),
            int(cls.bad))
-    return (cls, row, cls.turn if cls.vertical_dual else None,
-            cls.verdict == DUAL_TIE and nb.regions[s.region].kind == BRANCH)
+    return SnippetFacts(
+        *cls, row, cls.turn if cls.vertical_dual else None,
+        cls.verdict == DUAL_TIE and nb.regions[s.region].kind == BRANCH)
 
 
 def _slide_target(nb: TieNeighbourhood, region: int, locus: Locus,
@@ -316,7 +333,7 @@ def _hug_wind(nb: TieNeighbourhood, region: int, start: Locus, end: Locus,
 
 def _reference_recipe(a, nb):
     """A push recipe built on the reference's cut-off walk."""
-    cls = _classify_uncached(a, nb)
+    cls = _reference_facts(a, nb)
     assert cls.bad and not a.closed, "recipes are for open bad snippets"
     tw = _t_walk(a, nb)
     assert tw is not None, "bad snippet without a cut-off walk"
@@ -329,7 +346,7 @@ def _reference_recipe(a, nb):
 
     before = nb.partner(a.region, a.start)
     if j == 0:
-        return PushRecipe(cls, 0, before, before, None, 0, None, 0, (), ())
+        return PushRecipe(cls, before, before, None, 0, None, 0, (), ())
 
     p_region, p_locus = before
     new_end, slid_ccw, corner = _slide_target(nb, p_region, p_locus, dir_right)
@@ -348,8 +365,8 @@ def _reference_recipe(a, nb):
         e_loc, _, _ = _slide_target(nb, w_region, w_locus, dir_right)
         wind = _hug_wind(nb, w_region, s_loc, e_loc, w_locus, dir_right)
         inners.append(Snippet(w_region, s_loc, e_loc, wind))
-    return PushRecipe(cls, j, before, after, new_end, d_end, new_start,
-                      d_start, tuple(inners),
+    return PushRecipe(cls, before, after, new_end, d_end, new_start, d_start,
+                      tuple(inners),
                       tuple(_reference_facts(s, nb) for s in inners))
 
 
@@ -363,10 +380,6 @@ def _outcome(derive, s, nb):
 
 def _table_facts(s, nb):
     return tuple(snippet_core._classify_uncached(s, nb))
-
-
-def _filed(s, nb):
-    return tuple(snippet_core.facts(s, nb))
 
 
 # -- the fact table -----------------------------------------------------------
@@ -423,16 +436,16 @@ def test_fact_records_equal_cold_recomputation(warm):
         table = fact_table(nb)
         assert len(table) > 100
         for s, rec in table.items():
-            cls, row, outer, mid = _reference_facts(s, fresh)
-            dual = cls.vertical_dual or cls.horizontal_dual
-            assert tuple(rec) == (cls, row, outer, mid), s
-            assert classify(s, nb) is rec.cls
-            assert corner_length(s, nb) == row[0]
-            seen["carried"] += cls.verdict == CARRIED
+            ref = _reference_facts(s, fresh)
+            dual = ref.vertical_dual or ref.horizontal_dual
+            assert rec == ref, s
+            assert classify(s, nb) is rec
+            assert corner_length(s, nb) == ref.row[0]
+            seen["carried"] += ref.verdict == CARRIED
             seen["outer"] += rec.outer is not None
             seen["mid"] += rec.mid
-            seen["bad"] += cls.bad
-            seen["dual"] += dual and not cls.vertical_dual
+            seen["bad"] += ref.bad
+            seen["dual"] += dual and not ref.vertical_dual
     assert all(seen.values()), seen
 
 
@@ -466,7 +479,7 @@ def _kind_of(s, nb, outcome):
         return "one-boundary"
     if labels.count(BOUNDARY) == 2:
         return "boundary"
-    return "wound" if abs(s.wind) >= 3 else outcome[0].verdict
+    return "wound" if abs(s.wind) >= 3 else outcome.verdict
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -485,7 +498,7 @@ def test_every_snippet_files_the_reference_record(name):
                 for b in ends:
                     s = Snippet(ri, a, b, wind)
                     want = _outcome(_reference_facts, s, ref)
-                    assert _outcome(_filed, s, nb) == want, s
+                    assert _outcome(classify, s, nb) == want, s
                     kind = _kind_of(s, nb, want)
                     seen[kind] = seen.get(kind, 0) + 1
                     if kind == "invalid":
@@ -493,12 +506,11 @@ def test_every_snippet_files_the_reference_record(name):
     assert {"invalid", "closed", BAD, DUAL_COMP} <= set(seen), seen
     if any(r.kind == ANNULUS for r in nb.regions):
         assert {"one-boundary", "boundary", "wound"} <= set(seen), seen
-    # on the now warm table every invalid snippet still raises, each time
+    # on the now warm table every invalid snippet still raises
     for s in invalid:
-        for check in (snippet_core.facts, classify):
-            with pytest.raises(InconsistentSnippet) as exc:
-                check(s, nb)
-            assert str(exc.value) == _outcome(_reference_facts, s, ref)[1]
+        with pytest.raises(InconsistentSnippet) as exc:
+            classify(s, nb)
+        assert str(exc.value) == _outcome(_reference_facts, s, ref)[1]
     assert not set(invalid) & set(fact_table(nb))
 
 
@@ -521,7 +533,7 @@ def test_random_snippets_file_the_reference_record(name, data):
                 data.draw(locus, label="end"),
                 data.draw(st.integers(-20, 20), label="wind"))
     want = _outcome(_reference_facts, s, ref)
-    assert _outcome(_filed, s, nb) == want
+    assert _outcome(classify, s, nb) == want
     assert _outcome(_table_facts, s, load_fixture(name)) == want
 
 
@@ -564,9 +576,8 @@ def test_invalid_snippets_still_raise_on_a_warm_table(warm):
     # the valid neighbours of these encodings are in the table
     assert Snippet(br, (0, 0), (2, 0)) in fact_table(nb)
     for s in invalid:
-        for check in (snippet_core.facts, classify):
-            with pytest.raises(InconsistentSnippet):
-                check(s, nb)
+        with pytest.raises(InconsistentSnippet):
+            classify(s, nb)
         assert s not in fact_table(nb)
     with pytest.raises(InconsistentSnippet):
         validate_curve(Curve(ARC, (Snippet(br, (0, 0), (2, 0)),

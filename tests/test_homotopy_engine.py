@@ -31,8 +31,7 @@ from trackform.fixtures import FIXTURE_NAMES, load_fixture
 from trackform.formats import Hom
 from trackform.generate import random_arc, random_closed, trivial_loop
 from trackform.homotopy_engine import _push_recipe_uncached, hom, push_window
-from trackform.snippet_core import (TRIGON_GRAPH, Snippet, classify, fact_table,
-                                   facts)
+from trackform.snippet_core import TRIGON_GRAPH, Snippet, classify, fact_table
 from trackform.track_model import ANNULUS
 
 
@@ -217,7 +216,7 @@ def test_len_two_closed_push_rotates_window_and_records(t11):
     assert (ev["rule"], ev["j"], ev["n"], ev["win"]) == \
         ("S(h,v,2)", 2, [2, 2], [0, 2])
     assert list(wf) == [fact_table(t11)[s] for s in window]
-    assert [f.cls.verdict for f in wf] == ["DualTie", "DualComp"]
+    assert [f.verdict for f in wf] == ["DualTie", "DualComp"]
 
 
 def test_closed_wraparound_rotates_window_first(t11):
@@ -369,7 +368,7 @@ def test_push_window_is_homs_window_step(named, name):
             window, wf, ev = hom(curve, k, nb)
             got, got_facts, rec = push_window(prev, a, nxt, nb, k)
             assert (got, got_facts) == (window, wf), (curve, k)
-            assert (rec.cls.type, rec.cls.turn, rec.j) == \
+            assert (rec.cls.type, rec.cls.turn, rec.cls.j) == \
                 (ev["rule"], ev["turn"], ev["j"])
             pushed += 1
             for x in snap:
@@ -412,17 +411,17 @@ def _reference_two(prev, a, k, nb):
         raise AdjacencyError("previous snippet is not glued to the bad one")
     if (prev.region, prev.start) != rec.after:
         raise AdjacencyError("next snippet is not glued to the bad one")
-    j = rec.j
+    j = cls.j
     if j == 0:
         merged = Snippet(prev.region, None, None, prev.wind)
-        return ((merged,), (facts(merged, nb),),
+        return ((merged,), (classify(merged, nb),),
                 Hom(k, 0, cls.type, cls.turn, 0, [2, 1], [0, 1]))
     counts = (nb.regions[prev.region].kind == ANNULUS
               and nb.partner(prev.region, prev.start) is not None
               and nb.partner(prev.region, prev.end) is not None)
     wind = prev.wind + (rec.d_end + rec.d_start if counts else 0)
     slid = Snippet(prev.region, rec.new_start, rec.new_end, wind)
-    window, wf = (slid, *rec.inners), (facts(slid, nb), *rec.inner_facts)
+    window, wf = (slid, *rec.inners), (classify(slid, nb), *rec.inner_facts)
     r0 = (k - 1) % j
     if r0:
         window, wf = window[-r0:] + window[:-r0], wf[-r0:] + wf[:-r0]

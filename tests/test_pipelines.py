@@ -54,6 +54,7 @@ from trackform.pipelines import (
     big_arc,
     drive,
     efficient_position,
+    proven_push_bound,
     reduce_to_two,
     single_bad,
     terminal_summary,
@@ -335,6 +336,17 @@ def test_zero_push_budget_stops_before_the_first_push():
     assert pushed >= 30
 
 
+def test_a_bare_run_is_budgeted_at_twice_the_proven_bound():
+    """A `Run` made without a cap gets the cap `efficient_position` uses
+    by default; a given cap is kept."""
+    for name in FIXTURE_NAMES:
+        nb = load_fixture(name)
+        c = random_closed(nb, random.Random(name), 6)
+        assert Run(c, nb).max_homs == \
+            2 * proven_push_bound(nb, len(c.snippets))
+        assert Run(c, nb, 0).max_homs == 0
+
+
 class _StuckRun(Run):
     """A run whose pushes leave the curve as it is, so a loop that pushes
     runs into its step limit."""
@@ -451,7 +463,7 @@ class _CheckedRun(Run):
         fresh = [table[s] for s in curve.snippets]
         assert self.facts == fresh, op
         assert validate_curve(curve, self.nb) == self.facts, op
-        assert self.bad == bytearray(f.cls.bad for f in fresh), op
+        assert self.bad == bytearray(f.bad for f in fresh), op
         assert self.report() == measure(curve, self.nb), op
         spans = [(-1, None), (0, n - 1), (n, None), (3, 2), (2, -5)]
         spans += [(self.rng.randrange(-1, n + 1), self.rng.randrange(-2, n + 3))

@@ -18,15 +18,15 @@ from trackform.generate import (doubled_back, peripheral_bounce, random_arc,
                                 random_closed)
 from trackform.homotopy_engine import _push_recipe_uncached, hom
 from trackform.pipelines import efficient_position
-from trackform.snippet_core import (Snippet, classify, fact_table, facts,
-                                    is_bigon, is_trigon, reverse_snippet)
+from trackform.snippet_core import (Snippet, classify, fact_table, is_bigon,
+                                    is_trigon, reverse_snippet)
 from trackform.track_model import ANNULUS, DISC
 from trackform.verification import audit_trace
 
 
 def _valid(s, nb) -> bool:
     try:
-        facts(s, nb)
+        classify(s, nb)
     except InconsistentSnippet:
         return False
     return True
@@ -89,7 +89,7 @@ def test_recipes_equal_a_fresh_recomputation(warm):
             assert rec == _push_recipe_uncached(s, fresh,
                                                 classify(s, fresh)), s
             assert rec.cls == classify(s, fresh)
-            assert len(rec.inners) == max(rec.j - 1, 0)
+            assert len(rec.inners) == max(rec.cls.j - 1, 0)
             for inner in rec.inners:
                 assert _valid(inner, fresh), (s, inner)
                 assert not classify(inner, fresh).bad, (s, inner)
@@ -122,7 +122,7 @@ def test_hom_checks_the_neighbours_against_the_recipe(warm):
             nxt = reverse_snippet(_ending(nb, *rec.after))
             window, _, ev = hom(Curve(ARC, (prev, a, nxt)), 1, nb)
             assert (ev["rule"], ev["j"], ev["win"][1]) == \
-                (rec.cls.type, rec.j, len(window))
+                (rec.cls.type, rec.cls.j, len(window))
             bad_prev = _ending(nb, *rec.before, other=True)
             with pytest.raises(AdjacencyError,
                                match="previous snippet is not glued"):

@@ -23,7 +23,6 @@ from trackform.snippet_core import (
     Snippet,
     classify,
     corner_length,
-    facts,
     reverse_snippet,
 )
 
@@ -257,12 +256,12 @@ def test_reverse_mirrors_classification(t11, t11d):
 def test_validation_errors(t11):
     br, f = t11.region_id["br:a"], t11.region_id["face:0"]
     with pytest.raises(InconsistentSnippet):
-        facts(Snippet(br, (0, 0), None), t11)  # half-closed
+        classify(Snippet(br, (0, 0), None), t11)  # half-closed
     with pytest.raises(InconsistentSnippet):
-        facts(Snippet(br, (0, 0), (2, 0), 1), t11)  # wind outside annulus
+        classify(Snippet(br, (0, 0), (2, 0), 1), t11)  # wind outside annulus
     with pytest.raises(InconsistentSnippet):
-        facts(Snippet(br, (4, 0), (0, 0)), t11)  # no such side
+        classify(Snippet(br, (4, 0), (0, 0)), t11)  # no such side
     with pytest.raises(InconsistentSnippet):
-        facts(Snippet(f, (1, 5), (1, 0), 0), t11)  # no such segment
+        classify(Snippet(f, (1, 5), (1, 0), 0), t11)  # no such segment
     with pytest.raises(InconsistentSnippet):
-        facts(Snippet(99, (0, 0), (0, 0)), t11)
+        classify(Snippet(99, (0, 0), (0, 0)), t11)

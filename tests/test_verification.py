@@ -14,16 +14,18 @@ from hypothesis import strategies as st
 import trackform.pipelines as pipelines
 import trackform.verification as verification
 from trackform.curve_ops import ARC, CLOSED, Curve, measure
-from trackform.errors import AdjacencyError, AuditFailure, BadInput
+from trackform.errors import (AdjacencyError, AuditFailure, BadInput,
+                              InconsistentSnippet)
 from trackform.fixtures import FIXTURE_NAMES, load_fixture
+from trackform.formats import Seam, parse_trace, serialize_trace
 from trackform.generate import (GenerationFailed, boundary_power,
                                 doubled_back, peripheral_bounce, random_arc,
                                 random_closed, trivial_loop)
 from trackform.homotopy_engine import EXPECTED_J, hom
 from trackform.pipelines import (EFFICIENT, INSIDE_EFFICIENT, SINGLE_SNIPPET,
-                                 efficient_position, terminal_summary)
+                                 Run, efficient_position, terminal_summary)
 from trackform.snippet_core import (BIGON_TYPES, TRIGON_TYPES, Snippet,
-                                    classify, fact_table, facts)
+                                    classify, fact_table)
 from trackform.track_model import ANNULUS
 from trackform.verification import (OracleVerdict, _Audit, audit_trace,
                                     check_efficient, exhaustive_oracle,
@@ -284,7 +286,7 @@ def test_audit_checks_contracts_on_three_snippet_arcs(t11, monkeypatch):
         s = window[0]
         turn = nb.total_corners(s.region)
         s = s._replace(wind=s.wind + turn)
-        return (s, *window[1:]), (facts(s, nb), *wf[1:]), ev
+        return (s, *window[1:]), (classify(s, nb), *wf[1:]), ev
 
     monkeypatch.setattr(verification, "hom", mis_slid)
     with pytest.raises(AuditFailure) as err:
@@ -319,7 +321,7 @@ def _merge_arc_run(nb):
 
 
 def _refiled(nb, window, ev):
-    return window, tuple(facts(s, nb) for s in window), ev
+    return window, tuple(classify(s, nb) for s in window), ev
 
 
 def _full_turn_later(nb, s):
@@ -414,13 +416,13 @@ _DOCTORED_CLAUSES = {
     "chase-multiplicity": _Doctored(
         _trigon, False,
         lambda nb, a, window, wf, ev: (
-            window, tuple(facts(a, nb) for _ in wf), ev),
+            window, tuple(classify(a, nb) for _ in wf), ev),
         lambda ev: ("chase-multiplicity",
                     "2 bad snippets out of one trigon")),
     "graph-edge": _Doctored(
         _trigon, False,
         lambda nb, a, window, wf, ev: (
-            window, tuple(facts(a, nb) if f.row[4] else f for f in wf), ev),
+            window, tuple(classify(a, nb) if f.row[4] else f for f in wf), ev),
         lambda ev: ("graph-edge", "B(h,t) -> B(h,t) is not a hand-off")),
     "turn": _Doctored(
         lambda ev: ev.n[0] > 2 and ev.rule == "B(h,t)", True,
@@ -496,7 +498,7 @@ class _CountingAudit(_Audit):
         table = fact_table(self.nb)
         fresh = [table[s] for s in self.snippets]
         assert self.facts == fresh, (self.index, ev)
-        assert self.bad == bytearray(f.cls.bad for f in fresh), \
+        assert self.bad == bytearray(f.bad for f in fresh), \
             (self.index, ev)
         self.ops.add(ev["op"])
         super()._check_counters(ev)
@@ -520,8 +522,8 @@ def test_audit_running_counters_match_full_count():
         nb = load_fixture(name)
         for c in _counter_corpus(nb, name):
             res = efficient_position(c, nb)
-            audit = _CountingAudit(res.events, c, res.curve, nb)
-            rep = audit.run()
+            audit = _CountingAudit(c, res.curve, nb)
+            rep = audit.run(res.events)
             assert rep.events == len(res.events)
             assert audit.c == measure(res.curve, nb).counters
             ops |= audit.ops
@@ -611,8 +613,8 @@ _NAMES = sorted(BIGON_TYPES | TRIGON_TYPES) + ["Right", "Left"]
 class _LengthAudit(_Audit):
     """An audit that notes the replayed curve's length before each event."""
 
-    def __init__(self, trace, before, *args) -> None:
-        super().__init__(trace, before, *args)
+    def __init__(self, before, *args) -> None:
+        super().__init__(before, *args)
         self.lens = [len(before.snippets)]
 
     def _check_counters(self, ev) -> None:
@@ -631,9 +633,9 @@ def recorded_runs():
         for c in _counter_corpus(nb, name):
             res = efficient_position(c, nb)
             if res.events:
-                audit = _LengthAudit(res.events, c, res.curve, nb)
-                runs.append((nb, c, res.events, res.curve, audit.run(),
-                             audit.lens))
+                audit = _LengthAudit(c, res.curve, nb)
+                runs.append((nb, c, res.events, res.curve,
+                             audit.run(res.events), audit.lens))
                 ops |= {ev["op"] for ev in res.events}
     assert ops == set(_OPS)
     return runs
@@ -711,6 +713,131 @@ def test_audit_rejects_every_forged_run(recorded_runs, data):
                 lambda w: type(w) is not type(v) or w != v))}
     with pytest.raises(AuditFailure):
         audit_trace(events, before, after, nb)
+
+
+def _lone_open(nb):
+    """An 8-snippet closed curve opened into a 9-snippet arc, which is the
+    forged output."""
+    c = random_closed(nb, random.Random(3), 6)
+    run = Run(c, nb)
+    run.open_dup("forged")
+    yield c, run.events, run.curve, (1, "final")
+
+
+def _lone_reverse(nb):
+    """A peripheral bounce reversed, then the honest run of the reversed
+    curve, which reads off the opposite power."""
+    c = peripheral_bounce(nb, nb.region_id["face:0"], 2)
+    run = Run(c, nb)
+    run.reverse_("forged")
+    res = efficient_position(run.curve, nb)
+    assert terminal_summary(res, nb)["power"] == -2
+    yield c, run.events + res.events, res.curve, (len(res.events) + 1,
+                                                 "final")
+
+
+def _open_reverse_seam(nb):
+    """200 closed curves opened, reversed and sealed again; where the seam
+    cannot glue the reversed arc, it is stamped by hand."""
+    for seed in range(200):
+        c = random_closed(nb, random.Random(seed), 6)
+        run = Run(c, nb)
+        run.open_dup("forged")
+        run.reverse_("forged")
+        try:
+            run.seam("forged")
+        except InconsistentSnippet:
+            run.events.append(Seam(run.orig_wind).stamped("forged", run.c))
+        yield c, run.events, run.curve, (1, "op")
+
+
+@pytest.mark.parametrize("forger", [_lone_open, _lone_reverse,
+                                    _open_reverse_seam])
+def test_audit_rejects_a_trace_that_does_not_end_as_it_began(t11, forger):
+    """An `open` no `seam` closes, an odd number of `reverse`s, and a
+    `reverse` while opened each fail, at the stated event and clause,
+    though every event replays its own counters."""
+    for before, events, after, (i, clause) in forger(t11):
+        with pytest.raises(AuditFailure) as err:
+            audit_trace(events, before, after, t11)
+        assert (err.value.event_index, err.value.clause) == (i, clause)
+
+
+@pytest.fixture(scope="module")
+def honest_read_offs():
+    """(nb, input, the read-off of its honest run) for small seeded closed
+    curves and peripheral bounces on the four fixtures."""
+    out = []
+    for name in FIXTURE_NAMES:
+        nb = load_fixture(name)
+        inputs = [random_closed(nb, random.Random(seed), 6)
+                  for seed in range(4)]
+        inputs += [peripheral_bounce(nb, ri, 2)
+                   for ri, r in enumerate(nb.regions) if r.kind == ANNULUS]
+        out += [(nb, c, _read_off(efficient_position(c, nb), nb))
+                for c in inputs]
+    return out
+
+
+def _read_off(res, nb):
+    info = terminal_summary(res, nb)
+    return info["class"], info.get("power"), info.get("boundary")
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_audit_passes_no_prefix_that_changes_the_read_off(honest_read_offs,
+                                                          data):
+    """A forger runs 1-3 of `rotate`, `reverse`, `open` and `seam`, each
+    where `Run` accepts it and stamped with the counters it replays, then
+    the honest run from the state they reach.  The audit either fails or
+    passes a trace that reads off what the honest run on the input does."""
+    nb, c, honest = data.draw(st.sampled_from(honest_read_offs))
+    run = Run(c, nb)
+    for _ in range(data.draw(st.integers(1, 3), label="prefix")):
+        ops = ["reverse"]
+        if run.kind == CLOSED and run.n > 1:
+            ops.append("rotate")
+        if run.kind == CLOSED and not run.snippets[0].closed:
+            ops.append("open")
+        if run.orig_wind is not None:
+            ops.append("seam")
+        op = data.draw(st.sampled_from(ops), label="op")
+        if op == "rotate":
+            run.rotate(data.draw(st.integers(1, run.n - 1)), "forged")
+        elif op == "reverse":
+            run.reverse_("forged")
+        elif op == "open":
+            run.open_dup("forged")
+        else:
+            try:
+                run.seam("forged")
+            except InconsistentSnippet:
+                assume(False)  # the reversed arc does not glue: no trace
+    res = efficient_position(run.curve, nb)
+    try:
+        audit_trace(run.events + res.events, c, res.curve, nb)
+    except AuditFailure:
+        return
+    assert _read_off(res, nb) == honest
+
+
+def test_audit_reads_any_iterable(recorded_runs):
+    """A generator of the parsed records audits as the list of typed
+    records does, and a forged one fails at the same event and clause."""
+    for nb, before, events, after, report, _ in recorded_runs[::7]:
+        _, parsed = parse_trace(serialize_trace(events))
+        assert audit_trace(iter(parsed), before, after, nb) == \
+            audit_trace(events, before, after, nb) == report
+        i = _first_hom_index(parsed)
+        forged = [*parsed[:i], {**parsed[i], "k": parsed[i]["k"] + 1},
+                  *parsed[i + 1:]]
+        failures = []
+        for trace in (forged, (ev for ev in forged)):
+            with pytest.raises(AuditFailure) as err:
+                audit_trace(trace, before, after, nb)
+            failures.append((err.value.event_index, err.value.clause))
+        assert failures[0] == failures[1] and failures[0][0] == i
 
 
 # -- exhaustive_oracle ------------------------------------------------------
