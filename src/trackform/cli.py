@@ -26,8 +26,8 @@ from .pipelines import (EFFICIENT, SINGLE_SNIPPET, efficient_position,
 from .render import render_svg
 from .snippet_core import classify
 from .track_model import build_tie_neighbourhood
-from .verification import (audit_trace, check_efficient, exhaustive_oracle,
-                           oracle_agrees)
+from .verification import (STATE_CAP, audit_trace, check_efficient,
+                           exhaustive_oracle, oracle_agrees)
 
 
 def _load_track(source: str):
@@ -169,7 +169,7 @@ def verify(track: str, curve_before: str, curve_after: str,
 @cli.command()
 @click.argument("track")
 @click.argument("curve")
-@click.option("--cap", type=click.IntRange(min=1), default=50_000,
+@click.option("--cap", type=click.IntRange(min=1), default=STATE_CAP,
               help="state-space cap for the search")
 def oracle(track: str, curve: str, cap: int) -> int:
     """Exhaustively search all pushes of a small curve and compare with the
@@ -195,15 +195,14 @@ def oracle(track: str, curve: str, cap: int) -> int:
 @click.option("--len", "target_len", type=click.IntRange(min=1),
               required=True, help="target snippet length")
 @click.option("--seed", type=int, default=0, help="base random seed")
-@click.option("--count", type=int, default=1, help="how many curves")
+@click.option("--count", type=click.IntRange(min=1), default=1,
+              help="how many curves")
 @click.option("--out", "out_dir", type=click.Path(), default=None,
               help="directory for the curve files (required for --count > 1)")
 def gen(track: str, target_len: int, seed: int, count: int,
         out_dir: str | None) -> int:
     """Generate seeded random closed curves."""
     nb = _load_track(track)
-    if count < 1:
-        raise click.UsageError("--count must be >= 1")
     if count > 1 and not out_dir:
         raise click.UsageError("--count > 1 needs --out DIR")
     if out_dir:

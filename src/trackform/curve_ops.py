@@ -58,7 +58,7 @@ class WorkingCurve:
     of the duplicated basepoint snippet (else None).  `c` is replaced by a
     new list whenever the counters change and is never mutated, so a
     caller may keep it.  Building one checks the curve (`validate_curve`,
-    whose errors it raises).  `freeze` gives the `Curve` it stands for.
+    whose errors it raises).  `curve` builds the `Curve` it stands for.
     A run and an audit are subclasses that replay events on themselves."""
     __slots__ = ("nb", "kind", "snippets", "facts", "bad", "c", "orig_wind")
 
@@ -69,7 +69,9 @@ class WorkingCurve:
         self.orig_wind: int | None = None
         self._count(validate_curve(curve, nb))
 
-    def freeze(self) -> Curve:
+    @property
+    def curve(self) -> Curve:
+        """The curve as it stands, built on each read."""
         return Curve(self.kind, tuple(self.snippets))
 
     def _count(self, facts: list[SnippetFacts]) -> None:

@@ -58,24 +58,17 @@ class BudgetExceeded(TrackformError):
 
 
 class AuditFailure(TrackformError):
-    """A recorded trace fails replay or a contract clause.
+    """A recorded trace fails replay or a contract clause: event `index`
+    fails `clause`, with the message `event INDEX: CLAUSE (DETAIL)` (no
+    parenthesis without a detail).  Carries `event_index` and `clause`."""
 
-    Carries the failing event index and clause name when known."""
-
-    def __init__(self, message: str, event_index: int | None = None,
-                 clause: str | None = None) -> None:
-        super().__init__(message)
-        self.event_index = event_index
-        self.clause = clause
-
-    @classmethod
-    def at(cls, index: int, clause: str, detail: str = "") -> AuditFailure:
-        """The failure of event `index` at `clause`, with the message
-        `event INDEX: CLAUSE (DETAIL)`."""
+    def __init__(self, index: int, clause: str, detail: str = "") -> None:
         msg = f"event {index}: {clause}"
         if detail:
             msg += f" ({detail})"
-        return cls(msg, event_index=index, clause=clause)
+        super().__init__(msg)
+        self.event_index = index
+        self.clause = clause
 
 
 class ParseError(TrackformError):

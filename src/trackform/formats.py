@@ -346,11 +346,11 @@ class _TraceRecord:
         if rec is None or not rec._typed():
             for key, kind in cls.JSON:
                 if key not in obj:
-                    raise AuditFailure.at(index, "record",
-                                          f"{cls.op} record has no {key!r}")
+                    raise AuditFailure(index, "record",
+                                       f"{cls.op} record has no {key!r}")
                 if not _json_type_ok(obj[key], kind):
-                    raise AuditFailure.at(index, "record",
-                                          f"bad {key!r} value {obj[key]!r}")
+                    raise AuditFailure(index, "record",
+                                       f"bad {key!r} value {obj[key]!r}")
         return rec
 
 
@@ -437,12 +437,12 @@ def trace_record(obj: Any, index: int):
     if type(obj) in _RECORD_CLASSES:
         return obj
     if not isinstance(obj, dict):
-        raise AuditFailure.at(index, "record",
-                              f"a {type(obj).__name__}, not an object")
+        raise AuditFailure(index, "record",
+                           f"a {type(obj).__name__}, not an object")
     op = obj.get("op")
     cls = RECORD_TYPES.get(op) if isinstance(op, str) else None
     if cls is None:
-        raise AuditFailure.at(index, "op", f"unknown op {op!r}")
+        raise AuditFailure(index, "op", f"unknown op {op!r}")
     return cls.from_json(obj, index)
 
 

@@ -23,10 +23,10 @@ a push's window and the window's fact records with the push's own fields
 as such a record) and hands it to `Run._record`, which replays it on the
 run itself with `WorkingCurve.apply` (the step the audit replays each
 recorded event with) and then builds the full record once, stamped with
-its phase and the counters it leaves: the run's own counter list, which is
-replaced on each change and never mutated.  A push thus changes the curve,
-its counters and its bad flags within its window only.
-`run.curve` builds the `Curve` on demand.  The recorded events are
+its phase (one of `PHASES`) and the counters it leaves: the run's own
+counter list, which is replaced on each change and never mutated.  A push
+thus changes the curve, its counters and its bad flags within its window
+only.  `run.curve` builds the `Curve` on demand.  The recorded events are
 self-contained: an auditor can replay them from the input curve and
 byte-compare every intermediate state.
 
@@ -62,6 +62,13 @@ EFFICIENT = "Efficient"
 SINGLE_SNIPPET = "SingleSnippet"
 INSIDE_EFFICIENT = "InsideEfficient"
 
+# The phases `drive` records, one of which stamps each trace event: the
+# sweep, the seam step, and the steps of the single-bad case analysis.
+PHASES = frozenset((
+    "reduce_to_two", "reduce_to_one", "all_but", "weight_one_bigon",
+    "weight_two_bigon", "two_trigons", "hor_bigon_comp", "hor_bigon_wide",
+    "hor_bigon_branch", "trig_curve"))
+
 
 class Run(WorkingCurve):
     """One homotopy run: the working curve it pushes, with its trace events,
@@ -79,11 +86,6 @@ class Run(WorkingCurve):
             else 2 * proven_push_bound(nb, len(curve.snippets))
 
     # -- state queries ------------------------------------------------------
-
-    @property
-    def curve(self) -> Curve:
-        """The working curve as it stands, built on each call."""
-        return self.freeze()
 
     @property
     def n(self) -> int:
@@ -206,8 +208,7 @@ def _any_bad(run: Run, lo: int, tail: int) -> int | None:
 # -- span algorithms --------------------------------------------------------
 
 
-def trig_arc(run: Run, lo: int = 0, tail: int = 0,
-             phase: str = "trig_arc") -> None:
+def trig_arc(run: Run, lo: int, tail: int, phase: str) -> None:
     """Push every bad snippet out of the span interior.
 
     The span covers positions [lo, n - 1 - tail]; its two end positions are
@@ -217,13 +218,13 @@ def trig_arc(run: Run, lo: int = 0, tail: int = 0,
               phase, lo, tail)
 
 
-def big_arc(run: Run, lo: int = 0, tail: int = 0,
-            phase: str = "big_arc") -> None:
-    """Collapse a bigon at the penultimate span position, then chase."""
+def big_arc(run: Run, tail: int, phase: str) -> None:
+    """Collapse a bigon at the penultimate position of the span [0, n - 1
+    - tail], then chase."""
     hi = run.n - 1 - tail
-    if hi - lo + 1 > 2 and is_bigon(run.facts[hi - 1]):
+    if hi > 1 and is_bigon(run.facts[hi - 1]):
         run.hom_at(hi - 1, phase)
-    trig_arc(run, lo, tail, phase)
+    trig_arc(run, 0, tail, phase)
 
 
 def reduce_to_two(run: Run) -> None:
@@ -232,14 +233,14 @@ def reduce_to_two(run: Run) -> None:
     if n0 <= 2:
         return
     for k in range(3, n0):
-        big_arc(run, 0, n0 - k, "reduce_to_two")
-    big_arc(run, 0, 0, "reduce_to_two")
+        big_arc(run, n0 - k, "reduce_to_two")
+    big_arc(run, 0, "reduce_to_two")
 
 
 def reduce_to_one(run: Run) -> None:
     """Merge the two adjacent bad positions of a swept closed curve."""
     run.open_dup("reduce_to_one")
-    big_arc(run, 0, 0, "reduce_to_one")
+    big_arc(run, 0, "reduce_to_one")
     run.seam("reduce_to_one")
 
 

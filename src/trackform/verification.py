@@ -14,7 +14,8 @@ Three layers of defence against a wrong pipeline:
   as it goes.  It takes the typed trace/1 records a run makes as they
   are, and reads a decoded JSON object (a parsed trace file) into its
   record type at its own event index, which checks its fields and their
-  JSON types once (`formats.trace_record`).  A rotation must lie strictly
+  JSON types once (`formats.trace_record`).  Its phase must be one that a
+  run records (`pipelines.PHASES`).  A rotation must lie strictly
   between 0 and the curve's length.  A trace must end as it began, as
   every run does: each `open` sealed by a `seam`, and `reverse`s in
   pairs, none while opened.  Each rewrite is re-executed, and the replayed
@@ -32,7 +33,9 @@ Three layers of defence against a wrong pipeline:
   glued, across the partner tables, to the audit's own untouched snippets
   just before and just after it.  Malformed records, forged rules, shifted
   windows, doctored counters, or a tampered final curve all raise
-  `AuditFailure` naming the event and clause.
+  `AuditFailure(index, clause, detail)`, naming the event and clause.  A
+  trace that passes gives an `AuditReport` of the events read and the
+  checks made.
 
 * `exhaustive_oracle` closes a small curve under *all* legal pushes
   (breadth-first, deduplicating closed curves up to rotation) and reports
@@ -57,7 +60,7 @@ from .curve_ops import (CLOSED, Curve, WorkingCurve, measure,
 from .errors import AuditFailure, BadInput, TrackformError
 from .formats import _OWN, Hom, trace_record
 from .homotopy_engine import EXPECTED_J, hom, push_two, push_window
-from .pipelines import EFFICIENT, SINGLE_SNIPPET
+from .pipelines import EFFICIENT, PHASES, SINGLE_SNIPPET
 from .snippet_core import TRIGON_GRAPH, TRIGON_TYPES, Snippet, SnippetFacts
 # Nothing here calls `classify` any more, but perfbench's tracer wraps this
 # module attribute, so it stays.
@@ -128,7 +131,6 @@ def check_efficient(curve: Curve, nb: TieNeighbourhood) -> EfficiencyReport:
 
 
 class AuditReport(NamedTuple):
-    ok: bool
     events: int
     checks: int
 
@@ -170,7 +172,7 @@ class _Audit(WorkingCurve):
         self.index = -1
 
     def fail(self, clause: str, detail: str = "") -> None:
-        raise AuditFailure.at(self.index, clause, detail)
+        raise AuditFailure(self.index, clause, detail)
 
     def check(self, cond: bool, clause: str, detail: str = "",
               *args) -> None:
@@ -186,6 +188,8 @@ class _Audit(WorkingCurve):
         flipped = False
         for self.index, ev in enumerate(trace):
             ev = trace_record(ev, self.index)
+            if ev.phase not in PHASES:
+                self.fail("phase", f"no run records phase {ev.phase!r}")
             op = ev.op
             snap = self.snippets
             if op == "rotate":
@@ -224,7 +228,7 @@ class _Audit(WorkingCurve):
         full = measure(self, self.nb).counters
         self.check(full == self.c, "final",
                    "running counters {} != recomputed {}", self.c, full)
-        return AuditReport(ok=True, events=self.index, checks=self.checks)
+        return AuditReport(self.index, self.checks)
 
     def _check_counters(self, ev) -> None:
         self.checks += 1
@@ -413,12 +417,6 @@ class _IdTable:
         hit = self.pushes[arc] = self.intern(window, wf)
         return hit
 
-    def push_two(self, cur: tuple[int, ...], k: int) -> tuple[int, ...]:
-        """A push on a two-snippet closed curve: `push_two`'s window."""
-        snap = self.snippets
-        window, wf, _ = push_two(snap[cur[k - 1]], snap[cur[k]], self.nb, k)
-        return self.intern(window, wf)
-
 
 def _least_rotation(ids: tuple[int, ...]) -> tuple[int, ...]:
     """A closed curve's state key: its least rotation, which starts at a
@@ -430,8 +428,12 @@ def _least_rotation(ids: tuple[int, ...]) -> tuple[int, ...]:
     return min(ids[i:] + ids[:i] for i, x in enumerate(ids) if x == m)
 
 
+# The default cap on the oracle's distinct states, `trackform oracle`'s too.
+STATE_CAP = 50_000
+
+
 def exhaustive_oracle(curve: Curve, nb: TieNeighbourhood,
-                      cap_states: int = 50_000) -> OracleVerdict:
+                      cap_states: int = STATE_CAP) -> OracleVerdict:
     """Check the curve (`validate_curve`), close it under all legal pushes
     and report what is reachable.
 
@@ -484,7 +486,9 @@ def exhaustive_oracle(curve: Curve, nb: TieNeighbourhood,
             bads = [i for i in bads if 0 < i < n - 1]
         for k in bads:
             if n == 2:  # closed: an arc of two has no interior position
-                child = tab.push_two(cur, k)
+                snap = tab.snippets
+                window, wf, _ = push_two(snap[cur[k - 1]], snap[cur[k]], nb, k)
+                child = tab.intern(window, wf)
             else:
                 arc = (cur[k - 1], cur[k], cur[(k + 1) % n])
                 win = pushes.get(arc) or tab.push(arc)

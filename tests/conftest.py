@@ -15,7 +15,7 @@ from trackform.fixtures import load_fixture
 from trackform.formats import parse_track, read_text
 from trackform.generate import random_arc
 from trackform.snippet_core import Snippet
-from trackform.track_model import build_tie_neighbourhood
+from trackform.track_model import SWITCH, V, build_tie_neighbourhood
 
 LOOP_TRACK = Path(__file__).resolve().parent / "loop_annulus.track"
 CLOSED_TRACK = Path(__file__).resolve().parent / "closed_genus2.track"
@@ -93,6 +93,14 @@ def two_snippet_curves(nb, turns):
                         except TrackformError:
                             continue
                         yield curve
+
+
+def segment_label(nb, region: int, locus) -> str:
+    """The side label, with a switch rectangle's cusp segment (3,1) read as
+    vertical."""
+    if nb.regions[region].kind == SWITCH and locus == (3, 1):
+        return V
+    return nb.side_label(region, locus)
 
 
 def src_env() -> dict[str, str]:

@@ -213,6 +213,22 @@ def test_verify_rejects_malformed_records(tmp_path, curve_file):
         assert "FAIL: event 0: record" in err and "Traceback" not in err
 
 
+def test_verify_fails_a_phase_no_run_records(tmp_path, curve_file):
+    trace = tmp_path / "run.trace"
+    after = tmp_path / "after.curve"
+    run_cli("run", "t11", str(curve_file), "--trace", str(trace),
+            "--out", str(after))
+    head, *recs = trace.read_text().strip().split("\n")
+    i = len(recs) // 2
+    recs[i] = json.dumps({**json.loads(recs[i]), "phase": "forged"})
+    forged = tmp_path / "forged.trace"
+    forged.write_text("\n".join([head, *recs]) + "\n")
+    code, out, err = run_cli("verify", "t11", str(curve_file), str(after),
+                             "--trace", str(forged))
+    assert code == 1 and "PASS" not in out
+    assert err == f"FAIL: event {i}: phase (no run records phase 'forged')\n"
+
+
 def _write_forgery(tmp_path, events, before, after):
     """The curve and trace files of a forged t11 run; the header claims the
     forged output's terminal status (None for none)."""
@@ -231,7 +247,7 @@ def test_verify_fails_a_trace_left_opened(tmp_path):
     nb = load_fixture("t11")
     c = random_closed(nb, random.Random(3), 6)
     run = Run(c, nb)
-    run.open_dup("forged")
+    run.open_dup("reduce_to_one")
     before, after, trace = _write_forgery(tmp_path, run.events, c, run.curve)
     code, out, err = run_cli("verify", "t11", before, after, "--trace", trace)
     assert code == 1 and "PASS" not in out
@@ -303,7 +319,7 @@ def test_stats_counts_a_run_over_the_proven_bound(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("args", [
     ("run", "--max-steps", "-1"), ("gen", "--len", "0"),
-    ("gen", "--len", "-3")])
+    ("gen", "--len", "-3"), ("gen", "--count", "0")])
 def test_out_of_range_counts_are_usage_errors(curve_file, args):
     cmd, opt, value = args
     rest = (str(curve_file),) if cmd == "run" else ()
@@ -541,7 +557,7 @@ def test_track_given_as_a_file_path_is_named_by_its_stem(tmp_path):
 
 
 @pytest.mark.parametrize("case", [
-    "curve", "trace", "count-0", "stats-no-dir", "stats-no-curves"])
+    "curve", "trace", "stats-no-dir", "stats-no-curves"])
 def test_missing_inputs_are_usage_errors(tmp_path, curve_file, case):
     missing, empty = str(tmp_path / "missing"), tmp_path / "empty"
     empty.mkdir()
@@ -550,8 +566,6 @@ def test_missing_inputs_are_usage_errors(tmp_path, curve_file, case):
                   f"no curve file {missing!r}"),
         "trace": (["verify", "t11", str(curve_file), str(curve_file),
                    "--trace", missing], f"no trace file {missing!r}"),
-        "count-0": (["gen", "t11", "--len", "4", "--count", "0"],
-                    "--count must be >= 1"),
         "stats-no-dir": (["stats", "t11", "--batch", missing],
                          f"{missing!r} is not a directory"),
         "stats-no-curves": (["stats", "t11", "--batch", str(empty)],

@@ -63,7 +63,8 @@ def test_seeded_runs_audit_and_agree_with_the_oracle(nb, draw, classes,
     for seed in SEEDS:
         curve = draw(nb, random.Random(seed))
         res = efficient_position(curve, nb)
-        assert audit_trace(res.events, curve, res.curve, nb).ok, seed
+        assert audit_trace(res.events, curve, res.curve, nb).events == \
+            len(res.events), seed
         if res.status == EFFICIENT:
             assert check_efficient(res.curve, nb).ok, seed
         info = terminal_summary(res, nb)

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trackform.snippet_core as snippet_core
-from conftest import load_loop_track
+from conftest import load_loop_track, segment_label
 from trackform.curve_ops import (ARC, CLOSED, Curve, LengthReport, measure,
                                  validate_curve)
 from trackform.errors import BadInput, GenerationFailed, InconsistentSnippet
@@ -116,14 +116,6 @@ def _turn_corners(nb: TieNeighbourhood, ri: int) -> int:
     gap by gap."""
     return sum(nb.gap_is_corner(ri, p)
                for p in range(len(nb.polygon_loci(ri))))
-
-
-def _segment_label(nb: TieNeighbourhood, region: int, locus: Locus) -> str:
-    """The side label, with a switch rectangle's cusp segment (3,1) read as
-    vertical."""
-    if nb.regions[region].kind == SWITCH and locus == (3, 1):
-        return V
-    return nb.side_label(region, locus)
 
 
 def _check_snippet(s: Snippet, nb: TieNeighbourhood) -> None:
@@ -240,8 +232,8 @@ def _classify_uncached(s: Snippet, nb: TieNeighbourhood) -> _Class:
 
 def _classify_rect(s: Snippet, nb: TieNeighbourhood) -> _Class:
     r = nb.regions[s.region]
-    la, lb = (_segment_label(nb, s.region, s.start),
-              _segment_label(nb, s.region, s.end))
+    la, lb = (segment_label(nb, s.region, s.start),
+              segment_label(nb, s.region, s.end))
     sa, sb = s.start[0], s.end[0]
     if r.kind == BRANCH:
         if {la, lb} == {T} and sa != sb:
@@ -697,7 +689,7 @@ def _records() -> dict:
         "LengthReport": report,
         "Result": Result(EFFICIENT, curve, (), 0, report, ()),
         "EfficiencyReport": EfficiencyReport(True, (True,), None),
-        "AuditReport": AuditReport(True, 3, 12),
+        "AuditReport": AuditReport(3, 12),
         "OracleVerdict": OracleVerdict(True, True, False, 5),
         "SwitchDesc": SwitchDesc("v0", ("a", 0), (("b", 0), ("d", 0))),
         "FaceDesc": FaceDesc(DISC, ("v0.b", "a.l")),

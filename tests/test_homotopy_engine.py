@@ -40,7 +40,7 @@ def _pushed(curve, window, wf, ev, nb):
     step runs and audits replay a push with."""
     w = WorkingCurve(curve, nb)
     w.apply(ev, window, wf)
-    return w.freeze()
+    return w.curve
 
 
 def _ids(t11):

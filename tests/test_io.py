@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,7 @@ from trackform.formats import (RECORD_TYPES, Hom, Open, Reverse, Rotate,
                                parse_track, parse_trace, serialize_curve,
                                serialize_trace, trace_record)
 from trackform.generate import gen_random_curve, random_arc
-from trackform.pipelines import efficient_position
+from trackform.pipelines import PHASES, efficient_position
 from trackform.snippet_core import Snippet
 from trackform.verification import audit_trace
 
@@ -316,6 +317,19 @@ def test_parse_trace_rejects_bad_header():
     with pytest.raises(ParseError) as err:
         parse_trace('{"format":"trace/1"}\nnot json\n')
     assert err.value.line == 2
+
+
+def test_formats_md_lists_the_phases_a_run_records():
+    """The trace section of FORMATS.md lists each phase `drive` records,
+    once, and no other."""
+    text = (Path(__file__).parents[1] / "FORMATS.md").read_text()
+    block = text.split("## Trace files", 1)[1]
+    block = block.split("(`trackform.pipelines.PHASES`):", 1)[1]
+    block = block.split("\n\n", 2)[1]
+    names = [line.split("`")[1] for line in block.splitlines()
+             if line.startswith("* `")]
+    assert len(names) == len(set(names)) == len(PHASES)
+    assert set(names) == PHASES
 
 
 # -- seeded generation ------------------------------------------------------

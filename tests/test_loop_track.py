@@ -72,7 +72,8 @@ def test_known_answers(nb, name):
     assert (res.status, info["class"], info["boundary"], info["power"],
             res.homs) == (SINGLE_SNIPPET, "peripheral", boundary, power,
                           pushes)
-    assert audit_trace(res.events, curve, res.curve, nb).ok
+    assert audit_trace(res.events, curve, res.curve, nb).events == \
+        len(res.events)
     v = exhaustive_oracle(curve, nb)
     assert v.conclusive and v.states == states
     assert oracle_agrees(v, res.status)
@@ -112,7 +113,8 @@ def test_every_two_snippet_curve_runs_audits_and_agrees(nb):
     statuses = {SINGLE_SNIPPET: 0, EFFICIENT: 0}
     for curve in two_snippet_curves(nb, range(-6, 7)):
         res = efficient_position(curve, nb)
-        assert audit_trace(res.events, curve, res.curve, nb).ok, curve
+        assert audit_trace(res.events, curve, res.curve, nb).events == \
+            len(res.events), curve
         v = exhaustive_oracle(curve, nb)
         assert v.conclusive and oracle_agrees(v, res.status), curve
         statuses[res.status] += 1

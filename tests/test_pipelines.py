@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import LOOP_TRACK, load_loop_track, one_ended_arc, src_env
-from test_loop_track import HOR_BIGON
+from test_loop_track import HOR_BIGON, KNOWN, _text
 from trackform import pipelines
 from trackform.curve_ops import (ARC, CLOSED, Curve, WorkingCurve, measure,
                                  validate_curve)
@@ -48,6 +48,7 @@ from trackform.pipelines import (
     EFFICIENT,
     INSIDE_EFFICIENT,
     NON_HORIZONTAL,
+    PHASES,
     RESOLVERS,
     SINGLE_SNIPPET,
     Run,
@@ -79,7 +80,7 @@ def test_trig_arc_two_step_chase(t11):
         Snippet(r["face:0"], (2, 0), (3, 3), -3),
     ))
     run = Run(arc, t11)
-    trig_arc(run)
+    trig_arc(run, 0, 0, "reduce_to_two")
     assert run.curve == Curve(ARC, (
         Snippet(r["face:0"], (3, 2), (1, 0), 2),
         Snippet(r["br:b"], (2, 0), (0, 0)),
@@ -98,7 +99,7 @@ def test_trig_arc_leaves_endpoint_trigon_alone(t11):
         Snippet(r["sw:v1"], (1, 0), (3, 1)),
     ))
     run = Run(arc, t11)
-    trig_arc(run)
+    trig_arc(run, 0, 0, "reduce_to_two")
     assert run.curve == Curve(ARC, (
         Snippet(r["face:0"], (3, 2), (1, 1), 2),
         Snippet(r["sw:v1"], (2, 0), (3, 1)),
@@ -116,7 +117,7 @@ def test_big_arc_collapses_penultimate_bigon(t11):
         Snippet(r["sw:v0"], (1, 0), (2, 0)),
     ))
     run = Run(arc, t11)
-    big_arc(run)
+    big_arc(run, 0, "reduce_to_two")
     assert run.curve == Curve(ARC, (Snippet(r["sw:v0"], (0, 0), (2, 0)),))
     assert run.homs == 1
 
@@ -361,19 +362,20 @@ class _StuckRun(Run):
 # trig_curve's limit is 2 (4 + 2 * 9 + 2) (9 + 2) = 528 and single_bad's is
 # 2 (4 + 1) + 1 = 11; each row records limit + 1 steps and no event.
 _STUCK = (
-    (trig_arc, "arc",
+    (trig_arc, (0, 0, "reduce_to_two"), "arc",
      "trigon chase exceeded 66 pushes on a span of 2 interior snippets",
      ("trig_arc", 67, 2, 0, 0, 0, 0)),
-    (trig_curve, "pair", "closed trigon chase exceeded 528 pushes",
+    (trig_curve, (), "pair", "closed trigon chase exceeded 528 pushes",
      ("trig_curve", 529, 4, 0, 0, 0, 0)),
-    (single_bad, "pair", "single-bad resolution exceeded 11 rounds",
+    (single_bad, (), "pair", "single-bad resolution exceeded 11 rounds",
      ("single_bad", 12, 4, 0, 0, 0, 0)),
 )
 
 
-@pytest.mark.parametrize("loop, shape, message, row", _STUCK,
+@pytest.mark.parametrize("loop, args, shape, message, row", _STUCK,
                          ids=[case[0].__name__ for case in _STUCK])
-def test_each_loop_stops_at_its_step_limit(t11, loop, shape, message, row):
+def test_each_loop_stops_at_its_step_limit(t11, loop, args, shape, message,
+                                           row):
     r = t11.region_id
     curve = {
         "arc": Curve(ARC, (
@@ -389,7 +391,7 @@ def test_each_loop_stops_at_its_step_limit(t11, loop, shape, message, row):
     }[shape]
     run = _StuckRun(curve, t11)
     with pytest.raises(BudgetExceeded) as exc:
-        loop(run)
+        loop(run, *args)
     assert str(exc.value) == message
     assert run.budget_log == [row]
     assert run.curve == curve
@@ -508,6 +510,22 @@ def test_run_bookkeeping_matches_a_scan_after_every_operation():
     assert ops == {"init", "hom", "rotate", "reverse", "open", "seam"}
 
 
+def test_runs_record_exactly_the_phases(t11, weight_one_curve):
+    """The runs on the bookkeeping corpus, the weight-one curve and the
+    loop track's known answers record every phase of `PHASES` and no
+    other.  The corpus alone records no `weight_one_bigon`."""
+    inputs = [(weight_one_curve, t11)]
+    for name in FIXTURE_NAMES:
+        nb = load_fixture(name)
+        inputs += [(c, nb) for c in _bookkeeping_corpus(nb, name)]
+    loop = load_loop_track()
+    inputs += [(parse_curve(_text(snippets), loop), loop)
+               for snippets, *_ in KNOWN.values()]
+    phases = {ev.phase for c, nb in inputs
+              for ev in efficient_position(c, nb).events}
+    assert phases == PHASES
+
+
 # --- What a wide R(h,h) push leaves at its window start -----------------------
 
 
@@ -594,7 +612,7 @@ def test_bad_pushes_before_a_run_keep_its_read_off(tracks, name, shape, seed,
             break
         window, wf, push = hom(work, data.draw(st.sampled_from(bads)), nb)
         work.apply(push, window, wf)
-    assert _read_off(work.freeze(), nb) == _read_off(curve, nb)
+    assert _read_off(work.curve, nb) == _read_off(curve, nb)
 
 
 # --- The single-bad resolver table --------------------------------------------

